@@ -240,7 +240,7 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
                        options=dict(maxiter=maxiter, ftol=1e-15, gtol=1e-11))
         total_iters += int(res.nit)
         rungs.append(dict(T=T_r, dt=dt_r, value=best["val"], x=best["x"],
-                          init_value=v_init, success=bool(res.success) or best["val"] <= v_init))
+                          init_value=v_init, success=bool(res.success)))
 
     best_rung = min(rungs, key=lambda q: q["value"])
     Zb = np.vstack([mshift[None], best_rung["x"].reshape(steps - 1, d.n),

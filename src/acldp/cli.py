@@ -299,7 +299,7 @@ def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     warnings: list[str] = []
-    partial = False
+    partial = True
     outdir = None
     cfg = None
     try:
@@ -315,14 +315,13 @@ def run(argv: list[str]) -> int:
         elif args.command == "mam":
             kwargs = dict(target_file=args.target, ladder=args.t_ladder)
         COMMANDS[args.command](cfg, outdir, warnings, **kwargs)
+        partial = False
         return 0
     except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        partial = True
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        partial = True
         return 1
     finally:
         if outdir is not None and cfg is not None:

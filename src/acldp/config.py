@@ -42,7 +42,6 @@ SCHEMA: dict[str, tuple] = {
     "seed": (int, 20260808),
     "kstar": (float, 0.2),
     "pstar": (int, 8),
-    "alpha": (float, 0.24),
     "lambda": (float, 1.0),
     "modes_noise": (int, 0),
     "delta": (_parse_auto_float, AUTO),
@@ -56,9 +55,7 @@ SCHEMA: dict[str, tuple] = {
     "action.t0": (float, 5.0),
     "action.ladder": (int, 3),
     "action.steps": (int, 120),
-    "action.tol": (float, 0.05),
     "output.dir": (str, "out"),
-    "output.formats": (str, "csv,json"),
 }
 
 
@@ -132,7 +129,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         (v["n_samples"] >= 1, "n_samples must be at least 1"),
         (v["kstar"] >= 0, "kstar must be nonnegative"),
         (v["pstar"] > 0 and v["pstar"] % 2 == 0, "pstar must be a positive even integer"),
-        (0 < v["alpha"] < 0.25, "alpha must lie in (0, 1/4)"),
         (v["lambda"] >= 0, "lambda must be nonnegative"),
         (v["modes_noise"] >= 0, "modes_noise must be nonnegative"),
         (v["noise.kind"] in ("constant", "smooth_bounded_below"), "noise.kind not recognized"),

@@ -8,6 +8,10 @@ variation-of-constants form term by term.  The cubic drift is evaluated
 pointwise on the grid and projected to modes with the top third zeroed
 (de-aliasing); the convergence certificate ||Laplacian(z) + F(z)||_{L^2}
 uses the unfiltered projection.
+
+`step_weights` and the blow-up cap `BLOWUP_SUP` are shared with the
+stochastic integrator in `spde`, so a chain run at eps = 0 takes exactly the
+steps of this flow.
 """
 
 from __future__ import annotations
@@ -23,7 +27,10 @@ from .grid import (Boundary, Domain, Field, inverse_transform_values,
 from .noise import NoiseModel
 from .profile import Profile, compute_profile
 
-BLOWUP_SUP = 10.0
+# sup |z| past which the flow and the stochastic integrator stop with an
+# InstabilityError; a physical state has |u| of order 1, so |z| = |u - psi|
+# of order 2.
+BLOWUP_SUP = 50.0
 
 
 @dataclass(frozen=True)
@@ -76,9 +83,13 @@ class FlowResult:
         return self.path.terminal()
 
 
-def _step_weights(d: Domain, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def step_weights(d: Domain, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exponential-Euler weights of one step: the semigroup factor
+    e^{-lambda_k dt} and the phi_1 weight (1 - e^{-lambda_k dt}) / lambda_k,
+    the latter zero on the top third of the modes (de-aliasing the drift)."""
     decay = np.exp(-d.lambda_k * dt)
     phi1 = (1.0 - decay) / d.lambda_k
+    phi1[d.dealias_keep():] = 0.0
     return decay, phi1
 
 
@@ -88,9 +99,7 @@ def _integrate(d: Domain, x: Field, dt: float, steps: int, *,
                profile: Profile) -> FlowResult:
     if x.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("flow initial data must be zero-Dirichlet (work with z = u - psi)")
-    decay, phi1 = _step_weights(d, dt)
-    dealias = np.ones(d.modes)
-    dealias[d.dealias_keep():] = 0.0
+    decay, phi1 = step_weights(d, dt)
     mshift = profile.shifted_values(d)
 
     c = transform_values(d, x.values)
@@ -116,7 +125,7 @@ def _integrate(d: Domain, x: Field, dt: float, steps: int, *,
         if control is not None:
             drift_hat = f_hat + transform_values(
                 d, noise.g(s * dt, z + d.psi) * control[s])
-        c = decay * c + phi1 * (dealias * drift_hat)
+        c = decay * c + phi1 * drift_hat
         z = inverse_transform_values(d, c)
         if np.max(np.abs(z)) > BLOWUP_SUP:
             raise InstabilityError(
@@ -171,14 +180,14 @@ def skeleton_solve(d: Domain, x: Field, control: np.ndarray, noise: NoiseModel,
                       stop_tol=0.0, record_every=record_every, profile=profile)
 
 
-_relaxation_cache: dict[tuple[float, int, int, float], float] = {}
+_relaxation_cache: dict[tuple[float, int, int, float, float, float], float] = {}
 
 
 def relaxation_time(d: Domain, threshold: float = 1e-2, dt: float = 5e-3,
                     T_max: float = 200.0, profile: Profile | None = None) -> float:
     """Time for the flow started at z = 0 to come within `threshold` of the
     equilibrium in H^1; used to calibrate burn-in schedules."""
-    key = (d.L, d.n, d.modes, threshold)
+    key = (d.L, d.n, d.modes, threshold, dt, T_max)
     if key in _relaxation_cache:
         return _relaxation_cache[key]
     profile = profile or compute_profile(d)

@@ -131,9 +131,11 @@ def transform_values(d: Domain, values: np.ndarray) -> np.ndarray:
 
 
 def inverse_transform_values(d: Domain, coeff: np.ndarray) -> np.ndarray:
-    """Grid values of sum_k c_k e_k."""
+    """Grid values of sum_k c_k e_k; `coeff` may hold only the leading
+    k <= modes coefficients (the rest are zero)."""
+    k = coeff.shape[-1]
     pad = np.zeros(coeff.shape[:-1] + (d.n,))
-    pad[..., : d.modes] = d.sign * coeff / np.sqrt(d.L)
+    pad[..., :k] = d.sign[:k] * coeff / np.sqrt(d.L)
     return dst(pad, type=1, axis=-1) / 2.0
 
 

@@ -34,9 +34,22 @@ def write_csv(path: FsPath, columns: dict[str, np.ndarray]) -> None:
 
 
 def read_csv_columns(path: FsPath) -> dict[str, np.ndarray]:
+    """Numeric columns of a CSV with a header row; a cell that is not a
+    number raises ConfigurationError naming the file, row and column."""
     lines = FsPath(path).read_text().strip().splitlines()
     names = lines[0].split(",")
-    data = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
+    data = np.empty((len(lines) - 1, len(names)))
+    for row, ln in enumerate(lines[1:], start=1):
+        cells = ln.split(",")
+        if len(cells) != len(names):
+            raise ConfigurationError(
+                f"{path}: row {row} has {len(cells)} cells, the header has {len(names)}")
+        for i, tok in enumerate(cells):
+            try:
+                data[row - 1, i] = float(tok)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path}: row {row}, column {names[i]!r} is not a number: {tok!r}") from None
     return {name: data[:, i] for i, name in enumerate(names)}
 
 

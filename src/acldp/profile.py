@@ -36,7 +36,7 @@ from .grid import Boundary, Domain, Field
 
 DEFAULT_TOL = 1e-12
 
-_profile_cache: dict[tuple[float, int, int], "Profile"] = {}
+_profile_cache: dict[tuple[float, int, int, float], "Profile"] = {}
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,8 @@ def profile_energy(d: Domain, p: Profile) -> float:
 
 
 def compute_profile(d: Domain, tol: float = DEFAULT_TOL) -> Profile:
-    """solve_e_L + solve_profile for a domain, memoized on (L, n, modes)."""
-    key = (d.L, d.n, d.modes)
+    """solve_e_L + solve_profile for a domain, memoized on (L, n, modes, tol)."""
+    key = (d.L, d.n, d.modes, tol)
     if key not in _profile_cache:
         _profile_cache[key] = solve_profile(d, solve_e_L(d.L, tol))
     return _profile_cache[key]

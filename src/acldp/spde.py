@@ -3,19 +3,23 @@ convolution diagnostics, and invariant-measure sampling.
 
 Time stepping is exponential Euler-Maruyama: mode coefficients are advanced
 by the exact semigroup factor e^{-lambda_k dt}, the cubic drift enters
-explicitly through the phi_1 weight, and the noise increment per step is
+explicitly through the de-aliased phi_1 weight, and the noise increment per
+step is
 
     sqrt(eps) * g(t, xi, z + psi) * sum_{k <= N_W} e_k(xi) sqrt(dt) xi_k
 
-with independent standard normals xi_k, assembled in physical space and
-projected back to modes.  When the intensity is constant the projection of
-g0 * sum e_k xi_k is g0 * xi_k exactly (orthonormality), so the increment
-is added directly in mode space.
+with independent standard normals xi_k, assembled in physical space from
+the N_W leading coefficients and projected back to modes.  When the
+intensity is constant the projection of g0 * sum e_k xi_k is g0 * xi_k
+exactly (orthonormality), so the increment is added directly in mode space.
+The drift weights (`flow.step_weights`) and the blow-up cap
+(`flow.BLOWUP_SUP`) are the gradient flow's, so at eps = 0 a chain is
+bitwise the flow.
 
 Randomness comes from counter-based streams: one Philox generator per
-(master seed, chain id, mode id), so trajectories are bitwise reproducible
-and chain ensembles can be partitioned across workers without any stream
-coordination.
+(master seed, chain id, mode id), so trajectories are bitwise reproducible.
+Ensembles run in fixed 32-chain chunks, serially or on a thread pool, and
+are merged in chain order, so no result depends on the worker count.
 """
 
 from __future__ import annotations
@@ -28,13 +32,12 @@ from scipy.integrate import quad
 
 from .energy import energy_star_values, reaction_values
 from .errors import ConfigurationError, InstabilityError
-from .flow import Path, relaxation_time
+from .flow import BLOWUP_SUP, Path, relaxation_time, step_weights
 from .grid import (Boundary, Domain, Field, inverse_transform_values,
                    sobolev_norm_values, transform_values)
 from .noise import NoiseModel
 from .profile import Profile, compute_profile
 
-BLOWUP_SUP = 50.0
 _NOISE_BLOCK = 512          # steps of normals drawn per stream at a time
 _CHAIN_CHUNK = 32           # chains per vectorized batch (fixed: worker-count independent)
 
@@ -140,10 +143,7 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
     """Advance a batch of chains; the workhorse behind the public entry points."""
     n_chains = len(chain_ids)
     nw = p.resolve_noise_modes(d)
-    decay = np.exp(-d.lambda_k * p.dt)
-    phi1 = (1.0 - decay) / d.lambda_k
-    dealias = np.ones(d.modes)
-    dealias[d.dealias_keep():] = 0.0
+    decay, phi1 = step_weights(d, p.dt)
     mshift = profile.shifted_values(d)
     sq_dt = np.sqrt(p.dt)
     sq_eps = np.sqrt(p.eps)
@@ -204,14 +204,12 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
             c_new = decay * c
         else:
             f_hat = transform_values(d, reaction_values(d, z))
-            c_new = decay * c + phi1 * (dealias * f_hat)
+            c_new = decay * c + phi1 * f_hat
 
         if nm.is_constant:
             c_new[..., :nw] += sq_eps * nm.g0 * sq_dt * xi
         else:
-            pad = np.zeros((n_chains, d.modes))
-            pad[:, :nw] = sq_dt * xi
-            w_phys = inverse_transform_values(d, pad)
+            w_phys = inverse_transform_values(d, sq_dt * xi)
             g_vals = nm.g(s * p.dt, z + d.psi)
             g_min = min(g_min, float(np.min(g_vals)))
             c_new += sq_eps * transform_values(d, g_vals * w_phys)
@@ -290,6 +288,35 @@ class EnsembleResult:
     g_min: float
 
 
+def _run_chunks(n_chains: int, workers: int, *args, **kwargs) -> EnsembleResult:
+    """Run `_evolve_chains(*args, chain_ids=..., **kwargs)` over fixed-size
+    chunks of chain ids, serially or on `workers` threads, and merge the
+    outputs in chain order.  The chunk size does not depend on the worker
+    count, so neither does any result."""
+    chunks = [np.arange(lo, min(lo + _CHAIN_CHUNK, n_chains))
+              for lo in range(0, n_chains, _CHAIN_CHUNK)]
+
+    def work(ids):
+        return _evolve_chains(*args, chain_ids=ids, **kwargs)
+
+    if workers > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(work, chunks))
+    else:
+        parts = [work(ids) for ids in chunks]
+
+    def merged(key):
+        return np.concatenate([q[key] for q in parts])
+
+    return EnsembleResult(
+        final_values=merged("final_values"), sup_running=merged("sup_running"),
+        mode_snaps={step: np.concatenate([q["mode_snaps"][step] for q in parts])
+                    for step in parts[0]["mode_snaps"]},
+        t_samples=parts[0]["t_samples"],
+        obs={k: np.concatenate([q["obs"][k] for q in parts]) for k in parts[0]["obs"]},
+        g_min=min(q["g_min"] for q in parts))
+
+
 def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
                  n_chains: int, *, profile: Profile | None = None,
                  kstar: float = 0.2, pstar: int = 8, linear_hook: bool = False,
@@ -302,31 +329,9 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
     n_steps = int(round(T / p.dt))
     sample_steps = sorted({int(round(t / p.dt)) for t in sample_times} | {n_steps})
     snaps = tuple(int(round(t / p.dt)) for t in mode_checkpoint_times)
-
-    chunks = [np.arange(lo, min(lo + _CHAIN_CHUNK, n_chains))
-              for lo in range(0, n_chains, _CHAIN_CHUNK)]
-
-    def work(ids):
-        return _evolve_chains(d, x.values, nm, p, n_steps, np.asarray(sample_steps),
-                              profile=profile, kstar=kstar, pstar=pstar,
-                              chain_ids=ids, linear_hook=linear_hook,
-                              mode_checkpoints=snaps)
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(work, chunks))
-    else:
-        parts = [work(ids) for ids in chunks]
-
-    final = np.concatenate([q["final_values"] for q in parts])
-    sup_running = np.concatenate([q["sup_running"] for q in parts])
-    obs = {k: np.concatenate([q["obs"][k] for q in parts]) for k in parts[0]["obs"]}
-    mode_snaps = {s: np.concatenate([q["mode_snaps"][s] for q in parts])
-                  for s in parts[0]["mode_snaps"]}
-    g_min = min(q["g_min"] for q in parts)
-    return EnsembleResult(final_values=final, sup_running=sup_running,
-                          mode_snaps=mode_snaps, t_samples=parts[0]["t_samples"],
-                          obs=obs, g_min=g_min)
+    return _run_chunks(n_chains, workers, d, x.values, nm, p, n_steps,
+                       np.asarray(sample_steps), profile=profile, kstar=kstar,
+                       pstar=pstar, linear_hook=linear_hook, mode_checkpoints=snaps)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +361,6 @@ def stochastic_convolution(d: Domain, traj: Trajectory, p: SdeParams | None = No
     _require_replayable(traj)
     p = p or traj.params
     nm = traj.noise_model
-    nw = traj.noise_increments.shape[1]
     decay = np.exp(-(d.lambda_k + p.lam) * p.dt)
     sq_dt = np.sqrt(p.dt)
     n_steps = traj.noise_increments.shape[0]
@@ -367,9 +371,7 @@ def stochastic_convolution(d: Domain, traj: Trajectory, p: SdeParams | None = No
     g_min = np.inf
     for s in range(n_steps):
         z = traj.path.values[s]
-        pad = np.zeros(d.modes)
-        pad[:nw] = sq_dt * traj.noise_increments[s]
-        w_phys = inverse_transform_values(d, pad)
+        w_phys = inverse_transform_values(d, sq_dt * traj.noise_increments[s])
         g_vals = nm.g(s * p.dt, z + d.psi)
         g_min = min(g_min, float(np.min(g_vals)))
         gamma = decay * gamma + transform_values(d, g_vals * w_phys)
@@ -460,7 +462,7 @@ def factorized_convolution(d: Domain, p: SdeParams, alpha: float, *,
     dt = p.dt
     mu = d.lambda_k + p.lam                      # (modes,)
     gens = _make_streams(p.seed, np.array([chain]), nw)
-    xi = _draw_block(gens, n_steps)[0]           # (n_steps, nw)
+    dw = intensity * np.sqrt(dt) * _draw_block(gens, n_steps)[0]   # (n_steps, nw)
 
     t_nodes = np.arange(n_steps + 1) * dt
     # Gamma^alpha(s_m) = sum_{j<m} (s_m - r_j)^{-alpha} e^{-mu (s_m - r_j)} G dW_j
@@ -468,10 +470,8 @@ def factorized_convolution(d: Domain, p: SdeParams, alpha: float, *,
     for m_idx in range(1, n_steps + 1):
         s_m = t_nodes[m_idx]
         lagt = s_m - t_nodes[:m_idx]             # (m,)
-        ker = lagt[:, None] ** (-alpha) * np.exp(-np.outer(lagt, mu))
-        inc = np.zeros((m_idx, d.modes))
-        inc[:, :nw] = intensity * np.sqrt(dt) * xi[:m_idx]
-        gamma_mid[m_idx] = np.sum(ker * inc, axis=0)
+        ker = lagt[:, None] ** (-alpha) * np.exp(-np.outer(lagt, mu[:nw]))
+        gamma_mid[m_idx, :nw] = np.sum(ker * dw[:m_idx], axis=0)
 
     gamma_phys = inverse_transform_values(d, gamma_mid)
     gamma_lp = (d.h * np.sum(np.abs(gamma_phys) ** pstar, axis=-1)) ** (1.0 / pstar)
@@ -574,34 +574,18 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams, burn_in: float,
     n_steps = steps_burn + per_chain * steps_stride
     sample_steps = steps_burn + steps_stride * np.arange(1, per_chain + 1)
 
-    x0 = Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET)
-    chunks = [np.arange(lo, min(lo + _CHAIN_CHUNK, n_chains))
-              for lo in range(0, n_chains, _CHAIN_CHUNK)]
-
-    def work(ids):
-        return _evolve_chains(d, x0.values, nm, p, n_steps, sample_steps,
-                              profile=profile, kstar=kstar, pstar=pstar,
-                              chain_ids=ids)
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(work, chunks))
-    else:
-        parts = [work(ids) for ids in chunks]
-
-    obs = {k: np.concatenate([q["obs"][k] for q in parts]) for k in parts[0]["obs"]}
-    t_row = parts[0]["t_samples"]
-    chain_col = np.repeat(np.arange(n_chains), per_chain).astype(float)
+    ens = _run_chunks(n_chains, workers, d, np.zeros(d.n), nm, p, n_steps,
+                      sample_steps, profile=profile, kstar=kstar, pstar=pstar)
     samples = dict(
-        chain=chain_col,
-        t=np.tile(t_row, n_chains),
-        sup_norm=obs["sup_norm"].ravel(),
-        dist_sup=obs["dist_sup"].ravel(),
-        energy_star=obs["energy_star"].ravel(),
-        sobolev_norm=obs["sobolev_norm"].ravel(),
+        chain=np.repeat(np.arange(n_chains), per_chain).astype(float),
+        t=np.tile(ens.t_samples, n_chains),
+        sup_norm=ens.obs["sup_norm"].ravel(),
+        dist_sup=ens.obs["dist_sup"].ravel(),
+        energy_star=ens.obs["energy_star"].ravel(),
+        sobolev_norm=ens.obs["sobolev_norm"].ravel(),
     )
     return EmpiricalMeasure(
         eps=p.eps, n_traj=n_chains, burn_in=burn_in, sample_stride=stride,
         per_chain=per_chain, seed=p.seed, kstar=kstar, pstar=pstar,
-        g_min=min(q["g_min"] for q in parts), undersampled=undersampled,
+        g_min=ens.g_min, undersampled=undersampled,
         warnings=warnings, samples=samples)

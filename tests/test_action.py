@@ -259,6 +259,13 @@ class TestMinimization:
         sw = res.info["sandwich"]
         assert sw["upper_ok"] and sw["lower_ok"]
 
+    def test_iteration_cap_is_not_convergence(self, dom2_full, prof2_full, unit_noise):
+        zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.25)])
+        res = mam_minimize(dom2_full, zeta, unit_noise, T=6.0, steps=40,
+                           ladder=1, maxiter=5, profile=prof2_full)
+        assert res.iterations == 5
+        assert res.converged is False
+
     def test_explicit_init_is_respected(self, dom2_full, prof2_full, unit_noise):
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.15)])
         eq = prof2_full.shifted_values(dom2_full)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from acldp.cli import run
+from acldp.cli import COMMANDS, run
 from acldp.grid import Boundary, Field, build_domain
 from acldp.io import (load_schema, read_csv_columns, validate_against_schema,
                       write_field_csv, write_path_csv)
@@ -54,6 +54,31 @@ class TestConfigHandling:
         assert code == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["partial"] is True
+
+    def test_non_numeric_cell_exits_2_and_marks_partial(self, tmp_path, capsys):
+        d = build_domain(2.0, 63, 32)
+        field = tmp_path / "field.csv"
+        write_field_csv(field, d, Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET))
+        lines = field.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",abc"
+        field.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = run(["energy", "--input", str(field), "--bc", "zero",
+                    "--set", "n=63", "--set", "modes=32", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "field.csv" in err and "row 5" in err and "'value'" in err
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
+
+    def test_crashed_command_marks_partial(self, tmp_path, monkeypatch):
+        def crash(cfg, outdir, warnings):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setitem(COMMANDS, "profile", crash)
+        out = tmp_path / "o"
+        with pytest.raises(RuntimeError):
+            run(["profile", "--out", str(out)])
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
 
 class TestProfileCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from acldp import flow
 from acldp.errors import ConfigurationError, InstabilityError
 from acldp.flow import gradient_flow, relaxation_time, skeleton_solve
 from acldp.grid import Boundary, Field, basis_eval, h1_distance
@@ -123,3 +124,16 @@ class TestRelaxation:
         t = relaxation_time(dom2, profile=prof2)
         assert 0.5 < t < 20.0
         assert relaxation_time(dom2, profile=prof2) == t   # cached
+
+    def test_cache_is_keyed_on_step_and_horizon(self, dom2, prof2, monkeypatch):
+        flows = []
+
+        def counted(d, x, dt, T, **kwargs):
+            flows.append((dt, T))
+            return gradient_flow(d, x, dt, T, **kwargs)
+
+        monkeypatch.setattr(flow, "_relaxation_cache", {})
+        monkeypatch.setattr(flow, "gradient_flow", counted)
+        for dt, T_max in ((1e-2, 10.0), (1e-2, 10.0), (2e-2, 10.0), (1e-2, 12.0)):
+            relaxation_time(dom2, dt=dt, T_max=T_max, profile=prof2)
+        assert flows == [(1e-2, 10.0), (2e-2, 10.0), (1e-2, 12.0)]

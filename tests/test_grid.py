@@ -114,6 +114,14 @@ class TestTransform:
         with pytest.raises(ConfigurationError):
             spectral_transform(dom2, Field(dom2.psi, Boundary.RAMP_DIRICHLET))
 
+    def test_inverse_of_leading_block_equals_zero_padded(self, dom2, rng):
+        k = dom2.modes // 3
+        block = rng.standard_normal((4, k))
+        padded = np.zeros((4, dom2.modes))
+        padded[:, :k] = block
+        assert np.array_equal(inverse_transform_values(dom2, block),
+                              inverse_transform_values(dom2, padded))
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 31))
     def test_round_trip_band_limited(self, dom2, seed):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from acldp import profile as profile_module
 from acldp.energy import energy
 from acldp.errors import ConfigurationError, NumericalError
 from acldp.grid import Boundary, Field, build_domain
@@ -82,6 +83,15 @@ class TestProfile:
         mask20 = np.abs(d20.xi) <= 10.0
         diff20 = np.abs(p20.m.values - np.tanh(d20.xi / np.sqrt(2.0)))[mask20]
         assert diff20.max() < diff.max()       # improves as L grows
+
+    def test_cache_is_keyed_on_tol(self, monkeypatch):
+        monkeypatch.setattr(profile_module, "_profile_cache", {})
+        d = build_domain(2.0, 31, 16)
+        default = compute_profile(d)
+        assert compute_profile(d) is default
+        loose = compute_profile(d, tol=1e-6)
+        assert loose is not default
+        assert compute_profile(d, tol=1e-6) is loose
 
     def test_inconsistent_constant_rejected(self, dom2, prof2):
         with pytest.raises(NumericalError):

@@ -209,10 +209,13 @@ class TestInvariantSampling:
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=12)
         kw = dict(burn_in=2.0, n_samples=128, stride=0.25, n_chains=64,
                   profile=sprof, check_burn_in=False)
-        a = sample_invariant(sdom, const_noise, p, workers=1, **kw)
-        b = sample_invariant(sdom, const_noise, p, workers=2, **kw)
-        for key in a.samples:
-            assert np.array_equal(a.samples[key], b.samples[key])
+        state_dependent = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=1.0)
+        for nm in (const_noise, state_dependent):
+            a = sample_invariant(sdom, nm, p, workers=1, **kw)
+            b = sample_invariant(sdom, nm, p, workers=2, **kw)
+            for key in a.samples:
+                assert np.array_equal(a.samples[key], b.samples[key])
+            assert a.g_min == b.g_min
 
     def test_concentration_with_small_noise(self, sdom, sprof, const_noise):
         means = []
