@@ -140,7 +140,8 @@ def quasipotential_upper(d: Domain, zeta: Field, nm: NoiseModel, t_star: float, 
                          profile: Profile | None = None) -> ActionResult:
     """Upper bound on the quasi-potential of zeta from the two-segment path:
     unit-time interpolation (equilibrium -> relaxed state) followed by the
-    reversed flow back to zeta."""
+    reversed flow back to zeta.  The segments have different steps, so they
+    come back apart in info["segments"]; `path` is the reversed flow."""
     profile = profile or compute_profile(d)
     mshift = Field(profile.shifted_values(d), Boundary.ZERO_DIRICHLET)
     flow_res = gradient_flow(d, zeta, dt=dt_flow, T=t_star, stop_tol=0.0,
@@ -150,14 +151,12 @@ def quasipotential_upper(d: Domain, zeta: Field, nm: NoiseModel, t_star: float, 
                               profile=profile)
     a1 = action(seg1, nm, d)
     a2 = action(seg2, nm, d)
-    combined = Path(np.vstack([seg1.values, seg2.values[1:]]),
-                    Boundary.ZERO_DIRICHLET, 0.0, seg2.dt)  # nominal dt; segments differ
     return ActionResult(value=a1.value + a2.value,
                         residual_series=np.concatenate([a1.residual_series,
                                                         a2.residual_series]),
-                        path=combined,
+                        path=seg2,
                         info=dict(interpolation=a1.value, reversed_flow=a2.value,
-                                  t_star=t_star))
+                                  t_star=t_star, segments=(seg1, seg2)))
 
 
 def _initial_path(d: Domain, zeta: Field, T: float, steps: int, *,

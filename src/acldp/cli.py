@@ -26,14 +26,14 @@ from .config import (ExperimentConfig, apply_override, default_config,
                      parse_config, validate_config)
 from .energy import energy_report
 from .errors import ConfigurationError, NumericalError
-from .flow import gradient_flow
+from .flow import Path, gradient_flow
 from .grid import Boundary, Field
 from .io import (read_field_csv, read_path_csv, write_csv, write_field_csv,
                  write_json)
-from .pipeline import (ConcentrationResult, domain_from_config,
-                       noise_from_config, run_concentration)
+from .pipeline import (ConcentrationResult, domain_from_config, noise_from_config,
+                       run_concentration, sde_params_from_config)
 from .profile import compute_profile
-from .spde import SdeParams, ensemble_run, sample_invariant
+from .spde import ensemble_run, sample_invariant
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -56,11 +56,6 @@ def _load_config(args) -> ExperimentConfig:
         apply_override(cfg, "workers", env_workers)
     validate_config(cfg)
     return cfg
-
-
-def _sde_params(cfg: ExperimentConfig, eps: float) -> SdeParams:
-    return SdeParams(eps=eps, dt=cfg["dt"], modes_noise=cfg["modes_noise"],
-                     lam=cfg["lambda"], seed=cfg["seed"])
 
 
 def _tail_report_json(rep) -> dict:
@@ -133,7 +128,7 @@ def _cmd_sde(cfg, outdir, warnings):
     nm = noise_from_config(cfg)
     prof = compute_profile(d)
     eps = cfg["eps"][0]
-    p = _sde_params(cfg, eps)
+    p = sde_params_from_config(cfg, eps)
     x = _initial_field(cfg, d, prof)
     times = tuple(np.arange(0.0, cfg["T"] + 1e-12, cfg["stride"]))
     ens = ensemble_run(d, x, nm, p, cfg["T"], cfg["n_chains"], profile=prof,
@@ -164,7 +159,7 @@ def _cmd_invariant(cfg, outdir, warnings):
     nm = noise_from_config(cfg)
     prof = compute_profile(d)
     eps = cfg["eps"][0]
-    em = sample_invariant(d, nm, _sde_params(cfg, eps), burn_in=cfg["burn_in"],
+    em = sample_invariant(d, nm, sde_params_from_config(cfg, eps), burn_in=cfg["burn_in"],
                           n_samples=cfg["n_samples"], stride=cfg["stride"],
                           n_chains=cfg["n_chains"], profile=prof,
                           kstar=cfg["kstar"], pstar=cfg["pstar"],
@@ -194,8 +189,7 @@ def _cmd_action(cfg, outdir, warnings, path_file=None):
     if values.shape[1] != d.n:
         raise ConfigurationError(
             f"path file has {values.shape[1]} grid columns, domain needs {d.n}")
-    from .flow import Path as FlowPath
-    pth = FlowPath(values, Boundary.ZERO_DIRICHLET, float(t[0]), float(t[1] - t[0]))
+    pth = Path(values, Boundary.ZERO_DIRICHLET, float(t[0]), float(t[1] - t[0]))
     res = action(pth, nm, d)
     write_json(outdir / "action.json",
                dict(value=res.value, steps=pth.n_steps,

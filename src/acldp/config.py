@@ -42,7 +42,6 @@ SCHEMA: dict[str, tuple] = {
     "seed": (int, 20260808),
     "kstar": (float, 0.2),
     "pstar": (int, 8),
-    "lambda": (float, 1.0),
     "modes_noise": (int, 0),
     "delta": (_parse_auto_float, AUTO),
     "radius": (_parse_auto_float, AUTO),
@@ -129,7 +128,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         (v["n_samples"] >= 1, "n_samples must be at least 1"),
         (v["kstar"] >= 0, "kstar must be nonnegative"),
         (v["pstar"] > 0 and v["pstar"] % 2 == 0, "pstar must be a positive even integer"),
-        (v["lambda"] >= 0, "lambda must be nonnegative"),
         (v["modes_noise"] >= 0, "modes_noise must be nonnegative"),
         (v["noise.kind"] in ("constant", "smooth_bounded_below"), "noise.kind not recognized"),
         (v["noise.g0"] > 0, "noise.g0 must be positive"),

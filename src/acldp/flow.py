@@ -180,25 +180,23 @@ def skeleton_solve(d: Domain, x: Field, control: np.ndarray, noise: NoiseModel,
                       stop_tol=0.0, record_every=record_every, profile=profile)
 
 
-_relaxation_cache: dict[tuple[float, int, int, float, float, float], float] = {}
-
-
 def relaxation_time(d: Domain, threshold: float = 1e-2, dt: float = 5e-3,
                     T_max: float = 200.0, profile: Profile | None = None) -> float:
     """Time for the flow started at z = 0 to come within `threshold` of the
-    equilibrium in H^1; used to calibrate burn-in schedules."""
-    key = (d.L, d.n, d.modes, threshold, dt, T_max)
-    if key in _relaxation_cache:
-        return _relaxation_cache[key]
-    profile = profile or compute_profile(d)
-    mshift = profile.shifted_values(d)
-    res = gradient_flow(d, Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET),
-                        dt=dt, T=T_max, stop_tol=1e-6, record_every=1,
-                        profile=profile)
-    lam = d.lambda_k
-    for i in range(res.path.values.shape[0]):
-        c = transform_values(d, res.path.values[i] - mshift)
-        if np.sqrt(np.sum((1.0 + lam) * c * c)) < threshold:
-            _relaxation_cache[key] = i * dt
-            return i * dt
+    equilibrium in H^1, where it stops; used to calibrate burn-in schedules."""
+    if dt <= 0 or T_max <= 0:
+        raise ConfigurationError(f"need dt > 0 and T_max > 0, got dt={dt}, T_max={T_max}")
+    mshift = (profile or compute_profile(d)).shifted_values(d)
+    decay, phi1 = step_weights(d, dt)
+    c, z = np.zeros(d.modes), np.zeros(d.n)
+    for s in range(int(round(T_max / dt)) + 1):
+        r = transform_values(d, z - mshift)
+        if np.sqrt(np.sum((1.0 + d.lambda_k) * r * r)) < threshold:
+            return s * dt
+        c = decay * c + phi1 * transform_values(d, reaction_values(d, z))
+        z = inverse_transform_values(d, c)
+        if np.max(np.abs(z)) > BLOWUP_SUP:
+            raise InstabilityError(
+                f"flow left the physical range (sup |z| > {BLOWUP_SUP}) at t={(s + 1) * dt!r}; "
+                f"dt={dt!r} likely too large")
     raise InstabilityError(f"flow failed to relax within T={T_max} at L={d.L}")

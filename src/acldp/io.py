@@ -37,6 +37,8 @@ def read_csv_columns(path: FsPath) -> dict[str, np.ndarray]:
     """Numeric columns of a CSV with a header row; a cell that is not a
     number raises ConfigurationError naming the file, row and column."""
     lines = FsPath(path).read_text().strip().splitlines()
+    if not lines:
+        raise ConfigurationError(f"{path}: the file is empty")
     names = lines[0].split(",")
     data = np.empty((len(lines) - 1, len(names)))
     for row, ln in enumerate(lines[1:], start=1):
@@ -97,14 +99,18 @@ def write_path_csv(path: FsPath, times: np.ndarray, values: np.ndarray) -> None:
 
 
 def read_path_csv(path: FsPath) -> tuple[np.ndarray, np.ndarray]:
+    """Times and values of a path CSV (t, z0..z{n-1}): two rows or more, uniform t."""
     cols = read_csv_columns(path)
-    if "t" not in cols:
-        raise ConfigurationError(f"path file {path} needs a 't' column")
-    t = cols["t"]
-    zcols = [k for k in cols if k.startswith("z")]
-    zcols.sort(key=lambda s: int(s[1:]))
-    values = np.stack([cols[k] for k in zcols], axis=1)
-    return t, values
+    zcols = [f"z{j}" for j in range(len(cols)) if f"z{j}" in cols]
+    if "t" not in cols or not zcols or len(cols["t"]) < 2:
+        raise ConfigurationError(
+            f"path file {path} needs columns t, z0, z1, ... and at least two rows")
+    steps = np.diff(cols["t"])
+    off = np.flatnonzero(~(np.abs(steps - steps[0]) <= 1e-6 * abs(steps[0])))
+    if off.size:
+        raise ConfigurationError(
+            f"path file {path}: t is not uniform, row {off[0] + 2} is off its first step")
+    return cols["t"], np.stack([cols[k] for k in zcols], axis=1)
 
 
 # ---------------------------------------------------------------------------

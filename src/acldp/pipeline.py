@@ -38,6 +38,10 @@ def noise_from_config(cfg: ExperimentConfig) -> NoiseModel:
     return NoiseModel(kind=cfg["noise.kind"], g0=cfg["noise.g0"], c=cfg["noise.c"])
 
 
+def sde_params_from_config(cfg: ExperimentConfig, eps: float) -> SdeParams:
+    return SdeParams(eps=eps, dt=cfg["dt"], modes_noise=cfg["modes_noise"], seed=cfg["seed"])
+
+
 def domain_from_config(cfg: ExperimentConfig) -> Domain:
     return build_domain(cfg["L"], cfg["n"], cfg["modes"])
 
@@ -67,11 +71,9 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationResult:
 
     measures = []
     for eps in eps_list:
-        p = SdeParams(eps=eps, dt=cfg["dt"], modes_noise=cfg["modes_noise"],
-                      lam=cfg["lambda"], seed=cfg["seed"])
-        em = sample_invariant(d, nm, p, burn_in=cfg["burn_in"],
-                              n_samples=cfg["n_samples"], stride=cfg["stride"],
-                              n_chains=cfg["n_chains"], profile=prof,
+        em = sample_invariant(d, nm, sde_params_from_config(cfg, eps),
+                              burn_in=cfg["burn_in"], n_samples=cfg["n_samples"],
+                              stride=cfg["stride"], n_chains=cfg["n_chains"], profile=prof,
                               kstar=cfg["kstar"], pstar=cfg["pstar"],
                               workers=cfg["workers"])
         warnings.extend(f"eps={eps}: {w}" for w in em.warnings)

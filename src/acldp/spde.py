@@ -16,6 +16,10 @@ The drift weights (`flow.step_weights`) and the blow-up cap
 (`flow.BLOWUP_SUP`) are the gradient flow's, so at eps = 0 a chain is
 bitwise the flow.
 
+The increment sqrt(dt) xi_k follows the exact decay, so under constant g0 mode
+k's stationary variance is eps g0^2 dt / (1 - e^{-2 lambda_k dt}), not the SPDE's
+eps g0^2 / (2 lambda_k): 5.1 times it at mode 64 for dt = 1e-3, L = 2.
+
 Randomness comes from counter-based streams: one Philox generator per
 (master seed, chain id, mode id), so trajectories are bitwise reproducible.
 Ensembles run in fixed 32-chain chunks, serially or on a thread pool, and
@@ -546,8 +550,7 @@ def factorization_identity_error(d: Domain, alpha: float, lam: float, t_eval: fl
 def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams, burn_in: float,
                      n_samples: int, stride: float, *, n_chains: int = 32,
                      profile: Profile | None = None, kstar: float = 0.2,
-                     pstar: int = 8, workers: int = 1,
-                     check_burn_in: bool = True) -> EmpiricalMeasure:
+                     pstar: int = 8, workers: int = 1) -> EmpiricalMeasure:
     """Sample observables of the stationary state by time-striding an
     ensemble of chains started at z = 0 past a burn-in window.
 
@@ -559,11 +562,10 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams, burn_in: float,
         raise ConfigurationError(f"need stride > 0 and burn_in >= 0, got {stride}, {burn_in}")
     profile = profile or compute_profile(d)
     warnings: list[str] = []
-    if check_burn_in:
-        t_relax = relaxation_time(d, profile=profile)
-        if burn_in < 5.0 * t_relax:
-            warnings.append(
-                f"burn_in={burn_in} is below 5x the deterministic relaxation time {t_relax:.3g}")
+    t_relax = relaxation_time(d, profile=profile)
+    if burn_in < 5.0 * t_relax:
+        warnings.append(
+            f"burn_in={burn_in} is below 5x the deterministic relaxation time {t_relax:.3g}")
     undersampled = n_samples < 100
     if undersampled:
         warnings.append(f"n_samples={n_samples} < 100: tail estimates will be unreliable")

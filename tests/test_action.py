@@ -206,6 +206,17 @@ class TestQuasipotentialUpper:
         assert vals[1] <= vals[0] + 1e-9
         assert vals[2] <= vals[1] + 1e-9
 
+    def test_segments_keep_their_own_step(self, dom2_full, prof2_full, unit_noise):
+        zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.25)])
+        res = quasipotential_upper(dom2_full, zeta, unit_noise, t_star=8.0,
+                                   interp_steps=32, profile=prof2_full)
+        seg1, seg2 = res.info["segments"]
+        assert (seg1.dt, seg2.dt) == (1.0 / 32, 5e-3)
+        assert np.array_equal(seg1.values[-1], seg2.values[0])
+        assert res.path is seg2
+        assert (action(seg1, unit_noise, dom2_full).value
+                + action(seg2, unit_noise, dom2_full).value) == res.value
+
 
 class TestActionGradient:
     def test_matches_central_differences_20_cases(self, dom2_full, prof2_full, rng):

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acldp.cli import COMMANDS, run
 from acldp.grid import Boundary, Field, build_domain
@@ -145,6 +149,94 @@ class TestActionCommand:
                     "--set", "modes=32", "--out", str(out)]) == 0
         payload = json.loads((out / "action.json").read_text())
         assert payload["value"] < 1e-8
+
+    @staticmethod
+    def run_action_on(path_csv):
+        out = path_csv.parent / "o"
+        code = run(["action", "--path", str(path_csv), "--set", "n=63",
+                    "--set", "modes=32", "--out", str(out)])
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
+        return code
+
+    def test_one_row_path_exits_2(self, tmp_path, capsys):
+        write_path_csv(tmp_path / "p.csv", np.array([0.0]), np.zeros((1, 63)))
+        assert self.run_action_on(tmp_path / "p.csv") == 2
+        err = capsys.readouterr().err
+        assert "p.csv" in err and "two rows" in err
+
+    def test_path_without_z_columns_exits_2(self, tmp_path, capsys):
+        (tmp_path / "p.csv").write_text("t\n0.0\n0.1\n")
+        assert self.run_action_on(tmp_path / "p.csv") == 2
+        err = capsys.readouterr().err
+        assert "p.csv" in err and "z0, z1" in err
+
+    def test_non_uniform_times_exit_2_naming_the_row(self, tmp_path, capsys):
+        write_path_csv(tmp_path / "p.csv", np.array([0.0, 0.1, 0.5]), np.zeros((3, 63)))
+        assert self.run_action_on(tmp_path / "p.csv") == 2
+        err = capsys.readouterr().err
+        assert "p.csv" in err and "row 3" in err
+
+
+def _not_a_number(tok):
+    try:
+        float(tok)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def corrupted(draw, text):
+    """One structural corruption of a CSV: rows dropped, the file truncated,
+    a cell that is not a number, the header dropped or duplicated."""
+    lines = text.splitlines()
+    kind = draw(st.sampled_from(["drop_rows", "truncate", "non_number",
+                                 "drop_header", "duplicate_header"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "drop_rows":
+        i = draw(st.integers(1, len(lines) - 1))
+        del lines[i:draw(st.integers(i + 1, len(lines)))]
+    elif kind == "non_number":
+        row = draw(st.integers(1, len(lines) - 1))
+        cells = lines[row].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(
+            st.text(alphabet="abx.+-e ", max_size=4).filter(_not_a_number))
+        lines[row] = ",".join(cells)
+    elif kind == "drop_header":
+        del lines[0]
+    else:
+        lines.insert(draw(st.integers(1, len(lines))), lines[0])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """Valid field and path CSV text at n = 31, keyed by the command reading it."""
+    d = build_domain(2.0, 31, 16)
+    prof = compute_profile(d)
+    tmp = tmp_path_factory.mktemp("valid")
+    write_field_csv(tmp / "f.csv", d, prof.m)
+    bump = np.sin(np.pi * (d.xi + d.L) / (2 * d.L))
+    write_path_csv(tmp / "p.csv", 0.05 * np.arange(6),
+                   prof.shifted_values(d) + 0.01 * np.arange(6)[:, None] * bump)
+    return {"energy": ("--input", (tmp / "f.csv").read_text()),
+            "action": ("--path", (tmp / "p.csv").read_text())}
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("command", ["energy", "action"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_input_exits_0_or_2(self, valid_inputs, command, data):
+        flag, text = valid_inputs[command]
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / "in.csv", Path(tmp) / "o"
+            src.write_text(data.draw(corrupted(text)))
+            code = run([command, flag, str(src), "--set", "n=31", "--set", "modes=16",
+                        "--out", str(out)])
+            assert code in (0, 2)
+            assert json.loads((out / "manifest.json").read_text())["partial"] is (code != 0)
 
 
 class TestMamCommand:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from acldp import flow
 from acldp.errors import ConfigurationError, InstabilityError
 from acldp.flow import gradient_flow, relaxation_time, skeleton_solve
-from acldp.grid import Boundary, Field, basis_eval, h1_distance
+from acldp.grid import Boundary, Field, basis_eval, h1_distance, transform_values
 
 from .conftest import band_limited
 
@@ -119,21 +118,38 @@ class TestSkeleton:
                            np.zeros((10, dom2.n + 1)), unit_noise, dt=1e-3)
 
 
+def two_pass_relaxation_time(d, prof, threshold, dt, T_max):
+    """The first recorded frame of the flow from z = 0 within `threshold` of
+    the equilibrium in H^1, found after the whole flow is stored."""
+    res = gradient_flow(d, Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET), dt=dt,
+                        T=T_max, stop_tol=0.0, record_every=1, profile=prof)
+    mshift = prof.shifted_values(d)
+    for i, z in enumerate(res.path.values):
+        c = transform_values(d, z - mshift)
+        if np.sqrt(np.sum((1.0 + d.lambda_k) * c * c)) < threshold:
+            return i * dt
+    return None
+
+
 class TestRelaxation:
     def test_relaxation_time_scale(self, dom2, prof2):
         t = relaxation_time(dom2, profile=prof2)
         assert 0.5 < t < 20.0
-        assert relaxation_time(dom2, profile=prof2) == t   # cached
+        assert relaxation_time(dom2, profile=prof2) == t   # deterministic
 
-    def test_cache_is_keyed_on_step_and_horizon(self, dom2, prof2, monkeypatch):
-        flows = []
+    def test_matches_two_pass_definition(self, dom2, prof2):
+        for threshold in (1e-1, 1e-2):
+            want = two_pass_relaxation_time(dom2, prof2, threshold, 5e-3, 3.0)
+            assert want is not None
+            assert relaxation_time(dom2, threshold=threshold, dt=5e-3, T_max=3.0,
+                                   profile=prof2) == want
 
-        def counted(d, x, dt, T, **kwargs):
-            flows.append((dt, T))
-            return gradient_flow(d, x, dt, T, **kwargs)
+    def test_threshold_not_reached_raises(self, dom2, prof2):
+        assert two_pass_relaxation_time(dom2, prof2, 1e-2, 5e-3, 1.0) is None
+        with pytest.raises(InstabilityError, match="failed to relax"):
+            relaxation_time(dom2, dt=5e-3, T_max=1.0, profile=prof2)
 
-        monkeypatch.setattr(flow, "_relaxation_cache", {})
-        monkeypatch.setattr(flow, "gradient_flow", counted)
-        for dt, T_max in ((1e-2, 10.0), (1e-2, 10.0), (2e-2, 10.0), (1e-2, 12.0)):
-            relaxation_time(dom2, dt=dt, T_max=T_max, profile=prof2)
-        assert flows == [(1e-2, 10.0), (2e-2, 10.0), (1e-2, 12.0)]
+    def test_step_and_horizon_validated(self, dom2, prof2):
+        for dt, T_max in ((0.0, 3.0), (5e-3, 0.0)):
+            with pytest.raises(ConfigurationError):
+                relaxation_time(dom2, dt=dt, T_max=T_max, profile=prof2)

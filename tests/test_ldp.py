@@ -159,7 +159,7 @@ class TestShiftConsistency:
         nm = NoiseModel(kind="constant", g0=1.0)
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=23)
         em = sample_invariant(d, nm, p, burn_in=2.0, n_samples=128, stride=0.25,
-                              n_chains=16, profile=prof, check_burn_in=False)
+                              n_chains=16, profile=prof)
         assert np.all(em.samples["dist_sup"] >= 0)
         est = tail_probability(em, 0.2)
         manual = float(np.mean(em.samples["dist_sup"] >= 0.2))

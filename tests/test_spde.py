@@ -208,7 +208,7 @@ class TestInvariantSampling:
     def test_determinism_and_worker_independence(self, sdom, sprof, const_noise):
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=12)
         kw = dict(burn_in=2.0, n_samples=128, stride=0.25, n_chains=64,
-                  profile=sprof, check_burn_in=False)
+                  profile=sprof)
         state_dependent = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=1.0)
         for nm in (const_noise, state_dependent):
             a = sample_invariant(sdom, nm, p, workers=1, **kw)
@@ -223,7 +223,7 @@ class TestInvariantSampling:
             p = SdeParams(eps=eps, dt=5e-3, modes_noise=16, seed=8)
             em = sample_invariant(sdom, const_noise, p, burn_in=8.0,
                                   n_samples=192, stride=0.5, n_chains=32,
-                                  profile=sprof, check_burn_in=False)
+                                  profile=sprof)
             means.append(np.mean(em.samples["dist_sup"]))
         assert means[0] > means[1] > means[2]
         assert means[2] < 0.25
@@ -234,7 +234,7 @@ class TestInvariantSampling:
             p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=seed)
             ems.append(sample_invariant(sdom, const_noise, p, burn_in=6.0,
                                         n_samples=256, stride=0.5, n_chains=32,
-                                        profile=sprof, check_burn_in=False))
+                                        profile=sprof))
         thr = float(np.median(np.concatenate([em.samples["dist_sup"] for em in ems])))
         ps, ses = [], []
         for em in ems:
@@ -247,8 +247,7 @@ class TestInvariantSampling:
     def test_time_vs_ensemble_average(self, sdom, sprof, const_noise):
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=55)
         em = sample_invariant(sdom, const_noise, p, burn_in=8.0, n_samples=512,
-                              stride=0.5, n_chains=64, profile=sprof,
-                              check_burn_in=False)
+                              stride=0.5, n_chains=64, profile=sprof)
         e = em.samples["energy_star"].reshape(64, -1)
         time_avg = float(np.mean(e))                    # pooled over chains and time
         final_ens = e[:, -1]
@@ -267,8 +266,7 @@ class TestInvariantSampling:
         nm = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=1.0)
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=9)
         em = sample_invariant(sdom, nm, p, burn_in=1.0, n_samples=128,
-                              stride=0.25, n_chains=16, profile=sprof,
-                              check_burn_in=False)
+                              stride=0.25, n_chains=16, profile=sprof)
         assert em.g_min >= nm.g0 - 1e-12
 
 
