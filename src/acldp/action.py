@@ -28,6 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import dst
 from scipy.optimize import minimize
 
 from .energy import energy_star, reaction_values
@@ -37,6 +38,11 @@ from .grid import (Boundary, Domain, Field, inverse_transform_values,
                    transform_values)
 from .noise import NoiseModel
 from .profile import Profile, compute_profile
+
+# L-BFGS-B's ftol for mam_minimize: the objective is the action divided by
+# the rung's starting action, so a rung stops once an iteration lowers the
+# action by less than this fraction of where it started.
+MAM_FTOL = 1e-8
 
 
 @dataclass
@@ -160,15 +166,15 @@ def quasipotential_upper(d: Domain, zeta: Field, nm: NoiseModel, t_star: float, 
 
 
 def _initial_path(d: Domain, zeta: Field, T: float, steps: int, *,
-                  dt_flow: float, profile: Profile) -> np.ndarray:
+                  frames: np.ndarray, dt_flow: float, profile: Profile) -> np.ndarray:
     """Two-segment construction resampled onto the uniform (T, steps) grid:
-    interpolation on [0, 1], reversed flow on [1, T] in its native time."""
-    if T <= 1.0:
-        raise ConfigurationError(f"minimization horizon must exceed the unit interpolation time, got T={T}")
+    interpolation on [0, 1], reversed flow on [1, T] in its native time.
+
+    `frames` is the noiseless flow from zeta with step dt_flow over at least
+    T - 1; its first round((T - 1)/dt_flow) + 1 frames are the flow to T - 1.
+    """
     t_star = T - 1.0
-    flow_res = gradient_flow(d, zeta, dt=dt_flow, T=t_star, stop_tol=0.0,
-                             record_every=1, profile=profile)
-    frames = flow_res.path.values            # flow time 0 .. t_star
+    frames = frames[: int(round(t_star / dt_flow)) + 1]   # flow time 0 .. t_star
     mshift = profile.shifted_values(d)
     endpoint = frames[-1]
     n_frames = frames.shape[0]
@@ -189,6 +195,58 @@ def _initial_path(d: Domain, zeta: Field, T: float, steps: int, *,
     return Z
 
 
+def _dst_ortho(a: np.ndarray) -> np.ndarray:
+    """Orthonormal type-I DST over the grid axis; it is its own inverse."""
+    return dst(a, type=1, norm="ortho", axis=-1)
+
+
+def _rung_objective(d: Domain, nm: NoiseModel, Z0: np.ndarray, dt: float,
+                    scale: float):
+    """The action over the interior nodes X of Z0 (endpoints pinned) as
+    L-BFGS sees it: in the coordinates Y = DST(X) / s and divided by `scale`
+    (see `mam_minimize`).  Returns fun(y) -> (value, gradient), the start
+    y0 and nodes(y) -> X."""
+    lam = np.zeros(d.n)
+    lam[: d.modes] = d.lambda_k               # no Laplacian above `modes`
+    s = 1.0 / np.sqrt(1.0 / dt ** 2 + lam ** 2)
+    Z = Z0.copy()
+
+    def nodes(y):
+        return _dst_ortho(s * y.reshape(Z.shape[0] - 2, d.n))
+
+    def fun(y):
+        Z[1:-1] = nodes(y)
+        val, grad, _ = _action_core(d, Z, dt, 0.0, nm, need_grad=True)
+        return val / scale, (s * _dst_ortho(grad)).ravel() / scale
+
+    return fun, (_dst_ortho(Z0[1:-1]) / s).ravel(), nodes
+
+
+def _descend(d: Domain, nm: NoiseModel, Z0: np.ndarray, T: float,
+             maxiter: int) -> dict:
+    """One rung: L-BFGS from the path Z0 on [0, T]; the lowest action seen."""
+    dt = T / (Z0.shape[0] - 1)
+    v_init, _, _ = _action_core(d, Z0, dt, 0.0, nm, need_grad=False)
+    scale = v_init if v_init > 0 else 1.0
+    fun, y0, nodes = _rung_objective(d, nm, Z0, dt, scale)
+    best = dict(f=v_init / scale, y=None)
+
+    def tracked(y):
+        f, g = fun(y)
+        if f < best["f"]:
+            best.update(f=f, y=y.copy())
+        return f, g
+
+    res = minimize(tracked, y0, jac=True, method="L-BFGS-B",
+                   options=dict(maxiter=maxiter, ftol=MAM_FTOL, gtol=0.0))
+    x = Z0[1:-1] if best["y"] is None else nodes(best["y"])
+    Z = np.vstack([Z0[:1], x, Z0[-1:]])
+    value, _, _ = _action_core(d, Z, dt, 0.0, nm, need_grad=False)
+    return dict(T=T, dt=dt, value=value, x=x, init_value=v_init,
+                success=bool(res.success), nit=int(res.nit), nfev=int(res.nfev),
+                message=str(res.message))
+
+
 def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *,
                  init: Path | None = None, ladder: int = 1, maxiter: int = 800,
                  dt_flow: float = 5e-3, profile: Profile | None = None) -> ActionResult:
@@ -197,8 +255,25 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
     Endpoints stay pinned; interior nodes descend under L-BFGS with the
     analytic adjoint gradient.  The horizon anneals over the geometric
     ladder T, 2T, ..., 2^{ladder-1} T (each rung re-initialized from the
-    two-segment construction) and the best value is reported.  The result
-    never exceeds the starting action of any rung.
+    two-segment construction, all rungs reading one reversed flow) and the
+    best value is reported.  The result never exceeds the starting action of
+    any rung.
+
+    In node coordinates the action's Hessian in spatial mode k behaves like
+    dt (-D_t^2/dt^2 + lambda_k^2), which spans many decades, so L-BFGS runs
+    in the coordinates Y = DST(X) / s: X holds the interior nodes, DST is the
+    orthonormal type-I DST over the n grid points, and
+    s_k = (1/dt^2 + lambda_k^2)^{-1/2}, with lambda_k = 0 above `modes`.
+    The map is exactly invertible; the gradient is s * DST(grad_X).  The
+    objective is the action divided by the rung's starting action, so
+    L-BFGS-B's `ftol` (MAM_FTOL) stops a rung once an iteration lowers the
+    action by less than that fraction of its starting value, whatever the
+    size of E*; the projected-gradient test is off (gtol = 0), and `maxiter`
+    stays as the cap.  A rung counts as converged when L-BFGS-B reports
+    convergence, not the cap or a failed line search; `converged` is true
+    when the best rung converged and the ladder saturated.
+    `info["ladder"]` records each rung's T, value, init_value, and L-BFGS-B's
+    nit, nfev and stop message.
     """
     if zeta.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("target state must be zero-Dirichlet")
@@ -207,43 +282,30 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
     profile = profile or compute_profile(d)
     mshift = profile.shifted_values(d)
 
+    horizons = [T * 2 ** r for r in range(ladder)]
+    built = horizons[1:] if init is not None else horizons   # rungs started from the construction
+    if built and built[0] <= 1.0:
+        raise ConfigurationError(
+            f"minimization horizon must exceed the unit interpolation time, got T={built[0]}")
     rungs = []
-    total_iters = 0
-    for r in range(ladder):
-        T_r = T * (2 ** r)
-        if init is not None and r == 0:
-            if init.values.shape != (steps + 1, d.n):
-                raise ConfigurationError(
-                    f"init path shape {init.values.shape} does not match steps={steps}, n={d.n}")
-            if (np.max(np.abs(init.values[0] - mshift)) > 1e-6
-                    or np.max(np.abs(init.values[-1] - zeta.values)) > 1e-6):
-                raise ConfigurationError("init path endpoints must be the equilibrium and zeta")
-            Z0 = init.values.copy()
-            T_r = init.dt * steps
-        else:
-            Z0 = _initial_path(d, zeta, T_r, steps, dt_flow=dt_flow, profile=profile)
-        dt_r = T_r / steps
-
-        v_init, _, _ = _action_core(d, Z0, dt_r, 0.0, nm, need_grad=False)
-        best = dict(val=v_init, x=Z0[1:-1].ravel().copy())
-
-        def fun(xflat, _dt=dt_r, _best=best):
-            Z = np.vstack([mshift[None], xflat.reshape(steps - 1, d.n), zeta.values[None]])
-            val, grad, _ = _action_core(d, Z, _dt, 0.0, nm, need_grad=True)
-            if val < _best["val"]:
-                _best["val"] = val
-                _best["x"] = xflat.copy()
-            return val, grad.ravel()
-
-        res = minimize(fun, Z0[1:-1].ravel(), jac=True, method="L-BFGS-B",
-                       options=dict(maxiter=maxiter, ftol=1e-15, gtol=1e-11))
-        total_iters += int(res.nit)
-        rungs.append(dict(T=T_r, dt=dt_r, value=best["val"], x=best["x"],
-                          init_value=v_init, success=bool(res.success)))
+    if init is not None:
+        if init.values.shape != (steps + 1, d.n):
+            raise ConfigurationError(
+                f"init path shape {init.values.shape} does not match steps={steps}, n={d.n}")
+        if (np.max(np.abs(init.values[0] - mshift)) > 1e-6
+                or np.max(np.abs(init.values[-1] - zeta.values)) > 1e-6):
+            raise ConfigurationError("init path endpoints must be the equilibrium and zeta")
+        rungs.append(_descend(d, nm, init.values, init.dt * steps, maxiter))
+    if built:
+        frames = gradient_flow(d, zeta, dt=dt_flow, T=built[-1] - 1.0, stop_tol=0.0,
+                               record_every=1, profile=profile).path.values
+    for T_r in built:
+        Z0 = _initial_path(d, zeta, T_r, steps, frames=frames, dt_flow=dt_flow,
+                           profile=profile)
+        rungs.append(_descend(d, nm, Z0, T_r, maxiter))
 
     best_rung = min(rungs, key=lambda q: q["value"])
-    Zb = np.vstack([mshift[None], best_rung["x"].reshape(steps - 1, d.n),
-                    zeta.values[None]])
+    Zb = np.vstack([mshift[None], best_rung["x"], zeta.values[None]])
     value, _, resid = _action_core(d, Zb, best_rung["dt"], 0.0, nm, need_grad=False)
     path = Path(Zb, Boundary.ZERO_DIRICHLET, 0.0, best_rung["dt"])
 
@@ -266,8 +328,9 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
         sup_path=sup_path,
     )
     return ActionResult(value=value, residual_series=resid, path=path,
-                        iterations=total_iters,
+                        iterations=sum(q["nit"] for q in rungs),
                         converged=best_rung["success"] and saturated,
-                        info=dict(ladder=[dict(T=q["T"], value=q["value"],
-                                               init_value=q["init_value"]) for q in rungs],
+                        info=dict(ladder=[{k: q[k] for k in ("T", "value", "init_value",
+                                                             "nit", "nfev", "message")}
+                                          for q in rungs],
                                   ladder_saturated=saturated, sandwich=sandwich))

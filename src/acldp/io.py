@@ -35,7 +35,7 @@ def write_csv(path: FsPath, columns: dict[str, np.ndarray]) -> None:
 
 def read_csv_columns(path: FsPath) -> dict[str, np.ndarray]:
     """Numeric columns of a CSV with a header row; a cell that is not a
-    number raises ConfigurationError naming the file, row and column."""
+    finite number raises ConfigurationError naming the file, row and column."""
     lines = FsPath(path).read_text().strip().splitlines()
     if not lines:
         raise ConfigurationError(f"{path}: the file is empty")
@@ -52,6 +52,10 @@ def read_csv_columns(path: FsPath) -> dict[str, np.ndarray]:
             except ValueError:
                 raise ConfigurationError(
                     f"{path}: row {row}, column {names[i]!r} is not a number: {tok!r}") from None
+        bad = np.flatnonzero(~np.isfinite(data[row - 1]))
+        if bad.size:
+            raise ConfigurationError(
+                f"{path}: row {row}, column {names[bad[0]]!r} is not finite: {cells[bad[0]]!r}")
     return {name: data[:, i] for i, name in enumerate(names)}
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from acldp.action import (action, action_gradient, interpolation_path,
+from acldp.action import (_action_core, _initial_path, _rung_objective,
+                          action, action_gradient, interpolation_path,
                           mam_minimize, quasipotential_upper,
                           reversed_flow_path)
 from acldp.energy import energy_star
@@ -277,6 +278,43 @@ class TestMinimization:
         assert res.iterations == 5
         assert res.converged is False
 
+    def test_every_rung_converges_under_the_cap(self, dom2_full, prof2_full, unit_noise):
+        # criterion 5's state 0 and horizons, at the default cap of 800
+        zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.25)])
+        res = mam_minimize(dom2_full, zeta, unit_noise, T=6.0, steps=96,
+                           ladder=3, profile=prof2_full)
+        assert res.converged is True
+        for rung in res.info["ladder"]:
+            assert rung["nit"] < 800
+            assert rung["message"].startswith("CONVERGENCE"), rung["message"]
+        assert res.iterations == sum(r["nit"] for r in res.info["ladder"])
+
+    def test_shared_flow_matches_per_rung_construction(self, dom2_full, prof2_full,
+                                                       unit_noise):
+        # one flow to 23 serves the rungs T = 6, 12, 24; each rung's start must
+        # be bitwise the construction from its own flow to T - 1
+        zeta = multi_mode_state(dom2_full, prof2_full, [(1, -0.2), (2, 0.1)])
+        res = mam_minimize(dom2_full, zeta, unit_noise, T=6.0, steps=96,
+                           ladder=3, maxiter=1, profile=prof2_full)
+        longest = gradient_flow(dom2_full, zeta, dt=5e-3, T=23.0, stop_tol=0.0,
+                                record_every=1, profile=prof2_full).path.values
+        for T_r, rung in zip((6.0, 12.0, 24.0), res.info["ladder"]):
+            own = gradient_flow(dom2_full, zeta, dt=5e-3, T=T_r - 1.0, stop_tol=0.0,
+                                record_every=1, profile=prof2_full).path.values
+            assert np.array_equal(own, longest[: own.shape[0]])
+            Z0 = _initial_path(dom2_full, zeta, T_r, 96, frames=own, dt_flow=5e-3,
+                               profile=prof2_full)
+            v0, _, _ = _action_core(dom2_full, Z0, T_r / 96, 0.0, unit_noise,
+                                    need_grad=False)
+            assert rung["T"] == T_r
+            assert rung["init_value"] == v0
+
+    def test_horizon_within_unit_time_rejected(self, dom2_full, prof2_full, unit_noise):
+        zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.1)])
+        with pytest.raises(ConfigurationError):
+            mam_minimize(dom2_full, zeta, unit_noise, T=1.0, steps=10,
+                         profile=prof2_full)
+
     def test_explicit_init_is_respected(self, dom2_full, prof2_full, unit_noise):
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.15)])
         eq = prof2_full.shifted_values(dom2_full)
@@ -296,3 +334,32 @@ class TestMinimization:
         with pytest.raises(ConfigurationError):
             mam_minimize(dom2_full, zeta, unit_noise, T=1.0, steps=10, init=bad,
                          profile=prof2_full)
+
+
+class TestPreconditionedCoordinates:
+    """L-BFGS's coordinates Y = DST(X) / s round-trip to the nodes X, and its
+    gradient is the derivative of its objective, at modes = n and modes < n."""
+
+    @pytest.mark.parametrize("which", ["full", "truncated"])
+    def test_round_trip_and_gradient(self, which, dom2_full, prof2_full, dom2, prof2, rng):
+        d, prof = (dom2_full, prof2_full) if which == "full" else (dom2, prof2)
+        assert (d.modes == d.n) is (which == "full")
+        nm = NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)
+        zeta = multi_mode_state(d, prof, [(1, 0.2), (3, -0.1)])
+        steps, dt = 24, 0.25
+        s = np.linspace(0.0, 1.0, steps + 1)[:, None]
+        Z0 = (1 - s) * prof.shifted_values(d)[None] + s * zeta.values[None]
+        Z0[1:-1] += 0.05 * rng.standard_normal((steps - 1, d.n))   # every mode present
+        v0, _, _ = _action_core(d, Z0, dt, 0.0, nm, need_grad=False)
+        fun, y0, nodes = _rung_objective(d, nm, Z0, dt, v0)
+
+        assert np.max(np.abs(nodes(y0) - Z0[1:-1])) <= 1e-13 * np.max(np.abs(Z0))
+        f0, grad0 = fun(y0)
+        assert f0 == pytest.approx(1.0, rel=1e-12)
+        assert grad0.shape == y0.shape
+
+        hstep = 1e-5
+        for _ in range(3):
+            v = rng.standard_normal(y0.shape)
+            fd = (fun(y0 + hstep * v)[0] - fun(y0 - hstep * v)[0]) / (2 * hstep)
+            assert fd == pytest.approx(float(grad0 @ v), rel=1e-6)

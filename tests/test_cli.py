@@ -74,6 +74,23 @@ class TestConfigHandling:
         assert "field.csv" in err and "row 5" in err and "'value'" in err
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_exits_2_naming_the_cell(self, tmp_path, capsys, cell):
+        d = build_domain(2.0, 63, 32)
+        field = tmp_path / "field.csv"
+        write_field_csv(field, d, Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET))
+        lines = field.read_text().splitlines()
+        lines[7] = lines[7].split(",")[0] + "," + cell
+        field.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = run(["energy", "--input", str(field), "--bc", "zero",
+                    "--set", "n=63", "--set", "modes=32", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "field.csv" in err and "row 7" in err and "'value'" in err
+        assert not (out / "energy.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
+
     def test_crashed_command_marks_partial(self, tmp_path, monkeypatch):
         def crash(cfg, outdir, warnings):
             raise RuntimeError("unexpected")
@@ -177,6 +194,10 @@ class TestActionCommand:
         assert "p.csv" in err and "row 3" in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def _not_a_number(tok):
     try:
         float(tok)
@@ -188,20 +209,23 @@ def _not_a_number(tok):
 @st.composite
 def corrupted(draw, text):
     """One structural corruption of a CSV: rows dropped, the file truncated,
-    a cell that is not a number, the header dropped or duplicated."""
+    a cell that is not a number or not finite, the header dropped or
+    duplicated."""
     lines = text.splitlines()
-    kind = draw(st.sampled_from(["drop_rows", "truncate", "non_number",
+    kind = draw(st.sampled_from(["drop_rows", "truncate", "non_number", "non_finite",
                                  "drop_header", "duplicate_header"]))
     if kind == "truncate":
         return text[:draw(st.integers(0, len(text) - 1))]
     if kind == "drop_rows":
         i = draw(st.integers(1, len(lines) - 1))
         del lines[i:draw(st.integers(i + 1, len(lines)))]
-    elif kind == "non_number":
+    elif kind in ("non_number", "non_finite"):
         row = draw(st.integers(1, len(lines) - 1))
         cells = lines[row].split(",")
         cells[draw(st.integers(0, len(cells) - 1))] = draw(
-            st.text(alphabet="abx.+-e ", max_size=4).filter(_not_a_number))
+            st.text(alphabet="abx.+-e ", max_size=4).filter(_not_a_number)
+            if kind == "non_number" else
+            st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"]))
         lines[row] = ",".join(cells)
     elif kind == "drop_header":
         del lines[0]
@@ -237,6 +261,8 @@ class TestExitCodeContract:
                         "--out", str(out)])
             assert code in (0, 2)
             assert json.loads((out / "manifest.json").read_text())["partial"] is (code != 0)
+            for written in out.glob("*.json"):       # strict JSON: no NaN or Infinity
+                json.loads(written.read_text(), parse_constant=_reject_constant)
 
 
 class TestMamCommand:
