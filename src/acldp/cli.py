@@ -6,8 +6,8 @@
     acldp concentration --config exp.cfg
 
 Every run echoes the resolved config into the output directory and writes a
-manifest (config hash, version, wall time, seed).  Exit codes: 0 ok,
-1 numerical failure, 2 configuration error.
+manifest (config hash, version, wall time, seed, worker processes).  Exit
+codes: 0 ok, 1 numerical failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -28,16 +28,22 @@ from .energy import energy_report
 from .errors import ConfigurationError, NumericalError
 from .flow import Path, gradient_flow
 from .grid import Boundary, Field
-from .io import (read_field_csv, read_path_csv, write_csv, write_field_csv,
-                 write_json)
+from .io import (read_field_csv, read_path_csv, read_text, write_csv,
+                 write_field_csv, write_json)
 from .pipeline import (ConcentrationResult, domain_from_config, noise_from_config,
                        run_concentration, sde_params_from_config)
 from .profile import compute_profile
-from .spde import ensemble_run, sample_invariant
+from .spde import ensemble_run, pool_size, sample_invariant
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = parse_config(FsPath(args.config).read_text()) if args.config else default_config()
+    cfg = default_config()
+    if args.config:
+        text = read_text(args.config)
+        try:
+            cfg = parse_config(text)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{args.config}: {exc}") from None
     for item in args.set or []:
         if "=" not in item:
             raise ConfigurationError(f"--set expects key=value, got {item!r}")
@@ -188,7 +194,7 @@ def _cmd_action(cfg, outdir, warnings, path_file=None):
     t, values = read_path_csv(path_file)
     if values.shape[1] != d.n:
         raise ConfigurationError(
-            f"path file has {values.shape[1]} grid columns, domain needs {d.n}")
+            f"path file {path_file} has {values.shape[1]} grid columns, domain needs {d.n}")
     pth = Path(values, Boundary.ZERO_DIRICHLET, float(t[0]), float(t[1] - t[0]))
     res = action(pth, nm, d)
     write_json(outdir / "action.json",
@@ -250,6 +256,8 @@ def _cmd_concentration(cfg, outdir, warnings):
     warnings.extend(result.warnings)
     _concentration_outputs(result, outdir, write_samples=True)
 
+
+SAMPLERS = ("sde", "invariant", "ldp-tail", "concentration")   # the ones that use `workers`
 
 COMMANDS = {
     "profile": _cmd_profile,
@@ -319,10 +327,13 @@ def run(argv: list[str]) -> int:
         return 1
     finally:
         if outdir is not None and cfg is not None:
+            workers = (pool_size(cfg["workers"], cfg["n_chains"])
+                       if args.command in SAMPLERS else 1)
             write_json(outdir / "manifest.json", dict(
                 command=args.command, config_hash=cfg.config_hash(),
                 version=__version__, wall_time_s=time.time() - started,
-                seed=cfg["seed"], partial=partial, warnings=warnings))
+                seed=cfg["seed"], partial=partial, warnings=warnings,
+                workers=workers))
 
 
 def main() -> None:

@@ -12,6 +12,7 @@ comments.  Lists are comma separated.  Unknown keys are rejected by name.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -19,39 +20,50 @@ from .errors import ConfigurationError
 AUTO = "auto"
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [_finite_float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_auto_float(text: str):
-    return AUTO if text.strip().lower() == AUTO else float(text)
+    return AUTO if text.strip().lower() == AUTO else _finite_float(text)
+
+
+def _parse_auto_int(text: str):
+    return AUTO if text.strip().lower() == AUTO else int(text)
 
 
 # key -> (parser, default)
 SCHEMA: dict[str, tuple] = {
-    "L": (float, 2.0),
+    "L": (_finite_float, 2.0),
     "n": (int, 255),
     "modes": (int, 128),
     "eps": (_parse_float_list, [0.1, 0.05, 0.025]),
-    "dt": (float, 1e-3),
-    "T": (float, 10.0),
-    "burn_in": (float, 30.0),
-    "stride": (float, 1.0),
+    "dt": (_finite_float, 1e-3),
+    "T": (_finite_float, 10.0),
+    "burn_in": (_finite_float, 30.0),
+    "stride": (_finite_float, 1.0),
     "n_chains": (int, 64),
     "n_samples": (int, 3000),
     "seed": (int, 20260808),
-    "kstar": (float, 0.2),
+    "kstar": (_finite_float, 0.2),
     "pstar": (int, 8),
     "modes_noise": (int, 0),
     "delta": (_parse_auto_float, AUTO),
     "radius": (_parse_auto_float, AUTO),
     "init": (str, "zero"),
-    "stop_tol": (float, 1e-8),
-    "workers": (int, 1),
+    "stop_tol": (_finite_float, 1e-8),
+    "workers": (_parse_auto_int, AUTO),
     "noise.kind": (str, "constant"),
-    "noise.g0": (float, 1.0),
-    "noise.c": (float, 0.0),
-    "action.t0": (float, 5.0),
+    "noise.g0": (_finite_float, 1.0),
+    "noise.c": (_finite_float, 0.0),
+    "action.t0": (_finite_float, 5.0),
     "action.ladder": (int, 3),
     "action.steps": (int, 120),
     "output.dir": (str, "out"),
@@ -135,7 +147,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         (v["action.t0"] > 1.0, "action.t0 must exceed 1 (unit interpolation time)"),
         (v["action.ladder"] >= 1, "action.ladder must be at least 1"),
         (v["action.steps"] >= 4, "action.steps must be at least 4"),
-        (v["workers"] >= 1, "workers must be at least 1"),
         (v["init"] in ("zero", "profile") or v["init"].endswith(".csv"),
          "init must be zero, profile, or a .csv path"),
     ]
@@ -146,3 +157,5 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("delta must be positive or 'auto'")
     if v["radius"] != AUTO and v["radius"] < 0:
         raise ConfigurationError("radius must be nonnegative or 'auto'")
+    if v["workers"] != AUTO and v["workers"] < 1:
+        raise ConfigurationError("workers must be at least 1 or 'auto'")

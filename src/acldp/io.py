@@ -33,10 +33,20 @@ def write_csv(path: FsPath, columns: dict[str, np.ndarray]) -> None:
     FsPath(path).write_text("\n".join(lines) + "\n")
 
 
+def read_text(path: FsPath) -> str:
+    """The file's text; bytes that are not UTF-8 raise ConfigurationError
+    naming the file."""
+    try:
+        return FsPath(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_csv_columns(path: FsPath) -> dict[str, np.ndarray]:
     """Numeric columns of a CSV with a header row; a cell that is not a
     finite number raises ConfigurationError naming the file, row and column."""
-    lines = FsPath(path).read_text().strip().splitlines()
+    lines = read_text(path).strip().splitlines()
     if not lines:
         raise ConfigurationError(f"{path}: the file is empty")
     names = lines[0].split(",")

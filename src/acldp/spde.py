@@ -22,18 +22,21 @@ eps g0^2 / (2 lambda_k): 5.1 times it at mode 64 for dt = 1e-3, L = 2.
 
 Randomness comes from counter-based streams: one Philox generator per
 (master seed, chain id, mode id), so trajectories are bitwise reproducible.
-Ensembles run in fixed 32-chain chunks, serially or on a thread pool, and
-are merged in chain order, so no result depends on the worker count.
+Ensembles run in fixed 32-chain chunks, serially or on a pool of forked
+processes (at most one per core), and are merged in chain order, so no
+result depends on the worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
+from .config import AUTO
 from .energy import energy_star_values, reaction_values
 from .errors import ConfigurationError, InstabilityError
 from .flow import BLOWUP_SUP, Path, relaxation_time, step_weights
@@ -292,19 +295,35 @@ class EnsembleResult:
     g_min: float
 
 
-def _run_chunks(n_chains: int, workers: int, *args, **kwargs) -> EnsembleResult:
+def pool_size(workers: int | str, n_chains: int) -> int:
+    """Processes an ensemble of n_chains runs on: `workers` ('auto' for one per
+    core), clamped to the number of chunks and to the core count."""
+    cores = os.cpu_count() or 1
+    n_chunks = -(-n_chains // _CHAIN_CHUNK)
+    return min(cores if workers == AUTO else workers, n_chunks, cores)
+
+
+def _evolve_chunk(args, kwargs, chain_ids):
+    return _evolve_chains(*args, chain_ids=chain_ids, **kwargs)
+
+
+def _run_chunks(n_chains: int, workers: int | str, *args, **kwargs) -> EnsembleResult:
     """Run `_evolve_chains(*args, chain_ids=..., **kwargs)` over fixed-size
-    chunks of chain ids, serially or on `workers` threads, and merge the
-    outputs in chain order.  The chunk size does not depend on the worker
-    count, so neither does any result."""
+    chunks of chain ids, serially or on `pool_size(workers, n_chains)` forked
+    processes, and merge the outputs in chain order.  The chunk size does not
+    depend on the worker count, so neither does any result.  An exception in
+    a chunk, a dead process included, is raised here."""
     chunks = [np.arange(lo, min(lo + _CHAIN_CHUNK, n_chains))
               for lo in range(0, n_chains, _CHAIN_CHUNK)]
-
-    def work(ids):
-        return _evolve_chains(*args, chain_ids=ids, **kwargs)
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
+    work = functools.partial(_evolve_chunk, args, kwargs)
+    n_proc = pool_size(workers, n_chains)
+    if n_proc > 1:
+        # fork: children inherit the imported modules, so a chunk pays no
+        # re-import (spawn cost ~1 s per call) and callers need no __main__ guard
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=n_proc,
+                                 mp_context=multiprocessing.get_context("fork")) as ex:
             parts = list(ex.map(work, chunks))
     else:
         parts = [work(ids) for ids in chunks]
@@ -326,7 +345,7 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
                  kstar: float = 0.2, pstar: int = 8, linear_hook: bool = False,
                  sample_times: tuple[float, ...] = (),
                  mode_checkpoint_times: tuple[float, ...] = (),
-                 workers: int = 1) -> EnsembleResult:
+                 workers: int | str = 1) -> EnsembleResult:
     """Run n_chains independent chains (streams keyed by chain id) in fixed-size
     vectorized batches; results are independent of the worker count."""
     profile = profile or compute_profile(d)
@@ -550,7 +569,7 @@ def factorization_identity_error(d: Domain, alpha: float, lam: float, t_eval: fl
 def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams, burn_in: float,
                      n_samples: int, stride: float, *, n_chains: int = 32,
                      profile: Profile | None = None, kstar: float = 0.2,
-                     pstar: int = 8, workers: int = 1) -> EmpiricalMeasure:
+                     pstar: int = 8, workers: int | str = 1) -> EmpiricalMeasure:
     """Sample observables of the stationary state by time-striding an
     ensemble of chains started at z = 0 past a burn-in window.
 

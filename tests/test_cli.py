@@ -1,4 +1,8 @@
+import concurrent.futures
+import contextlib
+import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -206,16 +210,28 @@ def _not_a_number(tok):
     return False
 
 
+def _non_utf8(draw, text):
+    """The text's bytes with a byte that never occurs in UTF-8 inserted."""
+    raw = text.encode()
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + draw(st.sampled_from([b"\xff", b"\xc0", b"\xfe"])) + raw[at:]
+
+
+NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"]
+
+
 @st.composite
 def corrupted(draw, text):
     """One structural corruption of a CSV: rows dropped, the file truncated,
     a cell that is not a number or not finite, the header dropped or
-    duplicated."""
+    duplicated, or bytes that are not UTF-8."""
     lines = text.splitlines()
     kind = draw(st.sampled_from(["drop_rows", "truncate", "non_number", "non_finite",
-                                 "drop_header", "duplicate_header"]))
+                                 "drop_header", "duplicate_header", "non_utf8"]))
     if kind == "truncate":
         return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "non_utf8":
+        return _non_utf8(draw, text)
     if kind == "drop_rows":
         i = draw(st.integers(1, len(lines) - 1))
         del lines[i:draw(st.integers(i + 1, len(lines)))]
@@ -224,8 +240,7 @@ def corrupted(draw, text):
         cells = lines[row].split(",")
         cells[draw(st.integers(0, len(cells) - 1))] = draw(
             st.text(alphabet="abx.+-e ", max_size=4).filter(_not_a_number)
-            if kind == "non_number" else
-            st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"]))
+            if kind == "non_number" else st.sampled_from(NON_FINITE))
         lines[row] = ",".join(cells)
     elif kind == "drop_header":
         del lines[0]
@@ -234,9 +249,37 @@ def corrupted(draw, text):
     return "\n".join(lines) + "\n"
 
 
+FLOAT_KEYS = ["L", "dt", "T", "burn_in", "stride", "kstar", "stop_tol", "noise.g0",
+              "noise.c", "action.t0", "eps", "delta", "radius"]
+INT_KEYS = ["n", "modes", "n_chains", "n_samples", "seed", "pstar", "modes_noise",
+            "action.ladder", "action.steps", "workers"]
+
+
+@st.composite
+def corrupted_config(draw, text):
+    """One corruption of a config file: bytes that are not UTF-8, a float key
+    set to a non-finite value, a line with no '=', or an int key set to a
+    value that is not an int."""
+    kind = draw(st.sampled_from(["non_utf8", "non_finite", "no_equals", "bad_int"]))
+    if kind == "non_utf8":
+        return _non_utf8(draw, text)
+    if kind == "no_equals":
+        lines = text.splitlines()
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["L 2.0", "n", "modes: 16", "eps"])))
+        return "\n".join(lines) + "\n"
+    if kind == "non_finite":
+        key, value = draw(st.sampled_from(FLOAT_KEYS)), draw(st.sampled_from(NON_FINITE))
+    else:
+        key, value = draw(st.sampled_from(INT_KEYS)), draw(st.sampled_from(
+            ["3.5", "1e3", "x", "", "0x10", "2,"]))
+    return text + f"{key} = {value}\n"
+
+
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
-    """Valid field and path CSV text at n = 31, keyed by the command reading it."""
+    """Valid input text at n = 31, keyed by the command reading it: a field
+    CSV for energy, a path CSV for action, a config file for profile."""
     d = build_domain(2.0, 31, 16)
     prof = compute_profile(d)
     tmp = tmp_path_factory.mktemp("valid")
@@ -245,21 +288,32 @@ def valid_inputs(tmp_path_factory):
     write_path_csv(tmp / "p.csv", 0.05 * np.arange(6),
                    prof.shifted_values(d) + 0.01 * np.arange(6)[:, None] * bump)
     return {"energy": ("--input", (tmp / "f.csv").read_text()),
-            "action": ("--path", (tmp / "p.csv").read_text())}
+            "action": ("--path", (tmp / "p.csv").read_text()),
+            "profile": ("--config", "L = 2.0\nn = 31\nmodes = 16\neps = 0.2, 0.1, 0.05\n")}
 
 
 class TestExitCodeContract:
-    @pytest.mark.parametrize("command", ["energy", "action"])
+    @pytest.mark.parametrize("command", ["energy", "action", "profile"])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_corrupted_input_exits_0_or_2(self, valid_inputs, command, data):
         flag, text = valid_inputs[command]
+        content = data.draw(corrupted_config(text) if command == "profile" else corrupted(text))
         with tempfile.TemporaryDirectory() as tmp:
-            src, out = Path(tmp) / "in.csv", Path(tmp) / "o"
-            src.write_text(data.draw(corrupted(text)))
-            code = run([command, flag, str(src), "--set", "n=31", "--set", "modes=16",
-                        "--out", str(out)])
+            src, out = Path(tmp) / "in.txt", Path(tmp) / "o"
+            src.write_bytes(content if isinstance(content, bytes) else content.encode())
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run([command, flag, str(src), "--set", "n=31", "--set", "modes=16",
+                            "--out", str(out)])
             assert code in (0, 2)
+            if code == 2:                             # the message names the file
+                assert str(src) in err.getvalue()
+            if command == "profile":
+                # every corruption is fatal, and before the config is read
+                # there is no output directory to hold a manifest
+                assert code == 2 and not (out / "manifest.json").exists()
+                return
             assert json.loads((out / "manifest.json").read_text())["partial"] is (code != 0)
             for written in out.glob("*.json"):       # strict JSON: no NaN or Infinity
                 json.loads(written.read_text(), parse_constant=_reject_constant)
@@ -323,6 +377,52 @@ class TestSdeAndInvariant:
         monkeypatch.setenv("ACLDP_WORKERS", "2")
         assert run(["invariant", "--config", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
+
+    def test_pool_never_exceeds_the_cores(self, tmp_path, monkeypatch):
+        # 5 chunks of 32 chains and workers = 10**6 on a box faked to 3 cores;
+        # the executor is replaced by one that records its size and runs
+        # the chunks inline, so no process starts
+        asked = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers, mp_context):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("ACLDP_WORKERS", str(10 ** 6))
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, out, n_chains="160", n_samples="160", burn_in="0.25")
+        assert run(["invariant", "--config", str(cfg)]) == 0
+        assert asked == [3]
+        assert json.loads((out / "manifest.json").read_text())["workers"] == 3
+
+    def test_manifest_records_worker_processes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, out)                # 16 chains: one chunk
+        assert run(["invariant", "--config", str(cfg)]) == 0
+        assert "workers = auto" in (out / "resolved.cfg").read_text()
+        assert json.loads((out / "manifest.json").read_text())["workers"] == 1
+
+    def test_blowup_in_a_worker_exits_1_and_marks_partial(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, out, eps="40000.0", dt="0.05", n_chains="64",
+                        n_samples="128", workers="2")
+        assert run(["invariant", "--config", str(cfg)]) == 1
+        assert "eps=40000.0" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["partial"] is True and manifest["workers"] == 2
 
     def test_burn_in_zero_flags_manifest_warning(self, tmp_path):
         out = tmp_path / "o"

@@ -1,3 +1,7 @@
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,6 +11,7 @@ from acldp.flow import gradient_flow
 from acldp.grid import Boundary, Field, build_domain, transform_values
 from acldp.noise import NoiseModel
 from acldp.profile import compute_profile
+from acldp import spde
 from acldp.spde import (SdeParams, check_factorization_params,
                         decomposition_residual, ensemble_run,
                         factorization_constant, factorization_identity_error,
@@ -268,6 +273,58 @@ class TestInvariantSampling:
         em = sample_invariant(sdom, nm, p, burn_in=1.0, n_samples=128,
                               stride=0.25, n_chains=16, profile=sprof)
         assert em.g_min >= nm.g0 - 1e-12
+
+
+class TestProcessPool:
+    def test_uneven_chunks_bitwise_equal_across_workers(self, sdom, sprof, const_noise):
+        # 40 chains: chunks of 32 + 8
+        p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=17)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        state_dependent = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=1.0)
+        for nm in (const_noise, state_dependent):
+            ref, *others = [
+                ensemble_run(sdom, x, nm, p, 1.0, 40, profile=sprof,
+                             sample_times=(0.25, 0.5, 0.75),
+                             mode_checkpoint_times=(0.5, 1.0), workers=w)
+                for w in (1, 2, "auto")]
+            for ens in others:
+                assert np.array_equal(ens.final_values, ref.final_values)
+                assert np.array_equal(ens.sup_running, ref.sup_running)
+                assert np.array_equal(ens.t_samples, ref.t_samples)
+                assert ens.mode_snaps.keys() == ref.mode_snaps.keys() == {100, 200}
+                for step in ref.mode_snaps:
+                    assert np.array_equal(ens.mode_snaps[step], ref.mode_snaps[step])
+                assert ens.obs.keys() == ref.obs.keys()
+                for key in ref.obs:
+                    assert np.array_equal(ens.obs[key], ref.obs[key])
+                assert ens.g_min == ref.g_min
+            assert ref.final_values.shape == (40, sdom.n)
+
+    def test_blowup_in_a_child_chunk_names_eps(self, sdom, sprof, const_noise, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)    # the pool runs on any box
+        p = SdeParams(eps=4e4, dt=5e-2, modes_noise=16, seed=1)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        with pytest.raises(InstabilityError, match="eps"):
+            ensemble_run(sdom, x, const_noise, p, 5.0, 64, profile=sprof, workers=2)
+
+    def test_dead_child_raises_and_does_not_hang(self, sdom, sprof, const_noise, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(spde, "_evolve_chains", lambda *a, **k: os._exit(3))
+        p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=1)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        raised = []
+
+        def call():
+            try:
+                ensemble_run(sdom, x, const_noise, p, 0.1, 64, profile=sprof, workers=2)
+            except BrokenProcessPool as exc:
+                raised.append(exc)
+
+        t = threading.Thread(target=call, daemon=True)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert len(raised) == 1
 
 
 class TestMomentBound:
