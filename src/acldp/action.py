@@ -33,7 +33,7 @@ from scipy.optimize import minimize
 
 from .energy import energy_star, reaction_values
 from .errors import ConfigurationError
-from .flow import Path, gradient_flow
+from .flow import Path, flow_states, gradient_flow
 from .grid import (Boundary, Domain, Field, inverse_transform_values,
                    transform_values)
 from .noise import NoiseModel
@@ -257,7 +257,8 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
     ladder T, 2T, ..., 2^{ladder-1} T (each rung re-initialized from the
     two-segment construction, all rungs reading one reversed flow) and the
     best value is reported.  The result never exceeds the starting action of
-    any rung.
+    any rung.  The reversed flow keeps frames only (`flow.flow_states`): the
+    construction reads no per-step diagnostic.
 
     In node coordinates the action's Hessian in spatial mode k behaves like
     dt (-D_t^2/dt^2 + lambda_k^2), which spans many decades, so L-BFGS runs
@@ -279,6 +280,8 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
         raise ConfigurationError("target state must be zero-Dirichlet")
     if ladder < 1:
         raise ConfigurationError(f"ladder must have at least one rung, got {ladder}")
+    if dt_flow <= 0:
+        raise ConfigurationError(f"need dt_flow > 0, got {dt_flow}")
     profile = profile or compute_profile(d)
     mshift = profile.shifted_values(d)
 
@@ -297,8 +300,8 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
             raise ConfigurationError("init path endpoints must be the equilibrium and zeta")
         rungs.append(_descend(d, nm, init.values, init.dt * steps, maxiter))
     if built:
-        frames = gradient_flow(d, zeta, dt=dt_flow, T=built[-1] - 1.0, stop_tol=0.0,
-                               record_every=1, profile=profile).path.values
+        frames = np.asarray(list(flow_states(d, zeta.values, dt_flow,
+                                             int(round((built[-1] - 1.0) / dt_flow)))))
     for T_r in built:
         Z0 = _initial_path(d, zeta, T_r, steps, frames=frames, dt_flow=dt_flow,
                            profile=profile)

@@ -209,8 +209,10 @@ def _cmd_mam(cfg, outdir, warnings, target_file=None, ladder=None):
     if target_file is None:
         raise ConfigurationError("mam needs --target zeta.csv")
     zeta = read_field_csv(target_file, d, Boundary.ZERO_DIRICHLET)
+    if ladder is None:
+        ladder = cfg["action.ladder"]
     res = mam_minimize(d, zeta, nm, cfg["action.t0"], cfg["action.steps"],
-                       ladder=ladder or cfg["action.ladder"], profile=prof)
+                       ladder=ladder, profile=prof)
     write_json(outdir / "mam.json",
                dict(value=res.value, iterations=res.iterations,
                     converged=res.converged,

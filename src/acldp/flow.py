@@ -12,10 +12,16 @@ uses the unfiltered projection.
 `step_weights` and the blow-up cap `BLOWUP_SUP` are shared with the
 stochastic integrator in `spde`, so a chain run at eps = 0 takes exactly the
 steps of this flow.
+
+`flow_states` takes the same steps but keeps the frames only: no E*,
+gradient norm or distance to the equilibrium per step.  The reversed flow
+of `action.mam_minimize` and the early-exit loop of `relaxation_time` read
+it; `gradient_flow` and `skeleton_solve` keep the per-step diagnostics.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +99,29 @@ def step_weights(d: Domain, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return decay, phi1
 
 
+def _check_sup(z: np.ndarray, t: float, dt: float) -> None:
+    if np.max(np.abs(z)) > BLOWUP_SUP:
+        raise InstabilityError(
+            f"flow left the physical range (sup |z| > {BLOWUP_SUP}) at t={t!r}; "
+            f"dt={dt!r} likely too large")
+
+
+def flow_states(d: Domain, z0: np.ndarray, dt: float, steps: int) -> Iterator[np.ndarray]:
+    """Yield the states 0..steps of the noiseless flow from z0 (grid values
+    of a zero-Dirichlet field), frames only: the steps of `gradient_flow`
+    with stop_tol = 0, bitwise, without its per-step diagnostics.  A state
+    is computed only when the next one is asked for."""
+    decay, phi1 = step_weights(d, dt)
+    c = transform_values(d, z0)
+    z = inverse_transform_values(d, c)
+    yield z
+    for s in range(steps):
+        c = decay * c + phi1 * transform_values(d, reaction_values(d, z))
+        z = inverse_transform_values(d, c)
+        _check_sup(z, (s + 1) * dt, dt)
+        yield z
+
+
 def _integrate(d: Domain, x: Field, dt: float, steps: int, *,
                control: np.ndarray | None, noise: NoiseModel | None,
                stop_tol: float, record_every: int,
@@ -127,10 +156,7 @@ def _integrate(d: Domain, x: Field, dt: float, steps: int, *,
                 d, noise.g(s * dt, z + d.psi) * control[s])
         c = decay * c + phi1 * drift_hat
         z = inverse_transform_values(d, c)
-        if np.max(np.abs(z)) > BLOWUP_SUP:
-            raise InstabilityError(
-                f"flow left the physical range (sup |z| > {BLOWUP_SUP}) at t={(s + 1) * dt!r}; "
-                f"dt={dt!r} likely too large")
+        _check_sup(z, (s + 1) * dt, dt)
         if (s + 1) % record_every == 0:
             frames.append(z)
 
@@ -187,16 +213,8 @@ def relaxation_time(d: Domain, threshold: float = 1e-2, dt: float = 5e-3,
     if dt <= 0 or T_max <= 0:
         raise ConfigurationError(f"need dt > 0 and T_max > 0, got dt={dt}, T_max={T_max}")
     mshift = (profile or compute_profile(d)).shifted_values(d)
-    decay, phi1 = step_weights(d, dt)
-    c, z = np.zeros(d.modes), np.zeros(d.n)
-    for s in range(int(round(T_max / dt)) + 1):
+    for s, z in enumerate(flow_states(d, np.zeros(d.n), dt, int(round(T_max / dt)))):
         r = transform_values(d, z - mshift)
         if np.sqrt(np.sum((1.0 + d.lambda_k) * r * r)) < threshold:
             return s * dt
-        c = decay * c + phi1 * transform_values(d, reaction_values(d, z))
-        z = inverse_transform_values(d, c)
-        if np.max(np.abs(z)) > BLOWUP_SUP:
-            raise InstabilityError(
-                f"flow left the physical range (sup |z| > {BLOWUP_SUP}) at t={(s + 1) * dt!r}; "
-                f"dt={dt!r} likely too large")
     raise InstabilityError(f"flow failed to relax within T={T_max} at L={d.L}")

@@ -351,6 +351,36 @@ class TestMamCommand:
         assert sw["upper_lhs"] == 0.25 * payload["value"]
         assert sw["upper_ok"]
 
+    def test_zero_ladder_exits_2(self, tmp_path, capsys):
+        # --T-ladder 0 must not fall back to the config's action.ladder
+        d = build_domain(2.0, 63, 32)
+        zeta_csv = tmp_path / "zeta.csv"
+        write_field_csv(zeta_csv, d, Field(compute_profile(d).shifted_values(d),
+                                           Boundary.ZERO_DIRICHLET))
+        out = tmp_path / "o"
+        assert run(["mam", "--target", str(zeta_csv), "--T-ladder", "0",
+                    "--set", "n=63", "--set", "modes=32", "--out", str(out)]) == 2
+        assert "ladder" in capsys.readouterr().err
+        assert not (out / "mam.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
+
+    def test_reversed_flow_blowup_exits_1(self, tmp_path, capsys):
+        # sup |zeta| = 40 leaves the physical range on the flow's first step
+        from acldp.grid import basis_eval
+        d = build_domain(2.0, 63, 63)
+        e1 = basis_eval(d, 1).values
+        zeta_csv = tmp_path / "zeta.csv"
+        write_field_csv(zeta_csv, d, Field(40.0 * e1 / np.max(np.abs(e1)),
+                                           Boundary.ZERO_DIRICHLET))
+        out = tmp_path / "o"
+        assert run(["mam", "--target", str(zeta_csv), "--T-ladder", "1",
+                    "--set", "n=63", "--set", "modes=63", "--set", "action.t0=6.0",
+                    "--set", "action.steps=16", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "t=0.005" in err and "dt=0.005" in err
+        assert not (out / "mam.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
+
 
 class TestSdeAndInvariant:
     def test_sde_observable_columns(self, tmp_path):

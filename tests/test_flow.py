@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from acldp.errors import ConfigurationError, InstabilityError
-from acldp.flow import gradient_flow, relaxation_time, skeleton_solve
+from acldp.flow import flow_states, gradient_flow, relaxation_time, skeleton_solve
 from acldp.grid import Boundary, Field, basis_eval, h1_distance, transform_values
 
 from .conftest import band_limited
@@ -116,6 +116,44 @@ class TestSkeleton:
         with pytest.raises(ConfigurationError):
             skeleton_solve(dom2, band_limited(dom2, rng),
                            np.zeros((10, dom2.n + 1)), unit_noise, dt=1e-3)
+
+
+def shifted_plus_modes(d, prof, amps):
+    vals = prof.shifted_values(d).copy()
+    for k, a in amps:
+        vals += a * basis_eval(d, k).values
+    return vals
+
+
+class TestFlowStates:
+    """The frames-only loop against the diagnosed flow it stands in for."""
+
+    @staticmethod
+    def assert_bitwise_gradient_flow(d, prof, z0, dt, steps):
+        states = np.asarray(list(flow_states(d, z0, dt, steps)))
+        want = gradient_flow(d, Field(z0, Boundary.ZERO_DIRICHLET), dt=dt, T=steps * dt,
+                             stop_tol=0.0, record_every=1, profile=prof).path.values
+        assert states.shape == want.shape == (steps + 1, d.n)
+        assert states.tobytes() == want.tobytes()
+
+    def test_states_are_gradient_flow_frames(self, dom2_full, prof2_full):
+        for amps in ([(1, -0.2), (2, 0.1)], [(1, 0.4), (3, -0.25), (6, 0.05)]):
+            self.assert_bitwise_gradient_flow(
+                dom2_full, prof2_full, shifted_plus_modes(dom2_full, prof2_full, amps),
+                5e-3, 600)
+
+    def test_truncated_modes(self, dom2, prof2):
+        # modes < n: the start is projected onto the kept modes, as in the flow
+        z0 = shifted_plus_modes(dom2, prof2, [(1, 0.3), (2, -0.15)])
+        z0 += 0.01 * np.sin(np.arange(dom2.n))          # content above `modes`
+        self.assert_bitwise_gradient_flow(dom2, prof2, z0, 1e-3, 300)
+
+    def test_states_come_one_at_a_time(self, dom2):
+        z0 = 50.0 * basis_eval(dom2, 1).values           # sup 35: state 0 is in range
+        states = flow_states(dom2, z0, 1e-2, 100)
+        assert np.max(np.abs(next(states))) < 50.0
+        with pytest.raises(InstabilityError, match=r"at t=0\.01; dt=0\.01 "):
+            next(states)
 
 
 def two_pass_relaxation_time(d, prof, threshold, dt, T_max):
