@@ -257,8 +257,9 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
     ladder T, 2T, ..., 2^{ladder-1} T (each rung re-initialized from the
     two-segment construction, all rungs reading one reversed flow) and the
     best value is reported.  The result never exceeds the starting action of
-    any rung.  The reversed flow keeps frames only (`flow.flow_states`): the
-    construction reads no per-step diagnostic.
+    any rung.  The reversed flow steps through `flow.flow_states`, the flow's
+    one loop, and keeps its states only: the construction reads no per-step
+    diagnostic.
 
     In node coordinates the action's Hessian in spatial mode k behaves like
     dt (-D_t^2/dt^2 + lambda_k^2), which spans many decades, so L-BFGS runs
@@ -300,8 +301,8 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
             raise ConfigurationError("init path endpoints must be the equilibrium and zeta")
         rungs.append(_descend(d, nm, init.values, init.dt * steps, maxiter))
     if built:
-        frames = np.asarray(list(flow_states(d, zeta.values, dt_flow,
-                                             int(round((built[-1] - 1.0) / dt_flow)))))
+        frames = np.asarray([z for z, _, _ in flow_states(
+            d, zeta.values, dt_flow, int(round((built[-1] - 1.0) / dt_flow)))])
     for T_r in built:
         Z0 = _initial_path(d, zeta, T_r, steps, frames=frames, dt_flow=dt_flow,
                            profile=profile)

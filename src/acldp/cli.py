@@ -13,6 +13,7 @@ codes: 0 ok, 1 numerical failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -30,8 +31,8 @@ from .flow import Path, gradient_flow
 from .grid import Boundary, Field
 from .io import (read_field_csv, read_path_csv, read_text, write_csv,
                  write_field_csv, write_json)
-from .pipeline import (ConcentrationResult, domain_from_config, noise_from_config,
-                       run_concentration, sde_params_from_config)
+from .pipeline import (domain_from_config, noise_from_config, run_concentration,
+                       sde_params_from_config)
 from .profile import compute_profile
 from .spde import ensemble_run, pool_size, sample_invariant
 
@@ -220,7 +221,10 @@ def _cmd_mam(cfg, outdir, warnings, target_file=None, ladder=None):
                     ladder=res.info["ladder"]))
 
 
-def _concentration_outputs(result: ConcentrationResult, outdir, write_samples: bool):
+def _cmd_concentration(cfg, outdir, warnings, write_samples=True):
+    """`concentration`, and `ldp-tail` with write_samples=False."""
+    result = run_concentration(cfg)
+    warnings.extend(result.warnings)
     rows = {"eps": [], "delta": [], "p_hat": [], "lo": [], "hi": []}
     for rep in (result.report_delta, result.report_2delta):
         for i, eps in enumerate(rep.eps_grid):
@@ -231,7 +235,7 @@ def _concentration_outputs(result: ConcentrationResult, outdir, write_samples: b
             rows["hi"].append(rep.hi[i])
     write_csv(outdir / "tails.csv", {k: np.asarray(v) for k, v in rows.items()})
     tight = result.tightness
-    payload = dict(
+    write_json(outdir / "tail_reports.json", dict(
         delta=result.delta, slope_ratio=result.slope_ratio,
         reports=[_tail_report_json(result.report_delta),
                  _tail_report_json(result.report_2delta)],
@@ -239,24 +243,10 @@ def _concentration_outputs(result: ConcentrationResult, outdir, write_samples: b
                        exceedance=[e.p_hat for e in tight["estimates"]],
                        lo=[e.lo for e in tight["estimates"]],
                        hi=[e.hi for e in tight["estimates"]],
-                       nonincreasing=tight["nonincreasing"]))
-    write_json(outdir / "tail_reports.json", payload)
+                       nonincreasing=tight["nonincreasing"])))
     if write_samples:
         for em in result.measures:
             write_csv(outdir / f"samples_eps{em.eps!r}.csv", _samples_csv_columns(em))
-    return payload
-
-
-def _cmd_ldp_tail(cfg, outdir, warnings):
-    result = run_concentration(cfg)
-    warnings.extend(result.warnings)
-    _concentration_outputs(result, outdir, write_samples=False)
-
-
-def _cmd_concentration(cfg, outdir, warnings):
-    result = run_concentration(cfg)
-    warnings.extend(result.warnings)
-    _concentration_outputs(result, outdir, write_samples=True)
 
 
 SAMPLERS = ("sde", "invariant", "ldp-tail", "concentration")   # the ones that use `workers`
@@ -269,7 +259,7 @@ COMMANDS = {
     "invariant": _cmd_invariant,
     "action": _cmd_action,
     "mam": _cmd_mam,
-    "ldp-tail": _cmd_ldp_tail,
+    "ldp-tail": functools.partial(_cmd_concentration, write_samples=False),
     "concentration": _cmd_concentration,
 }
 

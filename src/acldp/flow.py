@@ -9,14 +9,13 @@ pointwise on the grid and projected to modes with the top third zeroed
 (de-aliasing); the convergence certificate ||Laplacian(z) + F(z)||_{L^2}
 uses the unfiltered projection.
 
-`step_weights` and the blow-up cap `BLOWUP_SUP` are shared with the
+`flow_states` is the one loop that takes these steps, with the one blow-up
+check.  `gradient_flow` and `skeleton_solve` only record its per-step
+diagnostics and the early stop; the reversed flow of `action.mam_minimize`
+and the early-exit loop of `relaxation_time` read its states.  Its step
+weights (`step_weights`) and blow-up cap (`BLOWUP_SUP`) are shared with the
 stochastic integrator in `spde`, so a chain run at eps = 0 takes exactly the
 steps of this flow.
-
-`flow_states` takes the same steps but keeps the frames only: no E*,
-gradient norm or distance to the equilibrium per step.  The reversed flow
-of `action.mam_minimize` and the early-exit loop of `relaxation_time` read
-it; `gradient_flow` and `skeleton_solve` keep the per-step diagnostics.
 """
 
 from __future__ import annotations
@@ -99,27 +98,30 @@ def step_weights(d: Domain, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return decay, phi1
 
 
-def _check_sup(z: np.ndarray, t: float, dt: float) -> None:
-    if np.max(np.abs(z)) > BLOWUP_SUP:
-        raise InstabilityError(
-            f"flow left the physical range (sup |z| > {BLOWUP_SUP}) at t={t!r}; "
-            f"dt={dt!r} likely too large")
-
-
-def flow_states(d: Domain, z0: np.ndarray, dt: float, steps: int) -> Iterator[np.ndarray]:
-    """Yield the states 0..steps of the noiseless flow from z0 (grid values
-    of a zero-Dirichlet field), frames only: the steps of `gradient_flow`
-    with stop_tol = 0, bitwise, without its per-step diagnostics.  A state
-    is computed only when the next one is asked for."""
+def flow_states(d: Domain, z0: np.ndarray, dt: float, steps: int, *,
+                control: np.ndarray | None = None,
+                noise: NoiseModel | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield (z, c, f_hat) for the states 0..steps of the flow from z0 (grid
+    values of a zero-Dirichlet field): the grid values, their mode
+    coefficients and the projected reaction.  With a control (shape (steps,
+    n)) the drift of step s adds the projection of g(s dt, z + psi) control[s].
+    A state is computed only when the next one is asked for."""
     decay, phi1 = step_weights(d, dt)
     c = transform_values(d, z0)
     z = inverse_transform_values(d, c)
-    yield z
-    for s in range(steps):
-        c = decay * c + phi1 * transform_values(d, reaction_values(d, z))
+    for s in range(steps + 1):
+        f_hat = transform_values(d, reaction_values(d, z))
+        yield z, c, f_hat
+        if s == steps:
+            return
+        if control is not None:
+            f_hat = f_hat + transform_values(d, noise.g(s * dt, z + d.psi) * control[s])
+        c = decay * c + phi1 * f_hat
         z = inverse_transform_values(d, c)
-        _check_sup(z, (s + 1) * dt, dt)
-        yield z
+        if np.max(np.abs(z)) > BLOWUP_SUP:
+            raise InstabilityError(
+                f"flow left the physical range (sup |z| > {BLOWUP_SUP}) at t={(s + 1) * dt!r}; "
+                f"dt={dt!r} likely too large")
 
 
 def _integrate(d: Domain, x: Field, dt: float, steps: int, *,
@@ -128,56 +130,43 @@ def _integrate(d: Domain, x: Field, dt: float, steps: int, *,
                profile: Profile) -> FlowResult:
     if x.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("flow initial data must be zero-Dirichlet (work with z = u - psi)")
-    decay, phi1 = step_weights(d, dt)
     mshift = profile.shifted_values(d)
-
-    c = transform_values(d, x.values)
-    z = inverse_transform_values(d, c)
-    frames = [z]
-    tgrid, e_series, g_series, d_series = [], [], [], []
-    stopped = False
-
-    for s in range(steps + 1):           # visit states 0..steps
-        f_hat = transform_values(d, reaction_values(d, z))
+    frames, e_series, g_series, d_series = [], [], [], []
+    for s, (z, c, f_hat) in enumerate(flow_states(d, x.values, dt, steps,
+                                                  control=control, noise=noise)):
         resid = -d.lambda_k * c + f_hat
         gnorm = float(np.sqrt(np.sum(resid * resid)))
-        tgrid.append(s * dt)
         e_series.append(float(energy_star_values(d, z, profile)))
         g_series.append(gnorm)
         d_series.append(float(np.max(np.abs(z - mshift))))
-        if s == steps:
-            break
-        if control is None and gnorm < stop_tol:
-            stopped = True
-            break
-        drift_hat = f_hat
-        if control is not None:
-            drift_hat = f_hat + transform_values(
-                d, noise.g(s * dt, z + d.psi) * control[s])
-        c = decay * c + phi1 * drift_hat
-        z = inverse_transform_values(d, c)
-        _check_sup(z, (s + 1) * dt, dt)
-        if (s + 1) % record_every == 0:
+        if s % record_every == 0:
             frames.append(z)
+        if s < steps and gnorm < stop_tol:
+            break
 
-    if frames[-1] is not z:
-        frames.append(z)                 # terminal slice always present
-    if len(frames) == 1:                 # stopped without taking a step
-        frames.append(z)
+    if frames[-1] is not z or len(frames) == 1:
+        frames.append(z)                 # the terminal slice, twice if no step was taken
     path = Path(np.asarray(frames), Boundary.ZERO_DIRICHLET, 0.0,
                 dt * record_every, control=None)
-    return FlowResult(path=path, t=np.asarray(tgrid),
+    return FlowResult(path=path, t=dt * np.arange(len(g_series)),
                       energy_star=np.asarray(e_series),
                       grad_norm=np.asarray(g_series),
                       dist_sup=np.asarray(d_series),
-                      stopped_early=stopped)
+                      stopped_early=len(g_series) <= steps)
 
 
 def gradient_flow(d: Domain, x: Field, dt: float, T: float,
                   stop_tol: float = 1e-8, record_every: int = 1,
                   profile: Profile | None = None) -> FlowResult:
     """Relax x under dz/dt = Laplacian(z) + F(z) until T or the gradient
-    norm drops below stop_tol."""
+    norm drops below stop_tol.
+
+    The gradient norm uses the unfiltered projection of F, while the step
+    drops the top third of its modes, so the norm floors above zero.  From
+    z = 0 (dt 1e-3, T 30) the floor is 3.05e-5 at (L, n, modes) =
+    (2, 127, 64), 2.3e-5 at (2, 63, 63), 7.8e-6 at (1, 127, 127), 5.6e-6 at
+    (2, 255, 128) and 7.3e-7 at (2, 255, 255).  A stop_tol below the floor,
+    like the default 1e-8, never stops the flow."""
     if dt <= 0 or T <= 0:
         raise ConfigurationError(f"need dt > 0 and T > 0, got dt={dt}, T={T}")
     profile = profile or compute_profile(d)
@@ -213,7 +202,7 @@ def relaxation_time(d: Domain, threshold: float = 1e-2, dt: float = 5e-3,
     if dt <= 0 or T_max <= 0:
         raise ConfigurationError(f"need dt > 0 and T_max > 0, got dt={dt}, T_max={T_max}")
     mshift = (profile or compute_profile(d)).shifted_values(d)
-    for s, z in enumerate(flow_states(d, np.zeros(d.n), dt, int(round(T_max / dt)))):
+    for s, (z, _, _) in enumerate(flow_states(d, np.zeros(d.n), dt, int(round(T_max / dt)))):
         r = transform_values(d, z - mshift)
         if np.sqrt(np.sum((1.0 + d.lambda_k) * r * r)) < threshold:
             return s * dt

@@ -11,7 +11,7 @@ import numpy as np
 from .config import AUTO, ExperimentConfig
 from .errors import ConfigurationError
 from .grid import Domain, build_domain
-from .ldp import TailReport, delta_scaling, tightness_monotone
+from .ldp import MIN_SAMPLES, TailReport, delta_scaling, tightness_monotone
 from .noise import NoiseModel
 from .profile import Profile, compute_profile
 from .spde import EmpiricalMeasure, SdeParams, sample_invariant
@@ -64,6 +64,12 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationResult:
     eps_list = sorted(cfg["eps"], reverse=True)
     if len(eps_list) < 3:
         raise ConfigurationError(f"concentration pipeline needs >= 3 eps values, got {len(eps_list)}")
+    if len(set(eps_list)) < len(eps_list):
+        raise ConfigurationError(f"eps values must be distinct, got {cfg['eps']}")
+    pooled = -(-cfg["n_samples"] // cfg["n_chains"]) * cfg["n_chains"]
+    if pooled < MIN_SAMPLES:
+        raise ConfigurationError(f"n_samples={cfg['n_samples']} over n_chains={cfg['n_chains']} "
+                                 f"pools {pooled} samples, below the {MIN_SAMPLES} tails need")
     d = domain_from_config(cfg)
     nm = noise_from_config(cfg)
     prof = compute_profile(d)

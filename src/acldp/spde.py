@@ -16,6 +16,12 @@ The drift weights (`flow.step_weights`) and the blow-up cap
 (`flow.BLOWUP_SUP`) are the gradient flow's, so at eps = 0 a chain is
 bitwise the flow.
 
+`_evolve_chains` is the one stepping loop behind `sde_run`, `ensemble_run`
+and `sample_invariant`.  It keeps observables at the sample steps and mode
+coefficients at the checkpoints, nothing else: `sde_run` rebuilds a kept
+path from per-step checkpoints and redraws the kept noise from the chain's
+own streams.
+
 The increment sqrt(dt) xi_k follows the exact decay, so under constant g0 mode
 k's stationary variance is eps g0^2 dt / (1 - e^{-2 lambda_k dt}), not the SPDE's
 eps g0^2 / (2 lambda_k): 5.1 times it at mode 64 for dt = 1e-3, L = 2.
@@ -145,7 +151,6 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
                    n_steps: int, sample_steps: np.ndarray, *,
                    profile: Profile, kstar: float, pstar: int,
                    chain_ids: np.ndarray, linear_hook: bool = False,
-                   keep_path: bool = False, keep_noise: bool = False,
                    mode_checkpoints: tuple[int, ...] = ()) -> dict:
     """Advance a batch of chains; the workhorse behind the public entry points."""
     n_chains = len(chain_ids)
@@ -155,10 +160,6 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
     sq_dt = np.sqrt(p.dt)
     sq_eps = np.sqrt(p.eps)
     lazy_state = linear_hook and nm.is_constant   # pure mode recursion
-
-    if keep_path or keep_noise:
-        if n_chains != 1:
-            raise ConfigurationError("path/noise retention is only supported for a single chain")
 
     sample_mask = np.zeros(n_steps + 1, dtype=bool)
     sample_mask[np.asarray(sample_steps, dtype=int)] = True
@@ -172,8 +173,6 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
     obs = {name: np.empty((n_chains, n_samp)) for name in
            ("sup_norm", "dist_sup", "energy_star", "sobolev_norm")}
     t_samples = np.empty(n_samp)
-    path_frames = np.empty((n_steps + 1, d.n)) if keep_path else None
-    increments = np.empty((n_steps, nw)) if keep_noise else None
     mode_snaps: dict[int, np.ndarray] = {}
     sup_running = np.max(np.abs(z), axis=-1)
     g_min = nm.g0 if nm.is_constant else np.inf
@@ -188,8 +187,6 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
         obs["sobolev_norm"][:, si] = sobolev_norm_values(d, z_now, kstar, pstar)
         si += 1
 
-    if keep_path:
-        path_frames[0] = z[0]
     if sample_mask[0]:
         record(0, z)
     if 0 in snap_set:
@@ -204,8 +201,6 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
             block = _draw_block(gens, min(_NOISE_BLOCK, n_steps - s))
             j = 0
         xi = block[:, j, :]
-        if keep_noise:
-            increments[s] = xi[0]
 
         if linear_hook:
             c_new = decay * c
@@ -223,7 +218,7 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
         c = c_new
 
         step = s + 1
-        if not lazy_state or sample_mask[step] or keep_path or step == n_steps or step in snap_set:
+        if not lazy_state or sample_mask[step] or step == n_steps or step in snap_set:
             z = inverse_transform_values(d, c)
             sup_now = np.max(np.abs(z), axis=-1)
             if np.max(sup_now) > BLOWUP_SUP:
@@ -231,8 +226,6 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
                     f"stochastic integration blew up (sup > {BLOWUP_SUP}) at t={step * p.dt!r} "
                     f"with eps={p.eps!r}, dt={p.dt!r}")
             np.maximum(sup_running, sup_now, out=sup_running)
-            if keep_path:
-                path_frames[step] = z[0]
             if sample_mask[step]:
                 record(step, z)
             if step in snap_set:
@@ -240,7 +233,6 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
 
     return dict(t_samples=t_samples, obs=obs, final_values=z.copy(),
                 sup_running=sup_running, g_min=float(g_min),
-                path_frames=path_frames, increments=increments,
                 mode_snaps=mode_snaps, n_noise_modes=nw)
 
 
@@ -254,6 +246,10 @@ def sde_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float, *,
     With eps = 0 the trajectory coincides bitwise with the noiseless flow.
     `linear_hook` switches the drift off so that each mode is an exact
     OU process (testing aid for the closed-form variance checks).
+    `keep_path` keeps every step's state, rebuilt from the chain's mode
+    coefficients checkpointed at every step; `keep_noise` keeps the unscaled
+    normals, redrawn from the chain's own streams (one draw of n_steps equals
+    the block-wise draws of the run).  Neither depends on `record_every`.
     """
     if x.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("initial data must be zero-Dirichlet (work with z = u - psi)")
@@ -266,10 +262,15 @@ def sde_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float, *,
     out = _evolve_chains(d, x.values, nm, p, n_steps, sample_steps,
                          profile=profile, kstar=kstar, pstar=pstar,
                          chain_ids=np.array([chain]), linear_hook=linear_hook,
-                         keep_path=keep_path, keep_noise=keep_noise)
-    path = None
+                         mode_checkpoints=tuple(range(n_steps + 1)) if keep_path else ())
+    path = increments = None
     if keep_path:
-        path = Path(out["path_frames"], Boundary.ZERO_DIRICHLET, 0.0, p.dt)
+        path = Path(np.concatenate([inverse_transform_values(d, out["mode_snaps"][s])
+                                    for s in range(n_steps + 1)]),
+                    Boundary.ZERO_DIRICHLET, 0.0, p.dt)
+    if keep_noise:
+        increments = _draw_block(_make_streams(p.seed, np.array([chain]),
+                                               out["n_noise_modes"]), n_steps)[0]
     return Trajectory(
         chain=chain, params=p, kstar=kstar, pstar=pstar,
         t=out["t_samples"],
@@ -280,7 +281,7 @@ def sde_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float, *,
         g_min=out["g_min"],
         final=Field(out["final_values"][0], Boundary.ZERO_DIRICHLET),
         noise_seeds=dict(seed=p.seed, chain=chain, n_modes=out["n_noise_modes"]),
-        path=path, noise_increments=out["increments"], noise_model=nm)
+        path=path, noise_increments=increments, noise_model=nm)
 
 
 @dataclass
@@ -361,15 +362,23 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
 # stochastic convolution and the damped auxiliary dynamics
 # ---------------------------------------------------------------------------
 
-def _require_replayable(traj: Trajectory):
+def _require_replayable(traj: Trajectory, p: SdeParams | None) -> SdeParams:
+    """The parameters to replay traj with: traj.params, or p (for its damping
+    lam) when it keeps the trajectory's dt and eps."""
     if traj.path is None or traj.noise_increments is None or traj.noise_model is None:
         raise ConfigurationError(
             "convolution replay needs a trajectory recorded with keep_path=True and "
-            "keep_noise=True at record_every=1 (mismatched noise streams otherwise)")
+            "keep_noise=True")
     if traj.path.values.shape[0] != traj.noise_increments.shape[0] + 1:
         raise ConfigurationError("mismatched noise streams: path and increments disagree in length")
     if traj.path.dt != traj.params.dt:
         raise ConfigurationError("mismatched noise streams: path recorded at a coarser step")
+    p = p or traj.params
+    if p.dt != traj.params.dt or p.eps != traj.params.eps:
+        raise ConfigurationError(
+            f"replay with dt={p.dt!r}, eps={p.eps!r} does not match the trajectory's "
+            f"dt={traj.params.dt!r}, eps={traj.params.eps!r}")
+    return p
 
 
 def stochastic_convolution(d: Domain, traj: Trajectory, p: SdeParams | None = None) -> Trajectory:
@@ -381,8 +390,7 @@ def stochastic_convolution(d: Domain, traj: Trajectory, p: SdeParams | None = No
     sqrt(eps) factor is *not* included (it multiplies gamma in the
     decomposition z = Y_lam + sqrt(eps) gamma_lam).
     """
-    _require_replayable(traj)
-    p = p or traj.params
+    p = _require_replayable(traj, p)
     nm = traj.noise_model
     decay = np.exp(-(d.lambda_k + p.lam) * p.dt)
     sq_dt = np.sqrt(p.dt)
@@ -419,8 +427,7 @@ def stochastic_convolution(d: Domain, traj: Trajectory, p: SdeParams | None = No
 def damped_remainder_path(d: Domain, traj: Trajectory, p: SdeParams | None = None) -> Path:
     """Y_lam re-solved from dY/dt = (Laplacian - lam) Y + F(z) + lam z along the
     recorded trajectory z; z = Y_lam + sqrt(eps) gamma_lam up to O(dt)."""
-    _require_replayable(traj)
-    p = p or traj.params
+    p = _require_replayable(traj, p)
     mu = d.lambda_k + p.lam
     decay = np.exp(-mu * p.dt)
     phi1 = (1.0 - decay) / mu

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acldp import pipeline
 from acldp.cli import COMMANDS, run
 from acldp.grid import Boundary, Field, build_domain
 from acldp.io import (load_schema, read_csv_columns, validate_against_schema,
@@ -486,6 +487,34 @@ class TestConcentrationOutputs:
     def test_per_eps_samples_written(self, conc_out):
         for eps in (0.2, 0.1, 0.05):
             assert (conc_out / f"samples_eps{eps!r}.csv").exists()
+
+    @pytest.mark.parametrize("command", ["concentration", "ldp-tail"])
+    @pytest.mark.parametrize("sets, key", [
+        (["eps=0.1,0.1,0.05"], "eps"),
+        (["n_samples=40", "n_chains=8"], "n_samples"),
+        (["n_samples=93", "n_chains=8"], "n_samples"),     # pools 12 x 8 = 96
+    ])
+    def test_bad_config_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                                command, sets, key):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled a config that cannot be reported")
+        monkeypatch.setattr(pipeline, "sample_invariant", never)
+        argv = [command, "--config", str(write_cfg(tmp_path, tmp_path / "o"))]
+        for item in sets:
+            argv += ["--set", item]
+        assert run(argv) == 2
+        assert key in capsys.readouterr().err
+
+    def test_pooled_count_at_the_minimum_goes_on_to_sample(self, tmp_path, monkeypatch):
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args, **kwargs):
+            raise Sampled
+        monkeypatch.setattr(pipeline, "sample_invariant", sampled)
+        cfg = write_cfg(tmp_path, tmp_path / "o", n_samples="97", n_chains="8")
+        with pytest.raises(Sampled):                      # pools 13 x 8 = 104
+            run(["concentration", "--config", str(cfg)])
 
     def test_ldp_tail_variant(self, tmp_path):
         out = tmp_path / "o"

@@ -64,6 +64,24 @@ class TestGradientFlow:
         e2 = np.max(np.abs(outs[1] - outs[2]))
         assert e1 / e2 == pytest.approx(3.0, rel=0.4)   # Richardson: (4h-h)/(2h-h) ~ 3
 
+    def test_early_stop_at_the_first_state_below_tol(self, dom2, prof2):
+        x = Field(np.zeros(dom2.n), Boundary.ZERO_DIRICHLET)
+        res = gradient_flow(dom2, x, dt=1e-3, T=30.0, stop_tol=1e-4, record_every=7,
+                            profile=prof2)
+        assert res.stopped_early
+        assert res.grad_norm[-1] < 1e-4 <= res.grad_norm[-2]
+        s = len(res.grad_norm) - 1
+        states = [z for z, _, _ in flow_states(dom2, x.values, 1e-3, s)]
+        want = states[::7] + ([states[s]] if s % 7 else [])
+        assert res.path.values.tobytes() == np.asarray(want).tobytes()
+
+    def test_tolerance_above_the_start_stops_at_state_0(self, dom2, prof2, rng):
+        x = band_limited(dom2, rng, k_max=8, amp=0.5)
+        res = gradient_flow(dom2, x, dt=1e-3, T=1.0, stop_tol=1e3, profile=prof2)
+        assert res.stopped_early and len(res.grad_norm) == 1
+        state0 = next(flow_states(dom2, x.values, 1e-3, 1000))[0]
+        assert res.path.values.tobytes() == np.asarray([state0, state0]).tobytes()
+
     def test_blowup_guard(self, dom2, prof2):
         x = Field(50.0 * basis_eval(dom2, 1).values, Boundary.ZERO_DIRICHLET)
         with pytest.raises(InstabilityError):
@@ -130,7 +148,7 @@ class TestFlowStates:
 
     @staticmethod
     def assert_bitwise_gradient_flow(d, prof, z0, dt, steps):
-        states = np.asarray(list(flow_states(d, z0, dt, steps)))
+        states = np.asarray([z for z, _, _ in flow_states(d, z0, dt, steps)])
         want = gradient_flow(d, Field(z0, Boundary.ZERO_DIRICHLET), dt=dt, T=steps * dt,
                              stop_tol=0.0, record_every=1, profile=prof).path.values
         assert states.shape == want.shape == (steps + 1, d.n)
@@ -151,7 +169,7 @@ class TestFlowStates:
     def test_states_come_one_at_a_time(self, dom2):
         z0 = 50.0 * basis_eval(dom2, 1).values           # sup 35: state 0 is in range
         states = flow_states(dom2, z0, 1e-2, 100)
-        assert np.max(np.abs(next(states))) < 50.0
+        assert np.max(np.abs(next(states)[0])) < 50.0
         with pytest.raises(InstabilityError, match=r"at t=0\.01; dt=0\.01 "):
             next(states)
 

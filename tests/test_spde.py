@@ -1,6 +1,7 @@
 import os
 import threading
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,45 @@ class TestConvolution:
         bare = sde_run(sdom, x, const_noise, p, 0.1, profile=sprof)
         with pytest.raises(ConfigurationError):
             stochastic_convolution(sdom, bare, p)
+
+    def test_split_draws_equal_one_draw(self):
+        one = spde._draw_block(spde._make_streams(5, np.array([0, 3]), 4), 650)
+        streams = spde._make_streams(5, np.array([0, 3]), 4)
+        split = np.concatenate([spde._draw_block(streams, 512),
+                                spde._draw_block(streams, 138)], axis=1)
+        assert one.tobytes() == split.tobytes()
+
+    def test_kept_noise_drove_the_kept_path(self, sdom, sprof, const_noise):
+        # drift off, constant intensity: c_{s+1} = e^{-lambda dt} c_s + sqrt(eps dt) xi_s,
+        # over 650 steps (past one 512-step block of draws)
+        p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=41)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        traj = sde_run(sdom, x, const_noise, p, 1.3, profile=sprof, record_every=50,
+                       keep_path=True, keep_noise=True, linear_hook=True)
+        c = transform_values(sdom, traj.path.values)
+        decay = np.exp(-sdom.lambda_k * p.dt)
+        xi = (c[1:] - decay * c[:-1])[:, :16] / np.sqrt(p.eps * p.dt)
+        assert traj.noise_increments.shape == (650, 16)
+        assert np.max(np.abs(xi - traj.noise_increments)) < 1e-9
+
+    def test_replay_rejects_another_step_or_strength(self, sdom, sprof, const_noise):
+        traj, p = self._replay_traj(sdom, sprof, const_noise, seed=77)
+        for other in (replace(p, dt=4e-3), replace(p, eps=0.1)):
+            for replay in (stochastic_convolution, decomposition_residual):
+                with pytest.raises(ConfigurationError, match="does not match"):
+                    replay(sdom, traj, other)
+        # the damping is the replay's own
+        assert decomposition_residual(sdom, traj, replace(p, lam=3.0)) < 0.05
+
+    def test_replay_is_independent_of_record_every(self, sdom, sprof, const_noise):
+        fine, p = self._replay_traj(sdom, sprof, const_noise, seed=77)
+        coarse = sde_run(sdom, Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET),
+                         const_noise, p, 0.4, profile=sprof, record_every=5,
+                         keep_path=True, keep_noise=True)
+        assert len(coarse.t) < len(fine.t)
+        assert coarse.path.values.tobytes() == fine.path.values.tobytes()
+        assert coarse.noise_increments.tobytes() == fine.noise_increments.tobytes()
+        assert decomposition_residual(sdom, coarse, p) == decomposition_residual(sdom, fine, p)
 
     def test_frozen_intensity_mode_variance(self, sdom, sprof, const_noise):
         # G == 1: Var gamma_k(t) = (1 - e^{-2(lambda_k+lam)t}) / (2(lambda_k+lam))
