@@ -28,13 +28,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst
 from scipy.optimize import minimize
 
 from .energy import energy_star, reaction_values
 from .errors import ConfigurationError
 from .flow import Path, flow_states, gradient_flow
-from .grid import (Boundary, Domain, Field, inverse_transform_values,
+from .grid import (Boundary, Domain, Field, dst, inverse_transform_values,
                    transform_values)
 from .noise import NoiseModel
 from .profile import Profile, compute_profile
@@ -63,30 +62,32 @@ def _lap_values(d: Domain, vals: np.ndarray) -> np.ndarray:
 
 def _action_core(d: Domain, Z: np.ndarray, dt: float, t0: float, nm: NoiseModel,
                  need_grad: bool):
-    """Value, interior-node euclidean gradient, and residual record."""
+    """Value, and either the interior-node euclidean gradient (need_grad) or
+    the residual record.  Under constant intensity g is the scalar g0 and the
+    g' term is skipped; for finite values both are bitwise what the general
+    formula gives with g = g0 everywhere and g' = 0."""
     mid = 0.5 * (Z[1:] + Z[:-1])
     diff = (Z[1:] - Z[:-1]) / dt
     drift = _lap_values(d, mid) + reaction_values(d, mid)
     q = diff - drift
-    t_mid = t0 + dt * (np.arange(q.shape[0]) + 0.5)
+    t_mid = t0 + dt * (np.arange(q.shape[0]) + 0.5)[:, None]
     theta = mid + d.psi
-    g = nm.g(t_mid[:, None], theta) if not nm.is_constant else np.full_like(q, nm.g0)
+    g = nm.g0 if nm.is_constant else nm.g(t_mid, theta)
     r = q / g
     value = 0.5 * dt * d.h * float(np.sum(r * r))
-    residual_series = np.sqrt(d.h * np.sum(q * q, axis=-1))
     if not need_grad:
-        return value, None, residual_series
+        return value, None, np.sqrt(d.h * np.sum(q * q, axis=-1))
 
     rg = r / g
     fprime = 1.0 - 3.0 * theta * theta
     adj = _lap_values(d, rg) + fprime * rg        # A'(mid)^T (r / g), self-adjoint
-    gslope = nm.g_prime(t_mid[:, None], theta)
-    extra = r * r * gslope / g
-    core = -0.5 * adj - 0.5 * extra
+    core = -0.5 * adj
+    if not nm.is_constant:                        # the g' term, zero under constant g
+        core -= 0.5 * (r * r * nm.g_prime(t_mid, theta) / g)
     grad = np.zeros_like(Z)
     grad[:-1] += dt * (core - rg / dt)
     grad[1:] += dt * (core + rg / dt)
-    return value, d.h * grad[1:-1], residual_series
+    return value, d.h * grad[1:-1], None
 
 
 def action(pth: Path, nm: NoiseModel, d: Domain) -> ActionResult:

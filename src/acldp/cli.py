@@ -72,11 +72,9 @@ def _tail_report_json(rep) -> dict:
                 slope=rep.slope, r2=rep.r2, slope_valid=rep.slope_valid)
 
 
-def _samples_csv_columns(em) -> dict:
-    s = em.samples
-    return {"chain": s["chain"], "t": s["t"], "sup_norm": s["sup_norm"],
-            "energy_star": s["energy_star"], "sobolev_norm": s["sobolev_norm"],
-            "dist_sup": s["dist_sup"]}
+def _samples_csv_columns(s: dict) -> dict:
+    return {k: np.ravel(s[k]) for k in
+            ("chain", "t", "sup_norm", "energy_star", "sobolev_norm", "dist_sup")}
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +140,8 @@ def _cmd_sde(cfg, outdir, warnings):
                        kstar=cfg["kstar"], pstar=cfg["pstar"],
                        sample_times=times, workers=cfg["workers"])
     n_chains, n_t = ens.obs["sup_norm"].shape
-    write_csv(outdir / "sde.csv", {
-        "chain": np.repeat(np.arange(n_chains), n_t),
-        "t": np.tile(ens.t_samples, n_chains),
-        "sup_norm": ens.obs["sup_norm"].ravel(),
-        "energy_star": ens.obs["energy_star"].ravel(),
-        "sobolev_norm": ens.obs["sobolev_norm"].ravel(),
-        "dist_sup": ens.obs["dist_sup"].ravel(),
-    })
+    write_csv(outdir / "sde.csv", _samples_csv_columns(dict(
+        ens.obs, chain=np.repeat(np.arange(n_chains), n_t), t=np.tile(ens.t_samples, n_chains))))
     write_json(outdir / "sde.json",
                dict(eps=eps, T=cfg["T"], n_chains=n_chains, g_min=ens.g_min,
                     mean_terminal_energy_star=float(np.mean(ens.obs["energy_star"][:, -1]))))
@@ -172,7 +164,7 @@ def _cmd_invariant(cfg, outdir, warnings):
                           kstar=cfg["kstar"], pstar=cfg["pstar"],
                           workers=cfg["workers"])
     warnings.extend(em.warnings)
-    write_csv(outdir / "samples.csv", _samples_csv_columns(em))
+    write_csv(outdir / "samples.csv", _samples_csv_columns(em.samples))
     tail_counts = {}
     for q in (0.5, 0.75, 0.9):
         thr = float(np.quantile(em.samples["dist_sup"], q))
@@ -246,7 +238,7 @@ def _cmd_concentration(cfg, outdir, warnings, write_samples=True):
                        nonincreasing=tight["nonincreasing"])))
     if write_samples:
         for em in result.measures:
-            write_csv(outdir / f"samples_eps{em.eps!r}.csv", _samples_csv_columns(em))
+            write_csv(outdir / f"samples_eps{em.eps!r}.csv", _samples_csv_columns(em.samples))
 
 
 SAMPLERS = ("sde", "invariant", "ldp-tail", "concentration")   # the ones that use `workers`

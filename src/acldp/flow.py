@@ -118,7 +118,7 @@ def flow_states(d: Domain, z0: np.ndarray, dt: float, steps: int, *,
             f_hat = f_hat + transform_values(d, noise.g(s * dt, z + d.psi) * control[s])
         c = decay * c + phi1 * f_hat
         z = inverse_transform_values(d, c)
-        if np.max(np.abs(z)) > BLOWUP_SUP:
+        if np.abs(z).max() > BLOWUP_SUP:
             raise InstabilityError(
                 f"flow left the physical range (sup |z| > {BLOWUP_SUP}) at t={(s + 1) * dt!r}; "
                 f"dt={dt!r} likely too large")

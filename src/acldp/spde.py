@@ -348,9 +348,14 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
                  mode_checkpoint_times: tuple[float, ...] = (),
                  workers: int | str = 1) -> EnsembleResult:
     """Run n_chains independent chains (streams keyed by chain id) in fixed-size
-    vectorized batches; results are independent of the worker count."""
-    profile = profile or compute_profile(d)
+    vectorized batches; results are independent of the worker count.  A
+    sample or mode-checkpoint time outside [0, T] raises ConfigurationError."""
     n_steps = int(round(T / p.dt))
+    for what, times in (("sample", sample_times), ("mode checkpoint", mode_checkpoint_times)):
+        for t in times:
+            if not 0 <= int(round(t / p.dt)) <= n_steps:
+                raise ConfigurationError(f"{what} time {t} lies outside [0, T={T}]")
+    profile = profile or compute_profile(d)
     sample_steps = sorted({int(round(t / p.dt)) for t in sample_times} | {n_steps})
     snaps = tuple(int(round(t / p.dt)) for t in mode_checkpoint_times)
     return _run_chunks(n_chains, workers, d, x.values, nm, p, n_steps,
@@ -397,8 +402,7 @@ def stochastic_convolution(d: Domain, traj: Trajectory, p: SdeParams | None = No
     n_steps = traj.noise_increments.shape[0]
 
     gamma = np.zeros(d.modes)
-    frames = np.empty((n_steps + 1, d.n))
-    frames[0] = 0.0
+    frames = np.zeros((n_steps + 1, d.n))
     g_min = np.inf
     for s in range(n_steps):
         z = traj.path.values[s]
@@ -409,11 +413,9 @@ def stochastic_convolution(d: Domain, traj: Trajectory, p: SdeParams | None = No
         frames[s + 1] = inverse_transform_values(d, gamma)
 
     profile = compute_profile(d)
-    t = np.arange(n_steps + 1) * p.dt
-    sup = np.max(np.abs(frames), axis=-1)
     return Trajectory(
         chain=traj.chain, params=p, kstar=traj.kstar, pstar=traj.pstar,
-        t=t, sup_norm=sup,
+        t=np.arange(n_steps + 1) * p.dt, sup_norm=np.max(np.abs(frames), axis=-1),
         dist_sup=np.max(np.abs(frames - profile.shifted_values(d)), axis=-1),
         energy_star=energy_star_values(d, frames, profile),
         sobolev_norm=sobolev_norm_values(d, frames, traj.kstar, traj.pstar),
@@ -434,8 +436,7 @@ def damped_remainder_path(d: Domain, traj: Trajectory, p: SdeParams | None = Non
     n_steps = traj.path.values.shape[0] - 1
 
     y = np.zeros(d.modes)
-    frames = np.empty((n_steps + 1, d.n))
-    frames[0] = 0.0
+    frames = np.zeros((n_steps + 1, d.n))
     for s in range(n_steps):
         z = traj.path.values[s]
         drift = reaction_values(d, z) + p.lam * z

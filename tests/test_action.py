@@ -5,10 +5,11 @@ from acldp.action import (_action_core, _initial_path, _rung_objective,
                           action, action_gradient, interpolation_path,
                           mam_minimize, quasipotential_upper,
                           reversed_flow_path)
-from acldp.energy import energy_star
+from acldp.energy import energy_star, reaction_values
 from acldp.errors import ConfigurationError
 from acldp.flow import Path, gradient_flow, skeleton_solve
-from acldp.grid import Boundary, Field, basis_eval
+from acldp.grid import (Boundary, Field, basis_eval, inverse_transform_values,
+                        transform_values)
 from acldp.noise import NoiseModel
 
 from .conftest import band_limited
@@ -363,3 +364,76 @@ class TestPreconditionedCoordinates:
             v = rng.standard_normal(y0.shape)
             fd = (fun(y0 + hstep * v)[0] - fun(y0 - hstep * v)[0]) / (2 * hstep)
             assert fd == pytest.approx(float(grad0 @ v), rel=1e-6)
+
+
+def general_core(d, Z, dt, t0, nm, g, gslope):
+    """The action's value, interior gradient and residual record by the general
+    formula, with the intensity g and its slope g' given as arrays."""
+    mid = 0.5 * (Z[1:] + Z[:-1])
+    diff = (Z[1:] - Z[:-1]) / dt
+    lap = lambda v: inverse_transform_values(d, -d.lambda_k * transform_values(d, v))
+    q = diff - (lap(mid) + reaction_values(d, mid))
+    theta = mid + d.psi
+    r = q / g
+    value = 0.5 * dt * d.h * float(np.sum(r * r))
+    rg = r / g
+    adj = lap(rg) + (1.0 - 3.0 * theta * theta) * rg
+    core = -0.5 * adj - 0.5 * (r * r * gslope / g)
+    grad = np.zeros_like(Z)
+    grad[:-1] += dt * (core - rg / dt)
+    grad[1:] += dt * (core + rg / dt)
+    return value, d.h * grad[1:-1], np.sqrt(d.h * np.sum(q * q, axis=-1))
+
+
+class TestActionCore:
+    """`_action_core` against the general formula, bit for bit."""
+
+    @pytest.fixture
+    def paths(self, dom2_full, prof2_full, rng):
+        d = dom2_full
+        zeta = multi_mode_state(d, prof2_full, [(1, 0.3), (2, -0.2)])
+        s = np.linspace(0.0, 1.0, 41)[:, None]
+        Z = (1 - s) * prof2_full.shifted_values(d)[None] + s * zeta.values[None]
+        Z[1:-1] += 0.05 * rng.standard_normal((39, d.n))
+        return [Z, np.tile(prof2_full.shifted_values(d), (9, 1))]   # the second stands still
+
+    @pytest.mark.parametrize("g0", [1.0, 0.5, 0.7])
+    def test_constant_intensity_equals_general_formula(self, g0, dom2_full, paths):
+        nm = NoiseModel(kind="constant", g0=g0)
+        for Z in paths:
+            dt, t0 = 0.05, 0.3
+            q_like = np.empty((Z.shape[0] - 1, dom2_full.n))
+            ref = general_core(dom2_full, Z, dt, t0, nm, np.full_like(q_like, g0),
+                               np.zeros_like(q_like))
+            v, grad, resid = _action_core(dom2_full, Z, dt, t0, nm, need_grad=True)
+            assert resid is None
+            assert v == ref[0] and grad.tobytes() == ref[1].tobytes()
+            v, grad, resid = _action_core(dom2_full, Z, dt, t0, nm, need_grad=False)
+            assert grad is None
+            assert v == ref[0] and resid.tobytes() == ref[2].tobytes()
+
+    def test_state_dependent_intensity_equals_general_formula(self, dom2_full, paths):
+        nm = NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)
+        Z, dt, t0 = paths[0], 0.05, 0.3
+        t_mid = (t0 + dt * (np.arange(Z.shape[0] - 1) + 0.5))[:, None]
+        theta = 0.5 * (Z[1:] + Z[:-1]) + dom2_full.psi
+        ref = general_core(dom2_full, Z, dt, t0, nm, nm.g(t_mid, theta),
+                           nm.g_prime(t_mid, theta))
+        v, grad, _ = _action_core(dom2_full, Z, dt, t0, nm, need_grad=True)
+        assert v == ref[0] and grad.tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["constant", "smooth_bounded_below"])
+    def test_value_does_not_depend_on_need_grad(self, kind, dom2_full, paths):
+        nm = NoiseModel(kind=kind, g0=0.6, c=0.8)
+        for Z in paths:
+            a = _action_core(dom2_full, Z, 0.05, 0.0, nm, need_grad=True)[0]
+            b = _action_core(dom2_full, Z, 0.05, 0.0, nm, need_grad=False)[0]
+            assert a == b
+
+    def test_action_returns_the_residual_record(self, dom2_full, paths):
+        nm = NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)
+        Z = paths[0]
+        res = action(Path(Z, Boundary.ZERO_DIRICHLET, 0.0, 0.05), nm, dom2_full)
+        ref = general_core(dom2_full, Z, 0.05, 0.0, nm, 1.0, 0.0)   # the record ignores g
+        assert res.residual_series.shape == (Z.shape[0] - 1,)
+        assert res.residual_series.tobytes() == ref[2].tobytes()

@@ -1,5 +1,8 @@
+import importlib
+
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -12,6 +15,9 @@ from acldp.grid import (Boundary, Field, add_psi, basis_eval, build_domain,
                         transform_values)
 
 from .conftest import band_limited
+
+action_module = importlib.import_module("acldp.action")   # the package attribute is the function
+grid_module = importlib.import_module("acldp.grid")
 
 
 def fine_grid_inner(L, f, g, n_fine=200_001):
@@ -136,6 +142,95 @@ class TestTransform:
         f = band_limited(dom2, np.random.default_rng(seed), k_max=dom2.modes)
         c = spectral_transform(dom2, f)
         assert np.sum(c * c) == pytest.approx(lp_norm(dom2, f, 2) ** 2, rel=1e-10)
+
+
+def _sign(d):
+    k = np.arange(1, d.modes + 1)
+    return np.where(np.isin(k % 4, (0, 1)), 1.0, -1.0)
+
+
+def forward_formula(d, values):
+    """The forward transform as the plain formula, through scipy.fft."""
+    coeff = scipy.fft.dst(values, type=1, axis=-1)[..., : d.modes]
+    return (d.h / (2.0 * np.sqrt(d.L))) * _sign(d) * coeff
+
+
+def inverse_formula(d, coeff):
+    """The inverse transform as the plain formula, through scipy.fft."""
+    k = coeff.shape[-1]
+    pad = np.zeros(coeff.shape[:-1] + (d.n,))
+    pad[..., :k] = _sign(d)[:k] * coeff / np.sqrt(d.L)
+    return scipy.fft.dst(pad, type=1, axis=-1) / 2.0
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestTransformBitwise:
+    """Both transforms equal the plain formulas bit for bit, and never write to
+    the caller's array."""
+
+    DOMAINS = [(2.0, 63, 32), (2.0, 63, 63), (1.0, 127, 127), (4.0, 255, 128)]
+    SHAPES = [(), (32,), (3, 5)]
+
+    @pytest.mark.parametrize("lnm", DOMAINS)
+    @pytest.mark.parametrize("lead", SHAPES)
+    def test_forward(self, lnm, lead, rng):
+        d = build_domain(*lnm)
+        v = rng.standard_normal(lead + (d.n,))
+        before = v.copy()
+        assert_bitwise(transform_values(d, v), forward_formula(d, v))
+        assert_bitwise(v, before)
+
+    @pytest.mark.parametrize("lnm", DOMAINS)
+    @pytest.mark.parametrize("lead", SHAPES)
+    def test_inverse_full_and_leading_blocks(self, lnm, lead, rng):
+        d = build_domain(*lnm)
+        for k in (d.modes, d.modes // 3, 1):
+            # decades down to the subnormal range, where folding the /2 would show
+            c = rng.standard_normal(lead + (k,)) * np.logspace(0, -320, k)
+            before = c.copy()
+            assert_bitwise(inverse_transform_values(d, c), inverse_formula(d, c))
+            assert_bitwise(c, before)
+
+    def test_all_subnormal_coefficients(self, rng):
+        d = build_domain(2.0, 63, 32)
+        c = rng.integers(-50, 50, (4, d.modes)) * 5e-324
+        assert_bitwise(inverse_transform_values(d, c), inverse_formula(d, c))
+
+    def test_strided_view(self, rng):
+        d = build_domain(2.0, 63, 32)
+        a = rng.standard_normal((4, 3, d.n))
+        before = a.copy()
+        v = a[:, 1, :]
+        assert not v.flags.c_contiguous
+        assert_bitwise(transform_values(d, v), forward_formula(d, v))
+        c = rng.standard_normal((4, 3, d.modes))[:, 2, :]
+        assert_bitwise(inverse_transform_values(d, c), inverse_formula(d, c))
+        assert_bitwise(a, before)
+
+    def test_read_only_broadcast_input(self, rng):
+        d = build_domain(2.0, 63, 32)
+        v = np.broadcast_to(rng.standard_normal(d.n), (5, d.n))
+        c = np.broadcast_to(rng.standard_normal(d.modes), (5, d.modes))
+        assert not v.flags.writeable and not c.flags.writeable
+        assert_bitwise(transform_values(d, v), forward_formula(d, v))
+        assert_bitwise(inverse_transform_values(d, c), inverse_formula(d, c))
+
+    @pytest.mark.parametrize("shape", [(63,), (95, 63), (32, 255), (4, 255)])
+    def test_orthonormal_dst_of_the_action(self, shape, rng):
+        a = rng.standard_normal(shape)
+        before = a.copy()
+        assert_bitwise(action_module._dst_ortho(a),
+                       scipy.fft.dst(a, type=1, norm="ortho", axis=-1))
+        assert_bitwise(a, before)
+
+    def test_one_binding_for_every_dst(self):
+        # the action's transforms go through the grid's module attribute, so
+        # wrapping `acldp.grid.dst` (and every module holding it) sees them all
+        assert action_module.dst is grid_module.dst
 
 
 def fd_laplacian_matrix(L, n):

@@ -385,6 +385,30 @@ class TestGuards:
         with pytest.raises(InstabilityError, match="eps"):
             sde_run(sdom, x, const_noise, p, 5.0, profile=sprof)
 
+    @pytest.mark.parametrize("times", [(0.5,), (0.05, 0.5), (-0.02,)])
+    def test_sample_time_outside_horizon_rejected(self, sdom, sprof, const_noise, times):
+        p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        bad = [t for t in times if not 0 <= t <= 0.1][0]
+        with pytest.raises(ConfigurationError, match=rf"sample time {bad} .*T=0\.1"):
+            ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2, profile=sprof,
+                         sample_times=times)
+
+    def test_mode_checkpoint_outside_horizon_rejected(self, sdom, sprof, const_noise):
+        p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        with pytest.raises(ConfigurationError, match=r"mode checkpoint time 0\.5 .*T=0\.1"):
+            ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2, profile=sprof,
+                         mode_checkpoint_times=(0.05, 0.5))
+
+    def test_times_at_the_horizon_are_kept(self, sdom, sprof, const_noise):
+        p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        ens = ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2, profile=sprof,
+                           sample_times=(0.0, 0.1), mode_checkpoint_times=(0.0, 0.1))
+        assert np.allclose(ens.t_samples, [0.0, 0.1])
+        assert sorted(ens.mode_snaps) == [0, 10]
+
     def test_param_validation(self):
         with pytest.raises(ConfigurationError):
             SdeParams(eps=-1.0, dt=1e-3)
