@@ -51,9 +51,12 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
     """Immutable grid, eigenpairs, and ramp for the interval (-L, L).
+
+    Domains compare and hash by identity: the array fields have no
+    truth-valued equality, and (L, n, modes) determines the rest.
 
     Attributes
     ----------

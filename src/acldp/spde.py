@@ -349,14 +349,22 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
                  workers: int | str = 1) -> EnsembleResult:
     """Run n_chains independent chains (streams keyed by chain id) in fixed-size
     vectorized batches; results are independent of the worker count.  A
-    sample or mode-checkpoint time outside [0, T] raises ConfigurationError."""
+    sample or mode-checkpoint time outside [0, T], or two sample times that
+    round to the same step, raise ConfigurationError."""
     n_steps = int(round(T / p.dt))
     for what, times in (("sample", sample_times), ("mode checkpoint", mode_checkpoint_times)):
         for t in times:
             if not 0 <= int(round(t / p.dt)) <= n_steps:
                 raise ConfigurationError(f"{what} time {t} lies outside [0, T={T}]")
+    by_step: dict[int, list[float]] = {}
+    for t in sample_times:
+        by_step.setdefault(int(round(t / p.dt)), []).append(float(t))
+    for step, times in by_step.items():
+        if len(times) > 1:
+            raise ConfigurationError(f"sample times {', '.join(map(repr, times))} all round "
+                                     f"to step {step} at dt={p.dt}")
     profile = profile or compute_profile(d)
-    sample_steps = sorted({int(round(t / p.dt)) for t in sample_times} | {n_steps})
+    sample_steps = sorted(set(by_step) | {n_steps})
     snaps = tuple(int(round(t / p.dt)) for t in mode_checkpoint_times)
     return _run_chunks(n_chains, workers, d, x.values, nm, p, n_steps,
                        np.asarray(sample_steps), profile=profile, kstar=kstar,

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from acldp.action import (_action_core, _initial_path, _rung_objective,
-                          action, action_gradient, interpolation_path,
-                          mam_minimize, quasipotential_upper,
-                          reversed_flow_path)
+from acldp.action import (MAM_DT_FLOW, _action_core, _dense_operators,
+                          _dst_ortho, _initial_path, _lap_values,
+                          _rung_objective, action, action_gradient,
+                          interpolation_path, mam_minimize, minimize,
+                          quasipotential_upper, reversed_flow_path)
 from acldp.energy import energy_star, reaction_values
 from acldp.errors import ConfigurationError
 from acldp.flow import Path, gradient_flow, skeleton_solve
-from acldp.grid import (Boundary, Field, basis_eval, inverse_transform_values,
-                        transform_values)
+from acldp.grid import Boundary, Field, basis_eval, build_domain
 from acldp.noise import NoiseModel
 
 from .conftest import band_limited
@@ -297,13 +297,13 @@ class TestMinimization:
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, -0.2), (2, 0.1)])
         res = mam_minimize(dom2_full, zeta, unit_noise, T=6.0, steps=96,
                            ladder=3, maxiter=1, profile=prof2_full)
-        longest = gradient_flow(dom2_full, zeta, dt=5e-3, T=23.0, stop_tol=0.0,
+        longest = gradient_flow(dom2_full, zeta, dt=MAM_DT_FLOW, T=23.0, stop_tol=0.0,
                                 record_every=1, profile=prof2_full).path.values
         for T_r, rung in zip((6.0, 12.0, 24.0), res.info["ladder"]):
-            own = gradient_flow(dom2_full, zeta, dt=5e-3, T=T_r - 1.0, stop_tol=0.0,
+            own = gradient_flow(dom2_full, zeta, dt=MAM_DT_FLOW, T=T_r - 1.0, stop_tol=0.0,
                                 record_every=1, profile=prof2_full).path.values
             assert np.array_equal(own, longest[: own.shape[0]])
-            Z0 = _initial_path(dom2_full, zeta, T_r, 96, frames=own, dt_flow=5e-3,
+            Z0 = _initial_path(dom2_full, zeta, T_r, 96, frames=own, dt_flow=MAM_DT_FLOW,
                                profile=prof2_full)
             v0, _, _ = _action_core(dom2_full, Z0, T_r / 96, 0.0, unit_noise,
                                     need_grad=False)
@@ -368,10 +368,12 @@ class TestPreconditionedCoordinates:
 
 def general_core(d, Z, dt, t0, nm, g, gslope):
     """The action's value, interior gradient and residual record by the general
-    formula, with the intensity g and its slope g' given as arrays."""
+    formula, with the intensity g and its slope g' given as arrays.  The
+    Laplacian is the same dense operator as the action's (TestDenseOperators
+    ties it to the DST pair)."""
     mid = 0.5 * (Z[1:] + Z[:-1])
     diff = (Z[1:] - Z[:-1]) / dt
-    lap = lambda v: inverse_transform_values(d, -d.lambda_k * transform_values(d, v))
+    lap = lambda v: v @ _dense_operators(d)[0]
     q = diff - (lap(mid) + reaction_values(d, mid))
     theta = mid + d.psi
     r = q / g
@@ -437,3 +439,68 @@ class TestActionCore:
         ref = general_core(dom2_full, Z, 0.05, 0.0, nm, 1.0, 0.0)   # the record ignores g
         assert res.residual_series.shape == (Z.shape[0] - 1,)
         assert res.residual_series.tobytes() == ref[2].tobytes()
+
+
+class TestDenseOperators:
+    """The dense matrices of `_dense_operators` against the transforms they
+    are built from, at modes = n and modes < n."""
+
+    @pytest.mark.parametrize("n, modes", [(63, 63), (63, 32), (127, 64)])
+    def test_match_the_transforms(self, n, modes, rng):
+        d = build_domain(2.0, n, modes)
+        lap, ortho = _dense_operators(d)
+        assert lap.shape == ortho.shape == (n, n)
+        V = rng.standard_normal((7, n))
+        assert np.max(np.abs(V @ lap - _lap_values(d, V))) <= 1e-12 * d.lambda_k[-1]
+        assert np.array_equal(ortho, _dst_ortho(np.eye(n)))
+        assert np.max(np.abs(V @ ortho - _dst_ortho(V))) <= 1e-13 * np.sqrt(n)
+
+    def test_memoized_on_the_grid(self):
+        a = _dense_operators(build_domain(2.0, 63, 32))
+        assert _dense_operators(build_domain(2.0, 63, 32)) is a
+        assert _dense_operators(build_domain(2.0, 63, 63)) is not a
+
+
+class TestLbfgs:
+    """`minimize` on the convex quadratic 1/2 x'Ax - b'x with condition
+    number 1e4, whose minimizer A^{-1} b is known."""
+
+    @pytest.fixture
+    def quadratic(self, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        A = (q * np.logspace(0.0, 4.0, 40)) @ q.T
+        b = rng.standard_normal(40)
+        return (lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b)), np.linalg.solve(A, b)
+
+    def test_reaches_the_minimizer_and_converges(self, quadratic):
+        fun, x_star = quadratic
+        res = minimize(fun, np.zeros(40), 2000, 1e-13)
+        assert res.success is True
+        assert res.message == "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
+        assert 0 < res.nit < 2000 and res.nfev >= res.nit
+        assert np.max(np.abs(res.x - x_star)) <= 1e-5 * np.max(np.abs(x_star))
+        assert res.fun == pytest.approx(fun(x_star)[0], rel=1e-10)
+
+    def test_ftol_stops_early(self, quadratic):
+        fun, _ = quadratic
+        loose = minimize(fun, np.zeros(40), 2000, 1e-3)
+        tight = minimize(fun, np.zeros(40), 2000, 1e-13)
+        assert loose.message.startswith("CONVERGENCE")
+        assert loose.nit < tight.nit
+
+    def test_iteration_cap(self, quadratic):
+        fun, _ = quadratic
+        res = minimize(fun, np.zeros(40), 7, 1e-13)
+        assert res.nit == 7
+        assert res.success is False
+        assert res.message == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+
+    def test_failed_line_search_is_abnormal(self):
+        # the gradient's sign is wrong, so no step along -g lowers f
+        res = minimize(lambda x: (float(x @ x), -2.0 * x), np.ones(5), 50, 1e-8)
+        assert res.success is False and res.nit == 0
+        assert res.message == "ABNORMAL_TERMINATION_IN_LNSRCH"
+
+    def test_zero_gradient_start(self):
+        res = minimize(lambda x: (float(x @ x), 2.0 * x), np.zeros(40), 10, 1e-8)
+        assert res.success is True and res.nit == 0 and res.nfev == 1

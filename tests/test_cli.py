@@ -378,7 +378,7 @@ class TestMamCommand:
                     "--set", "n=63", "--set", "modes=63", "--set", "action.t0=6.0",
                     "--set", "action.steps=16", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "t=0.005" in err and "dt=0.005" in err
+        assert "t=0.05" in err and "dt=0.05" in err
         assert not (out / "mam.json").exists()
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
@@ -391,6 +391,14 @@ class TestSdeAndInvariant:
         cols = read_csv_columns(out / "sde.csv")
         for name in ("chain", "t", "sup_norm", "energy_star", "sobolev_norm"):
             assert name in cols
+
+    def test_sde_stride_below_half_a_step_exits_2(self, tmp_path, capsys):
+        # stride 0.002 < dt/2 = 0.0025: t = 0 and t = 0.002 both round to step 0
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, out, stride="0.002")
+        assert run(["sde", "--config", str(cfg)]) == 2
+        assert "sample times 0.0, 0.002 all round to step 0" in capsys.readouterr().err
+        assert not (out / "sde.csv").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

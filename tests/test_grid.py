@@ -53,6 +53,11 @@ class TestBuildDomain:
         with pytest.raises(ConfigurationError):
             build_domain(1.0, 127, 128)
 
+    def test_domains_compare_by_identity(self):
+        a, b = build_domain(2.0, 63, 32), build_domain(2.0, 63, 32)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_grid_uniform_and_interior(self, dom2):
         dx = np.diff(dom2.xi)
         assert np.allclose(dx, dx[0], rtol=1e-12)

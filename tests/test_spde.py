@@ -401,6 +401,13 @@ class TestGuards:
             ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2, profile=sprof,
                          mode_checkpoint_times=(0.05, 0.5))
 
+    def test_sample_times_on_one_step_rejected(self, sdom, sprof, const_noise):
+        p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        with pytest.raises(ConfigurationError, match=r"0\.001, 0\.002 all round to step 0"):
+            ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2, profile=sprof,
+                         sample_times=(0.001, 0.002, 0.05))
+
     def test_times_at_the_horizon_are_kept(self, sdom, sprof, const_noise):
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
