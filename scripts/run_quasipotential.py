@@ -3,7 +3,8 @@
 
 For a ladder of target states zeta = (m - psi) + a * e_k, minimizes the path
 action from the equilibrium and compares against twice the shifted energy
-(the exact value for gradient dynamics with unit intensity).
+(the exact value for gradient dynamics with unit intensity).  Each target's
+horizon rungs run on one forked process per core.
 
     python scripts/run_quasipotential.py --mode 1 --amps 0.1,0.2,0.3
 """
@@ -42,7 +43,7 @@ def main():
         zeta = Field(prof.shifted_values(d) + amp * ek, Boundary.ZERO_DIRICHLET)
         target = 2.0 * energy_star(d, zeta, prof)
         res = mam_minimize(d, zeta, nm, T=args.T0, steps=args.steps,
-                           ladder=args.ladder, profile=prof)
+                           ladder=args.ladder, profile=prof, workers="auto")
         rel = abs(res.value - target) / target
         print(f"{amp:6.3f} {target:12.6f} {res.value:12.6f} {rel:9.2%} "
               f"{res.iterations:6d} {res.converged}")

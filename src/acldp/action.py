@@ -27,11 +27,16 @@ descends with the module's own L-BFGS (`minimize`: two-loop recursion,
 strong Wolfe line search, L-BFGS-B's ftol stop).  Per evaluation the
 action's Laplacian and the coordinate map are dense (n, n) products, which
 are faster than the DST pair from n = 63 (18 vs 137 us) to n = 511
-(1.1 vs 1.6 ms).
+(1.1 vs 1.6 ms).  The rungs are independent once their start paths are
+built, so they run at the same time on the package's fork pool
+(`pool.fork_map`, `workers` processes at most); a rung's arithmetic does
+not depend on the process that runs it, so neither does any result.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,6 +50,7 @@ from .flow import Path, flow_states, gradient_flow
 from .grid import (Boundary, Domain, Field, dst, inverse_transform_values,
                    transform_values)
 from .noise import NoiseModel
+from .pool import fork_map
 from .profile import Profile, compute_profile
 
 # L-BFGS's ftol for mam_minimize: the objective is the action divided by
@@ -56,6 +62,10 @@ MAM_FTOL = 1e-8
 # actions of criterion 5's targets move by at most 4e-7 relative against
 # 5e-3, at a tenth of the steps.
 MAM_DT_FLOW = 5e-2
+# Bytes the reversed flow's frames may take: 2**28 (256 MiB), 532 610 frames
+# at n = 63.  A ladder whose longest horizon needs more frames is rejected
+# before the flow steps (`--T-ladder 40` would ask for 6.6e13).
+MAM_FLOW_BYTES = 2 ** 28
 # L-BFGS memory: the number of (s, y) pairs the two-loop recursion keeps.
 LBFGS_PAIRS = 10
 
@@ -340,9 +350,11 @@ def minimize(fun, x0: np.ndarray, maxiter: int, ftol: float) -> OptimizeResult:
             return result("CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH", True)
 
 
-def _descend(d: Domain, nm: NoiseModel, Z0: np.ndarray, T: float,
-             maxiter: int) -> dict:
-    """One rung: L-BFGS from the path Z0 on [0, T]; the lowest action seen."""
+def _descend(d: Domain, nm: NoiseModel, maxiter: int,
+             start: tuple[np.ndarray, float]) -> dict:
+    """One rung: L-BFGS from the path Z0 on [0, T], start = (Z0, T); the
+    lowest action seen."""
+    Z0, T = start
     dt = T / (Z0.shape[0] - 1)
     v_init, _, _ = _action_core(d, Z0, dt, 0.0, nm, need_grad=False)
     scale = v_init if v_init > 0 else 1.0
@@ -366,7 +378,7 @@ def _descend(d: Domain, nm: NoiseModel, Z0: np.ndarray, T: float,
 
 def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *,
                  init: Path | None = None, ladder: int = 1, maxiter: int = 800,
-                 profile: Profile | None = None) -> ActionResult:
+                 profile: Profile | None = None, workers: int | str = 1) -> ActionResult:
     """Minimize the discrete action over paths from the equilibrium to zeta.
 
     Endpoints stay pinned; interior nodes descend under L-BFGS (`minimize`)
@@ -395,20 +407,34 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
     rung converged and the ladder saturated.  `info["ladder"]` records each
     rung's T, value, init_value, and the optimizer's nit, nfev and stop
     message.
+
+    The rungs run on `pool.pool_size(workers, rungs)` forked processes
+    (`workers` as in the config: an int or 'auto'), or serially when that is
+    1.  The reversed flow, every start path and the dense operators are built
+    first, so the children inherit them; results come back in rung order and
+    are bitwise those of a serial run.  A ladder whose reversed flow would
+    exceed MAM_FLOW_BYTES is a ConfigurationError before anything steps.
     """
     if zeta.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("target state must be zero-Dirichlet")
     if ladder < 1:
         raise ConfigurationError(f"ladder must have at least one rung, got {ladder}")
+    n_built = ladder if init is None else ladder - 1   # rungs started from the construction
+    if n_built:
+        if T * 2 ** (ladder - n_built) <= 1.0:
+            raise ConfigurationError(
+                "minimization horizon must exceed the unit interpolation time, "
+                f"got T={T * 2 ** (ladder - n_built)}")
+        frames_max = MAM_FLOW_BYTES // (8 * d.n)
+        if ladder - 1 > math.log2((1.0 + MAM_DT_FLOW * (frames_max - 1)) / T):
+            raise ConfigurationError(
+                f"ladder={ladder} from T={T} needs the reversed flow to T*2^{ladder - 1}, "
+                f"more than the {frames_max} frames of n={d.n} points that fit in "
+                f"MAM_FLOW_BYTES={MAM_FLOW_BYTES}")
     profile = profile or compute_profile(d)
     mshift = profile.shifted_values(d)
 
-    horizons = [T * 2 ** r for r in range(ladder)]
-    built = horizons[1:] if init is not None else horizons   # rungs started from the construction
-    if built and built[0] <= 1.0:
-        raise ConfigurationError(
-            f"minimization horizon must exceed the unit interpolation time, got T={built[0]}")
-    rungs = []
+    starts = []
     if init is not None:
         if init.values.shape != (steps + 1, d.n):
             raise ConfigurationError(
@@ -416,14 +442,15 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
         if (np.max(np.abs(init.values[0] - mshift)) > 1e-6
                 or np.max(np.abs(init.values[-1] - zeta.values)) > 1e-6):
             raise ConfigurationError("init path endpoints must be the equilibrium and zeta")
-        rungs.append(_descend(d, nm, init.values, init.dt * steps, maxiter))
-    if built:
+        starts.append((init.values, init.dt * steps))
+    if n_built:
+        built = [T * 2 ** r for r in range(ladder - n_built, ladder)]
         frames = np.asarray([z for z, _, _ in flow_states(
             d, zeta.values, MAM_DT_FLOW, int(round((built[-1] - 1.0) / MAM_DT_FLOW)))])
-    for T_r in built:
-        Z0 = _initial_path(d, zeta, T_r, steps, frames=frames, dt_flow=MAM_DT_FLOW,
-                           profile=profile)
-        rungs.append(_descend(d, nm, Z0, T_r, maxiter))
+        starts += [(_initial_path(d, zeta, T_r, steps, frames=frames, dt_flow=MAM_DT_FLOW,
+                                  profile=profile), T_r) for T_r in built]
+    _dense_operators(d)     # built here, so that forked rung processes inherit them
+    rungs = fork_map(functools.partial(_descend, d, nm, maxiter), starts, workers)
 
     best_rung = min(rungs, key=lambda q: q["value"])
     Zb = np.vstack([mshift[None], best_rung["x"], zeta.values[None]])

@@ -6,7 +6,8 @@
     acldp concentration --config exp.cfg
 
 Every run echoes the resolved config into the output directory and writes a
-manifest (config hash, version, wall time, seed, worker processes).  Exit
+manifest (config hash, version, wall time, seed, worker processes: the
+sampler's chunk pool or mam's rung pool).  Exit
 codes: 0 ok, 1 numerical failure, 2 configuration error.
 """
 
@@ -33,8 +34,9 @@ from .io import (read_field_csv, read_path_csv, read_text, write_csv,
                  write_field_csv, write_json)
 from .pipeline import (domain_from_config, noise_from_config, run_concentration,
                        sde_params_from_config)
+from .pool import pool_size
 from .profile import compute_profile
-from .spde import ensemble_run, pool_size, sample_invariant
+from .spde import chain_chunks, ensemble_run, sample_invariant
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -205,7 +207,7 @@ def _cmd_mam(cfg, outdir, warnings, target_file=None, ladder=None):
     if ladder is None:
         ladder = cfg["action.ladder"]
     res = mam_minimize(d, zeta, nm, cfg["action.t0"], cfg["action.steps"],
-                       ladder=ladder, profile=prof)
+                       ladder=ladder, profile=prof, workers=cfg["workers"])
     write_json(outdir / "mam.json",
                dict(value=res.value, iterations=res.iterations,
                     converged=res.converged,
@@ -241,7 +243,19 @@ def _cmd_concentration(cfg, outdir, warnings, write_samples=True):
             write_csv(outdir / f"samples_eps{em.eps!r}.csv", _samples_csv_columns(em.samples))
 
 
-SAMPLERS = ("sde", "invariant", "ldp-tail", "concentration")   # the ones that use `workers`
+# The commands that use `workers`: the samplers spread their chain chunks
+# over the pool, `mam` its horizon rungs.
+SAMPLERS = ("sde", "invariant", "ldp-tail", "concentration")
+
+
+def _pool_tasks(command: str, cfg, ladder: int | None) -> int:
+    """Independent tasks `command` hands to `pool.fork_map`."""
+    if command in SAMPLERS:
+        return len(chain_chunks(cfg["n_chains"]))
+    if command == "mam":
+        return cfg["action.ladder"] if ladder is None else ladder
+    return 1
+
 
 COMMANDS = {
     "profile": _cmd_profile,
@@ -311,8 +325,8 @@ def run(argv: list[str]) -> int:
         return 1
     finally:
         if outdir is not None and cfg is not None:
-            workers = (pool_size(cfg["workers"], cfg["n_chains"])
-                       if args.command in SAMPLERS else 1)
+            workers = pool_size(cfg["workers"], _pool_tasks(
+                args.command, cfg, getattr(args, "t_ladder", None)))
             write_json(outdir / "manifest.json", dict(
                 command=args.command, config_hash=cfg.config_hash(),
                 version=__version__, wall_time_s=time.time() - started,

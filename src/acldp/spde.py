@@ -28,27 +28,26 @@ eps g0^2 / (2 lambda_k): 5.1 times it at mode 64 for dt = 1e-3, L = 2.
 
 Randomness comes from counter-based streams: one Philox generator per
 (master seed, chain id, mode id), so trajectories are bitwise reproducible.
-Ensembles run in fixed 32-chain chunks, serially or on a pool of forked
-processes (at most one per core), and are merged in chain order, so no
-result depends on the worker count.
+Ensembles run in fixed 32-chain chunks, serially or on the package's pool
+of forked processes (`pool.fork_map`, at most one per core), and are merged
+in chain order, so no result depends on the worker count.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .config import AUTO
 from .energy import energy_star_values, reaction_values
 from .errors import ConfigurationError, InstabilityError
 from .flow import BLOWUP_SUP, Path, relaxation_time, step_weights
 from .grid import (Boundary, Domain, Field, inverse_transform_values,
                    sobolev_norm_values, transform_values)
 from .noise import NoiseModel
+from .pool import fork_map
 from .profile import Profile, compute_profile
 
 _NOISE_BLOCK = 512          # steps of normals drawn per stream at a time
@@ -296,12 +295,10 @@ class EnsembleResult:
     g_min: float
 
 
-def pool_size(workers: int | str, n_chains: int) -> int:
-    """Processes an ensemble of n_chains runs on: `workers` ('auto' for one per
-    core), clamped to the number of chunks and to the core count."""
-    cores = os.cpu_count() or 1
-    n_chunks = -(-n_chains // _CHAIN_CHUNK)
-    return min(cores if workers == AUTO else workers, n_chunks, cores)
+def chain_chunks(n_chains: int) -> list[np.ndarray]:
+    """Chain ids 0 .. n_chains - 1 in fixed chunks of _CHAIN_CHUNK."""
+    return [np.arange(lo, min(lo + _CHAIN_CHUNK, n_chains))
+            for lo in range(0, n_chains, _CHAIN_CHUNK)]
 
 
 def _evolve_chunk(args, kwargs, chain_ids):
@@ -309,25 +306,12 @@ def _evolve_chunk(args, kwargs, chain_ids):
 
 
 def _run_chunks(n_chains: int, workers: int | str, *args, **kwargs) -> EnsembleResult:
-    """Run `_evolve_chains(*args, chain_ids=..., **kwargs)` over fixed-size
-    chunks of chain ids, serially or on `pool_size(workers, n_chains)` forked
-    processes, and merge the outputs in chain order.  The chunk size does not
-    depend on the worker count, so neither does any result.  An exception in
-    a chunk, a dead process included, is raised here."""
-    chunks = [np.arange(lo, min(lo + _CHAIN_CHUNK, n_chains))
-              for lo in range(0, n_chains, _CHAIN_CHUNK)]
-    work = functools.partial(_evolve_chunk, args, kwargs)
-    n_proc = pool_size(workers, n_chains)
-    if n_proc > 1:
-        # fork: children inherit the imported modules, so a chunk pays no
-        # re-import (spawn cost ~1 s per call) and callers need no __main__ guard
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_proc,
-                                 mp_context=multiprocessing.get_context("fork")) as ex:
-            parts = list(ex.map(work, chunks))
-    else:
-        parts = [work(ids) for ids in chunks]
+    """Run `_evolve_chains(*args, chain_ids=..., **kwargs)` over `chain_chunks`
+    through `pool.fork_map`, and merge the outputs in chain order.  The chunk
+    size does not depend on the worker count, so neither does any result.  An
+    exception in a chunk, a dead process included, is raised here."""
+    parts = fork_map(functools.partial(_evolve_chunk, args, kwargs),
+                     chain_chunks(n_chains), workers)
 
     def merged(key):
         return np.concatenate([q[key] for q in parts])

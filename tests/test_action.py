@@ -1,3 +1,8 @@
+import importlib
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -7,12 +12,15 @@ from acldp.action import (MAM_DT_FLOW, _action_core, _dense_operators,
                           interpolation_path, mam_minimize, minimize,
                           quasipotential_upper, reversed_flow_path)
 from acldp.energy import energy_star, reaction_values
-from acldp.errors import ConfigurationError
+from acldp.errors import ConfigurationError, InstabilityError
 from acldp.flow import Path, gradient_flow, skeleton_solve
 from acldp.grid import Boundary, Field, basis_eval, build_domain
 from acldp.noise import NoiseModel
 
 from .conftest import band_limited
+
+# the module, not the `action` function that the package re-exports under its name
+action_module = importlib.import_module("acldp.action")
 
 
 def equilibrium(d, prof):
@@ -335,6 +343,77 @@ class TestMinimization:
         with pytest.raises(ConfigurationError):
             mam_minimize(dom2_full, zeta, unit_noise, T=1.0, steps=10, init=bad,
                          profile=prof2_full)
+
+
+class TestRungPool:
+    """The ladder's rungs on forked processes (a box faked to 2 cores, so the
+    pool runs anywhere): bitwise the serial results, and failures surface."""
+
+    @staticmethod
+    def ladder_call(d, prof, nm, workers):
+        zeta = multi_mode_state(d, prof, [(1, -0.2), (2, 0.1)])
+        return mam_minimize(d, zeta, nm, T=3.0, steps=24, ladder=3, profile=prof,
+                            workers=workers)
+
+    def test_worker_count_changes_nothing(self, dom2_full, prof2_full, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for nm in (NoiseModel(kind="constant", g0=1.0),
+                   NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)):
+            serial = self.ladder_call(dom2_full, prof2_full, nm, 1)
+            pooled = self.ladder_call(dom2_full, prof2_full, nm, 2)
+            assert pooled.value.hex() == serial.value.hex()
+            assert np.array_equal(pooled.path.values, serial.path.values)
+            assert np.array_equal(pooled.residual_series, serial.residual_series)
+            assert pooled.info["ladder"] == serial.info["ladder"]
+            assert [r["T"] for r in pooled.info["ladder"]] == [3.0, 6.0, 12.0]
+            assert pooled.iterations == serial.iterations
+            assert pooled.converged == serial.converged
+
+    def test_instability_in_a_child_rung_is_raised(self, dom2_full, prof2_full,
+                                                   unit_noise, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        parent, real = os.getpid(), action_module.minimize
+
+        def minimize_or_blow_up(*args, **kwargs):
+            if os.getpid() != parent:
+                raise InstabilityError("rung blew up in a child")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(action_module, "minimize", minimize_or_blow_up)
+        with pytest.raises(InstabilityError, match="in a child"):
+            self.ladder_call(dom2_full, prof2_full, unit_noise, 2)
+
+    def test_dead_child_raises_and_does_not_hang(self, dom2_full, prof2_full, unit_noise,
+                                                 monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(action_module, "minimize", lambda *a, **k: os._exit(3))
+        raised = []
+
+        def call():
+            try:
+                self.ladder_call(dom2_full, prof2_full, unit_noise, 2)
+            except BrokenProcessPool as exc:
+                raised.append(exc)
+
+        t = threading.Thread(target=call, daemon=True)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert len(raised) == 1
+
+    def test_ladder_beyond_the_flow_budget_rejected(self, dom2_full, prof2_full,
+                                                    unit_noise, monkeypatch):
+        # ladder 40 from T = 6 asks for 6.6e13 reversed-flow frames; it must
+        # fail before the flow takes a step
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow stepped")
+
+        monkeypatch.setattr(action_module, "flow_states", no_flow)
+        zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.1)])
+        for ladder in (40, 10 ** 9):
+            with pytest.raises(ConfigurationError, match=f"ladder={ladder} .*frames"):
+                mam_minimize(dom2_full, zeta, unit_noise, T=6.0, steps=16,
+                             ladder=ladder, profile=prof2_full)
 
 
 class TestPreconditionedCoordinates:

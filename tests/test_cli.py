@@ -1,9 +1,11 @@
 import concurrent.futures
 import contextlib
+import importlib
 import io
 import json
 import os
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from acldp import pipeline
 from acldp.cli import COMMANDS, run
+from acldp.errors import InstabilityError
 from acldp.grid import Boundary, Field, build_domain
 from acldp.io import (load_schema, read_csv_columns, validate_against_schema,
                       write_field_csv, write_path_csv)
@@ -320,9 +323,32 @@ class TestExitCodeContract:
                 json.loads(written.read_text(), parse_constant=_reject_constant)
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool's executor with one that records its size and
+    runs the tasks inline, so no process starts; returns the sizes asked for."""
+    asked = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers, mp_context):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    return asked
+
+
 class TestMamCommand:
     @staticmethod
-    def run_mam(tmp_path, *sets):
+    def mam_args(tmp_path, out, ladder="1", *sets):
         d = build_domain(2.0, 63, 32)
         prof = compute_profile(d)
         from acldp.grid import basis_eval
@@ -330,14 +356,17 @@ class TestMamCommand:
                      Boundary.ZERO_DIRICHLET)
         zeta_csv = tmp_path / "zeta.csv"
         write_field_csv(zeta_csv, d, zeta)
-        out = tmp_path / "o"
-        args = ["mam", "--target", str(zeta_csv), "--T-ladder", "1",
+        args = ["mam", "--target", str(zeta_csv), "--T-ladder", ladder,
                 "--set", "n=63", "--set", "modes=32",
                 "--set", "action.t0=12.0", "--set", "action.steps=48",
                 "--out", str(out)]
         for kv in sets:
             args += ["--set", kv]
-        assert run(args) == 0
+        return args
+
+    def run_mam(self, tmp_path, *sets):
+        out = tmp_path / "o"
+        assert run(self.mam_args(tmp_path, out, "1", *sets)) == 0
         return json.loads((out / "mam.json").read_text())
 
     def test_minimizer_report(self, tmp_path):
@@ -362,6 +391,63 @@ class TestMamCommand:
         assert run(["mam", "--target", str(zeta_csv), "--T-ladder", "0",
                     "--set", "n=63", "--set", "modes=32", "--out", str(out)]) == 2
         assert "ladder" in capsys.readouterr().err
+        assert not (out / "mam.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
+
+    def test_worker_count_changes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)   # the rung pool runs on any box
+        written = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("ACLDP_WORKERS", workers)
+            out = tmp_path / f"w{workers}"
+            assert run(self.mam_args(tmp_path, out, "3", "action.t0=3.0",
+                                     "action.steps=24")) == 0
+            assert json.loads((out / "manifest.json").read_text())["workers"] == int(workers)
+            written.append((out / "mam.json").read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("ladder, processes", [("3", [2]), ("1", [])])
+    def test_rung_pool_size(self, tmp_path, monkeypatch, inline_pool, ladder, processes):
+        # workers = auto on a box faked to 2 cores: ladder 3 asks for 2
+        # processes, ladder 1 runs serially and builds no executor
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "o"
+        assert run(self.mam_args(tmp_path, out, ladder, "action.t0=3.0",
+                                 "action.steps=24")) == 0
+        assert inline_pool == processes
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["workers"] == max(processes, default=1)
+
+    def test_instability_in_a_child_rung_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        action_module = importlib.import_module("acldp.action")
+        parent, real = os.getpid(), action_module.minimize
+
+        def minimize_or_blow_up(*args, **kwargs):
+            if os.getpid() != parent:
+                raise InstabilityError("rung blew up in a child")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(action_module, "minimize", minimize_or_blow_up)
+        out = tmp_path / "o"
+        assert run(self.mam_args(tmp_path, out, "3", "action.t0=3.0",
+                                 "action.steps=24", "workers=2")) == 1
+        assert "rung blew up in a child" in capsys.readouterr().err
+        assert not (out / "mam.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["partial"] is True and manifest["workers"] == 2
+
+    @pytest.mark.parametrize("ladder, sets", [("60", ()), (None, ("action.ladder=40",))])
+    def test_unbounded_ladder_exits_2_at_once(self, tmp_path, capsys, ladder, sets):
+        # 6 * 2^59 time units of reversed flow: rejected before any step
+        out = tmp_path / "o"
+        args = self.mam_args(tmp_path, out, ladder or "1", *sets)
+        if ladder is None:
+            del args[3:5]                         # no --T-ladder: the config's ladder
+        started = time.perf_counter()
+        assert run(args) == 2
+        assert time.perf_counter() - started < 1.0
+        assert f"ladder={ladder or 40}" in capsys.readouterr().err
         assert not (out / "mam.json").exists()
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
@@ -417,32 +503,15 @@ class TestSdeAndInvariant:
         assert run(["invariant", "--config", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
 
-    def test_pool_never_exceeds_the_cores(self, tmp_path, monkeypatch):
+    def test_pool_never_exceeds_the_cores(self, tmp_path, monkeypatch, inline_pool):
         # 5 chunks of 32 chains and workers = 10**6 on a box faked to 3 cores;
-        # the executor is replaced by one that records its size and runs
-        # the chunks inline, so no process starts
-        asked = []
-
-        class InlineExecutor:
-            def __init__(self, max_workers, mp_context):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        # the executor runs the chunks inline, so no process starts
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setenv("ACLDP_WORKERS", str(10 ** 6))
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, out, n_chains="160", n_samples="160", burn_in="0.25")
         assert run(["invariant", "--config", str(cfg)]) == 0
-        assert asked == [3]
+        assert inline_pool == [3]
         assert json.loads((out / "manifest.json").read_text())["workers"] == 3
 
     def test_manifest_records_worker_processes(self, tmp_path, monkeypatch):
