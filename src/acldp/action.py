@@ -66,6 +66,11 @@ MAM_DT_FLOW = 5e-2
 # at n = 63.  A ladder whose longest horizon needs more frames is rejected
 # before the flow steps (`--T-ladder 40` would ask for 6.6e13).
 MAM_FLOW_BYTES = 2 ** 28
+# Bytes one rung's path may take: 2**24 (16 MiB), 33 288 nodes at n = 63.
+# A rung holds about 2 * LBFGS_PAIRS + 5 arrays of that size, and the rungs
+# run at once on the pool, so `action.steps = 10**9` (500 GB per path) is
+# rejected before the profile or the flow is computed.
+MAM_PATH_BYTES = 2 ** 24
 # L-BFGS memory: the number of (s, y) pairs the two-loop recursion keeps.
 LBFGS_PAIRS = 10
 
@@ -413,10 +418,16 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
     1.  The reversed flow, every start path and the dense operators are built
     first, so the children inherit them; results come back in rung order and
     are bitwise those of a serial run.  A ladder whose reversed flow would
-    exceed MAM_FLOW_BYTES is a ConfigurationError before anything steps.
+    exceed MAM_FLOW_BYTES, or a rung path of `steps` that would exceed
+    MAM_PATH_BYTES, is a ConfigurationError before anything is computed.
     """
     if zeta.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("target state must be zero-Dirichlet")
+    path_bytes = 8 * (steps + 1) * d.n
+    if path_bytes > MAM_PATH_BYTES:
+        raise ConfigurationError(
+            f"action.steps={steps} makes each rung path {steps + 1} x {d.n} floats "
+            f"({path_bytes} bytes), more than MAM_PATH_BYTES={MAM_PATH_BYTES}")
     if ladder < 1:
         raise ConfigurationError(f"ladder must have at least one rung, got {ladder}")
     n_built = ladder if init is None else ladder - 1   # rungs started from the construction

@@ -200,14 +200,13 @@ def _cmd_action(cfg, outdir, warnings, path_file=None):
 def _cmd_mam(cfg, outdir, warnings, target_file=None, ladder=None):
     d = domain_from_config(cfg)
     nm = noise_from_config(cfg)
-    prof = compute_profile(d)
     if target_file is None:
         raise ConfigurationError("mam needs --target zeta.csv")
     zeta = read_field_csv(target_file, d, Boundary.ZERO_DIRICHLET)
     if ladder is None:
         ladder = cfg["action.ladder"]
     res = mam_minimize(d, zeta, nm, cfg["action.t0"], cfg["action.steps"],
-                       ladder=ladder, profile=prof, workers=cfg["workers"])
+                       ladder=ladder, workers=cfg["workers"])
     write_json(outdir / "mam.json",
                dict(value=res.value, iterations=res.iterations,
                     converged=res.converged,

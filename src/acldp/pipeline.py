@@ -1,6 +1,6 @@
-"""Concentration experiment: profile -> per-eps invariant sampling ->
-tail probabilities at delta and 2*delta -> decay-rate fit, plus the
-Sobolev-ball tightness fractions from the same samples."""
+"""Concentration experiment: profile -> invariant sampling of every eps in
+one stacked call -> tail probabilities at delta and 2*delta -> decay-rate
+fit, plus the Sobolev-ball tightness fractions from the same samples."""
 
 from __future__ import annotations
 
@@ -75,15 +75,13 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationResult:
     prof = compute_profile(d)
     warnings: list[str] = []
 
-    measures = []
-    for eps in eps_list:
-        em = sample_invariant(d, nm, sde_params_from_config(cfg, eps),
-                              burn_in=cfg["burn_in"], n_samples=cfg["n_samples"],
-                              stride=cfg["stride"], n_chains=cfg["n_chains"], profile=prof,
-                              kstar=cfg["kstar"], pstar=cfg["pstar"],
-                              workers=cfg["workers"])
-        warnings.extend(f"eps={eps}: {w}" for w in em.warnings)
-        measures.append(em)
+    measures = sample_invariant(d, nm, [sde_params_from_config(cfg, eps) for eps in eps_list],
+                                burn_in=cfg["burn_in"], n_samples=cfg["n_samples"],
+                                stride=cfg["stride"], n_chains=cfg["n_chains"], profile=prof,
+                                kstar=cfg["kstar"], pstar=cfg["pstar"],
+                                workers=cfg["workers"])
+    for em in measures:
+        warnings.extend(f"eps={em.eps}: {w}" for w in em.warnings)
 
     delta = cfg["delta"] if cfg["delta"] != AUTO else choose_delta(measures)
     scaling = delta_scaling(measures, delta)

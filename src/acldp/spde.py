@@ -17,10 +17,11 @@ The drift weights (`flow.step_weights`) and the blow-up cap
 bitwise the flow.
 
 `_evolve_chains` is the one stepping loop behind `sde_run`, `ensemble_run`
-and `sample_invariant`.  It keeps observables at the sample steps and mode
-coefficients at the checkpoints, nothing else: `sde_run` rebuilds a kept
-path from per-step checkpoints and redraws the kept noise from the chain's
-own streams.
+and `sample_invariant`.  It advances a chunk of chains at one or more eps
+levels, its state shaped (levels, chains, ...).  It keeps observables at the
+sample steps and mode coefficients at the checkpoints, nothing else:
+`sde_run` rebuilds a kept path from per-step checkpoints and redraws the
+kept noise from the chain's own streams.
 
 The increment sqrt(dt) xi_k follows the exact decay, so under constant g0 mode
 k's stationary variance is eps g0^2 dt / (1 - e^{-2 lambda_k dt}), not the SPDE's
@@ -28,15 +29,21 @@ eps g0^2 / (2 lambda_k): 5.1 times it at mode 64 for dt = 1e-3, L = 2.
 
 Randomness comes from counter-based streams: one Philox generator per
 (master seed, chain id, mode id), so trajectories are bitwise reproducible.
-Ensembles run in fixed 32-chain chunks, serially or on the package's pool
-of forked processes (`pool.fork_map`, at most one per core), and are merged
-in chain order, so no result depends on the worker count.
+The streams do not depend on eps, so the eps levels of one concentration run
+share their normals (common random numbers): each step draws them once per
+chain and broadcasts them over the levels, which step together in one chunk.
+The noise scale is formed per level in the one-level float order, so every
+level is bitwise a run at that eps alone.  Ensembles run in fixed 32-chain
+chunks, serially or on the package's pool of forked processes
+(`pool.fork_map`, at most one per core), and are merged in chain order, so
+no result depends on the worker count.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -146,18 +153,26 @@ def _draw_block(gens, n_steps: int) -> np.ndarray:
     return out
 
 
-def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams,
-                   n_steps: int, sample_steps: np.ndarray, *,
+def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
+                   levels: tuple[SdeParams, ...], n_steps: int, sample_steps: np.ndarray, *,
                    profile: Profile, kstar: float, pstar: int,
                    chain_ids: np.ndarray, linear_hook: bool = False,
                    mode_checkpoints: tuple[int, ...] = ()) -> dict:
-    """Advance a batch of chains; the workhorse behind the public entry points."""
+    """Advance a batch of chains at every eps level of `levels` (SdeParams
+    that differ only in eps); the workhorse behind the public entry points.
+
+    State and outputs are (levels, chains, ...).  A chain's normals are
+    drawn once per step and shared by its levels, and each level's rows see
+    the arithmetic of a one-level run bit for bit."""
+    p = levels[0]
     n_chains = len(chain_ids)
+    shape = (len(levels), n_chains)
     nw = p.resolve_noise_modes(d)
     decay, phi1 = step_weights(d, p.dt)
     mshift = profile.shifted_values(d)
     sq_dt = np.sqrt(p.dt)
-    sq_eps = np.sqrt(p.eps)
+    sq_eps = np.sqrt([q.eps for q in levels])[:, None, None]
+    const_scale = sq_eps * nm.g0 * sq_dt          # per level, in the one-level float order
     lazy_state = linear_hook and nm.is_constant   # pure mode recursion
 
     sample_mask = np.zeros(n_steps + 1, dtype=bool)
@@ -165,25 +180,25 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
     snap_set = set(int(s) for s in mode_checkpoints)
 
     gens = _make_streams(p.seed, chain_ids, nw)
-    c = transform_values(d, np.broadcast_to(x_values, (n_chains, d.n)))
+    c = transform_values(d, np.broadcast_to(x_values, shape + (d.n,)))
     z = inverse_transform_values(d, c)
 
     n_samp = int(sample_mask.sum())
-    obs = {name: np.empty((n_chains, n_samp)) for name in
+    obs = {name: np.empty(shape + (n_samp,)) for name in
            ("sup_norm", "dist_sup", "energy_star", "sobolev_norm")}
     t_samples = np.empty(n_samp)
     mode_snaps: dict[int, np.ndarray] = {}
     sup_running = np.max(np.abs(z), axis=-1)
-    g_min = nm.g0 if nm.is_constant else np.inf
+    g_min = np.full(len(levels), nm.g0 if nm.is_constant else np.inf)
     si = 0
 
     def record(step: int, z_now: np.ndarray):
         nonlocal si
         t_samples[si] = step * p.dt
-        obs["sup_norm"][:, si] = np.max(np.abs(z_now), axis=-1)
-        obs["dist_sup"][:, si] = np.max(np.abs(z_now - mshift), axis=-1)
-        obs["energy_star"][:, si] = energy_star_values(d, z_now, profile)
-        obs["sobolev_norm"][:, si] = sobolev_norm_values(d, z_now, kstar, pstar)
+        obs["sup_norm"][..., si] = np.max(np.abs(z_now), axis=-1)
+        obs["dist_sup"][..., si] = np.max(np.abs(z_now - mshift), axis=-1)
+        obs["energy_star"][..., si] = energy_star_values(d, z_now, profile)
+        obs["sobolev_norm"][..., si] = sobolev_norm_values(d, z_now, kstar, pstar)
         si += 1
 
     if sample_mask[0]:
@@ -208,11 +223,11 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
             c_new = decay * c + phi1 * f_hat
 
         if nm.is_constant:
-            c_new[..., :nw] += sq_eps * nm.g0 * sq_dt * xi
+            c_new[..., :nw] += const_scale * xi
         else:
             w_phys = inverse_transform_values(d, sq_dt * xi)
             g_vals = nm.g(s * p.dt, z + d.psi)
-            g_min = min(g_min, float(np.min(g_vals)))
+            np.minimum(g_min, np.min(g_vals, axis=(1, 2)), out=g_min)
             c_new += sq_eps * transform_values(d, g_vals * w_phys)
         c = c_new
 
@@ -221,9 +236,10 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
             z = inverse_transform_values(d, c)
             sup_now = np.max(np.abs(z), axis=-1)
             if np.max(sup_now) > BLOWUP_SUP:
+                level = int(np.argmax(np.max(sup_now, axis=1) > BLOWUP_SUP))
                 raise InstabilityError(
                     f"stochastic integration blew up (sup > {BLOWUP_SUP}) at t={step * p.dt!r} "
-                    f"with eps={p.eps!r}, dt={p.dt!r}")
+                    f"with eps={levels[level].eps!r}, dt={p.dt!r}")
             np.maximum(sup_running, sup_now, out=sup_running)
             if sample_mask[step]:
                 record(step, z)
@@ -231,7 +247,7 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel, p: SdeParams
                 mode_snaps[step] = c.copy()
 
     return dict(t_samples=t_samples, obs=obs, final_values=z.copy(),
-                sup_running=sup_running, g_min=float(g_min),
+                sup_running=sup_running, g_min=g_min,
                 mode_snaps=mode_snaps, n_noise_modes=nw)
 
 
@@ -258,13 +274,13 @@ def sde_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float, *,
     n_steps = int(round(T / p.dt))
     sample_steps = np.unique(np.concatenate(
         [np.arange(0, n_steps + 1, record_every), [n_steps]]))
-    out = _evolve_chains(d, x.values, nm, p, n_steps, sample_steps,
+    out = _evolve_chains(d, x.values, nm, (p,), n_steps, sample_steps,
                          profile=profile, kstar=kstar, pstar=pstar,
                          chain_ids=np.array([chain]), linear_hook=linear_hook,
                          mode_checkpoints=tuple(range(n_steps + 1)) if keep_path else ())
     path = increments = None
     if keep_path:
-        path = Path(np.concatenate([inverse_transform_values(d, out["mode_snaps"][s])
+        path = Path(np.concatenate([inverse_transform_values(d, out["mode_snaps"][s][0])
                                     for s in range(n_steps + 1)]),
                     Boundary.ZERO_DIRICHLET, 0.0, p.dt)
     if keep_noise:
@@ -273,12 +289,12 @@ def sde_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float, *,
     return Trajectory(
         chain=chain, params=p, kstar=kstar, pstar=pstar,
         t=out["t_samples"],
-        sup_norm=out["obs"]["sup_norm"][0],
-        dist_sup=out["obs"]["dist_sup"][0],
-        energy_star=out["obs"]["energy_star"][0],
-        sobolev_norm=out["obs"]["sobolev_norm"][0],
-        g_min=out["g_min"],
-        final=Field(out["final_values"][0], Boundary.ZERO_DIRICHLET),
+        sup_norm=out["obs"]["sup_norm"][0, 0],
+        dist_sup=out["obs"]["dist_sup"][0, 0],
+        energy_star=out["obs"]["energy_star"][0, 0],
+        sobolev_norm=out["obs"]["sobolev_norm"][0, 0],
+        g_min=float(out["g_min"][0]),
+        final=Field(out["final_values"][0, 0], Boundary.ZERO_DIRICHLET),
         noise_seeds=dict(seed=p.seed, chain=chain, n_modes=out["n_noise_modes"]),
         path=path, noise_increments=increments, noise_model=nm)
 
@@ -305,24 +321,30 @@ def _evolve_chunk(args, kwargs, chain_ids):
     return _evolve_chains(*args, chain_ids=chain_ids, **kwargs)
 
 
-def _run_chunks(n_chains: int, workers: int | str, *args, **kwargs) -> EnsembleResult:
+def _run_chunks(n_chains: int, workers: int | str, *args, **kwargs) -> list[EnsembleResult]:
     """Run `_evolve_chains(*args, chain_ids=..., **kwargs)` over `chain_chunks`
-    through `pool.fork_map`, and merge the outputs in chain order.  The chunk
-    size does not depend on the worker count, so neither does any result.  An
-    exception in a chunk, a dead process included, is raised here."""
+    through `pool.fork_map`, and merge the outputs in chain order, one
+    EnsembleResult per eps level.  The chunk size does not depend on the
+    worker count, so neither does any result.  An exception in a chunk, a
+    dead process included, is raised here."""
     parts = fork_map(functools.partial(_evolve_chunk, args, kwargs),
                      chain_chunks(n_chains), workers)
 
-    def merged(key):
-        return np.concatenate([q[key] for q in parts])
+    def merged(arrays):       # (levels, chains, ...) chunks, joined on the chain axis
+        return np.concatenate(arrays, axis=1)
 
-    return EnsembleResult(
-        final_values=merged("final_values"), sup_running=merged("sup_running"),
-        mode_snaps={step: np.concatenate([q["mode_snaps"][step] for q in parts])
-                    for step in parts[0]["mode_snaps"]},
+    final_values = merged([q["final_values"] for q in parts])
+    sup_running = merged([q["sup_running"] for q in parts])
+    mode_snaps = {step: merged([q["mode_snaps"][step] for q in parts])
+                  for step in parts[0]["mode_snaps"]}
+    obs = {k: merged([q["obs"][k] for q in parts]) for k in parts[0]["obs"]}
+    g_min = np.min([q["g_min"] for q in parts], axis=0)
+    return [EnsembleResult(
+        final_values=final_values[lev], sup_running=sup_running[lev],
+        mode_snaps={step: snap[lev] for step, snap in mode_snaps.items()},
         t_samples=parts[0]["t_samples"],
-        obs={k: np.concatenate([q["obs"][k] for q in parts]) for k in parts[0]["obs"]},
-        g_min=min(q["g_min"] for q in parts))
+        obs={k: v[lev] for k, v in obs.items()},
+        g_min=float(g_min[lev])) for lev in range(len(g_min))]
 
 
 def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
@@ -350,9 +372,9 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
     profile = profile or compute_profile(d)
     sample_steps = sorted(set(by_step) | {n_steps})
     snaps = tuple(int(round(t / p.dt)) for t in mode_checkpoint_times)
-    return _run_chunks(n_chains, workers, d, x.values, nm, p, n_steps,
+    return _run_chunks(n_chains, workers, d, x.values, nm, (p,), n_steps,
                        np.asarray(sample_steps), profile=profile, kstar=kstar,
-                       pstar=pstar, linear_hook=linear_hook, mode_checkpoints=snaps)
+                       pstar=pstar, linear_hook=linear_hook, mode_checkpoints=snaps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -566,17 +588,29 @@ def factorization_identity_error(d: Domain, alpha: float, lam: float, t_eval: fl
 # invariant-measure sampling
 # ---------------------------------------------------------------------------
 
-def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams, burn_in: float,
-                     n_samples: int, stride: float, *, n_chains: int = 32,
-                     profile: Profile | None = None, kstar: float = 0.2,
-                     pstar: int = 8, workers: int | str = 1) -> EmpiricalMeasure:
+def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParams],
+                     burn_in: float, n_samples: int, stride: float, *, n_chains: int = 32,
+                     profile: Profile | None = None, kstar: float = 0.2, pstar: int = 8,
+                     workers: int | str = 1) -> EmpiricalMeasure | list[EmpiricalMeasure]:
     """Sample observables of the stationary state by time-striding an
     ensemble of chains started at z = 0 past a burn-in window.
 
-    Samples are pooled chain-major; pooled output is bitwise independent of
-    the worker count because chains are batched in fixed-size chunks with
-    per-chain noise streams.
+    `p` is one SdeParams, or a sequence of SdeParams that differ only in eps
+    (else ConfigurationError); a sequence gives one EmpiricalMeasure per
+    level, in its order.  A chain's noise streams do not depend on eps, so
+    the levels share their normals (common random numbers) and step together
+    in one chunk: each level's samples are bitwise those of a call with that
+    level alone.  Samples are pooled chain-major; pooled output is bitwise
+    independent of the worker count because chains are batched in
+    fixed-size chunks with per-chain noise streams.
     """
+    levels = (p,) if isinstance(p, SdeParams) else tuple(p)
+    if not levels:
+        raise ConfigurationError("sample_invariant needs at least one SdeParams")
+    for q in levels[1:]:
+        if replace(q, eps=levels[0].eps) != levels[0]:
+            raise ConfigurationError(
+                f"stacked eps levels must differ only in eps: {q} against {levels[0]}")
     if stride <= 0 or burn_in < 0:
         raise ConfigurationError(f"need stride > 0 and burn_in >= 0, got {stride}, {burn_in}")
     profile = profile or compute_profile(d)
@@ -589,24 +623,21 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams, burn_in: float,
     if undersampled:
         warnings.append(f"n_samples={n_samples} < 100: tail estimates will be unreliable")
 
+    dt = levels[0].dt
     per_chain = max(1, int(np.ceil(n_samples / n_chains)))
-    steps_burn = int(round(burn_in / p.dt))
-    steps_stride = max(1, int(round(stride / p.dt)))
+    steps_burn = int(round(burn_in / dt))
+    steps_stride = max(1, int(round(stride / dt)))
     n_steps = steps_burn + per_chain * steps_stride
     sample_steps = steps_burn + steps_stride * np.arange(1, per_chain + 1)
 
-    ens = _run_chunks(n_chains, workers, d, np.zeros(d.n), nm, p, n_steps,
-                      sample_steps, profile=profile, kstar=kstar, pstar=pstar)
-    samples = dict(
-        chain=np.repeat(np.arange(n_chains), per_chain).astype(float),
-        t=np.tile(ens.t_samples, n_chains),
-        sup_norm=ens.obs["sup_norm"].ravel(),
-        dist_sup=ens.obs["dist_sup"].ravel(),
-        energy_star=ens.obs["energy_star"].ravel(),
-        sobolev_norm=ens.obs["sobolev_norm"].ravel(),
-    )
-    return EmpiricalMeasure(
-        eps=p.eps, n_traj=n_chains, burn_in=burn_in, sample_stride=stride,
-        per_chain=per_chain, seed=p.seed, kstar=kstar, pstar=pstar,
-        g_min=ens.g_min, undersampled=undersampled,
-        warnings=warnings, samples=samples)
+    ensembles = _run_chunks(n_chains, workers, d, np.zeros(d.n), nm, levels, n_steps,
+                            sample_steps, profile=profile, kstar=kstar, pstar=pstar)
+    measures = [EmpiricalMeasure(
+        eps=q.eps, n_traj=n_chains, burn_in=burn_in, sample_stride=stride,
+        per_chain=per_chain, seed=q.seed, kstar=kstar, pstar=pstar,
+        g_min=ens.g_min, undersampled=undersampled, warnings=list(warnings),
+        samples=dict(chain=np.repeat(np.arange(n_chains), per_chain).astype(float),
+                     t=np.tile(ens.t_samples, n_chains),
+                     **{k: v.ravel() for k, v in ens.obs.items()}))
+        for q, ens in zip(levels, ensembles)]
+    return measures[0] if isinstance(p, SdeParams) else measures

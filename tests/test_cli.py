@@ -451,6 +451,17 @@ class TestMamCommand:
         assert not (out / "mam.json").exists()
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
+    def test_unbounded_steps_exits_2_at_once(self, tmp_path, capsys):
+        # 10**9 steps: 500 GB per rung path, rejected before anything is allocated
+        out = tmp_path / "o"
+        started = time.perf_counter()
+        assert run(self.mam_args(tmp_path, out, "1", "action.steps=1000000000")) == 2
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert "action.steps=1000000000" in err and "MAM_PATH_BYTES" in err
+        assert not (out / "mam.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
+
     def test_reversed_flow_blowup_exits_1(self, tmp_path, capsys):
         # sup |zeta| = 40 leaves the physical range on the flow's first step
         from acldp.grid import basis_eval
@@ -592,6 +603,40 @@ class TestConcentrationOutputs:
         cfg = write_cfg(tmp_path, tmp_path / "o", n_samples="97", n_chains="8")
         with pytest.raises(Sampled):                      # pools 13 x 8 = 104
             run(["concentration", "--config", str(cfg)])
+
+    def test_one_sampler_call_for_every_eps(self, tmp_path, monkeypatch):
+        calls = []
+        real = pipeline.sample_invariant
+
+        def counted(d, nm, p, *args, **kwargs):
+            calls.append([q.eps for q in p])
+            return real(d, nm, p, *args, **kwargs)
+        monkeypatch.setattr(pipeline, "sample_invariant", counted)
+        cfg = write_cfg(tmp_path, tmp_path / "o", eps="0.1, 0.2, 0.05")
+        assert run(["concentration", "--config", str(cfg)]) == 0
+        assert calls == [[0.2, 0.1, 0.05]]
+
+    def test_worker_count_changes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)    # the pool runs on any box
+        outs = {w: tmp_path / f"w{w}" for w in ("1", "2")}
+        cfg = write_cfg(tmp_path, outs["1"], n_chains="40", n_samples="120")  # 32 + 8
+        for workers, out in outs.items():
+            monkeypatch.setenv("ACLDP_WORKERS", workers)
+            assert run(["concentration", "--config", str(cfg), "--out", str(out)]) == 0
+        names = sorted(f.name for f in outs["1"].iterdir()
+                       if f.name not in ("manifest.json", "resolved.cfg"))
+        assert names == ["samples_eps0.05.csv", "samples_eps0.1.csv", "samples_eps0.2.csv",
+                         "tail_reports.json", "tails.csv"]
+        for name in names:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+    def test_blowup_of_one_level_exits_1_without_data(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, out, eps="40000.0, 0.1, 0.05", dt="0.05")
+        assert run(["concentration", "--config", str(cfg)]) == 1
+        assert "eps=40000.0" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "resolved.cfg"]
 
     def test_ldp_tail_variant(self, tmp_path):
         out = tmp_path / "o"

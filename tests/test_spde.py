@@ -340,6 +340,35 @@ class TestProcessPool:
                 assert ens.g_min == ref.g_min
             assert ref.final_values.shape == (40, sdom.n)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stacked_levels_equal_separate_calls(self, sdom, sprof, const_noise,
+                                                  monkeypatch, workers):
+        # 40 chains: chunks of 32 + 8, each stepping three eps levels together
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        kw = dict(burn_in=0.5, n_samples=80, stride=0.25, n_chains=40, profile=sprof)
+        levels = [SdeParams(eps=eps, dt=5e-3, modes_noise=16, seed=23)
+                  for eps in (0.2, 0.1, 0.05)]
+        state_dependent = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=1.0)
+        for nm in (const_noise, state_dependent):
+            stacked = sample_invariant(sdom, nm, levels, workers=workers, **kw)
+            assert [em.eps for em in stacked] == [0.2, 0.1, 0.05]
+            for p, em in zip(levels, stacked):
+                solo = sample_invariant(sdom, nm, p, workers=1, **kw)
+                assert em.samples.keys() == solo.samples.keys()
+                for key in solo.samples:
+                    assert np.array_equal(em.samples[key], solo.samples[key])
+                assert em.g_min == solo.g_min
+                assert em.warnings == solo.warnings
+
+    @pytest.mark.parametrize("change", [dict(dt=1e-2), dict(seed=24), dict(modes_noise=8),
+                                        dict(lam=0.5)])
+    def test_stacked_levels_differ_only_in_eps(self, sdom, sprof, const_noise, change):
+        p = SdeParams(eps=0.2, dt=5e-3, modes_noise=16, seed=23)
+        with pytest.raises(ConfigurationError, match="differ only in eps"):
+            sample_invariant(sdom, const_noise, [p, replace(p, eps=0.1, **change)],
+                             burn_in=0.5, n_samples=8, stride=0.25, n_chains=8,
+                             profile=sprof)
+
     def test_blowup_in_a_child_chunk_names_eps(self, sdom, sprof, const_noise, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)    # the pool runs on any box
         p = SdeParams(eps=4e4, dt=5e-2, modes_noise=16, seed=1)
@@ -384,6 +413,13 @@ class TestGuards:
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         with pytest.raises(InstabilityError, match="eps"):
             sde_run(sdom, x, const_noise, p, 5.0, profile=sprof)
+
+    def test_blowup_names_the_level_that_crossed(self, sdom, sprof, const_noise):
+        # the first level (eps = 0.1) stays bounded; only eps = 4e4 blows up
+        levels = [SdeParams(eps=eps, dt=5e-2, modes_noise=16, seed=1) for eps in (0.1, 4e4)]
+        with pytest.raises(InstabilityError, match=r"eps=40000\.0, dt=0\.05"):
+            sample_invariant(sdom, const_noise, levels, burn_in=5.0, n_samples=16,
+                             stride=0.5, n_chains=16, profile=sprof)
 
     @pytest.mark.parametrize("times", [(0.5,), (0.05, 0.5), (-0.02,)])
     def test_sample_time_outside_horizon_rejected(self, sdom, sprof, const_noise, times):
