@@ -7,14 +7,18 @@ __version__ = "0.1.0"
 
 from .action import ActionResult, action, action_gradient, interpolation_path, \
     mam_minimize, quasipotential_upper, reversed_flow_path
+from .diagnostics import (Replay, check_factorization_params, damped_remainder_path,
+                          decomposition_residual, factorization_constant,
+                          factorization_identity_error, record_replay,
+                          stochastic_convolution)
 from .energy import (EnergyReport, energy, energy_fd, energy_gradient,
                      energy_report, energy_star, proximity_check)
 from .errors import ConfigurationError, InstabilityError, NumericalError
 from .flow import FlowResult, Path, gradient_flow, relaxation_time, skeleton_solve
 from .grid import (Boundary, Domain, Field, add_psi, basis_eval, build_domain,
-                   h1_distance, inverse_spectral_transform, l2_inner,
-                   laplacian_apply, lp_norm, semigroup_apply, sobolev_norm,
-                   spectral_transform, subtract_psi, sup_norm)
+                   h1_distance, l2_inner, laplacian_apply, lp_norm,
+                   semigroup_apply, sobolev_norm, spectral_transform,
+                   subtract_psi, sup_norm)
 from .ldp import (DecayFit, TailEstimate, TailReport, build_tail_report,
                   decay_rate_fit, delta_scaling, tail_probability,
                   tightness_check, tightness_monotone, wilson_interval)
@@ -22,7 +26,4 @@ from .noise import NoiseModel
 from .profile import Profile, compute_profile, energy_formula, profile_energy, \
     solve_e_L, solve_profile, transit_integral
 from .spde import (EmpiricalMeasure, EnsembleResult, SdeParams, Trajectory,
-                   check_factorization_params, decomposition_residual,
-                   ensemble_run, factorization_constant,
-                   factorization_identity_error, factorized_convolution,
-                   sample_invariant, sde_run, stochastic_convolution)
+                   ensemble_run, sample_invariant, sde_run)

@@ -159,14 +159,6 @@ def spectral_transform(d: Domain, f: Field) -> np.ndarray:
     return transform_values(d, f.values)
 
 
-def inverse_spectral_transform(d: Domain, coeff: np.ndarray) -> Field:
-    """Field reconstructed from mode coefficients."""
-    coeff = np.asarray(coeff, dtype=float)
-    if coeff.shape != (d.modes,):
-        raise ConfigurationError(f"expected {d.modes} coefficients, got shape {coeff.shape}")
-    return Field(inverse_transform_values(d, coeff), Boundary.ZERO_DIRICHLET)
-
-
 def laplacian_apply(d: Domain, f: Field) -> Field:
     """Spectral zero-Dirichlet Laplacian (coefficients scaled by -lambda_k)."""
     c = spectral_transform(d, f)

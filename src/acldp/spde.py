@@ -1,5 +1,5 @@
-"""Stochastic integrator for the shifted double-well dynamics, stochastic
-convolution diagnostics, and invariant-measure sampling.
+"""Stochastic integrator for the shifted double-well dynamics and
+invariant-measure sampling.
 
 Time stepping is exponential Euler-Maruyama: mode coefficients are advanced
 by the exact semigroup factor e^{-lambda_k dt}, the cubic drift enters
@@ -19,9 +19,9 @@ bitwise the flow.
 `_evolve_chains` is the one stepping loop behind `sde_run`, `ensemble_run`
 and `sample_invariant`.  It advances a chunk of chains at one or more eps
 levels, its state shaped (levels, chains, ...).  It keeps observables at the
-sample steps and mode coefficients at the checkpoints, nothing else:
-`sde_run` rebuilds a kept path from per-step checkpoints and redraws the
-kept noise from the chain's own streams.
+sample steps and mode coefficients at the checkpoints, nothing else.  The
+replay diagnostics (`diagnostics.record_replay`) checkpoint every step to
+rebuild a chain's path.
 
 The increment sqrt(dt) xi_k follows the exact decay, so under constant g0 mode
 k's stationary variance is eps g0^2 dt / (1 - e^{-2 lambda_k dt}), not the SPDE's
@@ -46,11 +46,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .energy import energy_star_values, reaction_values
 from .errors import ConfigurationError, InstabilityError
-from .flow import BLOWUP_SUP, Path, relaxation_time, step_weights
+from .flow import BLOWUP_SUP, relaxation_time, step_weights
 from .grid import (Boundary, Domain, Field, inverse_transform_values,
                    sobolev_norm_values, transform_values)
 from .noise import NoiseModel
@@ -63,12 +62,11 @@ _CHAIN_CHUNK = 32           # chains per vectorized batch (fixed: worker-count i
 
 @dataclass(frozen=True)
 class SdeParams:
-    """Noise strength, step size, truncation, damping, and master seed."""
+    """Noise strength, step size, truncation, and master seed."""
 
     eps: float
     dt: float
     modes_noise: int = 0     # 0 means modes // 2, resolved against the domain
-    lam: float = 0.0         # damping for convolution diagnostics
     seed: int = 0
 
     def __post_init__(self):
@@ -78,8 +76,6 @@ class SdeParams:
             raise ConfigurationError(f"time step must be positive, got {self.dt}")
         if self.modes_noise < 0:
             raise ConfigurationError(f"modes_noise must be nonnegative, got {self.modes_noise}")
-        if self.lam < 0:
-            raise ConfigurationError(f"damping lam must be nonnegative, got {self.lam}")
 
     def resolve_noise_modes(self, d: Domain) -> int:
         nw = self.modes_noise if self.modes_noise > 0 else d.modes // 2
@@ -91,7 +87,7 @@ class SdeParams:
 
 @dataclass
 class Trajectory:
-    """One chain's observables, and optionally its full path and noise."""
+    """One chain's observables at its sample times and its final state."""
 
     chain: int
     params: SdeParams
@@ -105,9 +101,6 @@ class Trajectory:
     g_min: float
     final: Field
     noise_seeds: dict
-    path: Path | None = None
-    noise_increments: np.ndarray | None = None   # (steps, N_W) unscaled normals
-    noise_model: NoiseModel | None = None
 
 
 @dataclass
@@ -251,52 +244,39 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
                 mode_snaps=mode_snaps, n_noise_modes=nw)
 
 
+def horizon_steps(x: Field, T: float, dt: float) -> int:
+    """Steps of size dt over [0, T] from zero-Dirichlet x; at least one."""
+    if x.bc is not Boundary.ZERO_DIRICHLET:
+        raise ConfigurationError("initial data must be zero-Dirichlet (work with z = u - psi)")
+    n_steps = int(round(T / dt)) if T > 0 else 0
+    if n_steps < 1:
+        raise ConfigurationError(f"horizon must cover at least one step, got T={T} at dt={dt}")
+    return n_steps
+
+
 def sde_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float, *,
             profile: Profile | None = None, kstar: float = 0.2, pstar: int = 8,
-            record_every: int = 1, keep_path: bool = False,
-            keep_noise: bool = False, linear_hook: bool = False,
+            record_every: int = 1, linear_hook: bool = False,
             chain: int = 0) -> Trajectory:
     """Integrate one chain of the stochastic dynamics over [0, T].
 
     With eps = 0 the trajectory coincides bitwise with the noiseless flow.
     `linear_hook` switches the drift off so that each mode is an exact
     OU process (testing aid for the closed-form variance checks).
-    `keep_path` keeps every step's state, rebuilt from the chain's mode
-    coefficients checkpointed at every step; `keep_noise` keeps the unscaled
-    normals, redrawn from the chain's own streams (one draw of n_steps equals
-    the block-wise draws of the run).  Neither depends on `record_every`.
     """
-    if x.bc is not Boundary.ZERO_DIRICHLET:
-        raise ConfigurationError("initial data must be zero-Dirichlet (work with z = u - psi)")
-    if T <= 0:
-        raise ConfigurationError(f"horizon must be positive, got T={T}")
+    n_steps = horizon_steps(x, T, p.dt)
     profile = profile or compute_profile(d)
-    n_steps = int(round(T / p.dt))
     sample_steps = np.unique(np.concatenate(
         [np.arange(0, n_steps + 1, record_every), [n_steps]]))
     out = _evolve_chains(d, x.values, nm, (p,), n_steps, sample_steps,
                          profile=profile, kstar=kstar, pstar=pstar,
-                         chain_ids=np.array([chain]), linear_hook=linear_hook,
-                         mode_checkpoints=tuple(range(n_steps + 1)) if keep_path else ())
-    path = increments = None
-    if keep_path:
-        path = Path(np.concatenate([inverse_transform_values(d, out["mode_snaps"][s][0])
-                                    for s in range(n_steps + 1)]),
-                    Boundary.ZERO_DIRICHLET, 0.0, p.dt)
-    if keep_noise:
-        increments = _draw_block(_make_streams(p.seed, np.array([chain]),
-                                               out["n_noise_modes"]), n_steps)[0]
+                         chain_ids=np.array([chain]), linear_hook=linear_hook)
     return Trajectory(
         chain=chain, params=p, kstar=kstar, pstar=pstar,
-        t=out["t_samples"],
-        sup_norm=out["obs"]["sup_norm"][0, 0],
-        dist_sup=out["obs"]["dist_sup"][0, 0],
-        energy_star=out["obs"]["energy_star"][0, 0],
-        sobolev_norm=out["obs"]["sobolev_norm"][0, 0],
+        t=out["t_samples"], **{k: v[0, 0] for k, v in out["obs"].items()},
         g_min=float(out["g_min"][0]),
         final=Field(out["final_values"][0, 0], Boundary.ZERO_DIRICHLET),
-        noise_seeds=dict(seed=p.seed, chain=chain, n_modes=out["n_noise_modes"]),
-        path=path, noise_increments=increments, noise_model=nm)
+        noise_seeds=dict(seed=p.seed, chain=chain, n_modes=out["n_noise_modes"]))
 
 
 @dataclass
@@ -355,9 +335,9 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
                  workers: int | str = 1) -> EnsembleResult:
     """Run n_chains independent chains (streams keyed by chain id) in fixed-size
     vectorized batches; results are independent of the worker count.  A
-    sample or mode-checkpoint time outside [0, T], or two sample times that
-    round to the same step, raise ConfigurationError."""
-    n_steps = int(round(T / p.dt))
+    horizon shorter than half a step, a sample or mode-checkpoint time outside [0, T], or two
+    sample times that round to the same step, raise ConfigurationError."""
+    n_steps = horizon_steps(x, T, p.dt)
     for what, times in (("sample", sample_times), ("mode checkpoint", mode_checkpoint_times)):
         for t in times:
             if not 0 <= int(round(t / p.dt)) <= n_steps:
@@ -375,213 +355,6 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
     return _run_chunks(n_chains, workers, d, x.values, nm, (p,), n_steps,
                        np.asarray(sample_steps), profile=profile, kstar=kstar,
                        pstar=pstar, linear_hook=linear_hook, mode_checkpoints=snaps)[0]
-
-
-# ---------------------------------------------------------------------------
-# stochastic convolution and the damped auxiliary dynamics
-# ---------------------------------------------------------------------------
-
-def _require_replayable(traj: Trajectory, p: SdeParams | None) -> SdeParams:
-    """The parameters to replay traj with: traj.params, or p (for its damping
-    lam) when it keeps the trajectory's dt and eps."""
-    if traj.path is None or traj.noise_increments is None or traj.noise_model is None:
-        raise ConfigurationError(
-            "convolution replay needs a trajectory recorded with keep_path=True and "
-            "keep_noise=True")
-    if traj.path.values.shape[0] != traj.noise_increments.shape[0] + 1:
-        raise ConfigurationError("mismatched noise streams: path and increments disagree in length")
-    if traj.path.dt != traj.params.dt:
-        raise ConfigurationError("mismatched noise streams: path recorded at a coarser step")
-    p = p or traj.params
-    if p.dt != traj.params.dt or p.eps != traj.params.eps:
-        raise ConfigurationError(
-            f"replay with dt={p.dt!r}, eps={p.eps!r} does not match the trajectory's "
-            f"dt={traj.params.dt!r}, eps={traj.params.eps!r}")
-    return p
-
-
-def stochastic_convolution(d: Domain, traj: Trajectory, p: SdeParams | None = None) -> Trajectory:
-    """Damped convolution gamma_lam accumulated with the trajectory's own
-    noise increments and state-adapted intensity.
-
-    gamma(t) solves the exponential-Euler recursion
-    gamma <- e^{-(lambda_k + lam) dt} gamma + Proj[g(t, z+psi) dW]; note the
-    sqrt(eps) factor is *not* included (it multiplies gamma in the
-    decomposition z = Y_lam + sqrt(eps) gamma_lam).
-    """
-    p = _require_replayable(traj, p)
-    nm = traj.noise_model
-    decay = np.exp(-(d.lambda_k + p.lam) * p.dt)
-    sq_dt = np.sqrt(p.dt)
-    n_steps = traj.noise_increments.shape[0]
-
-    gamma = np.zeros(d.modes)
-    frames = np.zeros((n_steps + 1, d.n))
-    g_min = np.inf
-    for s in range(n_steps):
-        z = traj.path.values[s]
-        w_phys = inverse_transform_values(d, sq_dt * traj.noise_increments[s])
-        g_vals = nm.g(s * p.dt, z + d.psi)
-        g_min = min(g_min, float(np.min(g_vals)))
-        gamma = decay * gamma + transform_values(d, g_vals * w_phys)
-        frames[s + 1] = inverse_transform_values(d, gamma)
-
-    profile = compute_profile(d)
-    return Trajectory(
-        chain=traj.chain, params=p, kstar=traj.kstar, pstar=traj.pstar,
-        t=np.arange(n_steps + 1) * p.dt, sup_norm=np.max(np.abs(frames), axis=-1),
-        dist_sup=np.max(np.abs(frames - profile.shifted_values(d)), axis=-1),
-        energy_star=energy_star_values(d, frames, profile),
-        sobolev_norm=sobolev_norm_values(d, frames, traj.kstar, traj.pstar),
-        g_min=float(g_min),
-        final=Field(frames[-1], Boundary.ZERO_DIRICHLET),
-        noise_seeds=traj.noise_seeds,
-        path=Path(frames, Boundary.ZERO_DIRICHLET, 0.0, p.dt),
-        noise_increments=traj.noise_increments, noise_model=nm)
-
-
-def damped_remainder_path(d: Domain, traj: Trajectory, p: SdeParams | None = None) -> Path:
-    """Y_lam re-solved from dY/dt = (Laplacian - lam) Y + F(z) + lam z along the
-    recorded trajectory z; z = Y_lam + sqrt(eps) gamma_lam up to O(dt)."""
-    p = _require_replayable(traj, p)
-    mu = d.lambda_k + p.lam
-    decay = np.exp(-mu * p.dt)
-    phi1 = (1.0 - decay) / mu
-    n_steps = traj.path.values.shape[0] - 1
-
-    y = np.zeros(d.modes)
-    frames = np.zeros((n_steps + 1, d.n))
-    for s in range(n_steps):
-        z = traj.path.values[s]
-        drift = reaction_values(d, z) + p.lam * z
-        y = decay * y + phi1 * transform_values(d, drift)
-        frames[s + 1] = inverse_transform_values(d, y)
-    return Path(frames, Boundary.ZERO_DIRICHLET, 0.0, p.dt)
-
-
-def decomposition_residual(d: Domain, traj: Trajectory, p: SdeParams | None = None) -> float:
-    """max_t sup-norm error of z = Y_lam + sqrt(eps) gamma_lam (O(dt) check)."""
-    p = p or traj.params
-    gamma = stochastic_convolution(d, traj, p)
-    y = damped_remainder_path(d, traj, p)
-    recon = y.values + np.sqrt(p.eps) * gamma.path.values
-    return float(np.max(np.abs(traj.path.values - recon)))
-
-
-# ---------------------------------------------------------------------------
-# factorization of the stochastic convolution
-# ---------------------------------------------------------------------------
-
-def check_factorization_params(alpha: float, kstar: float, pstar: int) -> None:
-    """Guard the exponent bookkeeping of the factorization method."""
-    if not 0.0 < alpha < 0.25:
-        raise ConfigurationError(f"factorization exponent must satisfy 0 < alpha < 1/4, got {alpha}")
-    lhs = (alpha - 1.0 - kstar / 2.0) * pstar / (pstar - 1.0)
-    if not lhs > -1.0:
-        raise ConfigurationError(
-            "temporal kernel not integrable: need (alpha - 1 - kstar/2) * pstar/(pstar-1) > -1, "
-            f"got {lhs} with alpha={alpha}, kstar={kstar}, pstar={pstar}")
-
-
-def factorization_constant(alpha: float) -> float:
-    """C_alpha = sin(pi alpha) / pi, the reciprocal of the beta-kernel mass."""
-    return float(np.sin(np.pi * alpha) / np.pi)
-
-
-def factorized_convolution(d: Domain, p: SdeParams, alpha: float, *,
-                           T: float, kstar: float = 0.2, pstar: int = 8,
-                           intensity: float = 1.0, chain: int = 0) -> Trajectory:
-    """Simulate Gamma^alpha by stochastic quadrature with frozen scalar
-    intensity, then reconstruct the damped convolution through the
-    deterministic fractional integral.
-
-    The returned trajectory carries the reconstructed gamma as its path and
-    sup_t ||Gamma^alpha||_{L^{p*}} in `sobolev_norm` (the factorization
-    observable); `sup_norm` tracks gamma itself.
-    """
-    check_factorization_params(alpha, kstar, pstar)
-    nw = p.resolve_noise_modes(d)
-    n_steps = int(round(T / p.dt))
-    if n_steps < 2:
-        raise ConfigurationError("factorized convolution needs at least two steps")
-    dt = p.dt
-    mu = d.lambda_k + p.lam                      # (modes,)
-    gens = _make_streams(p.seed, np.array([chain]), nw)
-    dw = intensity * np.sqrt(dt) * _draw_block(gens, n_steps)[0]   # (n_steps, nw)
-
-    t_nodes = np.arange(n_steps + 1) * dt
-    # Gamma^alpha(s_m) = sum_{j<m} (s_m - r_j)^{-alpha} e^{-mu (s_m - r_j)} G dW_j
-    gamma_mid = np.zeros((n_steps + 1, d.modes))
-    for m_idx in range(1, n_steps + 1):
-        s_m = t_nodes[m_idx]
-        lagt = s_m - t_nodes[:m_idx]             # (m,)
-        ker = lagt[:, None] ** (-alpha) * np.exp(-np.outer(lagt, mu[:nw]))
-        gamma_mid[m_idx, :nw] = np.sum(ker * dw[:m_idx], axis=0)
-
-    gamma_phys = inverse_transform_values(d, gamma_mid)
-    gamma_lp = (d.h * np.sum(np.abs(gamma_phys) ** pstar, axis=-1)) ** (1.0 / pstar)
-
-    # gamma(t_m) = C_alpha * int_0^{t_m} (t_m - s)^{alpha-1} e^{-mu (t_m - s)} Gamma(s) ds,
-    # with the algebraic factor integrated exactly per subinterval and the
-    # smooth factor at the midpoint average.
-    c_alpha = factorization_constant(alpha)
-    conv = np.zeros((n_steps + 1, d.modes))
-    for m_idx in range(1, n_steps + 1):
-        t_m = t_nodes[m_idx]
-        left = t_m - t_nodes[:m_idx]
-        right = t_m - t_nodes[1:m_idx + 1]
-        w_alg = (left ** alpha - right ** alpha) / alpha
-        mid_lag = 0.5 * (left + right)
-        smooth = np.exp(-np.outer(mid_lag, mu)) * 0.5 * (gamma_mid[:m_idx] + gamma_mid[1:m_idx + 1])
-        conv[m_idx] = c_alpha * np.sum(w_alg[:, None] * smooth, axis=0)
-
-    frames = inverse_transform_values(d, conv)
-    profile = compute_profile(d)
-    return Trajectory(
-        chain=chain, params=p, kstar=kstar, pstar=pstar, t=t_nodes,
-        sup_norm=np.max(np.abs(frames), axis=-1),
-        dist_sup=np.max(np.abs(frames - profile.shifted_values(d)), axis=-1),
-        energy_star=energy_star_values(d, frames, profile),
-        sobolev_norm=gamma_lp,
-        g_min=float(intensity),
-        final=Field(frames[-1], Boundary.ZERO_DIRICHLET),
-        noise_seeds=dict(seed=p.seed, chain=chain, n_modes=nw),
-        path=Path(frames, Boundary.ZERO_DIRICHLET, 0.0, dt))
-
-
-def factorization_identity_error(d: Domain, alpha: float, lam: float, t_eval: float,
-                                 n_modes: int = 8, omega: float = 3.0) -> float:
-    """Deterministic factorization check: replace dW by h(s) ds with smooth
-    per-mode h_k(s) = cos(omega s) and compare the factorized reconstruction
-    against the direct damped convolution, mode by mode, using adaptive
-    quadrature with algebraic endpoint weights.  Returns the l2-relative
-    reconstruction error over the first n_modes modes.
-    """
-    check_factorization_params(alpha, 0.2, 8)
-    c_alpha = factorization_constant(alpha)
-    mu_all = d.lambda_k[:n_modes] + lam
-    h = lambda s: np.cos(omega * s)
-
-    direct = np.empty(n_modes)
-    fact = np.empty(n_modes)
-    for i, mu in enumerate(mu_all):
-        direct[i] = quad(lambda s: np.exp(-mu * (t_eval - s)) * h(s), 0.0, t_eval,
-                         epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-
-        def gamma_stage(s: float) -> float:
-            if s <= 0:
-                return 0.0
-            val, _ = quad(lambda r: np.exp(-mu * (s - r)) * h(r), 0.0, s,
-                          weight="alg", wvar=(0.0, -alpha), epsabs=1e-11,
-                          epsrel=1e-11, limit=200)
-            return val
-
-        outer, _ = quad(lambda s: np.exp(-mu * (t_eval - s)) * gamma_stage(s),
-                        0.0, t_eval, weight="alg", wvar=(0.0, alpha - 1.0),
-                        epsabs=1e-10, epsrel=1e-10, limit=200)
-        fact[i] = c_alpha * outer
-
-    return float(np.linalg.norm(fact - direct) / np.linalg.norm(direct))
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +386,8 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
                 f"stacked eps levels must differ only in eps: {q} against {levels[0]}")
     if stride <= 0 or burn_in < 0:
         raise ConfigurationError(f"need stride > 0 and burn_in >= 0, got {stride}, {burn_in}")
+    if n_chains < 1:
+        raise ConfigurationError(f"need at least one chain, got n_chains={n_chains}")
     profile = profile or compute_profile(d)
     warnings: list[str] = []
     t_relax = relaxation_time(d, profile=profile)

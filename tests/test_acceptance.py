@@ -17,6 +17,7 @@ import pytest
 from acldp.action import action_gradient, mam_minimize
 from acldp.config import default_config
 from acldp.energy import energy_gradient, energy_star
+from acldp.diagnostics import check_factorization_params, factorization_identity_error
 from acldp.errors import ConfigurationError
 from acldp.flow import Path, gradient_flow
 from acldp.grid import (Boundary, Field, basis_eval, build_domain, h1_distance,
@@ -25,8 +26,7 @@ from acldp.ldp import tightness_monotone
 from acldp.noise import NoiseModel
 from acldp.pipeline import run_concentration
 from acldp.profile import compute_profile, energy_formula, solve_e_L
-from acldp.spde import (SdeParams, check_factorization_params, ensemble_run,
-                        factorization_identity_error)
+from acldp.spde import SdeParams, ensemble_run
 
 from .conftest import band_limited
 

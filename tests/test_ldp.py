@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acldp.diagnostics import record_replay
 from acldp.errors import ConfigurationError
 from acldp.grid import build_domain
 from acldp.ldp import (TailEstimate, build_tail_report, decay_rate_fit,
@@ -10,7 +11,7 @@ from acldp.ldp import (TailEstimate, build_tail_report, decay_rate_fit,
                        tightness_monotone, wilson_interval)
 from acldp.noise import NoiseModel
 from acldp.profile import compute_profile
-from acldp.spde import EmpiricalMeasure, SdeParams, sample_invariant, sde_run
+from acldp.spde import EmpiricalMeasure, SdeParams, sample_invariant
 
 
 def synthetic_measure(eps, dist_values, sobolev_values=None, kstar=0.2, pstar=8):
@@ -145,10 +146,10 @@ class TestShiftConsistency:
         nm = NoiseModel(kind="constant", g0=1.0)
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=17)
         from acldp.grid import Boundary, Field
-        traj = sde_run(d, Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET), nm, p,
-                       0.5, profile=prof, keep_path=True)
+        rec = record_replay(d, Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET), nm, p,
+                            0.5, profile=prof)
         # stats on ubar against m - psi == stats on u = ubar + psi against m
-        z = traj.path.values
+        z = rec.path.values
         lhs = np.max(np.abs(z - (prof.m.values - d.psi)), axis=-1)
         rhs = np.max(np.abs((z + d.psi) - prof.m.values), axis=-1)
         assert np.max(np.abs(lhs - rhs)) < 1e-12

@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from acldp.diagnostics import (check_factorization_params, damped_remainder_path,
+                               decomposition_residual, factorization_constant,
+                               factorization_identity_error, record_replay,
+                               stochastic_convolution)
+from acldp.energy import reaction_values
 from acldp.errors import ConfigurationError, InstabilityError
 from acldp.flow import gradient_flow
-from acldp.grid import Boundary, Field, build_domain, transform_values
+from acldp.grid import (Boundary, Field, build_domain, inverse_transform_values,
+                        transform_values)
 from acldp.noise import NoiseModel
 from acldp.profile import compute_profile
 from acldp import spde
-from acldp.spde import (SdeParams, check_factorization_params,
-                        decomposition_residual, ensemble_run,
-                        factorization_constant, factorization_identity_error,
-                        factorized_convolution, sample_invariant, sde_run,
-                        stochastic_convolution)
+from acldp.spde import SdeParams, ensemble_run, sample_invariant, sde_run
 
 from .conftest import band_limited
 
@@ -109,24 +111,29 @@ class TestWeakOrder:
 
 
 class TestConvolution:
-    def _replay_traj(self, sdom, sprof, nm, seed, T=0.4, dt=2e-3, eps=0.05, lam=1.0):
-        p = SdeParams(eps=eps, dt=dt, modes_noise=16, lam=lam, seed=seed)
+    def _record(self, sdom, sprof, nm, seed, T=0.4, dt=2e-3, eps=0.05):
+        p = SdeParams(eps=eps, dt=dt, modes_noise=16, seed=seed)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        return sde_run(sdom, x, nm, p, T, profile=sprof, keep_path=True,
-                       keep_noise=True), p
+        return record_replay(sdom, x, nm, p, T, profile=sprof)
 
     def test_zero_increments_give_zero(self, sdom, sprof, const_noise):
-        traj, p = self._replay_traj(sdom, sprof, const_noise, seed=1)
-        traj.noise_increments = np.zeros_like(traj.noise_increments)
-        gamma = stochastic_convolution(sdom, traj, p)
-        assert np.max(np.abs(gamma.path.values)) == 0.0
+        rec = self._record(sdom, sprof, const_noise, seed=1)
+        rec = replace(rec, noise_increments=np.zeros_like(rec.noise_increments))
+        gamma = stochastic_convolution(sdom, rec, 1.0)
+        assert np.max(np.abs(gamma.values)) == 0.0
 
     def test_replay_needs_recording(self, sdom, sprof, const_noise):
         p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         bare = sde_run(sdom, x, const_noise, p, 0.1, profile=sprof)
-        with pytest.raises(ConfigurationError):
-            stochastic_convolution(sdom, bare, p)
+        with pytest.raises(ConfigurationError, match="record_replay"):
+            stochastic_convolution(sdom, bare, 1.0)
+
+    def test_negative_damping_rejected(self, sdom, sprof, const_noise):
+        rec = self._record(sdom, sprof, const_noise, seed=3, T=0.1)
+        for replay in (stochastic_convolution, damped_remainder_path, decomposition_residual):
+            with pytest.raises(ConfigurationError, match="damping lam"):
+                replay(sdom, rec, -0.5)
 
     def test_split_draws_equal_one_draw(self):
         one = spde._draw_block(spde._make_streams(5, np.array([0, 3]), 4), 650)
@@ -140,32 +147,47 @@ class TestConvolution:
         # over 650 steps (past one 512-step block of draws)
         p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=41)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        traj = sde_run(sdom, x, const_noise, p, 1.3, profile=sprof, record_every=50,
-                       keep_path=True, keep_noise=True, linear_hook=True)
-        c = transform_values(sdom, traj.path.values)
+        rec = record_replay(sdom, x, const_noise, p, 1.3, profile=sprof, linear_hook=True)
+        c = transform_values(sdom, rec.path.values)
         decay = np.exp(-sdom.lambda_k * p.dt)
         xi = (c[1:] - decay * c[:-1])[:, :16] / np.sqrt(p.eps * p.dt)
-        assert traj.noise_increments.shape == (650, 16)
-        assert np.max(np.abs(xi - traj.noise_increments)) < 1e-9
-
-    def test_replay_rejects_another_step_or_strength(self, sdom, sprof, const_noise):
-        traj, p = self._replay_traj(sdom, sprof, const_noise, seed=77)
-        for other in (replace(p, dt=4e-3), replace(p, eps=0.1)):
-            for replay in (stochastic_convolution, decomposition_residual):
-                with pytest.raises(ConfigurationError, match="does not match"):
-                    replay(sdom, traj, other)
-        # the damping is the replay's own
-        assert decomposition_residual(sdom, traj, replace(p, lam=3.0)) < 0.05
+        assert rec.noise_increments.shape == (650, 16)
+        assert np.max(np.abs(xi - rec.noise_increments)) < 1e-9
 
     def test_replay_is_independent_of_record_every(self, sdom, sprof, const_noise):
-        fine, p = self._replay_traj(sdom, sprof, const_noise, seed=77)
-        coarse = sde_run(sdom, Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET),
-                         const_noise, p, 0.4, profile=sprof, record_every=5,
-                         keep_path=True, keep_noise=True)
-        assert len(coarse.t) < len(fine.t)
-        assert coarse.path.values.tobytes() == fine.path.values.tobytes()
-        assert coarse.noise_increments.tobytes() == fine.noise_increments.tobytes()
-        assert decomposition_residual(sdom, coarse, p) == decomposition_residual(sdom, fine, p)
+        # the record is sde_run's chain, whichever steps sde_run samples
+        rec = self._record(sdom, sprof, const_noise, seed=77)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        for every in (1, 5):
+            traj = sde_run(sdom, x, const_noise, rec.params, 0.4, profile=sprof,
+                           record_every=every)
+            kept = rec.path.values[::every]
+            assert np.max(np.abs(kept), axis=-1).tobytes() == traj.sup_norm.tobytes()
+            assert kept[-1].tobytes() == traj.final.values.tobytes()
+        # the damping is the replay's own
+        assert decomposition_residual(sdom, rec, 3.0) < 0.05
+
+    @pytest.mark.parametrize("kind", ["constant", "smooth_bounded_below"])
+    def test_folded_recurrence_matches_per_step_loops(self, sdom, sprof, kind):
+        # the per-step exponential-Euler loops the replay folds into one
+        # stacked forcing transform and a mode-vector recurrence
+        nm = NoiseModel(kind=kind, g0=0.5, c=1.0)
+        rec = self._record(sdom, sprof, nm, seed=6, T=0.3)
+        lam, p, path = 1.5, rec.params, rec.path.values
+        mu = sdom.lambda_k + lam
+        decay = np.exp(-mu * p.dt)
+        phi1 = (1.0 - decay) / mu
+        gamma, y = np.zeros(sdom.modes), np.zeros(sdom.modes)
+        gamma_frames, y_frames = np.zeros_like(path), np.zeros_like(path)
+        for s in range(len(path) - 1):
+            z = path[s]
+            w_phys = inverse_transform_values(sdom, np.sqrt(p.dt) * rec.noise_increments[s])
+            gamma = decay * gamma + transform_values(sdom, nm.g(s * p.dt, z + sdom.psi) * w_phys)
+            gamma_frames[s + 1] = inverse_transform_values(sdom, gamma)
+            y = decay * y + phi1 * transform_values(sdom, reaction_values(sdom, z) + lam * z)
+            y_frames[s + 1] = inverse_transform_values(sdom, y)
+        assert np.array_equal(stochastic_convolution(sdom, rec, lam).values, gamma_frames)
+        assert np.array_equal(damped_remainder_path(sdom, rec, lam).values, y_frames)
 
     def test_frozen_intensity_mode_variance(self, sdom, sprof, const_noise):
         # G == 1: Var gamma_k(t) = (1 - e^{-2(lambda_k+lam)t}) / (2(lambda_k+lam))
@@ -173,10 +195,9 @@ class TestConvolution:
         n_rep = 300
         finals = np.empty((n_rep, sdom.modes))
         for r in range(n_rep):
-            traj, p = self._replay_traj(sdom, sprof, const_noise, seed=1000 + r,
-                                        T=T, dt=dt, lam=lam)
-            gamma = stochastic_convolution(sdom, traj, p)
-            finals[r] = transform_values(sdom, gamma.path.values[-1])
+            rec = self._record(sdom, sprof, const_noise, seed=1000 + r, T=T, dt=dt)
+            gamma = stochastic_convolution(sdom, rec, lam)
+            finals[r] = transform_values(sdom, gamma.values[-1])
         band = 3.0 * np.sqrt(2.0 / (n_rep - 1))
         for k in (1, 2, 4):
             mu = sdom.lambda_k[k - 1] + lam
@@ -187,17 +208,15 @@ class TestConvolution:
     def test_decomposition_identity_first_order(self, sdom, sprof, const_noise):
         errs = []
         for dt in (4e-3, 2e-3):
-            traj, p = self._replay_traj(sdom, sprof, const_noise, seed=77,
-                                        T=0.4, dt=dt)
-            errs.append(decomposition_residual(sdom, traj, p))
+            rec = self._record(sdom, sprof, const_noise, seed=77, T=0.4, dt=dt)
+            errs.append(decomposition_residual(sdom, rec, 1.0))
         assert errs[1] < errs[0]
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.6)
 
     def test_decomposition_with_state_dependent_intensity(self, sdom, sprof):
         nm = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=1.0)
-        traj, p = self._replay_traj(sdom, sprof, nm, seed=4, T=0.3, dt=2e-3)
-        assert traj.g_min >= nm.g0 - 1e-12
-        assert decomposition_residual(sdom, traj, p) < 0.05
+        rec = self._record(sdom, sprof, nm, seed=4, T=0.3, dt=2e-3)
+        assert decomposition_residual(sdom, rec, 1.0) < 0.05
 
 
 class TestFactorization:
@@ -226,27 +245,6 @@ class TestFactorization:
     def test_deterministic_reconstruction(self, sdom):
         err = factorization_identity_error(sdom, alpha=0.24, lam=1.0, t_eval=0.7)
         assert err < 1e-3
-
-    def test_stochastic_factorized_smoke(self, sdom):
-        p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, lam=1.0, seed=11)
-        traj = factorized_convolution(sdom, p, 0.24, T=0.5)
-        assert np.all(np.isfinite(traj.path.values))
-        assert np.all(np.isfinite(traj.sobolev_norm))       # sup ||Gamma|| observable
-        assert traj.sobolev_norm[0] == 0.0
-        assert traj.sobolev_norm[1:].max() > 0.0
-
-    def test_factorized_tracks_direct_convolution(self, sdom, sprof, const_noise):
-        # same seed, same increments: the factorized reconstruction should sit
-        # near the stepping construction of gamma (both O(dt)-accurate)
-        p = SdeParams(eps=0.1, dt=2e-3, modes_noise=16, lam=1.0, seed=21)
-        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        traj = sde_run(sdom, x, const_noise, p, 0.4, profile=sprof,
-                       keep_path=True, keep_noise=True, linear_hook=True)
-        direct = stochastic_convolution(sdom, traj, p)
-        fact = factorized_convolution(sdom, p, 0.24, T=0.4)
-        ref = np.max(np.abs(direct.path.values))
-        gap = np.max(np.abs(direct.path.values[-1] - fact.path.values[-1]))
-        assert gap < 0.25 * ref
 
 
 class TestInvariantSampling:
@@ -360,8 +358,7 @@ class TestProcessPool:
                 assert em.g_min == solo.g_min
                 assert em.warnings == solo.warnings
 
-    @pytest.mark.parametrize("change", [dict(dt=1e-2), dict(seed=24), dict(modes_noise=8),
-                                        dict(lam=0.5)])
+    @pytest.mark.parametrize("change", [dict(dt=1e-2), dict(seed=24), dict(modes_noise=8)])
     def test_stacked_levels_differ_only_in_eps(self, sdom, sprof, const_noise, change):
         p = SdeParams(eps=0.2, dt=5e-3, modes_noise=16, seed=23)
         with pytest.raises(ConfigurationError, match="differ only in eps"):
@@ -451,6 +448,19 @@ class TestGuards:
                            sample_times=(0.0, 0.1), mode_checkpoint_times=(0.0, 0.1))
         assert np.allclose(ens.t_samples, [0.0, 0.1])
         assert sorted(ens.mode_snaps) == [0, 10]
+
+    @pytest.mark.parametrize("T", [0.0, -0.1, 0.004])
+    def test_ensemble_horizon_must_cover_a_step(self, sdom, sprof, const_noise, T):
+        p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        with pytest.raises(ConfigurationError, match=rf"at least one step, got T={T} at dt=0\.01"):
+            ensemble_run(sdom, x, const_noise, p, T, n_chains=2, profile=sprof)
+
+    def test_sample_invariant_needs_a_chain(self, sdom, sprof, const_noise):
+        p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
+        with pytest.raises(ConfigurationError, match="n_chains=0"):
+            sample_invariant(sdom, const_noise, p, burn_in=0.1, n_samples=8, stride=0.05,
+                             n_chains=0, profile=sprof)
 
     def test_param_validation(self):
         with pytest.raises(ConfigurationError):
