@@ -24,18 +24,16 @@ obeys U <= 2 E* / g0^2, with equality under constant intensity g = g0.
 The quasi-potential minimizer `mam_minimize` starts each rung from that
 construction, with the reversed flow stepped at MAM_DT_FLOW = 5e-2, and
 descends with the module's own L-BFGS (`minimize`: two-loop recursion,
-strong Wolfe line search, L-BFGS-B's ftol stop).  Per evaluation the
-action's Laplacian and the coordinate map are dense (n, n) products, which
-are faster than the DST pair from n = 63 (18 vs 137 us) to n = 511
-(1.1 vs 1.6 ms).  The rungs are independent once their start paths are
-built, so they run at the same time on the package's fork pool
-(`pool.fork_map`, `workers` processes at most); a rung's arithmetic does
-not depend on the process that runs it, so neither does any result.
+strong Wolfe line search, L-BFGS-B's ftol stop) in whitened space-time
+coordinates, in which the action's quadratic part is a multiple of the
+identity; a rung then stops after 7-19 iterations on criterion 5's targets.
+Per evaluation the action's Laplacian and the coordinate maps are dense
+products, which are faster than the DST pair from n = 63 (18 vs 137 us) to
+n = 511 (1.1 vs 1.6 ms).  The rungs run in order in the calling process.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from collections import deque
@@ -50,7 +48,6 @@ from .flow import Path, flow_states, gradient_flow
 from .grid import (Boundary, Domain, Field, dst, inverse_transform_values,
                    transform_values)
 from .noise import NoiseModel
-from .pool import fork_map
 from .profile import Profile, compute_profile
 
 # L-BFGS's ftol for mam_minimize: the objective is the action divided by
@@ -67,9 +64,9 @@ MAM_DT_FLOW = 5e-2
 # before the flow steps (`--T-ladder 40` would ask for 6.6e13).
 MAM_FLOW_BYTES = 2 ** 28
 # Bytes one rung's path may take: 2**24 (16 MiB), 33 288 nodes at n = 63.
-# A rung holds about 2 * LBFGS_PAIRS + 5 arrays of that size, and the rungs
-# run at once on the pool, so `action.steps = 10**9` (500 GB per path) is
-# rejected before the profile or the flow is computed.
+# A rung holds about 2 * LBFGS_PAIRS + 5 arrays of that size, so
+# `action.steps = 10**9` (500 GB per path) is rejected before the profile or
+# the flow is computed.
 MAM_PATH_BYTES = 2 ** 24
 # L-BFGS memory: the number of (s, y) pairs the two-loop recursion keeps.
 LBFGS_PAIRS = 10
@@ -261,26 +258,39 @@ def _initial_path(d: Domain, zeta: Field, T: float, steps: int, *,
 
 def _rung_objective(d: Domain, nm: NoiseModel, Z0: np.ndarray, dt: float,
                     scale: float):
-    """The action over the interior nodes X of Z0 (endpoints pinned) as
-    L-BFGS sees it: in the coordinates Y = DST(X) / s and divided by `scale`
-    (see `mam_minimize`).  The DST is one product with the dense orthonormal
-    matrix of `_dense_operators`.  Returns fun(y) -> (value, gradient), the
-    start y0 and nodes(y) -> X."""
+    """The action over the m interior nodes X of Z0 (endpoints pinned) as
+    L-BFGS sees it: divided by `scale` (see `mam_minimize`), in the whitened
+    space-time coordinates Y = (D_t X D_x) / s.  D_x is the dense orthonormal
+    DST-I over the grid (`_dense_operators`), D_t the one over the m nodes,
+    sqrt(2/(m+1)) sin(i j pi/(m+1)); both are symmetric involutions, so the
+    gradient is s * (D_t grad_X D_x).  With F = 0 and g = 1 the midpoint
+    action is sum |dZ|^2 / (2 dt) + (dt/8) sum |Lambda (Z_i + Z_{i+1})|^2
+    plus a cross term that telescopes to the pinned ends.  D_t diagonalizes
+    tridiag(-1, 2, -1) and tridiag(1, 2, 1) (eigenvalues 2 -/+ 2 cos th_j,
+    th_j = j pi/(m+1)), so with
+    s_jk = dt / sqrt(2 - 2 cos th_j + dt^2 lambda_k^2 (2 + 2 cos th_j) / 4),
+    lambda_k = 0 above `modes`, the quadratic part is exactly
+    (dt h / 2) |Y|^2 and L-BFGS sees only the reaction and the intensity.
+    Returns fun(y) -> (value, gradient), the start y0 and nodes(y) -> X."""
     ortho = _dense_operators(d)[1]
+    m = Z0.shape[0] - 2
+    theta = np.pi * np.arange(1, m + 1) / (m + 1)
+    ortho_t = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(np.arange(1, m + 1), theta))
     lam = np.zeros(d.n)
     lam[: d.modes] = d.lambda_k               # no Laplacian above `modes`
-    s = 1.0 / np.sqrt(1.0 / dt ** 2 + lam ** 2)
+    cos = np.cos(theta)[:, None]
+    s = dt / np.sqrt(2.0 - 2.0 * cos + (dt * lam) ** 2 * (2.0 + 2.0 * cos) / 4.0)
     Z = Z0.copy()
 
     def nodes(y):
-        return (s * y.reshape(Z.shape[0] - 2, d.n)) @ ortho
+        return ortho_t @ (s * y.reshape(m, d.n)) @ ortho
 
     def fun(y):
         Z[1:-1] = nodes(y)
         val, grad, _ = _action_core(d, Z, dt, 0.0, nm, need_grad=True)
-        return val / scale, (s * (grad @ ortho)).ravel() / scale
+        return val / scale, (s * (ortho_t @ grad @ ortho)).ravel() / scale
 
-    return fun, ((Z0[1:-1] @ ortho) / s).ravel(), nodes
+    return fun, ((ortho_t @ Z0[1:-1] @ ortho) / s).ravel(), nodes
 
 
 def minimize(fun, x0: np.ndarray, maxiter: int, ftol: float) -> OptimizeResult:
@@ -355,11 +365,9 @@ def minimize(fun, x0: np.ndarray, maxiter: int, ftol: float) -> OptimizeResult:
             return result("CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH", True)
 
 
-def _descend(d: Domain, nm: NoiseModel, maxiter: int,
-             start: tuple[np.ndarray, float]) -> dict:
-    """One rung: L-BFGS from the path Z0 on [0, T], start = (Z0, T); the
-    lowest action seen."""
-    Z0, T = start
+def _descend(d: Domain, nm: NoiseModel, maxiter: int, Z0: np.ndarray,
+             T: float) -> dict:
+    """One rung: L-BFGS from the path Z0 on [0, T]; the lowest action seen."""
     dt = T / (Z0.shape[0] - 1)
     v_init, _, _ = _action_core(d, Z0, dt, 0.0, nm, need_grad=False)
     scale = v_init if v_init > 0 else 1.0
@@ -383,7 +391,7 @@ def _descend(d: Domain, nm: NoiseModel, maxiter: int,
 
 def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *,
                  init: Path | None = None, ladder: int = 1, maxiter: int = 800,
-                 profile: Profile | None = None, workers: int | str = 1) -> ActionResult:
+                 profile: Profile | None = None) -> ActionResult:
     """Minimize the discrete action over paths from the equilibrium to zeta.
 
     Endpoints stay pinned; interior nodes descend under L-BFGS (`minimize`)
@@ -395,14 +403,11 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
     the flow's one loop, at MAM_DT_FLOW = 5e-2, and keeps its states only:
     the construction reads no per-step diagnostic.
 
-    In node coordinates the action's Hessian in spatial mode k behaves like
-    dt (-D_t^2/dt^2 + lambda_k^2), which spans many decades, so L-BFGS runs
-    in the coordinates Y = DST(X) / s: X holds the interior nodes, DST is the
-    orthonormal type-I DST over the n grid points, and
-    s_k = (1/dt^2 + lambda_k^2)^{-1/2}, with lambda_k = 0 above `modes`.
-    The map is exactly invertible; the gradient is s * DST(grad_X).  The
-    DST and the action's Laplacian are products with dense (n, n) matrices
-    (`_dense_operators`), which beat the transform pair at n = 63 to 511.
+    In node coordinates the action's Hessian spans the spectrum of the time
+    second difference (about steps^2) times the spatial one, so L-BFGS runs
+    in whitened space-time coordinates (`_rung_objective`), in which the
+    action's quadratic part is (dt h / 2) |Y|^2.  The transforms and the
+    action's Laplacian are dense matrix products (`_dense_operators`).
     The objective is the action divided by the rung's starting action, so
     the `ftol` stop (MAM_FTOL) ends a rung once an iteration lowers the
     action by less than that fraction of its starting value, whatever the
@@ -413,13 +418,10 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
     rung's T, value, init_value, and the optimizer's nit, nfev and stop
     message.
 
-    The rungs run on `pool.pool_size(workers, rungs)` forked processes
-    (`workers` as in the config: an int or 'auto'), or serially when that is
-    1.  The reversed flow, every start path and the dense operators are built
-    first, so the children inherit them; results come back in rung order and
-    are bitwise those of a serial run.  A ladder whose reversed flow would
-    exceed MAM_FLOW_BYTES, or a rung path of `steps` that would exceed
-    MAM_PATH_BYTES, is a ConfigurationError before anything is computed.
+    The rungs run in order in the calling process.  A ladder whose reversed
+    flow would exceed MAM_FLOW_BYTES, or a rung path of `steps` that would
+    exceed MAM_PATH_BYTES, is a ConfigurationError before anything is
+    computed.
     """
     if zeta.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("target state must be zero-Dirichlet")
@@ -460,8 +462,7 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
             d, zeta.values, MAM_DT_FLOW, int(round((built[-1] - 1.0) / MAM_DT_FLOW)))])
         starts += [(_initial_path(d, zeta, T_r, steps, frames=frames, dt_flow=MAM_DT_FLOW,
                                   profile=profile), T_r) for T_r in built]
-    _dense_operators(d)     # built here, so that forked rung processes inherit them
-    rungs = fork_map(functools.partial(_descend, d, nm, maxiter), starts, workers)
+    rungs = [_descend(d, nm, maxiter, Z0, T_r) for Z0, T_r in starts]
 
     best_rung = min(rungs, key=lambda q: q["value"])
     Zb = np.vstack([mshift[None], best_rung["x"], zeta.values[None]])

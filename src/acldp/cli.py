@@ -6,9 +6,9 @@
     acldp concentration --config exp.cfg
 
 Every run echoes the resolved config into the output directory and writes a
-manifest (config hash, version, wall time, seed, worker processes: the
-sampler's chunk pool or mam's rung pool).  Exit
-codes: 0 ok, 1 numerical failure, 2 configuration error.
+manifest (config hash, version, wall time, seed, and the worker processes of
+the sampler's chunk pool).  Exit codes: 0 ok, 1 numerical failure, 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def _cmd_mam(cfg, outdir, warnings, target_file=None, ladder=None):
     if ladder is None:
         ladder = cfg["action.ladder"]
     res = mam_minimize(d, zeta, nm, cfg["action.t0"], cfg["action.steps"],
-                       ladder=ladder, workers=cfg["workers"])
+                       ladder=ladder)
     write_json(outdir / "mam.json",
                dict(value=res.value, iterations=res.iterations,
                     converged=res.converged,
@@ -242,18 +242,9 @@ def _cmd_concentration(cfg, outdir, warnings, write_samples=True):
             write_csv(outdir / f"samples_eps{em.eps!r}.csv", _samples_csv_columns(em.samples))
 
 
-# The commands that use `workers`: the samplers spread their chain chunks
-# over the pool, `mam` its horizon rungs.
+# The commands that use `workers`: they spread their chain chunks over the
+# pool (`pool.fork_map`).  Every other command runs in the calling process.
 SAMPLERS = ("sde", "invariant", "ldp-tail", "concentration")
-
-
-def _pool_tasks(command: str, cfg, ladder: int | None) -> int:
-    """Independent tasks `command` hands to `pool.fork_map`."""
-    if command in SAMPLERS:
-        return len(chain_chunks(cfg["n_chains"]))
-    if command == "mam":
-        return cfg["action.ladder"] if ladder is None else ladder
-    return 1
 
 
 COMMANDS = {
@@ -324,8 +315,8 @@ def run(argv: list[str]) -> int:
         return 1
     finally:
         if outdir is not None and cfg is not None:
-            workers = pool_size(cfg["workers"], _pool_tasks(
-                args.command, cfg, getattr(args, "t_ladder", None)))
+            workers = pool_size(cfg["workers"], len(chain_chunks(cfg["n_chains"]))
+                                if args.command in SAMPLERS else 1)
             write_json(outdir / "manifest.json", dict(
                 command=args.command, config_hash=cfg.config_hash(),
                 version=__version__, wall_time_s=time.time() - started,

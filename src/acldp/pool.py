@@ -1,9 +1,8 @@
 """The package's one process pool: independent tasks on forked processes.
 
-The sampler's fixed-size chain chunks and the minimum action method's
-horizon rungs both go through `fork_map`.  Each task's arithmetic does not
-depend on the process that runs it, and results come back in input order,
-so no output depends on the worker count.
+The sampler's fixed-size chain chunks go through `fork_map`.  Each task's
+arithmetic does not depend on the process that runs it, and results come
+back in input order, so no output depends on the worker count.
 """
 
 from __future__ import annotations

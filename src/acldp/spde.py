@@ -264,6 +264,8 @@ def sde_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float, *,
     `linear_hook` switches the drift off so that each mode is an exact
     OU process (testing aid for the closed-form variance checks).
     """
+    if record_every < 1:
+        raise ConfigurationError(f"need record_every >= 1, got {record_every}")
     n_steps = horizon_steps(x, T, p.dt)
     profile = profile or compute_profile(d)
     sample_steps = np.unique(np.concatenate(
@@ -388,6 +390,8 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
         raise ConfigurationError(f"need stride > 0 and burn_in >= 0, got {stride}, {burn_in}")
     if n_chains < 1:
         raise ConfigurationError(f"need at least one chain, got n_chains={n_chains}")
+    if n_samples < 1:
+        raise ConfigurationError(f"need at least one sample, got n_samples={n_samples}")
     profile = profile or compute_profile(d)
     warnings: list[str] = []
     t_relax = relaxation_time(d, profile=profile)

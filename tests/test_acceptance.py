@@ -211,8 +211,8 @@ def test_criterion_06_ou_closed_forms():
     p = SdeParams(eps=eps, dt=dt, modes_noise=8, seed=SEED)
     x = Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET)
     n_chains = 10_000
-    ens = ensemble_run(d, x, nm, p, 2.5, n_chains, profile=prof,
-                       linear_hook=True, mode_checkpoint_times=(0.5, 2.5))
+    ens = ensemble_run(d, x, nm, p, 2.5, n_chains, profile=prof, linear_hook=True,
+                       mode_checkpoint_times=(0.5, 2.5), workers="auto")
     band = 3.0 * np.sqrt(2.0 / (n_chains - 1))   # 3 MC standard errors
     conditions = {}
     snap_t = ens.mode_snaps[int(round(0.5 / dt))]
@@ -258,7 +258,7 @@ def concentration_result():
         "L": 2.0, "n": 255, "modes": 128, "modes_noise": 64,
         "eps": [0.1, 0.05, 0.025], "dt": 1e-3, "burn_in": 20.0,
         "stride": 1.0, "n_chains": 64, "n_samples": 2688,
-        "seed": SEED, "workers": 1,
+        "seed": SEED, "workers": "auto",
     })
     return run_concentration(cfg)
 

@@ -1,7 +1,4 @@
 import importlib
-import os
-import threading
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -12,7 +9,7 @@ from acldp.action import (MAM_DT_FLOW, _action_core, _dense_operators,
                           interpolation_path, mam_minimize, minimize,
                           quasipotential_upper, reversed_flow_path)
 from acldp.energy import energy_star, reaction_values
-from acldp.errors import ConfigurationError, InstabilityError
+from acldp.errors import ConfigurationError
 from acldp.flow import Path, gradient_flow, skeleton_solve
 from acldp.grid import Boundary, Field, basis_eval, build_domain
 from acldp.noise import NoiseModel
@@ -344,62 +341,20 @@ class TestMinimization:
             mam_minimize(dom2_full, zeta, unit_noise, T=1.0, steps=10, init=bad,
                          profile=prof2_full)
 
-
-class TestRungPool:
-    """The ladder's rungs on forked processes (a box faked to 2 cores, so the
-    pool runs anywhere): bitwise the serial results, and failures surface."""
-
-    @staticmethod
-    def ladder_call(d, prof, nm, workers):
-        zeta = multi_mode_state(d, prof, [(1, -0.2), (2, 0.1)])
-        return mam_minimize(d, zeta, nm, T=3.0, steps=24, ladder=3, profile=prof,
-                            workers=workers)
-
-    def test_worker_count_changes_nothing(self, dom2_full, prof2_full, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        for nm in (NoiseModel(kind="constant", g0=1.0),
-                   NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)):
-            serial = self.ladder_call(dom2_full, prof2_full, nm, 1)
-            pooled = self.ladder_call(dom2_full, prof2_full, nm, 2)
-            assert pooled.value.hex() == serial.value.hex()
-            assert np.array_equal(pooled.path.values, serial.path.values)
-            assert np.array_equal(pooled.residual_series, serial.residual_series)
-            assert pooled.info["ladder"] == serial.info["ladder"]
-            assert [r["T"] for r in pooled.info["ladder"]] == [3.0, 6.0, 12.0]
-            assert pooled.iterations == serial.iterations
-            assert pooled.converged == serial.converged
-
-    def test_instability_in_a_child_rung_is_raised(self, dom2_full, prof2_full,
-                                                   unit_noise, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        parent, real = os.getpid(), action_module.minimize
-
-        def minimize_or_blow_up(*args, **kwargs):
-            if os.getpid() != parent:
-                raise InstabilityError("rung blew up in a child")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(action_module, "minimize", minimize_or_blow_up)
-        with pytest.raises(InstabilityError, match="in a child"):
-            self.ladder_call(dom2_full, prof2_full, unit_noise, 2)
-
-    def test_dead_child_raises_and_does_not_hang(self, dom2_full, prof2_full, unit_noise,
-                                                 monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(action_module, "minimize", lambda *a, **k: os._exit(3))
-        raised = []
-
-        def call():
-            try:
-                self.ladder_call(dom2_full, prof2_full, unit_noise, 2)
-            except BrokenProcessPool as exc:
-                raised.append(exc)
-
-        t = threading.Thread(target=call, daemon=True)
-        t.start()
-        t.join(timeout=60)
-        assert not t.is_alive()
-        assert len(raised) == 1
+    @pytest.mark.parametrize("nm", [NoiseModel(kind="constant", g0=1.0),
+                                    NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)],
+                             ids=["unit", "criterion4"])
+    def test_rungs_converge_within_40_iterations(self, nm, dom2_full, prof2_full):
+        # criterion 5's five targets at the bench's settings; in whitened
+        # space-time coordinates each rung takes 7-19 iterations
+        for amps in ([(1, 0.25)], [(1, -0.2), (2, 0.1)], [(2, 0.2), (3, -0.1)],
+                     [(1, 0.15), (3, 0.1), (4, -0.05)], [(1, -0.1), (2, -0.1), (5, 0.05)]):
+            zeta = multi_mode_state(dom2_full, prof2_full, amps)
+            res = mam_minimize(dom2_full, zeta, nm, T=6.0, steps=96, ladder=3,
+                               profile=prof2_full)
+            for rung in res.info["ladder"]:
+                assert rung["message"].startswith("CONVERGENCE"), (amps, rung)
+                assert rung["nit"] <= 40, (amps, rung)
 
     def test_ladder_beyond_the_flow_budget_rejected(self, dom2_full, prof2_full,
                                                     unit_noise, monkeypatch):
@@ -417,8 +372,24 @@ class TestRungPool:
 
 
 class TestPreconditionedCoordinates:
-    """L-BFGS's coordinates Y = DST(X) / s round-trip to the nodes X, and its
-    gradient is the derivative of its objective, at modes = n and modes < n."""
+    """L-BFGS's coordinates Y = (D_t X D_x) / s round-trip to the nodes X, its
+    gradient is the derivative of its objective, and they whiten the action's
+    quadratic part, at modes = n and modes < n."""
+
+    @pytest.mark.parametrize("which", ["full", "truncated"])
+    def test_quadratic_part_is_whitened(self, which, dom2_full, dom2, rng, monkeypatch):
+        # no reaction, unit intensity, pinned ends at zero: the objective is
+        # exactly (dt h / 2) |y|^2, which by polarization pins the whole form
+        d = dom2_full if which == "full" else dom2
+        monkeypatch.setattr(action_module, "reaction_values",
+                            lambda d, vals: np.zeros_like(vals))
+        steps, dt = 40, 0.15
+        fun, y0, _ = _rung_objective(d, NoiseModel(kind="constant", g0=1.0),
+                                     np.zeros((steps + 1, d.n)), dt, 1.0)
+        assert not np.any(y0)
+        for _ in range(3):
+            y = rng.standard_normal(y0.shape)
+            assert fun(y)[0] == pytest.approx(0.5 * dt * d.h * float(y @ y), rel=1e-12)
 
     @pytest.mark.parametrize("which", ["full", "truncated"])
     def test_round_trip_and_gradient(self, which, dom2_full, prof2_full, dom2, prof2, rng):

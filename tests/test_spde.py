@@ -462,6 +462,21 @@ class TestGuards:
             sample_invariant(sdom, const_noise, p, burn_in=0.1, n_samples=8, stride=0.05,
                              n_chains=0, profile=sprof)
 
+    @pytest.mark.parametrize("record_every", [0, -5])
+    def test_sde_run_needs_a_positive_record_step(self, sdom, sprof, const_noise,
+                                                  record_every):
+        p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        with pytest.raises(ConfigurationError, match=f"record_every >= 1, got {record_every}"):
+            sde_run(sdom, x, const_noise, p, 0.1, profile=sprof, record_every=record_every)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_sample_invariant_needs_a_sample(self, sdom, sprof, const_noise, n_samples):
+        p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
+        with pytest.raises(ConfigurationError, match=f"n_samples={n_samples}"):
+            sample_invariant(sdom, const_noise, p, burn_in=0.1, n_samples=n_samples,
+                             stride=0.05, n_chains=4, profile=sprof)
+
     def test_param_validation(self):
         with pytest.raises(ConfigurationError):
             SdeParams(eps=-1.0, dt=1e-3)
