@@ -27,9 +27,11 @@ descends with the module's own L-BFGS (`minimize`: two-loop recursion,
 strong Wolfe line search, L-BFGS-B's ftol stop) in whitened space-time
 coordinates, in which the action's quadratic part is a multiple of the
 identity; a rung then stops after 7-19 iterations on criterion 5's targets.
-Per evaluation the action's Laplacian and the coordinate maps are dense
-products, which are faster than the DST pair from n = 63 (18 vs 137 us) to
-n = 511 (1.1 vs 1.6 ms).  The rungs run in order in the calling process.
+Per evaluation the action's Laplacian and the coordinate maps' grid half
+are dense (n, n) products, which are faster than the DST pair from n = 63
+(18 vs 137 us) to n = 511 (1.1 vs 1.6 ms); their time half is a DST along
+the time axis, so a rung's memory grows with its path, not with steps^2.
+The rungs run in order in the calling process.
 """
 
 from __future__ import annotations
@@ -88,9 +90,10 @@ def _lap_values(d: Domain, vals: np.ndarray) -> np.ndarray:
     return inverse_transform_values(d, -d.lambda_k * transform_values(d, vals))
 
 
-def _dst_ortho(a: np.ndarray) -> np.ndarray:
-    """Orthonormal type-I DST over the grid axis; it is its own inverse."""
-    return dst(a, type=1, norm="ortho", axis=-1)
+def _dst_ortho(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Orthonormal type-I DST along `axis` (the grid axis by default); it is
+    its own inverse."""
+    return dst(a, type=1, norm="ortho", axis=axis)
 
 
 _DENSE: dict[tuple[float, int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -261,13 +264,13 @@ def _rung_objective(d: Domain, nm: NoiseModel, Z0: np.ndarray, dt: float,
     """The action over the m interior nodes X of Z0 (endpoints pinned) as
     L-BFGS sees it: divided by `scale` (see `mam_minimize`), in the whitened
     space-time coordinates Y = (D_t X D_x) / s.  D_x is the dense orthonormal
-    DST-I over the grid (`_dense_operators`), D_t the one over the m nodes,
-    sqrt(2/(m+1)) sin(i j pi/(m+1)); both are symmetric involutions, so the
-    gradient is s * (D_t grad_X D_x).  With F = 0 and g = 1 the midpoint
-    action is sum |dZ|^2 / (2 dt) + (dt/8) sum |Lambda (Z_i + Z_{i+1})|^2
-    plus a cross term that telescopes to the pinned ends.  D_t diagonalizes
-    tridiag(-1, 2, -1) and tridiag(1, 2, 1) (eigenvalues 2 -/+ 2 cos th_j,
-    th_j = j pi/(m+1)), so with
+    DST-I over the grid (`_dense_operators`), D_t the same DST over the m
+    nodes, applied along the time axis, so no (m, m) matrix is formed; both
+    are symmetric involutions, so the gradient is s * (D_t grad_X D_x).  With
+    F = 0 and g = 1 the midpoint action is sum |dZ|^2 / (2 dt) + (dt/8) sum
+    |Lambda (Z_i + Z_{i+1})|^2 plus a cross term that telescopes to the
+    pinned ends.  D_t diagonalizes tridiag(-1, 2, -1) and tridiag(1, 2, 1)
+    (eigenvalues 2 -/+ 2 cos th_j, th_j = j pi/(m+1)), so with
     s_jk = dt / sqrt(2 - 2 cos th_j + dt^2 lambda_k^2 (2 + 2 cos th_j) / 4),
     lambda_k = 0 above `modes`, the quadratic part is exactly
     (dt h / 2) |Y|^2 and L-BFGS sees only the reaction and the intensity.
@@ -275,7 +278,6 @@ def _rung_objective(d: Domain, nm: NoiseModel, Z0: np.ndarray, dt: float,
     ortho = _dense_operators(d)[1]
     m = Z0.shape[0] - 2
     theta = np.pi * np.arange(1, m + 1) / (m + 1)
-    ortho_t = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(np.arange(1, m + 1), theta))
     lam = np.zeros(d.n)
     lam[: d.modes] = d.lambda_k               # no Laplacian above `modes`
     cos = np.cos(theta)[:, None]
@@ -283,14 +285,14 @@ def _rung_objective(d: Domain, nm: NoiseModel, Z0: np.ndarray, dt: float,
     Z = Z0.copy()
 
     def nodes(y):
-        return ortho_t @ (s * y.reshape(m, d.n)) @ ortho
+        return _dst_ortho(s * y.reshape(m, d.n), axis=0) @ ortho
 
     def fun(y):
         Z[1:-1] = nodes(y)
         val, grad, _ = _action_core(d, Z, dt, 0.0, nm, need_grad=True)
-        return val / scale, (s * (ortho_t @ grad @ ortho)).ravel() / scale
+        return val / scale, (s * (_dst_ortho(grad, axis=0) @ ortho)).ravel() / scale
 
-    return fun, ((ortho_t @ Z0[1:-1] @ ortho) / s).ravel(), nodes
+    return fun, ((_dst_ortho(Z0[1:-1], axis=0) @ ortho) / s).ravel(), nodes
 
 
 def minimize(fun, x0: np.ndarray, maxiter: int, ftol: float) -> OptimizeResult:

@@ -1,13 +1,14 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from acldp.action import (MAM_DT_FLOW, _action_core, _dense_operators,
-                          _dst_ortho, _initial_path, _lap_values,
-                          _rung_objective, action, action_gradient,
-                          interpolation_path, mam_minimize, minimize,
-                          quasipotential_upper, reversed_flow_path)
+from acldp.action import (MAM_DT_FLOW, MAM_PATH_BYTES, _action_core,
+                          _dense_operators, _dst_ortho, _initial_path,
+                          _lap_values, _rung_objective, action,
+                          action_gradient, interpolation_path, mam_minimize,
+                          minimize, quasipotential_upper, reversed_flow_path)
 from acldp.energy import energy_star, reaction_values
 from acldp.errors import ConfigurationError
 from acldp.flow import Path, gradient_flow, skeleton_solve
@@ -390,6 +391,24 @@ class TestPreconditionedCoordinates:
         for _ in range(3):
             y = rng.standard_normal(y0.shape)
             assert fun(y)[0] == pytest.approx(0.5 * dt * d.h * float(y @ y), rel=1e-12)
+
+    def test_memory_grows_with_the_path_not_steps_squared(self):
+        # an (m, m) time transform at steps = 4000 would be 500 path sizes
+        # (128 MB); the guard admits up to 65 times as many nodes at n = 8
+        d = build_domain(2.0, 8, 8)
+        Z0 = np.zeros((4001, d.n))
+        _dense_operators(d)
+        tracemalloc.start()
+        try:
+            fun, y0, nodes = _rung_objective(d, NoiseModel(kind="constant", g0=1.0),
+                                             Z0, 0.1, 1.0)
+            fun(y0)
+            nodes(y0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * Z0.nbytes < MAM_PATH_BYTES
+        assert peak < 32 * Z0.nbytes
 
     @pytest.mark.parametrize("which", ["full", "truncated"])
     def test_round_trip_and_gradient(self, which, dom2_full, prof2_full, dom2, prof2, rng):

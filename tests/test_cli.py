@@ -395,7 +395,8 @@ class TestMamCommand:
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
     def test_worker_count_changes_nothing(self, tmp_path, monkeypatch):
-        # the rungs run in the calling process whatever `workers` says
+        # `workers` is ignored: on a box faked to 2 cores, asking for 2 still
+        # runs the rungs in the calling process
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         written = []
         for workers in ("1", "2"):
@@ -408,7 +409,7 @@ class TestMamCommand:
         assert written[0] == written[1]
 
     def test_instability_in_a_child_rung_exits_1(self, tmp_path, monkeypatch, capsys):
-        # the last rung blows up after the first two ran to completion
+        # the last serial rung blows up after the first two ran to completion
         action_module = importlib.import_module("acldp.action")
         real, calls = action_module.minimize, []
 
@@ -421,7 +422,7 @@ class TestMamCommand:
         monkeypatch.setattr(action_module, "minimize", minimize_or_blow_up)
         out = tmp_path / "o"
         assert run(self.mam_args(tmp_path, out, "3", "action.t0=3.0",
-                                 "action.steps=24", "workers=2")) == 1
+                                 "action.steps=24")) == 1
         assert "rung 3 blew up" in capsys.readouterr().err
         assert not (out / "mam.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
