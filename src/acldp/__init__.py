@@ -5,8 +5,7 @@ estimation, and small-noise tail diagnostics."""
 
 __version__ = "0.1.0"
 
-from .action import ActionResult, action, action_gradient, interpolation_path, \
-    mam_minimize, quasipotential_upper, reversed_flow_path
+from .action import ActionResult, action, action_gradient, mam_minimize
 from .diagnostics import (Replay, check_factorization_params, damped_remainder_path,
                           decomposition_residual, factorization_constant,
                           factorization_identity_error, record_replay,

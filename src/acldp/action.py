@@ -1,5 +1,5 @@
-"""Action functional on paths, explicit near-optimal path constructions,
-and quasi-potential estimation by path-space minimization.
+"""Action functional on paths and quasi-potential estimation by path-space
+minimization.
 
 The action of a path z on [0, T] divides the dynamical residual by the
 noise intensity:
@@ -13,8 +13,8 @@ the time integral is the midpoint rule.  The scheme is second order on
 smooth paths and admits an exact adjoint gradient with respect to interior
 nodes, which the minimizer uses.
 
-The quasi-potential upper-bound construction concatenates a unit-time
-linear interpolation from the equilibrium to a relaxed state with the
+The start path has one construction, `_initial_path`: a unit-time linear
+interpolation from the equilibrium to a relaxed state followed by the
 time-reversed noiseless flow; for gradient dynamics with unit intensity its
 action approaches twice the shifted energy of the target.  An intensity
 bounded below, g >= g0, divides the residual by at least g0, so the action
@@ -46,7 +46,7 @@ from scipy.optimize import OptimizeResult, line_search
 
 from .energy import energy_star, reaction_values
 from .errors import ConfigurationError
-from .flow import Path, flow_states, gradient_flow
+from .flow import Path, flow_states
 from .grid import (Boundary, Domain, Field, dst, inverse_transform_values,
                    transform_values)
 from .noise import NoiseModel
@@ -70,6 +70,9 @@ MAM_FLOW_BYTES = 2 ** 28
 # `action.steps = 10**9` (500 GB per path) is rejected before the profile or
 # the flow is computed.
 MAM_PATH_BYTES = 2 ** 24
+# Bytes the action's two dense (n, n) operators may take: 2**28 (256 MiB),
+# n <= 4 096; a larger grid is rejected before anything is allocated.
+DENSE_BYTES = 2 ** 28
 # L-BFGS memory: the number of (s, y) pairs the two-loop recursion keeps.
 LBFGS_PAIRS = 10
 
@@ -109,11 +112,17 @@ def _dense_operators(d: Domain) -> tuple[np.ndarray, np.ndarray]:
     The action applies two Laplacians and the MAM objective two maps per
     evaluation.  One dense product beats the DST pair at every size measured:
     18 vs 137 us for a (95, 63) block, 276 vs 734 us at (119, 255) and
-    1 104 vs 1 649 us at (119, 511).
+    1 104 vs 1 649 us at (119, 511).  The two take 16 n^2 bytes; a grid
+    whose operators would pass DENSE_BYTES is a ConfigurationError before
+    anything is allocated.
     """
     key = (d.L, d.n, d.modes)
     ops = _DENSE.get(key)
     if ops is None:
+        if 16 * d.n ** 2 > DENSE_BYTES:
+            raise ConfigurationError(
+                f"n={d.n} makes the action's two dense {d.n} x {d.n} operators "
+                f"{16 * d.n ** 2} bytes, more than DENSE_BYTES={DENSE_BYTES}")
         eye = np.eye(d.n)
         ops = _DENSE[key] = (_lap_values(d, eye), _dst_ortho(eye))
         for a in ops:
@@ -173,60 +182,6 @@ def action_gradient(pth: Path, nm: NoiseModel, d: Domain) -> np.ndarray:
     """
     _, grad_eucl, _ = _action_core(d, pth.values, pth.dt, pth.t0, nm, need_grad=True)
     return grad_eucl / d.h
-
-
-def interpolation_path(a: Field, b: Field, steps: int) -> Path:
-    """Linear-in-time path from a to b over unit time."""
-    if a.bc is not b.bc:
-        raise ConfigurationError("interpolation endpoints need matching boundary classes")
-    if steps < 1:
-        raise ConfigurationError(f"need at least one step, got {steps}")
-    s = np.linspace(0.0, 1.0, steps + 1)[:, None]
-    vals = (1.0 - s) * a.values[None, :] + s * b.values[None, :]
-    return Path(vals, a.bc, 0.0, 1.0 / steps)
-
-
-def reversed_flow_path(d: Domain, zeta: Field, t_star: float, dt: float, *,
-                       flow_result=None, profile: Profile | None = None) -> Path:
-    """Time-reverse the noiseless flow from zeta over [0, t*] (no re-integration).
-
-    Warns when t* leaves the flow visibly unrelaxed, since the reversed path
-    then ends away from the equilibrium.
-    """
-    profile = profile or compute_profile(d)
-    if flow_result is None:
-        flow_result = gradient_flow(d, zeta, dt=dt, T=t_star, stop_tol=0.0,
-                                    record_every=1, profile=profile)
-    if flow_result.grad_norm[-1] > 1e-2:
-        warnings.warn(
-            f"reversed flow: horizon t*={t_star} is short of relaxation "
-            f"(terminal gradient norm {flow_result.grad_norm[-1]:.3g})", stacklevel=2)
-    return Path(flow_result.path.values[::-1].copy(), Boundary.ZERO_DIRICHLET,
-                0.0, flow_result.path.dt)
-
-
-def quasipotential_upper(d: Domain, zeta: Field, nm: NoiseModel, t_star: float, *,
-                         dt_flow: float = 5e-3, interp_steps: int = 64,
-                         profile: Profile | None = None) -> ActionResult:
-    """Upper bound on the quasi-potential of zeta from the two-segment path:
-    unit-time interpolation (equilibrium -> relaxed state) followed by the
-    reversed flow back to zeta.  The segments have different steps, so they
-    come back apart in info["segments"]; `path` is the reversed flow."""
-    profile = profile or compute_profile(d)
-    mshift = Field(profile.shifted_values(d), Boundary.ZERO_DIRICHLET)
-    flow_res = gradient_flow(d, zeta, dt=dt_flow, T=t_star, stop_tol=0.0,
-                             record_every=1, profile=profile)
-    seg1 = interpolation_path(mshift, flow_res.terminal(), interp_steps)
-    seg2 = reversed_flow_path(d, zeta, t_star, dt_flow, flow_result=flow_res,
-                              profile=profile)
-    a1 = action(seg1, nm, d)
-    a2 = action(seg2, nm, d)
-    return ActionResult(value=a1.value + a2.value,
-                        residual_series=np.concatenate([a1.residual_series,
-                                                        a2.residual_series]),
-                        path=seg2,
-                        info=dict(interpolation=a1.value, reversed_flow=a2.value,
-                                  t_star=t_star, segments=(seg1, seg2)))
 
 
 def _initial_path(d: Domain, zeta: Field, T: float, steps: int, *,
@@ -383,27 +338,27 @@ def _descend(d: Domain, nm: NoiseModel, maxiter: int, Z0: np.ndarray,
         return f, g
 
     res = minimize(tracked, y0, maxiter, MAM_FTOL)
-    x = Z0[1:-1] if best["y"] is None else nodes(best["y"])
-    Z = np.vstack([Z0[:1], x, Z0[-1:]])
-    value, _, _ = _action_core(d, Z, dt, 0.0, nm, need_grad=False)
-    return dict(T=T, dt=dt, value=value, x=x, init_value=v_init,
+    Z = Z0 if best["y"] is None else np.vstack([Z0[:1], nodes(best["y"]), Z0[-1:]])
+    value, _, resid = _action_core(d, Z, dt, 0.0, nm, need_grad=False)
+    return dict(T=T, dt=dt, value=value, Z=Z, resid=resid, init_value=v_init,
                 success=bool(res.success), nit=int(res.nit), nfev=int(res.nfev),
                 message=str(res.message))
 
 
 def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *,
-                 init: Path | None = None, ladder: int = 1, maxiter: int = 800,
+                 ladder: int = 1, maxiter: int = 800,
                  profile: Profile | None = None) -> ActionResult:
     """Minimize the discrete action over paths from the equilibrium to zeta.
 
     Endpoints stay pinned; interior nodes descend under L-BFGS (`minimize`)
     with the analytic adjoint gradient.  The horizon anneals over the
-    geometric ladder T, 2T, ..., 2^{ladder-1} T (each rung re-initialized
-    from the two-segment construction, all rungs reading one reversed flow)
-    and the best value is reported.  The result never exceeds the starting
-    action of any rung.  The reversed flow steps through `flow.flow_states`,
-    the flow's one loop, at MAM_DT_FLOW = 5e-2, and keeps its states only:
-    the construction reads no per-step diagnostic.
+    geometric ladder T, 2T, ..., 2^{ladder-1} T (each rung started from the
+    two-segment construction `_initial_path`, all rungs reading one
+    reversed flow) and the best value is reported.  The result never
+    exceeds the starting action of any rung.  The reversed flow steps
+    through `flow.flow_states`, the flow's one loop, at MAM_DT_FLOW = 5e-2,
+    and keeps its states only: the construction reads no per-step
+    diagnostic.
 
     In node coordinates the action's Hessian spans the spectrum of the time
     second difference (about steps^2) times the spatial one, so L-BFGS runs
@@ -420,10 +375,10 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
     rung's T, value, init_value, and the optimizer's nit, nfev and stop
     message.
 
-    The rungs run in order in the calling process.  A ladder whose reversed
-    flow would exceed MAM_FLOW_BYTES, or a rung path of `steps` that would
-    exceed MAM_PATH_BYTES, is a ConfigurationError before anything is
-    computed.
+    The rungs run in order in the calling process.  A horizon T <= 1, a
+    ladder whose reversed flow would exceed MAM_FLOW_BYTES, a rung path of
+    `steps` that would exceed MAM_PATH_BYTES, or dense operators that would
+    exceed DENSE_BYTES is a ConfigurationError before the profile is solved.
     """
     if zeta.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("target state must be zero-Dirichlet")
@@ -434,42 +389,27 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
             f"({path_bytes} bytes), more than MAM_PATH_BYTES={MAM_PATH_BYTES}")
     if ladder < 1:
         raise ConfigurationError(f"ladder must have at least one rung, got {ladder}")
-    n_built = ladder if init is None else ladder - 1   # rungs started from the construction
-    if n_built:
-        if T * 2 ** (ladder - n_built) <= 1.0:
-            raise ConfigurationError(
-                "minimization horizon must exceed the unit interpolation time, "
-                f"got T={T * 2 ** (ladder - n_built)}")
-        frames_max = MAM_FLOW_BYTES // (8 * d.n)
-        if ladder - 1 > math.log2((1.0 + MAM_DT_FLOW * (frames_max - 1)) / T):
-            raise ConfigurationError(
-                f"ladder={ladder} from T={T} needs the reversed flow to T*2^{ladder - 1}, "
-                f"more than the {frames_max} frames of n={d.n} points that fit in "
-                f"MAM_FLOW_BYTES={MAM_FLOW_BYTES}")
+    if T <= 1.0:
+        raise ConfigurationError(
+            f"minimization horizon must exceed the unit interpolation time, got T={T}")
+    frames_max = MAM_FLOW_BYTES // (8 * d.n)
+    if ladder - 1 > math.log2((1.0 + MAM_DT_FLOW * (frames_max - 1)) / T):
+        raise ConfigurationError(
+            f"ladder={ladder} from T={T} needs the reversed flow to T*2^{ladder - 1}, "
+            f"more than the {frames_max} frames of n={d.n} points that fit in "
+            f"MAM_FLOW_BYTES={MAM_FLOW_BYTES}")
+    _dense_operators(d)                           # built here, or rejected past DENSE_BYTES
     profile = profile or compute_profile(d)
-    mshift = profile.shifted_values(d)
 
-    starts = []
-    if init is not None:
-        if init.values.shape != (steps + 1, d.n):
-            raise ConfigurationError(
-                f"init path shape {init.values.shape} does not match steps={steps}, n={d.n}")
-        if (np.max(np.abs(init.values[0] - mshift)) > 1e-6
-                or np.max(np.abs(init.values[-1] - zeta.values)) > 1e-6):
-            raise ConfigurationError("init path endpoints must be the equilibrium and zeta")
-        starts.append((init.values, init.dt * steps))
-    if n_built:
-        built = [T * 2 ** r for r in range(ladder - n_built, ladder)]
-        frames = np.asarray([z for z, _, _ in flow_states(
-            d, zeta.values, MAM_DT_FLOW, int(round((built[-1] - 1.0) / MAM_DT_FLOW)))])
-        starts += [(_initial_path(d, zeta, T_r, steps, frames=frames, dt_flow=MAM_DT_FLOW,
-                                  profile=profile), T_r) for T_r in built]
-    rungs = [_descend(d, nm, maxiter, Z0, T_r) for Z0, T_r in starts]
+    horizons = [T * 2 ** r for r in range(ladder)]
+    frames = np.asarray([z for z, _, _ in flow_states(
+        d, zeta.values, MAM_DT_FLOW, int(round((horizons[-1] - 1.0) / MAM_DT_FLOW)))])
+    rungs = [_descend(d, nm, maxiter, _initial_path(d, zeta, T_r, steps, frames=frames,
+                                                   dt_flow=MAM_DT_FLOW, profile=profile), T_r)
+             for T_r in horizons]
 
     best_rung = min(rungs, key=lambda q: q["value"])
-    Zb = np.vstack([mshift[None], best_rung["x"], zeta.values[None]])
-    value, _, resid = _action_core(d, Zb, best_rung["dt"], 0.0, nm, need_grad=False)
-    path = Path(Zb, Boundary.ZERO_DIRICHLET, 0.0, best_rung["dt"])
+    value, Zb = best_rung["value"], best_rung["Z"]
 
     saturated = True
     if len(rungs) >= 2:
@@ -489,7 +429,8 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
         lower_ok=bool(estar <= lower_c * value * 1.05 + 1e-12),
         sup_path=sup_path,
     )
-    return ActionResult(value=value, residual_series=resid, path=path,
+    return ActionResult(value=value, residual_series=best_rung["resid"],
+                        path=Path(Zb, Boundary.ZERO_DIRICHLET, 0.0, best_rung["dt"]),
                         iterations=sum(q["nit"] for q in rungs),
                         converged=best_rung["success"] and saturated,
                         info=dict(ladder=[{k: q[k] for k in ("T", "value", "init_value",

@@ -46,28 +46,16 @@ class Path:
     bc: Boundary
     t0: float
     dt: float
-    control: np.ndarray | None = None   # (steps, n) forcing f(t) on the grid
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[0] < 2:
             raise ConfigurationError("a path needs at least two time slices")
         if self.dt <= 0:
             raise ConfigurationError(f"path step must be positive, got {self.dt}")
-        if self.control is not None and self.control.shape != (self.n_steps, self.values.shape[1]):
-            raise ConfigurationError(
-                f"control shape {self.control.shape} does not match {self.n_steps} steps "
-                f"on {self.values.shape[1]} grid points")
 
     @property
     def n_steps(self) -> int:
         return self.values.shape[0] - 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.values.shape[0])
-
-    def field(self, i: int) -> Field:
-        return Field(self.values[i], self.bc)
 
     def terminal(self) -> Field:
         return Field(self.values[-1], self.bc)
@@ -146,8 +134,7 @@ def _integrate(d: Domain, x: Field, dt: float, steps: int, *,
 
     if frames[-1] is not z or len(frames) == 1:
         frames.append(z)                 # the terminal slice, twice if no step was taken
-    path = Path(np.asarray(frames), Boundary.ZERO_DIRICHLET, 0.0,
-                dt * record_every, control=None)
+    path = Path(np.asarray(frames), Boundary.ZERO_DIRICHLET, 0.0, dt * record_every)
     return FlowResult(path=path, t=dt * np.arange(len(g_series)),
                       energy_star=np.asarray(e_series),
                       grad_norm=np.asarray(g_series),

@@ -4,14 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acldp.action import (MAM_DT_FLOW, MAM_PATH_BYTES, _action_core,
+from acldp.action import (DENSE_BYTES, MAM_DT_FLOW, MAM_PATH_BYTES, _action_core,
                           _dense_operators, _dst_ortho, _initial_path,
                           _lap_values, _rung_objective, action,
-                          action_gradient, interpolation_path, mam_minimize,
-                          minimize, quasipotential_upper, reversed_flow_path)
+                          action_gradient, mam_minimize, minimize)
 from acldp.energy import energy_star, reaction_values
 from acldp.errors import ConfigurationError
-from acldp.flow import Path, gradient_flow, skeleton_solve
+from acldp.flow import Path, flow_states, gradient_flow, skeleton_solve
 from acldp.grid import Boundary, Field, basis_eval, build_domain
 from acldp.noise import NoiseModel
 
@@ -30,6 +29,22 @@ def multi_mode_state(d, prof, amps):
     for k, a in amps:
         vals += a * basis_eval(d, k).values
     return Field(vals, Boundary.ZERO_DIRICHLET)
+
+
+def reversed_flow(d, prof, zeta, t_star, dt):
+    """The noiseless flow from zeta over [0, t_star] and its time reversal."""
+    fr = gradient_flow(d, zeta, dt=dt, T=t_star, stop_tol=0.0, record_every=1, profile=prof)
+    return fr, Path(fr.path.values[::-1], Boundary.ZERO_DIRICHLET, 0.0, fr.path.dt)
+
+
+def start_path_action(d, prof, zeta, nm, T):
+    """Action of mam_minimize's start path on [0, T] at 8 nodes per unit time,
+    built from the flow's frames at MAM_DT_FLOW as a rung builds it."""
+    steps = int(round(8 * T))
+    frames = np.asarray([z for z, _, _ in flow_states(
+        d, zeta.values, MAM_DT_FLOW, int(round((T - 1.0) / MAM_DT_FLOW)))])
+    Z0 = _initial_path(d, zeta, T, steps, frames=frames, dt_flow=MAM_DT_FLOW, profile=prof)
+    return _action_core(d, Z0, T / steps, 0.0, nm, need_grad=False)[0]
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +113,7 @@ class TestZeroControlCharacterization:
         fr = gradient_flow(dom2_full, x, dt=5e-3, T=0.5, stop_tol=0.0,
                            record_every=1, profile=prof2_full)
         assert action(fr.path, unit_noise, dom2_full).value < 1e-3
-        re = gradient_flow(dom2_full, fr.path.field(0), dt=5e-3, T=0.5,
+        re = gradient_flow(dom2_full, Field(fr.path.values[0], fr.path.bc), dt=5e-3, T=0.5,
                            stop_tol=0.0, record_every=1, profile=prof2_full)
         assert np.max(np.abs(re.path.values - fr.path.values)) < 1e-10
 
@@ -109,14 +124,20 @@ class TestZeroControlCharacterization:
 
 
 class TestInterpolation:
-    def test_endpoints_and_constant(self, dom2_full, rng):
-        a = band_limited(dom2_full, rng, k_max=4, amp=0.3)
-        b = band_limited(dom2_full, rng, k_max=4, amp=0.3)
-        pth = interpolation_path(a, b, 16)
-        assert np.array_equal(pth.values[0], a.values)
-        assert np.array_equal(pth.values[-1], b.values)
-        const = interpolation_path(a, a, 8)
-        assert np.max(np.abs(const.values - a.values)) < 1e-15
+    def test_endpoints_and_constant(self, dom2_full, prof2_full, rng):
+        # the start path is pinned to the equilibrium and the target, and a
+        # flow that stands at the equilibrium gives a constant path
+        eq = equilibrium(dom2_full, prof2_full)
+        zeta = band_limited(dom2_full, rng, k_max=4, amp=0.3)
+        frames = np.array([band_limited(dom2_full, rng, k_max=4, amp=0.3).values
+                           for _ in range(5)])
+        Z = _initial_path(dom2_full, zeta, 3.0, 24, frames=frames, dt_flow=0.5,
+                          profile=prof2_full)
+        assert np.array_equal(Z[0], eq.values)
+        assert np.array_equal(Z[-1], zeta.values)
+        const = _initial_path(dom2_full, eq, 3.0, 24, frames=np.tile(eq.values, (5, 1)),
+                              dt_flow=0.5, profile=prof2_full)
+        assert np.max(np.abs(const - eq.values)) < 1e-15
 
     def test_near_equilibrium_cost_bound(self, dom2_full, prof2_full, unit_noise):
         # relax a perturbed state, then interpolate from the equilibrium to the
@@ -127,7 +148,9 @@ class TestInterpolation:
         b = fr.terminal()
         eps_close = np.max(np.abs(b.values - prof2_full.shifted_values(dom2_full)))
         assert eps_close <= 1e-2
-        pth = interpolation_path(equilibrium(dom2_full, prof2_full), b, 64)
+        s = np.linspace(0.0, 1.0, 65)[:, None]
+        vals = (1.0 - s) * prof2_full.shifted_values(dom2_full)[None, :] + s * b.values[None, :]
+        pth = Path(vals, Boundary.ZERO_DIRICHLET, 0.0, 1.0 / 64)
         lip_f = 11.0                                   # |1 - 3 theta^2| on [-2, 2]
         bound = (lip_f * dom2_full.L + 1.0) ** 2 * 1e-2
         assert action(pth, unit_noise, dom2_full).value <= bound
@@ -135,24 +158,20 @@ class TestInterpolation:
 
 class TestReversedFlow:
     def test_equilibrium_reversal_is_constant(self, dom2_full, prof2_full, unit_noise):
-        pth = reversed_flow_path(dom2_full, equilibrium(dom2_full, prof2_full),
-                                 t_star=0.5, dt=5e-3, profile=prof2_full)
+        _, pth = reversed_flow(dom2_full, prof2_full, equilibrium(dom2_full, prof2_full),
+                               0.5, 5e-3)
         assert action(pth, unit_noise, dom2_full).value < 1e-8
 
-    @pytest.mark.filterwarnings("ignore:reversed flow")
     def test_action_equals_twice_energy_drop(self, dom2_full, prof2_full, unit_noise):
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.2), (3, -0.1)])
-        fr = gradient_flow(dom2_full, zeta, dt=2e-3, T=4.0, stop_tol=0.0,
-                           record_every=1, profile=prof2_full)
-        pth = reversed_flow_path(dom2_full, zeta, 4.0, 2e-3, flow_result=fr,
-                                 profile=prof2_full)
+        fr, pth = reversed_flow(dom2_full, prof2_full, zeta, 4.0, 2e-3)
         drop = 2.0 * (fr.energy_star[0] - fr.energy_star[-1])
         assert action(pth, unit_noise, dom2_full).value == pytest.approx(drop, rel=0.02)
 
     def test_floor_scaled_bound_large_floor(self, dom2_full, prof2_full, g_two):
         # with g == g0 >= 1 the floor-scaled action sits below twice the energy
         zeta = multi_mode_state(dom2_full, prof2_full, [(2, 0.15)])
-        pth = reversed_flow_path(dom2_full, zeta, 4.0, 2e-3, profile=prof2_full)
+        _, pth = reversed_flow(dom2_full, prof2_full, zeta, 4.0, 2e-3)
         val = action(pth, g_two, dom2_full).value
         estar = energy_star(dom2_full, zeta, prof2_full)
         assert g_two.g0 * val <= 2.0 * estar + 1e-6
@@ -160,16 +179,10 @@ class TestReversedFlow:
     def test_floor_squared_bound_any_floor(self, dom2_full, prof2_full, g_half):
         # the sharp scaling: g0^2 * action <= 2 E* for every constant floor
         zeta = multi_mode_state(dom2_full, prof2_full, [(2, 0.15)])
-        pth = reversed_flow_path(dom2_full, zeta, 4.0, 2e-3, profile=prof2_full)
+        _, pth = reversed_flow(dom2_full, prof2_full, zeta, 4.0, 2e-3)
         val = action(pth, g_half, dom2_full).value
         estar = energy_star(dom2_full, zeta, prof2_full)
         assert g_half.g0 ** 2 * val <= 2.0 * estar * 1.02 + 1e-9
-
-    def test_short_horizon_warns(self, dom2_full, prof2_full):
-        zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.3)])
-        with pytest.warns(UserWarning, match="relaxation"):
-            reversed_flow_path(dom2_full, zeta, t_star=0.05, dt=5e-3,
-                               profile=prof2_full)
 
 
 class TestSandwichFloorScaling:
@@ -198,32 +211,20 @@ class TestSandwichFloorScaling:
 
 
 class TestQuasipotentialUpper:
-    def test_zero_at_equilibrium(self, dom2_full, prof2_full, unit_noise):
-        res = quasipotential_upper(dom2_full, equilibrium(dom2_full, prof2_full),
-                                   unit_noise, t_star=1.0, profile=prof2_full)
-        assert res.value < 1e-8
+    """The start path of every rung bounds the quasi-potential from above."""
 
-    @pytest.mark.filterwarnings("ignore:reversed flow")
+    def test_zero_at_equilibrium(self, dom2_full, prof2_full, unit_noise):
+        assert start_path_action(dom2_full, prof2_full, equilibrium(dom2_full, prof2_full),
+                                 unit_noise, 2.0) < 1e-8
+
     def test_upper_bound_and_monotone_in_horizon(self, dom2_full, prof2_full, unit_noise):
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.25), (2, -0.15)])
         estar = energy_star(dom2_full, zeta, prof2_full)
-        vals = [quasipotential_upper(dom2_full, zeta, unit_noise, t_star=t,
-                                     profile=prof2_full).value
-                for t in (8.0, 16.0, 32.0)]
+        vals = [start_path_action(dom2_full, prof2_full, zeta, unit_noise, t_star + 1.0)
+                for t_star in (8.0, 16.0, 32.0)]
         assert vals[1] <= 2.0 * estar * 1.05    # horizon past the relaxation time
         assert vals[1] <= vals[0] + 1e-9
         assert vals[2] <= vals[1] + 1e-9
-
-    def test_segments_keep_their_own_step(self, dom2_full, prof2_full, unit_noise):
-        zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.25)])
-        res = quasipotential_upper(dom2_full, zeta, unit_noise, t_star=8.0,
-                                   interp_steps=32, profile=prof2_full)
-        seg1, seg2 = res.info["segments"]
-        assert (seg1.dt, seg2.dt) == (1.0 / 32, 5e-3)
-        assert np.array_equal(seg1.values[-1], seg2.values[0])
-        assert res.path is seg2
-        assert (action(seg1, unit_noise, dom2_full).value
-                + action(seg2, unit_noise, dom2_full).value) == res.value
 
 
 class TestActionGradient:
@@ -320,26 +321,6 @@ class TestMinimization:
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.1)])
         with pytest.raises(ConfigurationError):
             mam_minimize(dom2_full, zeta, unit_noise, T=1.0, steps=10,
-                         profile=prof2_full)
-
-    def test_explicit_init_is_respected(self, dom2_full, prof2_full, unit_noise):
-        zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.15)])
-        eq = prof2_full.shifted_values(dom2_full)
-        steps, T = 40, 6.0
-        s = np.linspace(0.0, 1.0, steps + 1)[:, None]
-        init = Path((1 - s) * eq[None, :] + s * zeta.values[None, :],
-                    Boundary.ZERO_DIRICHLET, 0.0, T / steps)
-        v0 = action(init, unit_noise, dom2_full).value
-        res = mam_minimize(dom2_full, zeta, unit_noise, T=T, steps=steps,
-                           init=init, ladder=1, maxiter=300, profile=prof2_full)
-        assert res.value <= v0 + 1e-9
-
-    def test_wrong_init_endpoints_rejected(self, dom2_full, prof2_full, unit_noise, rng):
-        bad = Path(np.array([band_limited(dom2_full, rng).values for _ in range(11)]),
-                   Boundary.ZERO_DIRICHLET, 0.0, 0.1)
-        zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.1)])
-        with pytest.raises(ConfigurationError):
-            mam_minimize(dom2_full, zeta, unit_noise, T=1.0, steps=10, init=bad,
                          profile=prof2_full)
 
     @pytest.mark.parametrize("nm", [NoiseModel(kind="constant", g0=1.0),
@@ -528,6 +509,21 @@ class TestDenseOperators:
         a = _dense_operators(build_domain(2.0, 63, 32))
         assert _dense_operators(build_domain(2.0, 63, 32)) is a
         assert _dense_operators(build_domain(2.0, 63, 63)) is not a
+
+    def test_grid_beyond_the_byte_cap_rejected_before_allocating(self):
+        # at n = 5 000 the two operators would take 400 MB; 4 096 is the largest
+        # n that DENSE_BYTES admits
+        assert 16 * 4096 ** 2 <= DENSE_BYTES < 16 * 4097 ** 2
+        d = build_domain(2.0, 5000, 64)
+        pth = Path(np.zeros((2, d.n)), Boundary.ZERO_DIRICHLET, 0.0, 0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="n=5000 .*DENSE_BYTES"):
+                action(pth, NoiseModel(kind="constant", g0=1.0), d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
 
 
 class TestLbfgs:

@@ -453,6 +453,21 @@ class TestMamCommand:
         assert not (out / "mam.json").exists()
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
+    def test_grid_beyond_the_dense_cap_exits_2_at_once(self, tmp_path, capsys):
+        # n = 5 000: the action's dense operators would take 400 MB; rejected
+        # before the profile is solved
+        d = build_domain(2.0, 5000, 64)
+        zeta_csv = tmp_path / "zeta.csv"
+        write_field_csv(zeta_csv, d, Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET))
+        out = tmp_path / "o"
+        started = time.perf_counter()
+        assert run(["mam", "--target", str(zeta_csv), "--T-ladder", "1",
+                    "--set", "n=5000", "--set", "modes=64", "--out", str(out)]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "DENSE_BYTES" in capsys.readouterr().err
+        assert not (out / "mam.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
+
     def test_reversed_flow_blowup_exits_1(self, tmp_path, capsys):
         # sup |zeta| = 40 leaves the physical range on the flow's first step
         from acldp.grid import basis_eval
