@@ -1,7 +1,10 @@
 """Stochastic Allen-Cahn dynamics on (-L, L) with ramp Dirichlet data:
 stationary profile, energy functional, gradient flow, controlled skeleton
 dynamics, multiplicative-noise sampling, action functional, quasi-potential
-estimation, and small-noise tail diagnostics."""
+estimation, and small-noise tail diagnostics.  Stochastic chains run through
+`ensemble_run` (chains from a given state) and `sample_invariant` (invariant
+measure); `record_replay` keeps one chain's path and noise for the replay
+diagnostics."""
 
 __version__ = "0.1.0"
 
@@ -24,5 +27,5 @@ from .ldp import (DecayFit, TailEstimate, TailReport, build_tail_report,
 from .noise import NoiseModel
 from .profile import Profile, compute_profile, energy_formula, profile_energy, \
     solve_e_L, solve_profile, transit_integral
-from .spde import (EmpiricalMeasure, EnsembleResult, SdeParams, Trajectory,
-                   ensemble_run, sample_invariant, sde_run)
+from .spde import (EmpiricalMeasure, EnsembleResult, SdeParams, ensemble_run,
+                   sample_invariant)

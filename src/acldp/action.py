@@ -47,8 +47,7 @@ from scipy.optimize import OptimizeResult, line_search
 from .energy import energy_star, reaction_values
 from .errors import ConfigurationError
 from .flow import Path, flow_states
-from .grid import (Boundary, Domain, Field, dst, inverse_transform_values,
-                   transform_values)
+from .grid import Boundary, Domain, Field, dst, laplacian_values
 from .noise import NoiseModel
 from .profile import Profile, compute_profile
 
@@ -70,8 +69,9 @@ MAM_FLOW_BYTES = 2 ** 28
 # `action.steps = 10**9` (500 GB per path) is rejected before the profile or
 # the flow is computed.
 MAM_PATH_BYTES = 2 ** 24
-# Bytes the action's two dense (n, n) operators may take: 2**28 (256 MiB),
-# n <= 4 096; a larger grid is rejected before anything is allocated.
+# Bytes the build of the action's two dense (n, n) operators may take, counted
+# as 24 n^2: 2**28 (256 MiB), n <= 3 344; a larger grid is rejected before
+# anything is allocated.
 DENSE_BYTES = 2 ** 28
 # L-BFGS memory: the number of (s, y) pairs the two-loop recursion keeps.
 LBFGS_PAIRS = 10
@@ -89,10 +89,6 @@ class ActionResult:
     info: dict = field(default_factory=dict)
 
 
-def _lap_values(d: Domain, vals: np.ndarray) -> np.ndarray:
-    return inverse_transform_values(d, -d.lambda_k * transform_values(d, vals))
-
-
 def _dst_ortho(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Orthonormal type-I DST along `axis` (the grid axis by default); it is
     its own inverse."""
@@ -104,27 +100,34 @@ _DENSE: dict[tuple[float, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 def _dense_operators(d: Domain) -> tuple[np.ndarray, np.ndarray]:
     """The spectral Laplacian and the orthonormal DST-I as (n, n) matrices
-    acting on rows: `vals @ lap` is `_lap_values(d, vals)` and `vals @ ortho`
-    is `_dst_ortho(vals)` up to rounding.  Built on first use from the
-    transforms applied to the identity and kept, read-only, per
+    acting on rows: `vals @ lap` is `grid.laplacian_values(d, vals)` and
+    `vals @ ortho` is `_dst_ortho(vals)` up to rounding.  Built on first use
+    from the transforms applied to the identity and kept, read-only, per
     (L, n, modes).
 
     The action applies two Laplacians and the MAM objective two maps per
     evaluation.  One dense product beats the DST pair at every size measured:
     18 vs 137 us for a (95, 63) block, 276 vs 734 us at (119, 255) and
-    1 104 vs 1 649 us at (119, 511).  The two take 16 n^2 bytes; a grid
-    whose operators would pass DENSE_BYTES is a ConfigurationError before
-    anything is allocated.
+    1 104 vs 1 649 us at (119, 511).  The two take 16 n^2 bytes.  The build
+    holds the identity too, transforms it in blocks of n/8 rows, and the DST
+    overwrites it, so it peaks near 19 n^2 bytes (21 n^2 at n = 31); a grid
+    whose build, counted as 24 n^2 bytes, would pass DENSE_BYTES is a
+    ConfigurationError before anything is allocated.  The blocks change no
+    bit: each row's transform does not depend on the rows beside it.
     """
     key = (d.L, d.n, d.modes)
     ops = _DENSE.get(key)
     if ops is None:
-        if 16 * d.n ** 2 > DENSE_BYTES:
+        if 24 * d.n ** 2 > DENSE_BYTES:
             raise ConfigurationError(
-                f"n={d.n} makes the action's two dense {d.n} x {d.n} operators "
-                f"{16 * d.n ** 2} bytes, more than DENSE_BYTES={DENSE_BYTES}")
+                f"n={d.n} makes the build of the action's two dense {d.n} x {d.n} "
+                f"operators {24 * d.n ** 2} bytes, more than DENSE_BYTES={DENSE_BYTES}")
         eye = np.eye(d.n)
-        ops = _DENSE[key] = (_lap_values(d, eye), _dst_ortho(eye))
+        lap = np.empty_like(eye)
+        rows = -(-d.n // 8)
+        for lo in range(0, d.n, rows):
+            lap[lo:lo + rows] = laplacian_values(d, eye[lo:lo + rows])
+        ops = _DENSE[key] = (lap, dst(eye, type=1, norm="ortho", overwrite_x=True))
         for a in ops:
             a.setflags(write=False)
     return ops

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
@@ -36,7 +37,7 @@ from .pipeline import (domain_from_config, noise_from_config, run_concentration,
                        sde_params_from_config)
 from .pool import pool_size
 from .profile import compute_profile
-from .spde import chain_chunks, ensemble_run, sample_invariant
+from .spde import CHAIN_CHUNK, check_sampler_size, ensemble_run, sample_invariant
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -131,6 +132,8 @@ def _cmd_flow(cfg, outdir, warnings):
 
 
 def _cmd_sde(cfg, outdir, warnings):
+    n_times = math.ceil((cfg["T"] + 1e-12) / cfg["stride"])      # sized before arange builds them
+    check_sampler_size(int(round(cfg["T"] / cfg["dt"])), 1, cfg["n_chains"], n_times)
     d = domain_from_config(cfg)
     nm = noise_from_config(cfg)
     prof = compute_profile(d)
@@ -315,7 +318,7 @@ def run(argv: list[str]) -> int:
         return 1
     finally:
         if outdir is not None and cfg is not None:
-            workers = pool_size(cfg["workers"], len(chain_chunks(cfg["n_chains"]))
+            workers = pool_size(cfg["workers"], -(-cfg["n_chains"] // CHAIN_CHUNK)
                                 if args.command in SAMPLERS else 1)
             write_json(outdir / "manifest.json", dict(
                 command=args.command, config_hash=cfg.config_hash(),

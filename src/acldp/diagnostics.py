@@ -2,8 +2,8 @@
 the damped decomposition z = Y_lam + sqrt(eps) gamma_lam replayed along a
 recorded chain, and the factorization identity behind the W^{k*,p*} bound.
 
-`record_replay` integrates one chain as `spde.sde_run` does and keeps what a
-replay needs: the state at every step, rebuilt from mode coefficients
+`record_replay` runs chain 0 as a one-chain `spde.ensemble_run` and keeps what
+a replay needs: the state at every step, rebuilt from mode coefficients
 checkpointed at every step, and the unscaled normals that drove it, redrawn
 from the chain's own Philox streams (one draw of n_steps equals the run's
 block-wise draws).  Along a recorded path the forcing of both damped
@@ -31,8 +31,8 @@ from .errors import ConfigurationError
 from .flow import Path
 from .grid import Boundary, Domain, Field, inverse_transform_values, transform_values
 from .noise import NoiseModel
-from .profile import Profile, compute_profile
-from .spde import SdeParams, _draw_block, _evolve_chains, _make_streams, horizon_steps
+from .profile import Profile
+from .spde import SdeParams, _draw_block, _make_streams, ensemble_run, horizon_steps
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,14 @@ class Replay:
 
 def record_replay(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float, *,
                   profile: Profile | None = None, linear_hook: bool = False) -> Replay:
-    """Integrate chain 0 over [0, T] from x, as `spde.sde_run` does
-    (`linear_hook` switches the drift off), and keep its replay record."""
+    """Integrate chain 0 over [0, T] from x with `ensemble_run` (`linear_hook`
+    switches the drift off), and keep its replay record."""
     n_steps = horizon_steps(x, T, p.dt)
-    # no sample steps, so the observables' kstar and pstar go unread
-    out = _evolve_chains(d, x.values, nm, (p,), n_steps, np.array([], dtype=int),
-                         profile=profile or compute_profile(d), kstar=0.2, pstar=8,
-                         chain_ids=np.array([0]), linear_hook=linear_hook,
-                         mode_checkpoints=tuple(range(n_steps + 1)))
-    coeffs = np.stack([out["mode_snaps"][s][0, 0] for s in range(n_steps + 1)])
-    normals = _draw_block(_make_streams(p.seed, np.array([0]), out["n_noise_modes"]), n_steps)[0]
+    ens = ensemble_run(d, x, nm, p, T, 1, profile=profile, linear_hook=linear_hook,
+                       mode_checkpoint_times=np.arange(n_steps + 1) * p.dt)
+    coeffs = np.stack([ens.mode_snaps[s][0] for s in range(n_steps + 1)])
+    normals = _draw_block(_make_streams(p.seed, np.array([0]), p.resolve_noise_modes(d)),
+                          n_steps)[0]
     return Replay(p, nm, Path(inverse_transform_values(d, coeffs), Boundary.ZERO_DIRICHLET,
                               0.0, p.dt), normals)
 

@@ -27,8 +27,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigurationError, NumericalError
-from .grid import (Boundary, Domain, Field, closure_values,
-                   inverse_transform_values, transform_values)
+from .grid import (Boundary, Domain, Field, closure_values, laplacian_values,
+                   transform_values)
 from .profile import Profile
 
 
@@ -91,8 +91,7 @@ def energy_gradient(d: Domain, ubar: Field) -> Field:
     """L^2 gradient of E*: -[Laplacian(ubar) + (ubar+psi) - (ubar+psi)^3]."""
     if ubar.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("energy_gradient expects a zero-Dirichlet field")
-    c = transform_values(d, ubar.values)
-    lap = inverse_transform_values(d, -d.lambda_k * c)
+    lap = laplacian_values(d, ubar.values)
     return Field(-(lap + reaction_values(d, ubar.values)), Boundary.ZERO_DIRICHLET)
 
 

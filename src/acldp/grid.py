@@ -159,10 +159,17 @@ def spectral_transform(d: Domain, f: Field) -> np.ndarray:
     return transform_values(d, f.values)
 
 
+def laplacian_values(d: Domain, values: np.ndarray) -> np.ndarray:
+    """Raw-array spectral zero-Dirichlet Laplacian (coefficients scaled by
+    -lambda_k); supports stacked inputs."""
+    return inverse_transform_values(d, -d.lambda_k * transform_values(d, values))
+
+
 def laplacian_apply(d: Domain, f: Field) -> Field:
-    """Spectral zero-Dirichlet Laplacian (coefficients scaled by -lambda_k)."""
-    c = spectral_transform(d, f)
-    return Field(inverse_transform_values(d, -d.lambda_k * c), Boundary.ZERO_DIRICHLET)
+    """Spectral zero-Dirichlet Laplacian of a zero-Dirichlet Field."""
+    if f.bc is not Boundary.ZERO_DIRICHLET:
+        raise ConfigurationError("laplacian_apply expects a zero-Dirichlet field; subtract psi first")
+    return Field(laplacian_values(d, f.values), Boundary.ZERO_DIRICHLET)
 
 
 def semigroup_apply(d: Domain, f: Field, t: float, lam: float = 0.0) -> Field:

@@ -16,12 +16,14 @@ The drift weights (`flow.step_weights`) and the blow-up cap
 (`flow.BLOWUP_SUP`) are the gradient flow's, so at eps = 0 a chain is
 bitwise the flow.
 
-`_evolve_chains` is the one stepping loop behind `sde_run`, `ensemble_run`
-and `sample_invariant`.  It advances a chunk of chains at one or more eps
-levels, its state shaped (levels, chains, ...).  It keeps observables at the
-sample steps and mode coefficients at the checkpoints, nothing else.  The
-replay diagnostics (`diagnostics.record_replay`) checkpoint every step to
-rebuild a chain's path.
+`_evolve_chains` is the one stepping loop, and `_run_chunks` its one caller,
+behind `ensemble_run` and `sample_invariant`.  It advances a chunk of chains
+at one or more eps levels, its state shaped (levels, chains, ...).  It keeps
+observables at the sample steps and mode coefficients at the checkpoints,
+nothing else.  The replay diagnostics (`diagnostics.record_replay`) run one
+chain through `ensemble_run` with a checkpoint at every step to rebuild its
+path.  A step mask or observables past SAMPLER_BYTES (2.7e8 steps or 8.4e6
+level-chain-samples) are a ConfigurationError before either is allocated.
 
 The increment sqrt(dt) xi_k follows the exact decay, so under constant g0 mode
 k's stationary variance is eps g0^2 dt / (1 - e^{-2 lambda_k dt}), not the SPDE's
@@ -57,7 +59,8 @@ from .pool import fork_map
 from .profile import Profile, compute_profile
 
 _NOISE_BLOCK = 512          # steps of normals drawn per stream at a time
-_CHAIN_CHUNK = 32           # chains per vectorized batch (fixed: worker-count independent)
+CHAIN_CHUNK = 32            # chains per vectorized batch (fixed: worker-count independent)
+SAMPLER_BYTES = 2 ** 28     # cap on the step mask (1 B a step) and the observables (32 B a sample)
 
 
 @dataclass(frozen=True)
@@ -83,24 +86,6 @@ class SdeParams:
             raise ConfigurationError(
                 f"noise truncation {nw} exceeds the spectral truncation {d.modes}")
         return nw
-
-
-@dataclass
-class Trajectory:
-    """One chain's observables at its sample times and its final state."""
-
-    chain: int
-    params: SdeParams
-    kstar: float
-    pstar: int
-    t: np.ndarray
-    sup_norm: np.ndarray
-    dist_sup: np.ndarray
-    energy_star: np.ndarray
-    sobolev_norm: np.ndarray
-    g_min: float
-    final: Field
-    noise_seeds: dict
 
 
 @dataclass
@@ -137,12 +122,10 @@ def _make_streams(seed: int, chain_ids: np.ndarray, n_modes: int) -> list[list[n
 
 def _draw_block(gens, n_steps: int) -> np.ndarray:
     """Normals of shape (chains, n_steps, n_modes), one stream per (chain, mode)."""
-    n_chains, n_modes = len(gens), len(gens[0])
-    out = np.empty((n_chains, n_steps, n_modes))
-    for ci in range(n_chains):
-        row = gens[ci]
-        for k in range(n_modes):
-            out[ci, :, k] = row[k].standard_normal(n_steps)
+    out = np.empty((len(gens), n_steps, len(gens[0])))
+    for ci, row in enumerate(gens):
+        for k, gen in enumerate(row):
+            out[ci, :, k] = gen.standard_normal(n_steps)
     return out
 
 
@@ -199,15 +182,10 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
     if 0 in snap_set:
         mode_snaps[0] = c.copy()
 
-    block = None
-    block_at = 0
     for s in range(n_steps):
-        j = s - block_at
-        if block is None or j >= block.shape[1]:
-            block_at = s
+        if s % _NOISE_BLOCK == 0:
             block = _draw_block(gens, min(_NOISE_BLOCK, n_steps - s))
-            j = 0
-        xi = block[:, j, :]
+        xi = block[:, s % _NOISE_BLOCK, :]
 
         if linear_hook:
             c_new = decay * c
@@ -240,8 +218,16 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
                 mode_snaps[step] = c.copy()
 
     return dict(t_samples=t_samples, obs=obs, final_values=z.copy(),
-                sup_running=sup_running, g_min=g_min,
-                mode_snaps=mode_snaps, n_noise_modes=nw)
+                sup_running=sup_running, g_min=g_min, mode_snaps=mode_snaps)
+
+
+def check_sampler_size(n_steps: int, n_levels: int, n_chains: int, n_samples: int) -> None:
+    """ConfigurationError when the step mask or the observables would pass SAMPLER_BYTES."""
+    n_obs = n_levels * n_chains * n_samples
+    for what, nbytes in ((f"{n_steps} steps", n_steps + 1),
+                         (f"{n_obs} level-chain-samples", 32 * n_obs)):
+        if nbytes > SAMPLER_BYTES:
+            raise ConfigurationError(f"{what} take {nbytes} bytes > SAMPLER_BYTES={SAMPLER_BYTES}")
 
 
 def horizon_steps(x: Field, T: float, dt: float) -> int:
@@ -252,33 +238,6 @@ def horizon_steps(x: Field, T: float, dt: float) -> int:
     if n_steps < 1:
         raise ConfigurationError(f"horizon must cover at least one step, got T={T} at dt={dt}")
     return n_steps
-
-
-def sde_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float, *,
-            profile: Profile | None = None, kstar: float = 0.2, pstar: int = 8,
-            record_every: int = 1, linear_hook: bool = False,
-            chain: int = 0) -> Trajectory:
-    """Integrate one chain of the stochastic dynamics over [0, T].
-
-    With eps = 0 the trajectory coincides bitwise with the noiseless flow.
-    `linear_hook` switches the drift off so that each mode is an exact
-    OU process (testing aid for the closed-form variance checks).
-    """
-    if record_every < 1:
-        raise ConfigurationError(f"need record_every >= 1, got {record_every}")
-    n_steps = horizon_steps(x, T, p.dt)
-    profile = profile or compute_profile(d)
-    sample_steps = np.unique(np.concatenate(
-        [np.arange(0, n_steps + 1, record_every), [n_steps]]))
-    out = _evolve_chains(d, x.values, nm, (p,), n_steps, sample_steps,
-                         profile=profile, kstar=kstar, pstar=pstar,
-                         chain_ids=np.array([chain]), linear_hook=linear_hook)
-    return Trajectory(
-        chain=chain, params=p, kstar=kstar, pstar=pstar,
-        t=out["t_samples"], **{k: v[0, 0] for k, v in out["obs"].items()},
-        g_min=float(out["g_min"][0]),
-        final=Field(out["final_values"][0, 0], Boundary.ZERO_DIRICHLET),
-        noise_seeds=dict(seed=p.seed, chain=chain, n_modes=out["n_noise_modes"]))
 
 
 @dataclass
@@ -293,24 +252,19 @@ class EnsembleResult:
     g_min: float
 
 
-def chain_chunks(n_chains: int) -> list[np.ndarray]:
-    """Chain ids 0 .. n_chains - 1 in fixed chunks of _CHAIN_CHUNK."""
-    return [np.arange(lo, min(lo + _CHAIN_CHUNK, n_chains))
-            for lo in range(0, n_chains, _CHAIN_CHUNK)]
-
-
 def _evolve_chunk(args, kwargs, chain_ids):
     return _evolve_chains(*args, chain_ids=chain_ids, **kwargs)
 
 
 def _run_chunks(n_chains: int, workers: int | str, *args, **kwargs) -> list[EnsembleResult]:
-    """Run `_evolve_chains(*args, chain_ids=..., **kwargs)` over `chain_chunks`
-    through `pool.fork_map`, and merge the outputs in chain order, one
-    EnsembleResult per eps level.  The chunk size does not depend on the
-    worker count, so neither does any result.  An exception in a chunk, a
-    dead process included, is raised here."""
-    parts = fork_map(functools.partial(_evolve_chunk, args, kwargs),
-                     chain_chunks(n_chains), workers)
+    """Run `_evolve_chains(*args, chain_ids=..., **kwargs)` over the chain ids
+    0 .. n_chains - 1 in chunks of CHAIN_CHUNK through `pool.fork_map`, and
+    merge the outputs in chain order, one EnsembleResult per eps level.  The
+    chunk size does not depend on the worker count, so neither does any
+    result.  An exception in a chunk, a dead process included, is raised here."""
+    chunks = [np.arange(lo, min(lo + CHAIN_CHUNK, n_chains))
+              for lo in range(0, n_chains, CHAIN_CHUNK)]
+    parts = fork_map(functools.partial(_evolve_chunk, args, kwargs), chunks, workers)
 
     def merged(arrays):       # (levels, chains, ...) chunks, joined on the chain axis
         return np.concatenate(arrays, axis=1)
@@ -336,10 +290,13 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
                  mode_checkpoint_times: tuple[float, ...] = (),
                  workers: int | str = 1) -> EnsembleResult:
     """Run n_chains independent chains (streams keyed by chain id) in fixed-size
-    vectorized batches; results are independent of the worker count.  A
-    horizon shorter than half a step, a sample or mode-checkpoint time outside [0, T], or two
-    sample times that round to the same step, raise ConfigurationError."""
+    vectorized batches; results are independent of the worker count.  No chain,
+    a horizon shorter than half a step, a sample or mode-checkpoint time outside
+    [0, T], two sample times on one step, or SAMPLER_BYTES passed: ConfigurationError."""
     n_steps = horizon_steps(x, T, p.dt)
+    if n_chains < 1:
+        raise ConfigurationError(f"need at least one chain, got n_chains={n_chains}")
+    check_sampler_size(n_steps, 1, n_chains, len(sample_times) + 1)
     for what, times in (("sample", sample_times), ("mode checkpoint", mode_checkpoint_times)):
         for t in times:
             if not 0 <= int(round(t / p.dt)) <= n_steps:
@@ -392,6 +349,12 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
         raise ConfigurationError(f"need at least one chain, got n_chains={n_chains}")
     if n_samples < 1:
         raise ConfigurationError(f"need at least one sample, got n_samples={n_samples}")
+    dt = levels[0].dt
+    per_chain = max(1, int(np.ceil(n_samples / n_chains)))
+    steps_burn = int(round(burn_in / dt))
+    steps_stride = max(1, int(round(stride / dt)))
+    n_steps = steps_burn + per_chain * steps_stride
+    check_sampler_size(n_steps, len(levels), n_chains, per_chain)
     profile = profile or compute_profile(d)
     warnings: list[str] = []
     t_relax = relaxation_time(d, profile=profile)
@@ -402,11 +365,6 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
     if undersampled:
         warnings.append(f"n_samples={n_samples} < 100: tail estimates will be unreliable")
 
-    dt = levels[0].dt
-    per_chain = max(1, int(np.ceil(n_samples / n_chains)))
-    steps_burn = int(round(burn_in / dt))
-    steps_stride = max(1, int(round(stride / dt)))
-    n_steps = steps_burn + per_chain * steps_stride
     sample_steps = steps_burn + steps_stride * np.arange(1, per_chain + 1)
 
     ensembles = _run_chunks(n_chains, workers, d, np.zeros(d.n), nm, levels, n_steps,

@@ -6,12 +6,12 @@ import pytest
 
 from acldp.action import (DENSE_BYTES, MAM_DT_FLOW, MAM_PATH_BYTES, _action_core,
                           _dense_operators, _dst_ortho, _initial_path,
-                          _lap_values, _rung_objective, action,
-                          action_gradient, mam_minimize, minimize)
+                          _rung_objective, action, action_gradient, mam_minimize,
+                          minimize)
 from acldp.energy import energy_star, reaction_values
 from acldp.errors import ConfigurationError
 from acldp.flow import Path, flow_states, gradient_flow, skeleton_solve
-from acldp.grid import Boundary, Field, basis_eval, build_domain
+from acldp.grid import Boundary, Field, basis_eval, build_domain, laplacian_values
 from acldp.noise import NoiseModel
 
 from .conftest import band_limited
@@ -501,7 +501,7 @@ class TestDenseOperators:
         lap, ortho = _dense_operators(d)
         assert lap.shape == ortho.shape == (n, n)
         V = rng.standard_normal((7, n))
-        assert np.max(np.abs(V @ lap - _lap_values(d, V))) <= 1e-12 * d.lambda_k[-1]
+        assert np.max(np.abs(V @ lap - laplacian_values(d, V))) <= 1e-12 * d.lambda_k[-1]
         assert np.array_equal(ortho, _dst_ortho(np.eye(n)))
         assert np.max(np.abs(V @ ortho - _dst_ortho(V))) <= 1e-13 * np.sqrt(n)
 
@@ -510,10 +510,26 @@ class TestDenseOperators:
         assert _dense_operators(build_domain(2.0, 63, 32)) is a
         assert _dense_operators(build_domain(2.0, 63, 63)) is not a
 
+    def test_build_peak_is_within_what_the_cap_counts(self):
+        # the cap counts the build as 24 n^2 bytes; the whole-identity build
+        # peaked at 32 n^2
+        d = build_domain(1.5, 512, 512)                 # a grid no other test builds
+        tracemalloc.start()
+        try:
+            lap, ortho = _dense_operators(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            action_module._DENSE.pop((d.L, d.n, d.modes), None)
+        assert peak <= 24 * d.n ** 2
+        eye = np.eye(d.n)
+        assert lap.tobytes() == laplacian_values(d, eye).tobytes()
+        assert ortho.tobytes() == _dst_ortho(eye).tobytes()
+
     def test_grid_beyond_the_byte_cap_rejected_before_allocating(self):
-        # at n = 5 000 the two operators would take 400 MB; 4 096 is the largest
-        # n that DENSE_BYTES admits
-        assert 16 * 4096 ** 2 <= DENSE_BYTES < 16 * 4097 ** 2
+        # at n = 5 000 the build would count 600 MB; 3 344 is the largest n
+        # that DENSE_BYTES admits
+        assert 24 * 3344 ** 2 <= DENSE_BYTES < 24 * 3345 ** 2
         d = build_domain(2.0, 5000, 64)
         pth = Path(np.zeros((2, d.n)), Boundary.ZERO_DIRICHLET, 0.0, 0.1)
         tracemalloc.start()

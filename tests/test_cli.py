@@ -503,6 +503,22 @@ class TestSdeAndInvariant:
         assert "sample times 0.0, 0.002 all round to step 0" in capsys.readouterr().err
         assert not (out / "sde.csv").exists()
 
+    @pytest.mark.parametrize("command, setting, data", [
+        ("sde", "T=1e15", "sde.csv"),                                # 7.1 PiB of sample times
+        ("invariant", "n_samples=1000000000000000", "samples.csv"),  # 3.6 PiB of steps
+        ("concentration", "n_chains=100000000000", "tails.csv"),     # 3.1e9 chain chunks
+    ])
+    def test_run_beyond_the_byte_cap_exits_2_at_once(self, tmp_path, capsys, command,
+                                                     setting, data):
+        out = tmp_path / "o"
+        started = time.perf_counter()
+        assert run([command, "--set", "n=31", "--set", "modes=31", "--set", setting,
+                    "--out", str(out)]) == 2
+        assert time.perf_counter() - started < 5.0
+        assert "SAMPLER_BYTES" in capsys.readouterr().err
+        assert not (out / data).exists()
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = write_cfg(tmp_path, out1)

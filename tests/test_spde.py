@@ -19,7 +19,7 @@ from acldp.grid import (Boundary, Field, build_domain, inverse_transform_values,
 from acldp.noise import NoiseModel
 from acldp.profile import compute_profile
 from acldp import spde
-from acldp.spde import SdeParams, ensemble_run, sample_invariant, sde_run
+from acldp.spde import SdeParams, ensemble_run, sample_invariant
 
 from .conftest import band_limited
 
@@ -47,25 +47,28 @@ class TestReproducibility:
     def test_same_seed_bitwise(self, sdom, sprof, const_noise):
         p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=99)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        a = sde_run(sdom, x, const_noise, p, 0.5, profile=sprof)
-        b = sde_run(sdom, x, const_noise, p, 0.5, profile=sprof)
-        assert np.array_equal(a.final.values, b.final.values)
-        assert np.array_equal(a.sup_norm, b.sup_norm)
+        every_step = tuple(np.arange(251) * p.dt)
+        a, b = (ensemble_run(sdom, x, const_noise, p, 0.5, n_chains=1, profile=sprof,
+                             sample_times=every_step) for _ in range(2))
+        assert np.array_equal(a.final_values, b.final_values)
+        assert np.array_equal(a.obs["sup_norm"], b.obs["sup_norm"])
 
     def test_zero_noise_matches_gradient_flow_bitwise(self, sdom, sprof, const_noise, rng):
         x = band_limited(sdom, rng, k_max=8, amp=0.4)
         p = SdeParams(eps=0.0, dt=1e-3, modes_noise=16, seed=7)
-        traj = sde_run(sdom, x, const_noise, p, 0.3, profile=sprof)
+        ens = ensemble_run(sdom, x, const_noise, p, 0.3, n_chains=1, profile=sprof)
         flow = gradient_flow(sdom, x, dt=1e-3, T=0.3, stop_tol=0.0,
                              record_every=10 ** 6, profile=sprof)
-        assert np.array_equal(traj.final.values, flow.terminal().values)
+        assert np.array_equal(ens.final_values[0], flow.terminal().values)
 
     def test_chain_invariant_under_batching(self, sdom, sprof, const_noise):
         p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=31)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         ens = ensemble_run(sdom, x, const_noise, p, 0.3, n_chains=5, profile=sprof)
-        solo = sde_run(sdom, x, const_noise, p, 0.3, profile=sprof, chain=3)
-        assert np.array_equal(ens.final_values[3], solo.final.values)
+        # a batch that holds chain 3 alone
+        solo = spde._evolve_chains(sdom, x.values, const_noise, (p,), 150, np.array([150]),
+                                   profile=sprof, kstar=0.2, pstar=8, chain_ids=np.array([3]))
+        assert np.array_equal(ens.final_values[3], solo["final_values"][0, 0])
 
 
 class TestOUClosedForms:
@@ -125,7 +128,7 @@ class TestConvolution:
     def test_replay_needs_recording(self, sdom, sprof, const_noise):
         p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        bare = sde_run(sdom, x, const_noise, p, 0.1, profile=sprof)
+        bare = ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=1, profile=sprof)
         with pytest.raises(ConfigurationError, match="record_replay"):
             stochastic_convolution(sdom, bare, 1.0)
 
@@ -155,15 +158,16 @@ class TestConvolution:
         assert np.max(np.abs(xi - rec.noise_increments)) < 1e-9
 
     def test_replay_is_independent_of_record_every(self, sdom, sprof, const_noise):
-        # the record is sde_run's chain, whichever steps sde_run samples
+        # the record is chain 0 of ensemble_run, whichever steps that run samples
         rec = self._record(sdom, sprof, const_noise, seed=77)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         for every in (1, 5):
-            traj = sde_run(sdom, x, const_noise, rec.params, 0.4, profile=sprof,
-                           record_every=every)
+            times = tuple(np.arange(0, 201, every) * rec.params.dt)
+            ens = ensemble_run(sdom, x, const_noise, rec.params, 0.4, n_chains=1,
+                               profile=sprof, sample_times=times)
             kept = rec.path.values[::every]
-            assert np.max(np.abs(kept), axis=-1).tobytes() == traj.sup_norm.tobytes()
-            assert kept[-1].tobytes() == traj.final.values.tobytes()
+            assert np.max(np.abs(kept), axis=-1).tobytes() == ens.obs["sup_norm"][0].tobytes()
+            assert kept[-1].tobytes() == ens.final_values[0].tobytes()
         # the damping is the replay's own
         assert decomposition_residual(sdom, rec, 3.0) < 0.05
 
@@ -409,7 +413,7 @@ class TestGuards:
         p = SdeParams(eps=4e4, dt=5e-2, modes_noise=16, seed=1)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         with pytest.raises(InstabilityError, match="eps"):
-            sde_run(sdom, x, const_noise, p, 5.0, profile=sprof)
+            ensemble_run(sdom, x, const_noise, p, 5.0, n_chains=1, profile=sprof)
 
     def test_blowup_names_the_level_that_crossed(self, sdom, sprof, const_noise):
         # the first level (eps = 0.1) stays bounded; only eps = 4e4 blows up
@@ -456,19 +460,17 @@ class TestGuards:
         with pytest.raises(ConfigurationError, match=rf"at least one step, got T={T} at dt=0\.01"):
             ensemble_run(sdom, x, const_noise, p, T, n_chains=2, profile=sprof)
 
-    def test_sample_invariant_needs_a_chain(self, sdom, sprof, const_noise):
-        p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
-        with pytest.raises(ConfigurationError, match="n_chains=0"):
-            sample_invariant(sdom, const_noise, p, burn_in=0.1, n_samples=8, stride=0.05,
-                             n_chains=0, profile=sprof)
-
-    @pytest.mark.parametrize("record_every", [0, -5])
-    def test_sde_run_needs_a_positive_record_step(self, sdom, sprof, const_noise,
-                                                  record_every):
+    @pytest.mark.parametrize("front_end", ["sample_invariant", "ensemble_run"])
+    def test_needs_a_chain(self, sdom, sprof, const_noise, front_end):
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        with pytest.raises(ConfigurationError, match=f"record_every >= 1, got {record_every}"):
-            sde_run(sdom, x, const_noise, p, 0.1, profile=sprof, record_every=record_every)
+        for n_chains in (0, -2):
+            with pytest.raises(ConfigurationError, match=f"n_chains={n_chains}"):
+                if front_end == "sample_invariant":
+                    sample_invariant(sdom, const_noise, p, burn_in=0.1, n_samples=8,
+                                     stride=0.05, n_chains=n_chains, profile=sprof)
+                else:
+                    ensemble_run(sdom, x, const_noise, p, 0.1, n_chains, profile=sprof)
 
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_sample_invariant_needs_a_sample(self, sdom, sprof, const_noise, n_samples):
