@@ -17,15 +17,13 @@ from .energy import (EnergyReport, energy, energy_fd, energy_gradient,
                      energy_report, energy_star, proximity_check)
 from .errors import ConfigurationError, InstabilityError, NumericalError
 from .flow import FlowResult, Path, gradient_flow, relaxation_time, skeleton_solve
-from .grid import (Boundary, Domain, Field, add_psi, basis_eval, build_domain,
-                   h1_distance, l2_inner, laplacian_apply, lp_norm,
-                   semigroup_apply, sobolev_norm, spectral_transform,
-                   subtract_psi, sup_norm)
+from .grid import (Boundary, Domain, Field, basis_eval, build_domain,
+                   h1_distance, l2_inner, lp_norm, sobolev_norm)
 from .ldp import (DecayFit, TailEstimate, TailReport, build_tail_report,
                   decay_rate_fit, delta_scaling, tail_probability,
                   tightness_check, tightness_monotone, wilson_interval)
 from .noise import NoiseModel
-from .profile import Profile, compute_profile, energy_formula, profile_energy, \
-    solve_e_L, solve_profile, transit_integral
+from .profile import (Profile, compute_profile, energy_formula, solve_e_L,
+                      solve_profile, transit_integral)
 from .spde import (EmpiricalMeasure, EnsembleResult, SdeParams, ensemble_run,
                    sample_invariant)

@@ -133,9 +133,9 @@ def basis_eval(d: Domain, k: int) -> Field:
 # ---------------------------------------------------------------------------
 # transforms
 #
-# Raw-array variants (suffix _values) carry the hot loops; the Field-level
-# wrappers add boundary-class checking.  All of them accept stacked inputs
-# with the grid on the last axis, so chain ensembles vectorize for free.
+# They act on raw arrays of zero-Dirichlet grid values (subtract psi from a
+# ramp field first) and accept stacked inputs with the grid on the last axis,
+# so chain ensembles vectorize for free.
 # ---------------------------------------------------------------------------
 
 def transform_values(d: Domain, values: np.ndarray) -> np.ndarray:
@@ -152,53 +152,15 @@ def inverse_transform_values(d: Domain, coeff: np.ndarray) -> np.ndarray:
     return dst(pad, type=1, axis=-1, overwrite_x=True) / 2.0
 
 
-def spectral_transform(d: Domain, f: Field) -> np.ndarray:
-    """Mode coefficients of a zero-Dirichlet Field."""
-    if f.bc is not Boundary.ZERO_DIRICHLET:
-        raise ConfigurationError("spectral transform needs zero-Dirichlet input; subtract psi first")
-    return transform_values(d, f.values)
-
-
 def laplacian_values(d: Domain, values: np.ndarray) -> np.ndarray:
     """Raw-array spectral zero-Dirichlet Laplacian (coefficients scaled by
     -lambda_k); supports stacked inputs."""
     return inverse_transform_values(d, -d.lambda_k * transform_values(d, values))
 
 
-def laplacian_apply(d: Domain, f: Field) -> Field:
-    """Spectral zero-Dirichlet Laplacian of a zero-Dirichlet Field."""
-    if f.bc is not Boundary.ZERO_DIRICHLET:
-        raise ConfigurationError("laplacian_apply expects a zero-Dirichlet field; subtract psi first")
-    return Field(laplacian_values(d, f.values), Boundary.ZERO_DIRICHLET)
-
-
-def semigroup_apply(d: Domain, f: Field, t: float, lam: float = 0.0) -> Field:
-    """Damped heat semigroup e^{-lam t} S(t): coefficients scaled by e^{-(lambda_k+lam)t}."""
-    if t < 0:
-        raise ConfigurationError(f"semigroup time must be nonnegative, got t={t}")
-    if lam < 0:
-        raise ConfigurationError(f"damping must be nonnegative, got {lam}")
-    c = spectral_transform(d, f)
-    return Field(inverse_transform_values(d, np.exp(-(d.lambda_k + lam) * t) * c), Boundary.ZERO_DIRICHLET)
-
-
 # ---------------------------------------------------------------------------
-# psi shifts
+# boundary data
 # ---------------------------------------------------------------------------
-
-def add_psi(d: Domain, f: Field) -> Field:
-    """u = ubar + psi: convert zero-Dirichlet to ramp-Dirichlet."""
-    if f.bc is not Boundary.ZERO_DIRICHLET:
-        raise ConfigurationError("add_psi expects a zero-Dirichlet field")
-    return Field(f.values + d.psi, Boundary.RAMP_DIRICHLET)
-
-
-def subtract_psi(d: Domain, f: Field) -> Field:
-    """ubar = u - psi: convert ramp-Dirichlet to zero-Dirichlet."""
-    if f.bc is not Boundary.RAMP_DIRICHLET:
-        raise ConfigurationError("subtract_psi expects a ramp-Dirichlet field")
-    return Field(f.values - d.psi, Boundary.ZERO_DIRICHLET)
-
 
 def boundary_values(f: Field) -> tuple[float, float]:
     """Implied values of the field at -L and +L."""
@@ -226,12 +188,6 @@ def l2_inner(d: Domain, f: Field, g: Field) -> float:
     """Trapezoid L^2 inner product (boundary products vanish for zero bc)."""
     (flo, fhi), (glo, ghi) = boundary_values(f), boundary_values(g)
     return float(d.h * (np.sum(f.values * g.values) + 0.5 * (flo * glo + fhi * ghi)))
-
-
-def sup_norm(f: Field) -> float:
-    """Sup norm over the grid closure."""
-    lo, hi = boundary_values(f)
-    return float(max(np.max(np.abs(f.values)), abs(lo), abs(hi)))
 
 
 def h1_distance(d: Domain, f: Field, g: Field) -> float:

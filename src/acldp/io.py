@@ -1,4 +1,5 @@
-"""Deterministic CSV/JSON writers and a minimal schema validator.
+"""Deterministic CSV/JSON writers, and CSV readers that name the file, row
+and column of a bad cell in a ConfigurationError.
 
 Floats are rendered with repr (shortest round-trip), so identical inputs
 produce byte-identical files on every run and platform.
@@ -126,51 +127,3 @@ def read_path_csv(path: FsPath) -> tuple[np.ndarray, np.ndarray]:
             f"path file {path}: t is not uniform, row {off[0] + 2} is off its first step")
     return cols["t"], np.stack([cols[k] for k in zcols], axis=1)
 
-
-# ---------------------------------------------------------------------------
-# structural schema validation (subset of JSON schema: types + required)
-# ---------------------------------------------------------------------------
-
-_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "boolean": bool,
-}
-
-
-def validate_against_schema(obj, schema: dict, where: str = "$") -> None:
-    """Check required keys and primitive types; raises ConfigurationError."""
-    typ = schema.get("type")
-    if typ == "number":
-        if obj is None and schema.get("nullable"):
-            return
-        if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-            raise ConfigurationError(f"{where}: expected number, got {type(obj).__name__}")
-        return
-    if typ == "integer":
-        if not isinstance(obj, int) or isinstance(obj, bool):
-            raise ConfigurationError(f"{where}: expected integer, got {type(obj).__name__}")
-        return
-    if typ in _TYPES:
-        if obj is None and schema.get("nullable"):
-            return
-        if not isinstance(obj, _TYPES[typ]):
-            raise ConfigurationError(f"{where}: expected {typ}, got {type(obj).__name__}")
-    if typ == "object":
-        for key in schema.get("required", []):
-            if key not in obj:
-                raise ConfigurationError(f"{where}: missing required key {key!r}")
-        for key, sub in schema.get("properties", {}).items():
-            if key in obj:
-                validate_against_schema(obj[key], sub, f"{where}.{key}")
-    if typ == "array":
-        items = schema.get("items")
-        if items:
-            for i, v in enumerate(obj):
-                validate_against_schema(v, items, f"{where}[{i}]")
-
-
-def load_schema(name: str) -> dict:
-    here = FsPath(__file__).parent / "schemas" / f"{name}.json"
-    return json.loads(here.read_text())

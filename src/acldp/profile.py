@@ -167,12 +167,6 @@ def _check_energy_consistency(d: Domain, p: Profile, rtol: float = 1e-4) -> None
             f"grid quadrature={direct!r} (n={d.n} too coarse?)")
 
 
-def profile_energy(d: Domain, p: Profile) -> float:
-    """Energy of the minimizer; re-runs the formula-vs-quadrature cross-check."""
-    _check_energy_consistency(d, p)
-    return p.energy_value
-
-
 def compute_profile(d: Domain, tol: float = DEFAULT_TOL) -> Profile:
     """solve_e_L + solve_profile for a domain, memoized on (L, n, modes, tol)."""
     key = (d.L, d.n, d.modes, tol)

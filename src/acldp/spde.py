@@ -22,8 +22,9 @@ at one or more eps levels, its state shaped (levels, chains, ...).  It keeps
 observables at the sample steps and mode coefficients at the checkpoints,
 nothing else.  The replay diagnostics (`diagnostics.record_replay`) run one
 chain through `ensemble_run` with a checkpoint at every step to rebuild its
-path.  A step mask or observables past SAMPLER_BYTES (2.7e8 steps or 8.4e6
-level-chain-samples) are a ConfigurationError before either is allocated.
+path.  A step mask, observables or mode checkpoints past SAMPLER_BYTES (2.7e8
+steps, 8.4e6 level-chain-samples or 3.4e7 checkpointed chain-mode values) are
+a ConfigurationError before any of them is allocated.
 
 The increment sqrt(dt) xi_k follows the exact decay, so under constant g0 mode
 k's stationary variance is eps g0^2 dt / (1 - e^{-2 lambda_k dt}), not the SPDE's
@@ -60,7 +61,8 @@ from .profile import Profile, compute_profile
 
 _NOISE_BLOCK = 512          # steps of normals drawn per stream at a time
 CHAIN_CHUNK = 32            # chains per vectorized batch (fixed: worker-count independent)
-SAMPLER_BYTES = 2 ** 28     # cap on the step mask (1 B a step) and the observables (32 B a sample)
+SAMPLER_BYTES = 2 ** 28     # cap on the step mask (1 B a step), the observables (32 B a
+                            # sample) and the mode checkpoints (8 B a chain-mode each)
 
 
 @dataclass(frozen=True)
@@ -93,11 +95,8 @@ class EmpiricalMeasure:
     """Post burn-in observable records pooled over an ensemble of chains."""
 
     eps: float
-    n_traj: int
     burn_in: float
     sample_stride: float
-    per_chain: int
-    seed: int
     kstar: float
     pstar: int
     g_min: float
@@ -221,11 +220,15 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
                 sup_running=sup_running, g_min=g_min, mode_snaps=mode_snaps)
 
 
-def check_sampler_size(n_steps: int, n_levels: int, n_chains: int, n_samples: int) -> None:
-    """ConfigurationError when the step mask or the observables would pass SAMPLER_BYTES."""
+def check_sampler_size(n_steps: int, n_levels: int, n_chains: int, n_samples: int,
+                       n_checkpoint_values: int = 0) -> None:
+    """ConfigurationError when the step mask, the observables or the mode
+    checkpoints (n_checkpoint_values floats) would pass SAMPLER_BYTES."""
     n_obs = n_levels * n_chains * n_samples
     for what, nbytes in ((f"{n_steps} steps", n_steps + 1),
-                         (f"{n_obs} level-chain-samples", 32 * n_obs)):
+                         (f"{n_obs} level-chain-samples", 32 * n_obs),
+                         (f"{n_checkpoint_values} mode-checkpoint values",
+                          8 * n_checkpoint_values)):
         if nbytes > SAMPLER_BYTES:
             raise ConfigurationError(f"{what} take {nbytes} bytes > SAMPLER_BYTES={SAMPLER_BYTES}")
 
@@ -296,7 +299,8 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
     n_steps = horizon_steps(x, T, p.dt)
     if n_chains < 1:
         raise ConfigurationError(f"need at least one chain, got n_chains={n_chains}")
-    check_sampler_size(n_steps, 1, n_chains, len(sample_times) + 1)
+    check_sampler_size(n_steps, 1, n_chains, len(sample_times) + 1,
+                       len(mode_checkpoint_times) * n_chains * d.modes)
     for what, times in (("sample", sample_times), ("mode checkpoint", mode_checkpoint_times)):
         for t in times:
             if not 0 <= int(round(t / p.dt)) <= n_steps:
@@ -370,8 +374,7 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
     ensembles = _run_chunks(n_chains, workers, d, np.zeros(d.n), nm, levels, n_steps,
                             sample_steps, profile=profile, kstar=kstar, pstar=pstar)
     measures = [EmpiricalMeasure(
-        eps=q.eps, n_traj=n_chains, burn_in=burn_in, sample_stride=stride,
-        per_chain=per_chain, seed=q.seed, kstar=kstar, pstar=pstar,
+        eps=q.eps, burn_in=burn_in, sample_stride=stride, kstar=kstar, pstar=pstar,
         g_min=ens.g_min, undersampled=undersampled, warnings=list(warnings),
         samples=dict(chain=np.repeat(np.arange(n_chains), per_chain).astype(float),
                      t=np.tile(ens.t_samples, n_chains),

@@ -1,13 +1,16 @@
 import concurrent.futures
 import contextlib
+import copy
 import importlib
 import io
 import json
 import os
 import tempfile
 import time
+from importlib.resources import files
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +20,7 @@ from acldp import pipeline
 from acldp.cli import COMMANDS, run
 from acldp.errors import InstabilityError
 from acldp.grid import Boundary, Field, build_domain
-from acldp.io import (load_schema, read_csv_columns, validate_against_schema,
-                      write_field_csv, write_path_csv)
+from acldp.io import read_csv_columns, write_field_csv, write_path_csv
 from acldp.profile import compute_profile, solve_e_L
 
 
@@ -591,8 +593,19 @@ class TestConcentrationOutputs:
         assert len(cols["eps"]) == 6          # 3 eps x {delta, 2 delta}
 
     def test_json_validates_against_schema(self, conc_out):
+        schema = json.loads(files("acldp").joinpath("schemas/ldp_tail.json").read_text())
+        validator = jsonschema.Draft202012Validator(schema)
         payload = json.loads((conc_out / "tail_reports.json").read_text())
-        validate_against_schema(payload, load_schema("ldp_tail"))
+        validator.validate(payload)
+        # a fit that could not be made reports null slopes and ratio
+        nulls = copy.deepcopy(payload)
+        nulls["slope_ratio"] = None
+        for rep in nulls["reports"]:
+            rep["slope"] = rep["r2"] = None
+        validator.validate(nulls)
+        bad = dict(payload, slope_ratio="x")
+        with pytest.raises(jsonschema.ValidationError, match="'x' is not of type"):
+            validator.validate(bad)
 
     def test_per_eps_samples_written(self, conc_out):
         for eps in (0.2, 0.1, 0.05):

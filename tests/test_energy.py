@@ -7,7 +7,7 @@ from acldp.energy import (confinement_threshold, energy, energy_fd,
                           energy_gradient, energy_report, energy_star,
                           lipschitz_of_well_speed, proximity_check)
 from acldp.errors import ConfigurationError
-from acldp.grid import (Boundary, Field, add_psi, build_domain, l2_inner,
+from acldp.grid import (Boundary, Field, build_domain, l2_inner,
                         transform_values)
 from acldp.profile import compute_profile
 
@@ -39,7 +39,8 @@ class TestEnergy:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 31))
     def test_minimality(self, dom2, prof2, seed):
-        u = add_psi(dom2, band_limited(dom2, np.random.default_rng(seed), amp=0.5))
+        f = band_limited(dom2, np.random.default_rng(seed), amp=0.5)
+        u = Field(f.values + dom2.psi, Boundary.RAMP_DIRICHLET)
         assert energy(dom2, u) >= prof2.energy_value - 1e-9
 
 

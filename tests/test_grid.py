@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from acldp.errors import ConfigurationError
-from acldp.grid import (Boundary, Field, add_psi, basis_eval, build_domain,
-                        inverse_transform_values, l2_inner, laplacian_apply,
-                        lp_norm, semigroup_apply, sobolev_norm,
-                        spectral_transform, subtract_psi, sup_norm,
-                        transform_values)
+from acldp.flow import step_weights
+from acldp.grid import (Boundary, Field, basis_eval, build_domain,
+                        inverse_transform_values, l2_inner, laplacian_values,
+                        lp_norm, sobolev_norm, transform_values)
 
 from .conftest import band_limited
 
@@ -102,28 +101,22 @@ class TestBasis:
 
 class TestTransform:
     def test_single_mode(self, dom2):
-        c = spectral_transform(dom2, basis_eval(dom2, 3))
+        c = transform_values(dom2, basis_eval(dom2, 3).values)
         expect = np.zeros(dom2.modes)
         expect[2] = 1.0
         assert np.allclose(c, expect, atol=1e-12)
 
     def test_zero(self, dom2):
-        c = spectral_transform(dom2, Field(np.zeros(dom2.n), Boundary.ZERO_DIRICHLET))
+        c = transform_values(dom2, np.zeros(dom2.n))
         assert np.all(c == 0.0)
 
     def test_combination_against_quadrature_oracle(self, dom1):
-        f = Field(basis_eval(dom1, 1).values + 2.0 * basis_eval(dom1, 4).values,
-                  Boundary.ZERO_DIRICHLET)
-        c = spectral_transform(dom1, f)
+        c = transform_values(dom1, basis_eval(dom1, 1).values + 2.0 * basis_eval(dom1, 4).values)
         # oracle: fine-grid quadrature of <f, e_k>
         ffun = lambda x: eigenfunction(1.0, 1)(x) + 2.0 * eigenfunction(1.0, 4)(x)
         for k in (1, 2, 3, 4, 5):
             oracle = fine_grid_inner(1.0, ffun, eigenfunction(1.0, k))
             assert c[k - 1] == pytest.approx(oracle, abs=1e-9)
-
-    def test_ramp_input_rejected(self, dom2):
-        with pytest.raises(ConfigurationError):
-            spectral_transform(dom2, Field(dom2.psi, Boundary.RAMP_DIRICHLET))
 
     def test_inverse_of_leading_block_equals_zero_padded(self, dom2, rng):
         k = dom2.modes // 3
@@ -137,7 +130,7 @@ class TestTransform:
     @given(seed=st.integers(0, 2 ** 31))
     def test_round_trip_band_limited(self, dom2, seed):
         f = band_limited(dom2, np.random.default_rng(seed), k_max=dom2.modes)
-        rec = inverse_transform_values(dom2, spectral_transform(dom2, f))
+        rec = inverse_transform_values(dom2, transform_values(dom2, f.values))
         scale = max(np.max(np.abs(f.values)), 1e-30)
         assert np.max(np.abs(rec - f.values)) / scale < 1e-10
 
@@ -145,7 +138,7 @@ class TestTransform:
     @given(seed=st.integers(0, 2 ** 31))
     def test_parseval(self, dom2, seed):
         f = band_limited(dom2, np.random.default_rng(seed), k_max=dom2.modes)
-        c = spectral_transform(dom2, f)
+        c = transform_values(dom2, f.values)
         assert np.sum(c * c) == pytest.approx(lp_norm(dom2, f, 2) ** 2, rel=1e-10)
 
 
@@ -249,13 +242,12 @@ class TestLaplacian:
     def test_eigenfunction_exactness(self, dom2):
         for k in range(1, dom2.modes + 1):
             e = basis_eval(dom2, k)
-            lap = laplacian_apply(dom2, e)
-            err = np.max(np.abs(lap.values + dom2.lambda_k[k - 1] * e.values))
+            lap = laplacian_values(dom2, e.values)
+            err = np.max(np.abs(lap + dom2.lambda_k[k - 1] * e.values))
             assert err <= 1e-8
 
     def test_zero(self, dom2):
-        lap = laplacian_apply(dom2, Field(np.zeros(dom2.n), Boundary.ZERO_DIRICHLET))
-        assert np.all(lap.values == 0.0)
+        assert np.all(laplacian_values(dom2, np.zeros(dom2.n)) == 0.0)
 
     def test_matches_second_difference_oracle(self, rng):
         # smooth band-limited field: FD Laplacian agrees to O(h^2)
@@ -263,7 +255,7 @@ class TestLaplacian:
         for n in (63, 127):
             d = build_domain(1.0, n, n)
             f = band_limited(d, np.random.default_rng(5), k_max=4, amp=1.0)
-            spec = laplacian_apply(d, f).values
+            spec = laplacian_values(d, f.values)
             fd = fd_laplacian_matrix(1.0, n) @ f.values
             errs.append(np.max(np.abs(spec - fd)))
         h63 = 2.0 / 64
@@ -271,45 +263,39 @@ class TestLaplacian:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
 
 
+def semigroup(d, values, t):
+    """S(t) as the integrators apply it: the exponential-Euler semigroup factor
+    e^{-lambda_k t} on the mode coefficients."""
+    return inverse_transform_values(d, step_weights(d, t)[0] * transform_values(d, values))
+
+
 class TestSemigroup:
     def test_eigenfunction_decay(self, dom2):
         k, t = 5, 0.3
         e = basis_eval(dom2, k)
-        out = semigroup_apply(dom2, e, t)
-        assert np.allclose(out.values, np.exp(-dom2.lambda_k[k - 1] * t) * e.values,
+        out = semigroup(dom2, e.values, t)
+        assert np.allclose(out, np.exp(-dom2.lambda_k[k - 1] * t) * e.values,
                            rtol=1e-12, atol=1e-14)
 
     def test_identity_at_zero(self, dom2, rng):
         f = band_limited(dom2, rng, k_max=dom2.modes)
-        out = semigroup_apply(dom2, f, 0.0, lam=3.0)
-        assert np.allclose(out.values, f.values, rtol=1e-13, atol=1e-15)
-
-    def test_damping_factor(self, dom2, rng):
-        f = band_limited(dom2, rng, k_max=10)
-        t, lam = 0.2, 1.5
-        damped = semigroup_apply(dom2, f, t, lam=lam)
-        plain = semigroup_apply(dom2, f, t)
-        assert np.allclose(damped.values, np.exp(-lam * t) * plain.values,
-                           rtol=1e-12, atol=1e-15)
-
-    def test_negative_time_rejected(self, dom2, rng):
-        with pytest.raises(ConfigurationError):
-            semigroup_apply(dom2, band_limited(dom2, rng), -0.1)
+        out = semigroup(dom2, f.values, 0.0)
+        assert np.allclose(out, f.values, rtol=1e-13, atol=1e-15)
 
     @settings(max_examples=20, deadline=None)
     @given(s=st.floats(0.01, 0.5), t=st.floats(0.01, 0.5))
     def test_semigroup_law(self, dom2, s, t):
         f = band_limited(dom2, np.random.default_rng(11), k_max=dom2.modes)
-        once = semigroup_apply(dom2, f, s + t)
-        twice = semigroup_apply(dom2, semigroup_apply(dom2, f, s), t)
-        scale = max(np.max(np.abs(once.values)), 1e-12)
-        assert np.max(np.abs(once.values - twice.values)) / scale < 1e-10
+        once = semigroup(dom2, f.values, s + t)
+        twice = semigroup(dom2, semigroup(dom2, f.values, s), t)
+        scale = max(np.max(np.abs(once)), 1e-12)
+        assert np.max(np.abs(once - twice)) / scale < 1e-10
 
     def test_matches_matrix_exponential_oracle(self):
         n, L, t = 63, 1.0, 0.1
         d = build_domain(L, n, n)
         f = band_limited(d, np.random.default_rng(7), k_max=4, amp=1.0)
-        spec = semigroup_apply(d, f, t).values
+        spec = semigroup(d, f.values, t)
         dense = expm(t * fd_laplacian_matrix(L, n)) @ f.values
         assert np.max(np.abs(spec - dense)) < 0.02 * max(np.max(np.abs(f.values)), 1.0)
 
@@ -339,23 +325,3 @@ class TestSobolevNorm:
         norms = [sobolev_norm(dom2, e, ks, 8) for ks in (0.0, 0.1, 0.2, 0.4)]
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
-
-class TestPsiShift:
-    def test_round_trip(self, dom2, rng):
-        f = band_limited(dom2, rng)
-        back = subtract_psi(dom2, add_psi(dom2, f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-14
-        assert back.bc is Boundary.ZERO_DIRICHLET
-
-    def test_class_conversion(self, dom2, rng):
-        f = band_limited(dom2, rng)
-        u = add_psi(dom2, f)
-        assert u.bc is Boundary.RAMP_DIRICHLET
-        with pytest.raises(ConfigurationError):
-            add_psi(dom2, u)
-        with pytest.raises(ConfigurationError):
-            subtract_psi(dom2, f)
-
-    def test_sup_norm_includes_boundary(self, dom2):
-        small = Field(1e-6 * np.ones(dom2.n), Boundary.RAMP_DIRICHLET)
-        assert sup_norm(small) == 1.0

@@ -19,8 +19,8 @@ def synthetic_measure(eps, dist_values, sobolev_values=None, kstar=0.2, pstar=8)
     if sobolev_values is None:
         sobolev_values = np.abs(dist_values)
     return EmpiricalMeasure(
-        eps=eps, n_traj=1, burn_in=0.0, sample_stride=1.0, per_chain=n,
-        seed=0, kstar=kstar, pstar=pstar, g_min=1.0, undersampled=n < 100,
+        eps=eps, burn_in=0.0, sample_stride=1.0, kstar=kstar, pstar=pstar,
+        g_min=1.0, undersampled=n < 100,
         warnings=[], samples=dict(
             chain=np.zeros(n), t=np.arange(n, dtype=float),
             sup_norm=np.abs(dist_values), dist_sup=np.asarray(dist_values),

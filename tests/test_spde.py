@@ -1,5 +1,6 @@
 import os
 import threading
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -452,6 +453,28 @@ class TestGuards:
                            sample_times=(0.0, 0.1), mode_checkpoint_times=(0.0, 0.1))
         assert np.allclose(ens.t_samples, [0.0, 0.1])
         assert sorted(ens.mode_snaps) == [0, 10]
+
+    def test_mode_checkpoints_beyond_the_byte_cap_rejected_before_stepping(
+            self, sdom, sprof, const_noise, monkeypatch):
+        # 64 chains x 32 modes x 8 B = 16 KiB a checkpoint; 20 001 of them pass the cap
+        p = SdeParams(eps=0.05, dt=1e-3, modes_noise=16, seed=3)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        times = np.arange(20_001) * p.dt
+        assert len(times) * 64 * sdom.modes * 8 > spde.SAMPLER_BYTES
+
+        def never(*args, **kwargs):
+            raise AssertionError("stepped past the checkpoint cap")
+
+        monkeypatch.setattr(spde, "_evolve_chains", never)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="mode-checkpoint values take"):
+                ensemble_run(sdom, x, const_noise, p, 20.0, n_chains=64, profile=sprof,
+                             mode_checkpoint_times=times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("T", [0.0, -0.1, 0.004])
     def test_ensemble_horizon_must_cover_a_step(self, sdom, sprof, const_noise, T):
