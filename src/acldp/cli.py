@@ -1,8 +1,8 @@
 """Experiment runner: subcommands over a shared flat config.
 
-    acldp profile --L 10 --out results/
+    acldp profile --set L=10 --out results/
     acldp flow --set T=40 --set init=zero
-    acldp invariant --config exp.cfg
+    acldp mam --target zeta.csv --T-ladder 3
     acldp concentration --config exp.cfg
 
 Every run echoes the resolved config into the output directory and writes a
@@ -14,7 +14,6 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -53,12 +52,8 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigurationError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
         apply_override(cfg, key.strip(), val.strip())
-    for key in ("L", "T"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            apply_override(cfg, key, str(flag))
-    if getattr(args, "init", None):
-        apply_override(cfg, "init", args.init)
+    if getattr(args, "t_ladder", None) is not None:
+        apply_override(cfg, "action.ladder", args.t_ladder)
     if args.out:
         cfg.values["output.dir"] = args.out
     env_workers = os.environ.get("ACLDP_WORKERS")
@@ -84,7 +79,7 @@ def _samples_csv_columns(s: dict) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_profile(cfg, outdir, warnings):
+def _cmd_profile(args, cfg, outdir, warnings):
     d = domain_from_config(cfg)
     prof = compute_profile(d)
     write_field_csv(outdir / "profile.csv", d, prof.m)
@@ -92,17 +87,15 @@ def _cmd_profile(cfg, outdir, warnings):
                dict(L=d.L, e_L=prof.e_L, energy=prof.energy_value))
 
 
-def _cmd_energy(cfg, outdir, warnings, input_path=None, bc="ramp"):
-    if input_path is None:
-        raise ConfigurationError("energy needs --input field.csv")
+def _cmd_energy(args, cfg, outdir, warnings):
     d = domain_from_config(cfg)
     prof = compute_profile(d)
-    boundary = Boundary.RAMP_DIRICHLET if bc == "ramp" else Boundary.ZERO_DIRICHLET
-    f = read_field_csv(input_path, d, boundary)
+    boundary = Boundary.RAMP_DIRICHLET if args.bc == "ramp" else Boundary.ZERO_DIRICHLET
+    f = read_field_csv(args.input, d, boundary)
     rep = energy_report(d, f, prof)
     write_json(outdir / "energy.json",
                dict(value=rep.value, gradient_norm=rep.gradient_norm,
-                    proximity=rep.proximity, bc=bc))
+                    proximity=rep.proximity, bc=args.bc))
 
 
 def _initial_field(cfg, d, prof):
@@ -114,7 +107,7 @@ def _initial_field(cfg, d, prof):
     return read_field_csv(init, d, Boundary.ZERO_DIRICHLET)
 
 
-def _cmd_flow(cfg, outdir, warnings):
+def _cmd_flow(args, cfg, outdir, warnings):
     d = domain_from_config(cfg)
     prof = compute_profile(d)
     x = _initial_field(cfg, d, prof)
@@ -131,7 +124,7 @@ def _cmd_flow(cfg, outdir, warnings):
                     terminal_dist=float(res.dist_sup[-1])))
 
 
-def _cmd_sde(cfg, outdir, warnings):
+def _cmd_sde(args, cfg, outdir, warnings):
     n_times = math.ceil((cfg["T"] + 1e-12) / cfg["stride"])      # sized before arange builds them
     check_sampler_size(int(round(cfg["T"] / cfg["dt"])), 1, cfg["n_chains"], n_times)
     d = domain_from_config(cfg)
@@ -158,7 +151,7 @@ def _summary_stats(values: np.ndarray) -> dict:
                 median=float(qs[2]), q75=float(qs[3]), q95=float(qs[4]))
 
 
-def _cmd_invariant(cfg, outdir, warnings):
+def _cmd_invariant(args, cfg, outdir, warnings):
     d = domain_from_config(cfg)
     nm = noise_from_config(cfg)
     prof = compute_profile(d)
@@ -177,22 +170,18 @@ def _cmd_invariant(cfg, outdir, warnings):
     write_json(outdir / "summary.json", dict(
         eps=eps, n_samples=em.n_samples, burn_in=em.burn_in, stride=em.sample_stride,
         g_min=em.g_min, undersampled=em.undersampled,
-        sup_norm=_summary_stats(em.samples["sup_norm"]),
-        dist_sup=_summary_stats(em.samples["dist_sup"]),
-        energy_star=_summary_stats(em.samples["energy_star"]),
-        sobolev_norm=_summary_stats(em.samples["sobolev_norm"]),
+        **{k: _summary_stats(em.samples[k])
+           for k in ("sup_norm", "dist_sup", "energy_star", "sobolev_norm")},
         tail_counts=tail_counts))
 
 
-def _cmd_action(cfg, outdir, warnings, path_file=None):
-    if path_file is None:
-        raise ConfigurationError("action needs --path path.csv")
+def _cmd_action(args, cfg, outdir, warnings):
     d = domain_from_config(cfg)
     nm = noise_from_config(cfg)
-    t, values = read_path_csv(path_file)
+    t, values = read_path_csv(args.path)
     if values.shape[1] != d.n:
         raise ConfigurationError(
-            f"path file {path_file} has {values.shape[1]} grid columns, domain needs {d.n}")
+            f"path file {args.path} has {values.shape[1]} grid columns, domain needs {d.n}")
     pth = Path(values, Boundary.ZERO_DIRICHLET, float(t[0]), float(t[1] - t[0]))
     res = action(pth, nm, d)
     write_json(outdir / "action.json",
@@ -200,16 +189,12 @@ def _cmd_action(cfg, outdir, warnings, path_file=None):
                     residual_max=float(np.max(res.residual_series))))
 
 
-def _cmd_mam(cfg, outdir, warnings, target_file=None, ladder=None):
+def _cmd_mam(args, cfg, outdir, warnings):
     d = domain_from_config(cfg)
     nm = noise_from_config(cfg)
-    if target_file is None:
-        raise ConfigurationError("mam needs --target zeta.csv")
-    zeta = read_field_csv(target_file, d, Boundary.ZERO_DIRICHLET)
-    if ladder is None:
-        ladder = cfg["action.ladder"]
+    zeta = read_field_csv(args.target, d, Boundary.ZERO_DIRICHLET)
     res = mam_minimize(d, zeta, nm, cfg["action.t0"], cfg["action.steps"],
-                       ladder=ladder)
+                       ladder=cfg["action.ladder"])
     write_json(outdir / "mam.json",
                dict(value=res.value, iterations=res.iterations,
                     converged=res.converged,
@@ -217,19 +202,16 @@ def _cmd_mam(cfg, outdir, warnings, target_file=None, ladder=None):
                     ladder=res.info["ladder"]))
 
 
-def _cmd_concentration(cfg, outdir, warnings, write_samples=True):
-    """`concentration`, and `ldp-tail` with write_samples=False."""
+def _cmd_concentration(args, cfg, outdir, warnings):
     result = run_concentration(cfg)
     warnings.extend(result.warnings)
-    rows = {"eps": [], "delta": [], "p_hat": [], "lo": [], "hi": []}
-    for rep in (result.report_delta, result.report_2delta):
-        for i, eps in enumerate(rep.eps_grid):
-            rows["eps"].append(eps)
-            rows["delta"].append(rep.delta)
-            rows["p_hat"].append(rep.p_hat[i])
-            rows["lo"].append(rep.lo[i])
-            rows["hi"].append(rep.hi[i])
-    write_csv(outdir / "tails.csv", {k: np.asarray(v) for k, v in rows.items()})
+    reps = (result.report_delta, result.report_2delta)
+    write_csv(outdir / "tails.csv", dict(
+        eps=np.concatenate([rep.eps_grid for rep in reps]),
+        delta=np.repeat([rep.delta for rep in reps], [len(rep.eps_grid) for rep in reps]),
+        p_hat=np.concatenate([rep.p_hat for rep in reps]),
+        lo=np.concatenate([rep.lo for rep in reps]),
+        hi=np.concatenate([rep.hi for rep in reps])))
     tight = result.tightness
     write_json(outdir / "tail_reports.json", dict(
         delta=result.delta, slope_ratio=result.slope_ratio,
@@ -240,14 +222,13 @@ def _cmd_concentration(cfg, outdir, warnings, write_samples=True):
                        lo=[e.lo for e in tight["estimates"]],
                        hi=[e.hi for e in tight["estimates"]],
                        nonincreasing=tight["nonincreasing"])))
-    if write_samples:
-        for em in result.measures:
-            write_csv(outdir / f"samples_eps{em.eps!r}.csv", _samples_csv_columns(em.samples))
+    for em in result.measures:
+        write_csv(outdir / f"samples_eps{em.eps!r}.csv", _samples_csv_columns(em.samples))
 
 
 # The commands that use `workers`: they spread their chain chunks over the
 # pool (`pool.fork_map`).  Every other command runs in the calling process.
-SAMPLERS = ("sde", "invariant", "ldp-tail", "concentration")
+SAMPLERS = ("sde", "invariant", "concentration")
 
 
 COMMANDS = {
@@ -258,7 +239,6 @@ COMMANDS = {
     "invariant": _cmd_invariant,
     "action": _cmd_action,
     "mam": _cmd_mam,
-    "ldp-tail": functools.partial(_cmd_concentration, write_samples=False),
     "concentration": _cmd_concentration,
 }
 
@@ -267,15 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="acldp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)     # `--T` is not `--T-ladder`
         p.add_argument("--config", help="flat key-value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
         p.add_argument("--out", help="output directory (default from config)")
-        p.add_argument("--L", type=float, help="half-length override")
-        p.add_argument("--T", type=float, help="horizon override")
-        if name == "flow":
-            p.add_argument("--init", help="zero | profile | custom.csv")
         if name == "energy":
             p.add_argument("--input", required=True, help="field CSV (xi, value)")
             p.add_argument("--bc", choices=("ramp", "zero"), default="ramp")
@@ -283,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--path", required=True, help="path CSV (t, z0..z{n-1})")
         if name == "mam":
             p.add_argument("--target", required=True, help="target state CSV (xi, value)")
-            p.add_argument("--T-ladder", type=int, dest="t_ladder",
-                           help="number of horizon-doubling rungs")
+            p.add_argument("--T-ladder", dest="t_ladder",
+                           help="number of horizon-doubling rungs (action.ladder)")
     return parser
 
 
@@ -294,20 +270,13 @@ def run(argv: list[str]) -> int:
     warnings: list[str] = []
     partial = True
     outdir = None
-    cfg = None
     try:
         cfg = _load_config(args)
-        outdir = FsPath(cfg["output.dir"])
-        outdir.mkdir(parents=True, exist_ok=True)
+        out = FsPath(cfg["output.dir"])
+        out.mkdir(parents=True, exist_ok=True)
+        outdir = out                   # a manifest goes only into a directory that exists
         (outdir / "resolved.cfg").write_text(cfg.canonical_text())
-        kwargs = {}
-        if args.command == "energy":
-            kwargs = dict(input_path=args.input, bc=args.bc)
-        elif args.command == "action":
-            kwargs = dict(path_file=args.path)
-        elif args.command == "mam":
-            kwargs = dict(target_file=args.target, ladder=args.t_ladder)
-        COMMANDS[args.command](cfg, outdir, warnings, **kwargs)
+        COMMANDS[args.command](args, cfg, outdir, warnings)
         partial = False
         return 0
     except (ConfigurationError, OSError) as exc:
@@ -317,7 +286,7 @@ def run(argv: list[str]) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     finally:
-        if outdir is not None and cfg is not None:
+        if outdir is not None:
             workers = pool_size(cfg["workers"], -(-cfg["n_chains"] // CHAIN_CHUNK)
                                 if args.command in SAMPLERS else 1)
             write_json(outdir / "manifest.json", dict(

@@ -72,7 +72,9 @@ SCHEMA: dict[str, tuple] = {
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved configuration; every field validated before any compute."""
+    """Configuration values by key.  Parsing checks each value's type only;
+    `validate_config` checks the whole once every override is applied,
+    before any compute."""
 
     values: dict = field(default_factory=dict)
 
@@ -99,7 +101,11 @@ def default_config() -> ExperimentConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text over the defaults; unknown keys are named and rejected."""
+    """Parse config text over the defaults; unknown keys are named and rejected.
+
+    Not validated: a key's bounds may depend on overrides applied later (a
+    file's `modes = 300` is valid once `--set n=511` follows), so the caller
+    runs `validate_config` on the final values."""
     cfg = default_config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -110,7 +116,6 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         apply_override(cfg, key, val.strip())
-    validate_config(cfg)
     return cfg
 
 

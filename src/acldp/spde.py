@@ -356,7 +356,10 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
     dt = levels[0].dt
     per_chain = max(1, int(np.ceil(n_samples / n_chains)))
     steps_burn = int(round(burn_in / dt))
-    steps_stride = max(1, int(round(stride / dt)))
+    steps_stride = int(round(stride / dt))
+    if steps_stride < 1:              # samples would be dt apart, not stride
+        raise ConfigurationError(f"stride={stride} rounds to 0 steps of dt={dt}; "
+                                 "need stride > dt/2")
     n_steps = steps_burn + per_chain * steps_stride
     check_sampler_size(n_steps, len(levels), n_chains, per_chain)
     profile = profile or compute_profile(d)

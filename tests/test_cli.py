@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import shlex
 import tempfile
 import time
 from importlib.resources import files
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acldp import pipeline
-from acldp.cli import COMMANDS, run
+from acldp.cli import COMMANDS, build_parser, run
+from acldp.config import SCHEMA
 from acldp.errors import InstabilityError
 from acldp.grid import Boundary, Field, build_domain
 from acldp.io import read_csv_columns, write_field_csv, write_path_csv
@@ -56,10 +58,56 @@ class TestConfigHandling:
 
     def test_resolved_config_echoed(self, tmp_path):
         out = tmp_path / "o"
-        assert run(["profile", "--L", "1.0", "--set", "n=63", "--set", "modes=32",
+        assert run(["profile", "--set", "L=1.0", "--set", "n=63", "--set", "modes=32",
                     "--out", str(out)]) == 0
         text = (out / "resolved.cfg").read_text()
         assert "L = 1.0" in text and "n = 63" in text
+
+    def test_file_value_checked_against_later_overrides(self, tmp_path):
+        # modes = 300 is out of range at the file's n = 255, in range at n = 511
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("modes = 300\n")
+        out = tmp_path / "o"
+        assert run(["profile", "--config", str(cfg), "--set", "n=511", "--out", str(out)]) == 0
+        assert "modes = 300" in (out / "resolved.cfg").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["mam", "--target", "zeta.csv", "--T", "5"],      # not an abbreviation of --T-ladder
+        ["flow", "--T", "2"],
+        ["profile", "--L", "10"],
+        ["flow", "--init", "zero"],
+        ["ldp-tail"],
+    ])
+    def test_removed_flags_and_commands_exit_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_unusable_output_directory_exits_2(self, tmp_path, capsys, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        assert run(["profile", "--set", "n=63", "--set", "modes=32",
+                    "--out", str(blocker / under)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_readme_matches_the_parser_and_schema(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+
+        def block(heading):
+            body = readme.split(f"\n## {heading}\n", 1)[1]
+            return body.split("```", 2)[1].split("\n", 1)[1]
+
+        shown = {build_parser().parse_args(shlex.split(line, comments=True)[1:]).command
+                 for line in block("Command line").splitlines() if line.startswith("acldp ")}
+        assert shown == set(COMMANDS)
+        keys = [line.split("=", 1)[0].strip() for line in block("Configuration").splitlines()
+                if line.strip()]
+        assert sorted(keys) == sorted(SCHEMA)
 
     def test_missing_input_marks_partial_manifest(self, tmp_path):
         out = tmp_path / "o"
@@ -102,7 +150,7 @@ class TestConfigHandling:
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
     def test_crashed_command_marks_partial(self, tmp_path, monkeypatch):
-        def crash(cfg, outdir, warnings):
+        def crash(args, cfg, outdir, warnings):
             raise RuntimeError("unexpected")
 
         monkeypatch.setitem(COMMANDS, "profile", crash)
@@ -115,7 +163,7 @@ class TestConfigHandling:
 class TestProfileCommand:
     def test_outputs_match_library(self, tmp_path):
         out = tmp_path / "o"
-        assert run(["profile", "--L", "10.0", "--set", "n=127",
+        assert run(["profile", "--set", "L=10.0", "--set", "n=127",
                     "--set", "modes=64", "--out", str(out)]) == 0
         payload = json.loads((out / "profile.json").read_text())
         assert payload["e_L"] == pytest.approx(solve_e_L(10.0), rel=1e-9)
@@ -146,8 +194,8 @@ class TestEnergyCommand:
 class TestFlowCommand:
     def test_flow_series_columns(self, tmp_path):
         out = tmp_path / "o"
-        assert run(["flow", "--set", "n=63", "--set", "modes=32", "--T", "2.0",
-                    "--init", "profile", "--out", str(out)]) == 0
+        assert run(["flow", "--set", "n=63", "--set", "modes=32", "--set", "T=2.0",
+                    "--set", "init=profile", "--out", str(out)]) == 0
         cols = read_csv_columns(out / "flow.csv")
         assert set(cols) == {"t", "energy_star", "grad_norm", "dist_to_profile"}
         assert cols["dist_to_profile"][-1] < 1e-3
@@ -158,8 +206,8 @@ class TestFlowCommand:
         init_csv = tmp_path / "x0.csv"
         write_field_csv(init_csv, d, x)
         out = tmp_path / "o"
-        assert run(["flow", "--set", "n=63", "--set", "modes=32", "--T", "1.0",
-                    "--init", str(init_csv), "--out", str(out)]) == 0
+        assert run(["flow", "--set", "n=63", "--set", "modes=32", "--set", "T=1.0",
+                    "--set", f"init={init_csv}", "--out", str(out)]) == 0
         cols = read_csv_columns(out / "flow.csv")
         assert cols["energy_star"][0] > cols["energy_star"][-1]
 
@@ -384,7 +432,8 @@ class TestMamCommand:
         assert sw["upper_ok"]
 
     def test_zero_ladder_exits_2(self, tmp_path, capsys):
-        # --T-ladder 0 must not fall back to the config's action.ladder
+        # --T-ladder 0 is action.ladder = 0: rejected with the config, before
+        # the output directory exists, and not replaced by the config's ladder
         d = build_domain(2.0, 63, 32)
         zeta_csv = tmp_path / "zeta.csv"
         write_field_csv(zeta_csv, d, Field(compute_profile(d).shifted_values(d),
@@ -394,7 +443,13 @@ class TestMamCommand:
                     "--set", "n=63", "--set", "modes=32", "--out", str(out)]) == 2
         assert "ladder" in capsys.readouterr().err
         assert not (out / "mam.json").exists()
-        assert json.loads((out / "manifest.json").read_text())["partial"] is True
+        assert not (out / "manifest.json").exists()
+
+    def test_ladder_flag_is_recorded_in_the_resolved_config(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(self.mam_args(tmp_path, out, "1")) == 0
+        assert "action.ladder = 1" in (out / "resolved.cfg").read_text()
+        assert len(json.loads((out / "mam.json").read_text())["ladder"]) == 1
 
     def test_worker_count_changes_nothing(self, tmp_path, monkeypatch):
         # `workers` is ignored: on a box faked to 2 cores, asking for 2 still
@@ -505,6 +560,16 @@ class TestSdeAndInvariant:
         assert "sample times 0.0, 0.002 all round to step 0" in capsys.readouterr().err
         assert not (out / "sde.csv").exists()
 
+    @pytest.mark.parametrize("command, data", [("invariant", "samples.csv"),
+                                               ("concentration", "tails.csv")])
+    def test_sampler_stride_below_half_a_step_exits_2(self, tmp_path, capsys, command, data):
+        # stride 0.002 rounds to 0 steps of dt = 0.005: the samples would be dt apart
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, out, stride="0.002")
+        assert run([command, "--config", str(cfg)]) == 2
+        assert "stride=0.002 rounds to 0 steps of dt=0.005" in capsys.readouterr().err
+        assert not (out / data).exists()
+
     @pytest.mark.parametrize("command, setting, data", [
         ("sde", "T=1e15", "sde.csv"),                                # 7.1 PiB of sample times
         ("invariant", "n_samples=1000000000000000", "samples.csv"),  # 3.6 PiB of steps
@@ -611,7 +676,7 @@ class TestConcentrationOutputs:
         for eps in (0.2, 0.1, 0.05):
             assert (conc_out / f"samples_eps{eps!r}.csv").exists()
 
-    @pytest.mark.parametrize("command", ["concentration", "ldp-tail"])
+    @pytest.mark.parametrize("command", ["concentration"])
     @pytest.mark.parametrize("sets, key", [
         (["eps=0.1,0.1,0.05"], "eps"),
         (["n_samples=40", "n_chains=8"], "n_samples"),
@@ -672,10 +737,3 @@ class TestConcentrationOutputs:
         assert "eps=40000.0" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
         assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "resolved.cfg"]
-
-    def test_ldp_tail_variant(self, tmp_path):
-        out = tmp_path / "o"
-        cfg = write_cfg(tmp_path, out)
-        assert run(["ldp-tail", "--config", str(cfg)]) == 0
-        assert (out / "tail_reports.json").exists()
-        assert not (out / "samples_eps0.2.csv").exists()

@@ -423,6 +423,13 @@ class TestGuards:
             sample_invariant(sdom, const_noise, levels, burn_in=5.0, n_samples=16,
                              stride=0.5, n_chains=16, profile=sprof)
 
+    def test_stride_below_half_a_step_rejected(self, sdom, sprof, const_noise):
+        # 0.004 rounds to 0 steps of 0.01: the samples would be 0.01 apart
+        p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
+        with pytest.raises(ConfigurationError, match=r"stride=0\.004 .*dt=0\.01"):
+            sample_invariant(sdom, const_noise, p, burn_in=0.1, n_samples=4, stride=0.004,
+                             n_chains=2, profile=sprof)
+
     @pytest.mark.parametrize("times", [(0.5,), (0.05, 0.5), (-0.02,)])
     def test_sample_time_outside_horizon_rejected(self, sdom, sprof, const_noise, times):
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
