@@ -14,7 +14,6 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -28,7 +27,7 @@ from .config import (ExperimentConfig, apply_override, default_config,
                      parse_config, validate_config)
 from .energy import energy_report
 from .errors import ConfigurationError, NumericalError
-from .flow import Path, gradient_flow
+from .flow import Path, gradient_flow, steps_of
 from .grid import Boundary, Field
 from .io import (read_field_csv, read_path_csv, read_text, write_csv,
                  write_field_csv, write_json)
@@ -111,9 +110,8 @@ def _cmd_flow(args, cfg, outdir, warnings):
     d = domain_from_config(cfg)
     prof = compute_profile(d)
     x = _initial_field(cfg, d, prof)
-    res = gradient_flow(d, x, dt=cfg["dt"], T=cfg["T"], stop_tol=cfg["stop_tol"],
-                        record_every=max(1, int(round(cfg["T"] / cfg["dt"] / 2000))),
-                        profile=prof)
+    res = gradient_flow(d, x, dt=cfg["dt"], T=cfg["T"], stop_tol=cfg["stop_tol"], profile=prof,
+                        record_every=max(1, round(steps_of(cfg["T"], cfg["dt"], "T") / 2000)))
     write_csv(outdir / "flow.csv",
               {"t": res.t, "energy_star": res.energy_star,
                "grad_norm": res.grad_norm, "dist_to_profile": res.dist_sup})
@@ -125,15 +123,16 @@ def _cmd_flow(args, cfg, outdir, warnings):
 
 
 def _cmd_sde(args, cfg, outdir, warnings):
-    n_times = math.ceil((cfg["T"] + 1e-12) / cfg["stride"])      # sized before arange builds them
-    check_sampler_size(int(round(cfg["T"] / cfg["dt"])), 1, cfg["n_chains"], n_times)
+    n_steps = steps_of(cfg["T"], cfg["dt"], "T")
+    every = steps_of(cfg["stride"], cfg["dt"], "stride")
+    check_sampler_size(n_steps, 1, cfg["n_chains"], n_steps // every + 1)   # before arange
     d = domain_from_config(cfg)
     nm = noise_from_config(cfg)
     prof = compute_profile(d)
     eps = cfg["eps"][0]
     p = sde_params_from_config(cfg, eps)
     x = _initial_field(cfg, d, prof)
-    times = tuple(np.arange(0.0, cfg["T"] + 1e-12, cfg["stride"]))
+    times = tuple(cfg["dt"] * np.arange(0, n_steps + 1, every))
     ens = ensemble_run(d, x, nm, p, cfg["T"], cfg["n_chains"], profile=prof,
                        kstar=cfg["kstar"], pstar=cfg["pstar"],
                        sample_times=times, workers=cfg["workers"])
@@ -268,7 +267,7 @@ def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     warnings: list[str] = []
-    partial = True
+    code = 1                           # a numerical failure, or an exception that escapes
     outdir = None
     try:
         cfg = _load_config(args)
@@ -277,23 +276,25 @@ def run(argv: list[str]) -> int:
         outdir = out                   # a manifest goes only into a directory that exists
         (outdir / "resolved.cfg").write_text(cfg.canonical_text())
         COMMANDS[args.command](args, cfg, outdir, warnings)
-        partial = False
-        return 0
+        code = 0
     except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
     finally:
         if outdir is not None:
             workers = pool_size(cfg["workers"], -(-cfg["n_chains"] // CHAIN_CHUNK)
                                 if args.command in SAMPLERS else 1)
-            write_json(outdir / "manifest.json", dict(
-                command=args.command, config_hash=cfg.config_hash(),
-                version=__version__, wall_time_s=time.time() - started,
-                seed=cfg["seed"], partial=partial, warnings=warnings,
-                workers=workers))
+            try:
+                write_json(outdir / "manifest.json", dict(
+                    command=args.command, config_hash=cfg.config_hash(),
+                    version=__version__, wall_time_s=time.time() - started,
+                    seed=cfg["seed"], partial=code != 0, warnings=warnings, workers=workers))
+            except OSError as exc:
+                print(f"configuration error: {exc}", file=sys.stderr)
+                code = 2
+    return code
 
 
 def main() -> None:

@@ -28,11 +28,11 @@ from scipy.integrate import quad
 
 from .energy import reaction_values
 from .errors import ConfigurationError
-from .flow import Path
+from .flow import Path, steps_of
 from .grid import Boundary, Domain, Field, inverse_transform_values, transform_values
 from .noise import NoiseModel
 from .profile import Profile
-from .spde import SdeParams, _draw_block, _make_streams, ensemble_run, horizon_steps
+from .spde import SdeParams, _draw_block, _make_streams, ensemble_run
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def record_replay(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float, *
                   profile: Profile | None = None, linear_hook: bool = False) -> Replay:
     """Integrate chain 0 over [0, T] from x with `ensemble_run` (`linear_hook`
     switches the drift off), and keep its replay record."""
-    n_steps = horizon_steps(x, T, p.dt)
+    n_steps = steps_of(T, p.dt, "T")
     ens = ensemble_run(d, x, nm, p, T, 1, profile=profile, linear_hook=linear_hook,
                        mode_checkpoint_times=np.arange(n_steps + 1) * p.dt)
     coeffs = np.stack([ens.mode_snaps[s][0] for s in range(n_steps + 1)])

@@ -15,11 +15,13 @@ diagnostics and the early stop; the reversed flow of `action.mam_minimize`
 and the early-exit loop of `relaxation_time` read its states.  Its step
 weights (`step_weights`) and blow-up cap (`BLOWUP_SUP`) are shared with the
 stochastic integrator in `spde`, so a chain run at eps = 0 takes exactly the
-steps of this flow.
+steps of this flow.  `steps_of` turns every user-facing time into a step
+count, and rejects one that is not a whole number of steps of dt.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -74,6 +76,16 @@ class FlowResult:
 
     def terminal(self) -> Field:
         return self.path.terminal()
+
+
+def steps_of(t: float, dt: float, what: str) -> int:
+    """t / dt rounded to an int when t/dt is finite and that many steps are t
+    to 1e-9 relative; otherwise a ConfigurationError naming `what`."""
+    t, dt = float(t), float(dt)
+    r = t / dt
+    if math.isfinite(r) and abs(t - round(r) * dt) <= 1e-9 * abs(t):
+        return round(r)
+    raise ConfigurationError(f"{what}={t!r} is not a whole number of steps of dt={dt!r}")
 
 
 def step_weights(d: Domain, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -157,10 +169,8 @@ def gradient_flow(d: Domain, x: Field, dt: float, T: float,
     if dt <= 0 or T <= 0:
         raise ConfigurationError(f"need dt > 0 and T > 0, got dt={dt}, T={T}")
     profile = profile or compute_profile(d)
-    steps = int(round(T / dt))
-    return _integrate(d, x, dt, steps, control=None, noise=None,
-                      stop_tol=stop_tol, record_every=record_every,
-                      profile=profile)
+    return _integrate(d, x, dt, steps_of(T, dt, "T"), control=None, noise=None,
+                      stop_tol=stop_tol, record_every=record_every, profile=profile)
 
 
 def skeleton_solve(d: Domain, x: Field, control: np.ndarray, noise: NoiseModel,
@@ -189,7 +199,8 @@ def relaxation_time(d: Domain, threshold: float = 1e-2, dt: float = 5e-3,
     if dt <= 0 or T_max <= 0:
         raise ConfigurationError(f"need dt > 0 and T_max > 0, got dt={dt}, T_max={T_max}")
     mshift = (profile or compute_profile(d)).shifted_values(d)
-    for s, (z, _, _) in enumerate(flow_states(d, np.zeros(d.n), dt, int(round(T_max / dt)))):
+    steps = steps_of(T_max, dt, "T_max")
+    for s, (z, _, _) in enumerate(flow_states(d, np.zeros(d.n), dt, steps)):
         r = transform_values(d, z - mshift)
         if np.sqrt(np.sum((1.0 + d.lambda_k) * r * r)) < threshold:
             return s * dt

@@ -20,11 +20,13 @@ bitwise the flow.
 behind `ensemble_run` and `sample_invariant`.  It advances a chunk of chains
 at one or more eps levels, its state shaped (levels, chains, ...).  It keeps
 observables at the sample steps and mode coefficients at the checkpoints,
-nothing else.  The replay diagnostics (`diagnostics.record_replay`) run one
-chain through `ensemble_run` with a checkpoint at every step to rebuild its
-path.  A step mask, observables or mode checkpoints past SAMPLER_BYTES (2.7e8
-steps, 8.4e6 level-chain-samples or 3.4e7 checkpointed chain-mode values) are
-a ConfigurationError before any of them is allocated.
+nothing else.  The two entry points turn the horizon, burn-in, stride and
+sample and checkpoint times into steps with `flow.steps_of`, so each must be a
+whole number of steps.  The replay diagnostics (`diagnostics.record_replay`)
+run one chain through `ensemble_run` with a checkpoint at every step to
+rebuild its path.  A step mask, observables or mode checkpoints past
+SAMPLER_BYTES (2.7e8 steps, 8.4e6 level-chain-samples or 3.4e7 checkpointed
+chain-mode values) are a ConfigurationError before any of them is allocated.
 
 The increment sqrt(dt) xi_k follows the exact decay, so under constant g0 mode
 k's stationary variance is eps g0^2 dt / (1 - e^{-2 lambda_k dt}), not the SPDE's
@@ -52,7 +54,7 @@ import numpy as np
 
 from .energy import energy_star_values, reaction_values
 from .errors import ConfigurationError, InstabilityError
-from .flow import BLOWUP_SUP, relaxation_time, step_weights
+from .flow import BLOWUP_SUP, relaxation_time, step_weights, steps_of
 from .grid import (Boundary, Domain, Field, inverse_transform_values,
                    sobolev_norm_values, transform_values)
 from .noise import NoiseModel
@@ -233,16 +235,6 @@ def check_sampler_size(n_steps: int, n_levels: int, n_chains: int, n_samples: in
             raise ConfigurationError(f"{what} take {nbytes} bytes > SAMPLER_BYTES={SAMPLER_BYTES}")
 
 
-def horizon_steps(x: Field, T: float, dt: float) -> int:
-    """Steps of size dt over [0, T] from zero-Dirichlet x; at least one."""
-    if x.bc is not Boundary.ZERO_DIRICHLET:
-        raise ConfigurationError("initial data must be zero-Dirichlet (work with z = u - psi)")
-    n_steps = int(round(T / dt)) if T > 0 else 0
-    if n_steps < 1:
-        raise ConfigurationError(f"horizon must cover at least one step, got T={T} at dt={dt}")
-    return n_steps
-
-
 @dataclass
 class EnsembleResult:
     """Batched chain outputs for statistical tests over many trajectories."""
@@ -293,31 +285,30 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
                  mode_checkpoint_times: tuple[float, ...] = (),
                  workers: int | str = 1) -> EnsembleResult:
     """Run n_chains independent chains (streams keyed by chain id) in fixed-size
-    vectorized batches; results are independent of the worker count.  No chain,
-    a horizon shorter than half a step, a sample or mode-checkpoint time outside
-    [0, T], two sample times on one step, or SAMPLER_BYTES passed: ConfigurationError."""
-    n_steps = horizon_steps(x, T, p.dt)
+    vectorized batches; results are independent of the worker count.  Initial
+    data not zero-Dirichlet, no chain or step, a time that is no whole number of
+    steps or lies outside [0, T], or SAMPLER_BYTES passed: ConfigurationError."""
+    if x.bc is not Boundary.ZERO_DIRICHLET:
+        raise ConfigurationError("initial data must be zero-Dirichlet (work with z = u - psi)")
+    n_steps = steps_of(T, p.dt, "T")
+    if n_steps < 1:
+        raise ConfigurationError(f"horizon must cover at least one step, got T={T} at dt={p.dt}")
     if n_chains < 1:
         raise ConfigurationError(f"need at least one chain, got n_chains={n_chains}")
     check_sampler_size(n_steps, 1, n_chains, len(sample_times) + 1,
                        len(mode_checkpoint_times) * n_chains * d.modes)
-    for what, times in (("sample", sample_times), ("mode checkpoint", mode_checkpoint_times)):
+    sample_steps, snaps = [], []
+    for what, times, steps in (("sample", sample_times, sample_steps),
+                               ("mode checkpoint", mode_checkpoint_times, snaps)):
         for t in times:
-            if not 0 <= int(round(t / p.dt)) <= n_steps:
+            steps.append(steps_of(t, p.dt, f"{what} time"))
+            if not 0 <= steps[-1] <= n_steps:
                 raise ConfigurationError(f"{what} time {t} lies outside [0, T={T}]")
-    by_step: dict[int, list[float]] = {}
-    for t in sample_times:
-        by_step.setdefault(int(round(t / p.dt)), []).append(float(t))
-    for step, times in by_step.items():
-        if len(times) > 1:
-            raise ConfigurationError(f"sample times {', '.join(map(repr, times))} all round "
-                                     f"to step {step} at dt={p.dt}")
     profile = profile or compute_profile(d)
-    sample_steps = sorted(set(by_step) | {n_steps})
-    snaps = tuple(int(round(t / p.dt)) for t in mode_checkpoint_times)
     return _run_chunks(n_chains, workers, d, x.values, nm, (p,), n_steps,
-                       np.asarray(sample_steps), profile=profile, kstar=kstar,
-                       pstar=pstar, linear_hook=linear_hook, mode_checkpoints=snaps)[0]
+                       np.asarray(sorted(set(sample_steps) | {n_steps})), profile=profile,
+                       kstar=kstar, pstar=pstar, linear_hook=linear_hook,
+                       mode_checkpoints=tuple(snaps))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +346,8 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
         raise ConfigurationError(f"need at least one sample, got n_samples={n_samples}")
     dt = levels[0].dt
     per_chain = max(1, int(np.ceil(n_samples / n_chains)))
-    steps_burn = int(round(burn_in / dt))
-    steps_stride = int(round(stride / dt))
-    if steps_stride < 1:              # samples would be dt apart, not stride
-        raise ConfigurationError(f"stride={stride} rounds to 0 steps of dt={dt}; "
-                                 "need stride > dt/2")
+    steps_burn = steps_of(burn_in, dt, "burn_in")
+    steps_stride = steps_of(stride, dt, "stride")
     n_steps = steps_burn + per_chain * steps_stride
     check_sampler_size(n_steps, len(levels), n_chains, per_chain)
     profile = profile or compute_profile(d)

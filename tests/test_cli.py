@@ -95,6 +95,14 @@ class TestConfigHandling:
         assert "configuration error" in capsys.readouterr().err
         assert blocker.read_text() == "not a directory\n"
 
+    def test_unwritable_manifest_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "manifest.json").mkdir(parents=True)
+        assert run(["profile", "--set", "n=31", "--set", "modes=16", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "manifest.json" in err
+        assert (out / "profile.csv").exists() and (out / "manifest.json").is_dir()
+
     def test_readme_matches_the_parser_and_schema(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -553,22 +561,49 @@ class TestSdeAndInvariant:
             assert name in cols
 
     def test_sde_stride_below_half_a_step_exits_2(self, tmp_path, capsys):
-        # stride 0.002 < dt/2 = 0.0025: t = 0 and t = 0.002 both round to step 0
+        # stride 0.002 < dt/2 = 0.0025 is no whole number of steps of dt = 0.005
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, out, stride="0.002")
         assert run(["sde", "--config", str(cfg)]) == 2
-        assert "sample times 0.0, 0.002 all round to step 0" in capsys.readouterr().err
+        assert "stride=0.002 is not a whole number of steps of dt=0.005" in capsys.readouterr().err
         assert not (out / "sde.csv").exists()
 
     @pytest.mark.parametrize("command, data", [("invariant", "samples.csv"),
                                                ("concentration", "tails.csv")])
     def test_sampler_stride_below_half_a_step_exits_2(self, tmp_path, capsys, command, data):
-        # stride 0.002 rounds to 0 steps of dt = 0.005: the samples would be dt apart
+        # stride 0.002 is no whole number of steps of dt = 0.005
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, out, stride="0.002")
         assert run([command, "--config", str(cfg)]) == 2
-        assert "stride=0.002 rounds to 0 steps of dt=0.005" in capsys.readouterr().err
+        assert "stride=0.002 is not a whole number of steps of dt=0.005" in capsys.readouterr().err
         assert not (out / data).exists()
+
+    @pytest.mark.parametrize("command, settings, named, data", [
+        ("invariant", dict(dt="0.01", stride="0.015"), "stride=0.015", "samples.csv"),
+        ("concentration", dict(dt="0.02", burn_in="0.125", stride="0.2"), "burn_in=0.125",
+         "tails.csv"),
+    ])
+    def test_time_off_the_step_grid_exits_2(self, tmp_path, capsys, command, settings, named,
+                                            data):
+        # 1.5 and 6.25 steps: a sampler runs whole steps only, so the time is refused
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, out, **settings)
+        assert run([command, "--config", str(cfg)]) == 2
+        dt = settings["dt"]
+        assert f"{named} is not a whole number of steps of dt={dt}" in capsys.readouterr().err
+        assert not (out / data).exists()
+
+    @pytest.mark.parametrize("command, key, data", [("sde", "T", "sde.csv"),
+                                                    ("invariant", "burn_in", "samples.csv"),
+                                                    ("flow", "T", "flow.csv")])
+    def test_non_finite_step_count_exits_2(self, tmp_path, capsys, command, key, data):
+        # 1e300 / 1e-10 overflows to inf: no step count at all
+        out = tmp_path / "o"
+        assert run([command, "--set", "n=31", "--set", "modes=16", "--set", f"{key}=1e300",
+                    "--set", "dt=1e-10", "--out", str(out)]) == 2
+        assert f"{key}=1e+300 is not a whole number of steps of dt=1e-10" in capsys.readouterr().err
+        assert not (out / data).exists()
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
     @pytest.mark.parametrize("command, setting, data", [
         ("sde", "T=1e15", "sde.csv"),                                # 7.1 PiB of sample times

@@ -1,8 +1,14 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from acldp.errors import ConfigurationError, InstabilityError
-from acldp.flow import flow_states, gradient_flow, relaxation_time, skeleton_solve
+from acldp.flow import flow_states, gradient_flow, relaxation_time, skeleton_solve, steps_of
 from acldp.grid import Boundary, Field, basis_eval, h1_distance, transform_values
 
 from .conftest import band_limited
@@ -209,3 +215,47 @@ class TestRelaxation:
         for dt, T_max in ((0.0, 3.0), (5e-3, 0.0)):
             with pytest.raises(ConfigurationError):
                 relaxation_time(dom2, dt=dt, T_max=T_max, profile=prof2)
+
+
+class TestStepsOf:
+    @given(k=st.integers(0, 10 ** 7), dt=st.floats(1e-4, 1e-1))
+    def test_whole_steps_counted_half_steps_rejected(self, k, dt):
+        assert steps_of(k * dt, dt, "T") == k
+        with pytest.raises(ConfigurationError, match="^burn_in=.* is not a whole number"):
+            steps_of((k + 0.5) * dt, dt, "burn_in")
+
+    @pytest.mark.parametrize("t, dt", [(1e300, 1e-10), (float("inf"), 1e-3),
+                                       (float("nan"), 1e-3), (1e-300, 1e30)])
+    def test_ratio_without_a_step_count_rejected(self, t, dt):
+        # overflow, inf, nan, and a ratio that underflows to 0 though t > 0
+        with pytest.raises(ConfigurationError, match=rf"stride=.* of dt={re.escape(repr(dt))}$"):
+            steps_of(t, dt, "stride")
+
+    def test_flow_horizon_off_the_step_grid_raises(self, dom2, prof2):
+        x = Field(np.zeros(dom2.n), Boundary.ZERO_DIRICHLET)
+        with pytest.raises(ConfigurationError,
+                           match=r"T=0\.0105 is not a whole number of steps of dt=0\.001"):
+            gradient_flow(dom2, x, dt=1e-3, T=0.0105, profile=prof2)
+
+    def test_no_other_rounding_of_a_time_by_dt(self):
+        """Every time-to-step conversion in the package goes through steps_of:
+        no other round(...) call divides by dt, .dt or ["dt"]."""
+        def by_dt(node):
+            return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and (
+                (isinstance(node.right, ast.Name) and node.right.id == "dt")
+                or (isinstance(node.right, ast.Attribute) and node.right.attr == "dt")
+                or (isinstance(node.right, ast.Subscript)
+                    and isinstance(node.right.slice, ast.Constant)
+                    and node.right.slice.value == "dt")))
+
+        offenders = []
+        for src in sorted((Path(__file__).parents[1] / "src" / "acldp").glob("*.py")):
+            tree = ast.parse(src.read_text())
+            exempt = {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                      and src.name == "flow.py" and fn.name == "steps_of"
+                      for n in ast.walk(fn)}
+            offenders += [f"{src.name}:{call.lineno}" for call in ast.walk(tree)
+                          if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                          and call.func.id == "round" and id(call) not in exempt
+                          and any(by_dt(n) for a in call.args for n in ast.walk(a))]
+        assert offenders == []

@@ -424,7 +424,7 @@ class TestGuards:
                              stride=0.5, n_chains=16, profile=sprof)
 
     def test_stride_below_half_a_step_rejected(self, sdom, sprof, const_noise):
-        # 0.004 rounds to 0 steps of 0.01: the samples would be 0.01 apart
+        # 0.004 is no whole number of steps of 0.01
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
         with pytest.raises(ConfigurationError, match=r"stride=0\.004 .*dt=0\.01"):
             sample_invariant(sdom, const_noise, p, burn_in=0.1, n_samples=4, stride=0.004,
@@ -447,9 +447,11 @@ class TestGuards:
                          mode_checkpoint_times=(0.05, 0.5))
 
     def test_sample_times_on_one_step_rejected(self, sdom, sprof, const_noise):
+        # 0.001 and 0.002 are no whole number of steps of 0.01
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        with pytest.raises(ConfigurationError, match=r"0\.001, 0\.002 all round to step 0"):
+        with pytest.raises(ConfigurationError,
+                           match=r"sample time=0\.001 is not a whole number of steps of dt=0\.01"):
             ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2, profile=sprof,
                          sample_times=(0.001, 0.002, 0.05))
 
@@ -485,9 +487,12 @@ class TestGuards:
 
     @pytest.mark.parametrize("T", [0.0, -0.1, 0.004])
     def test_ensemble_horizon_must_cover_a_step(self, sdom, sprof, const_noise, T):
+        # T = 0.004 is less than one step of 0.01, and no whole number of them
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        with pytest.raises(ConfigurationError, match=rf"at least one step, got T={T} at dt=0\.01"):
+        match = (rf"T={T} is not a whole number of steps of dt=0\.01" if T == 0.004
+                 else rf"at least one step, got T={T} at dt=0\.01")
+        with pytest.raises(ConfigurationError, match=match):
             ensemble_run(sdom, x, const_noise, p, T, n_chains=2, profile=sprof)
 
     @pytest.mark.parametrize("front_end", ["sample_invariant", "ensemble_run"])
