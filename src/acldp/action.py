@@ -4,7 +4,7 @@ minimization.
 The action of a path z on [0, T] divides the dynamical residual by the
 noise intensity:
 
-    I(z) = 1/2 int_0^T || (dz/dt - Laplacian z - F(z)) / g(t, z + psi) ||_{L^2}^2 dt.
+    I(z) = 1/2 int_0^T || (dz/dt - Laplacian z - F(z)) / g(z + psi) ||_{L^2}^2 dt.
 
 Discretization is midpoint-in-time: on each interval the time derivative is
 the difference quotient (the central difference at the interval midpoint),
@@ -133,8 +133,7 @@ def _dense_operators(d: Domain) -> tuple[np.ndarray, np.ndarray]:
     return ops
 
 
-def _action_core(d: Domain, Z: np.ndarray, dt: float, t0: float, nm: NoiseModel,
-                 need_grad: bool):
+def _action_core(d: Domain, Z: np.ndarray, dt: float, nm: NoiseModel, need_grad: bool):
     """Value, and either the interior-node euclidean gradient (need_grad) or
     the residual record.  Under constant intensity g is the scalar g0 and the
     g' term is skipped; for finite values both are bitwise what the general
@@ -145,9 +144,8 @@ def _action_core(d: Domain, Z: np.ndarray, dt: float, t0: float, nm: NoiseModel,
     diff = (Z[1:] - Z[:-1]) / dt
     drift = mid @ lap + reaction_values(d, mid)
     q = diff - drift
-    t_mid = t0 + dt * (np.arange(q.shape[0]) + 0.5)[:, None]
     theta = mid + d.psi
-    g = nm.g0 if nm.is_constant else nm.g(t_mid, theta)
+    g = nm.g0 if nm.is_constant else nm.g(theta)
     r = q / g
     value = 0.5 * dt * d.h * float(np.sum(r * r))
     if not need_grad:
@@ -158,7 +156,7 @@ def _action_core(d: Domain, Z: np.ndarray, dt: float, t0: float, nm: NoiseModel,
     adj = rg @ lap + fprime * rg                  # A'(mid)^T (r / g), self-adjoint
     core = -0.5 * adj
     if not nm.is_constant:                        # the g' term, zero under constant g
-        core -= 0.5 * (r * r * nm.g_prime(t_mid, theta) / g)
+        core -= 0.5 * (r * r * nm.g_prime(theta) / g)
     grad = np.zeros_like(Z)
     grad[:-1] += dt * (core - rg / dt)
     grad[1:] += dt * (core + rg / dt)
@@ -172,7 +170,7 @@ def action(pth: Path, nm: NoiseModel, d: Domain) -> ActionResult:
     if pth.values.shape[1] != d.n:
         raise ConfigurationError(
             f"path sampled on {pth.values.shape[1]} points, domain has {d.n}")
-    value, _, resid = _action_core(d, pth.values, pth.dt, pth.t0, nm, need_grad=False)
+    value, _, resid = _action_core(d, pth.values, pth.dt, nm, need_grad=False)
     return ActionResult(value=value, residual_series=resid, path=pth)
 
 
@@ -183,7 +181,7 @@ def action_gradient(pth: Path, nm: NoiseModel, d: Domain) -> np.ndarray:
     perturbations v; this is the object finite differences are checked
     against.
     """
-    _, grad_eucl, _ = _action_core(d, pth.values, pth.dt, pth.t0, nm, need_grad=True)
+    _, grad_eucl, _ = _action_core(d, pth.values, pth.dt, nm, need_grad=True)
     return grad_eucl / d.h
 
 
@@ -198,20 +196,16 @@ def _initial_path(d: Domain, zeta: Field, T: float, steps: int, *,
     t_star = T - 1.0
     frames = frames[: int(round(t_star / dt_flow)) + 1]   # flow time 0 .. t_star
     mshift = profile.shifted_values(d)
-    endpoint = frames[-1]
     n_frames = frames.shape[0]
 
-    Z = np.empty((steps + 1, d.n))
-    for i, t in enumerate(np.linspace(0.0, T, steps + 1)):
-        if t <= 1.0:
-            Z[i] = (1.0 - t) * mshift + t * endpoint
-        else:
-            tau = t_star - (t - 1.0)          # reversed: walk flow time backwards
-            pos = np.clip(tau / dt_flow, 0.0, n_frames - 1.0)
-            i0 = int(np.floor(pos))
-            i1 = min(i0 + 1, n_frames - 1)
-            frac = pos - i0
-            Z[i] = (1.0 - frac) * frames[i0] + frac * frames[i1]
+    t = np.linspace(0.0, T, steps + 1)
+    pos = np.clip((t_star - (t - 1.0)) / dt_flow, 0.0, n_frames - 1.0)   # flow time, reversed
+    i0 = np.floor(pos).astype(int)
+    frac = (pos - i0)[:, None]
+    Z = (1.0 - frac) * frames[i0] + frac * frames[np.minimum(i0 + 1, n_frames - 1)]
+    early = t <= 1.0                          # interpolation from the equilibrium
+    s = t[early, None]
+    Z[early] = (1.0 - s) * mshift + s * frames[-1]
     Z[0] = mshift
     Z[-1] = zeta.values
     return Z
@@ -247,7 +241,7 @@ def _rung_objective(d: Domain, nm: NoiseModel, Z0: np.ndarray, dt: float,
 
     def fun(y):
         Z[1:-1] = nodes(y)
-        val, grad, _ = _action_core(d, Z, dt, 0.0, nm, need_grad=True)
+        val, grad, _ = _action_core(d, Z, dt, nm, need_grad=True)
         return val / scale, (s * (_dst_ortho(grad, axis=0) @ ortho)).ravel() / scale
 
     return fun, ((_dst_ortho(Z0[1:-1], axis=0) @ ortho) / s).ravel(), nodes
@@ -329,7 +323,7 @@ def _descend(d: Domain, nm: NoiseModel, maxiter: int, Z0: np.ndarray,
              T: float) -> dict:
     """One rung: L-BFGS from the path Z0 on [0, T]; the lowest action seen."""
     dt = T / (Z0.shape[0] - 1)
-    v_init, _, _ = _action_core(d, Z0, dt, 0.0, nm, need_grad=False)
+    v_init, _, _ = _action_core(d, Z0, dt, nm, need_grad=False)
     scale = v_init if v_init > 0 else 1.0
     fun, y0, nodes = _rung_objective(d, nm, Z0, dt, scale)
     best = dict(f=v_init / scale, y=None)
@@ -342,7 +336,7 @@ def _descend(d: Domain, nm: NoiseModel, maxiter: int, Z0: np.ndarray,
 
     res = minimize(tracked, y0, maxiter, MAM_FTOL)
     Z = Z0 if best["y"] is None else np.vstack([Z0[:1], nodes(best["y"]), Z0[-1:]])
-    value, _, resid = _action_core(d, Z, dt, 0.0, nm, need_grad=False)
+    value, _, resid = _action_core(d, Z, dt, nm, need_grad=False)
     return dict(T=T, dt=dt, value=value, Z=Z, resid=resid, init_value=v_init,
                 success=bool(res.success), nit=int(res.nit), nfev=int(res.nfev),
                 message=str(res.message))

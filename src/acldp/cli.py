@@ -33,9 +33,8 @@ from .io import (read_field_csv, read_path_csv, read_text, write_csv,
                  write_field_csv, write_json)
 from .pipeline import (domain_from_config, noise_from_config, run_concentration,
                        sde_params_from_config)
-from .pool import pool_size
 from .profile import compute_profile
-from .spde import CHAIN_CHUNK, check_sampler_size, ensemble_run, sample_invariant
+from .spde import check_sampler_size, ensemble_run, sample_invariant, sampler_processes
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -226,7 +225,8 @@ def _cmd_concentration(args, cfg, outdir, warnings):
 
 
 # The commands that use `workers`: they spread their chain chunks over the
-# pool (`pool.fork_map`).  Every other command runs in the calling process.
+# sampler's pool (`spde.sampler_processes`).  Every other command runs in the
+# calling process.
 SAMPLERS = ("sde", "invariant", "concentration")
 
 
@@ -284,8 +284,8 @@ def run(argv: list[str]) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
     finally:
         if outdir is not None:
-            workers = pool_size(cfg["workers"], -(-cfg["n_chains"] // CHAIN_CHUNK)
-                                if args.command in SAMPLERS else 1)
+            workers = (sampler_processes(cfg["workers"], cfg["n_chains"])
+                       if args.command in SAMPLERS else 1)
             try:
                 write_json(outdir / "manifest.json", dict(
                     command=args.command, config_hash=cfg.config_hash(),

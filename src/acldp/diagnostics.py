@@ -89,13 +89,12 @@ def _damped_recurrence(d: Domain, decay: np.ndarray, forcing: np.ndarray, dt: fl
 def stochastic_convolution(d: Domain, rec: Replay, lam: float) -> Path:
     """Damped convolution gamma_lam driven by the record's own noise increments
     and state-adapted intensity: gamma <- e^{-(lambda_k + lam) dt} gamma +
-    Proj[g(t, z + psi) dW].  The sqrt(eps) factor is *not* included (it
+    Proj[g(z + psi) dW].  The sqrt(eps) factor is *not* included (it
     multiplies gamma in the decomposition z = Y_lam + sqrt(eps) gamma_lam)."""
     _, decay = _replay_rates(d, rec, lam)
     p, z = rec.params, rec.path.values[:-1]
-    t = (np.arange(len(z)) * p.dt)[:, None]
     w_phys = inverse_transform_values(d, np.sqrt(p.dt) * rec.noise_increments)
-    forcing = transform_values(d, rec.noise_model.g(t, z + d.psi) * w_phys)
+    forcing = transform_values(d, rec.noise_model.g(z + d.psi) * w_phys)
     return _damped_recurrence(d, decay, forcing, p.dt)
 
 

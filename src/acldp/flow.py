@@ -1,6 +1,6 @@
 """Noiseless gradient flow and the controlled skeleton dynamics.
 
-Both solve dz/dt = Laplacian(z) + F(z) [+ g(t, z+psi) f(t)] by exponential
+Both solve dz/dt = Laplacian(z) + F(z) [+ g(z+psi) f(t)] by exponential
 Euler: the stiff linear part is advanced exactly through the semigroup
 factor e^{-lambda_k dt} and the remaining drift enters through the
 phi_1 weight (1 - e^{-lambda_k dt}) / lambda_k, mirroring the
@@ -38,6 +38,8 @@ from .profile import Profile, compute_profile
 # InstabilityError; a physical state has |u| of order 1, so |z| = |u - psi|
 # of order 2.
 BLOWUP_SUP = 50.0
+# Bytes a gradient flow may keep: 3 series floats a step, n floats a frame.
+FLOW_BYTES = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def flow_states(d: Domain, z0: np.ndarray, dt: float, steps: int, *,
     """Yield (z, c, f_hat) for the states 0..steps of the flow from z0 (grid
     values of a zero-Dirichlet field): the grid values, their mode
     coefficients and the projected reaction.  With a control (shape (steps,
-    n)) the drift of step s adds the projection of g(s dt, z + psi) control[s].
+    n)) the drift of step s adds the projection of g(z + psi) control[s].
     A state is computed only when the next one is asked for."""
     decay, phi1 = step_weights(d, dt)
     c = transform_values(d, z0)
@@ -115,7 +117,7 @@ def flow_states(d: Domain, z0: np.ndarray, dt: float, steps: int, *,
         if s == steps:
             return
         if control is not None:
-            f_hat = f_hat + transform_values(d, noise.g(s * dt, z + d.psi) * control[s])
+            f_hat = f_hat + transform_values(d, noise.g(z + d.psi) * control[s])
         c = decay * c + phi1 * f_hat
         z = inverse_transform_values(d, c)
         if np.abs(z).max() > BLOWUP_SUP:
@@ -165,18 +167,22 @@ def gradient_flow(d: Domain, x: Field, dt: float, T: float,
     z = 0 (dt 1e-3, T 30) the floor is 3.05e-5 at (L, n, modes) =
     (2, 127, 64), 2.3e-5 at (2, 63, 63), 7.8e-6 at (1, 127, 127), 5.6e-6 at
     (2, 255, 128) and 7.3e-7 at (2, 255, 255).  A stop_tol below the floor,
-    like the default 1e-8, never stops the flow."""
+    like the default 1e-8, never stops the flow.  Past FLOW_BYTES: ConfigurationError."""
     if dt <= 0 or T <= 0:
         raise ConfigurationError(f"need dt > 0 and T > 0, got dt={dt}, T={T}")
+    steps = steps_of(T, dt, "T")
+    kept = 8 * (3 * (steps + 1) + d.n * (steps // record_every + 2))
+    if kept > FLOW_BYTES:
+        raise ConfigurationError(f"T={T!r} at dt={dt!r} keeps {kept} bytes > FLOW_BYTES={FLOW_BYTES}")
     profile = profile or compute_profile(d)
-    return _integrate(d, x, dt, steps_of(T, dt, "T"), control=None, noise=None,
+    return _integrate(d, x, dt, steps, control=None, noise=None,
                       stop_tol=stop_tol, record_every=record_every, profile=profile)
 
 
 def skeleton_solve(d: Domain, x: Field, control: np.ndarray, noise: NoiseModel,
                    dt: float, record_every: int = 1,
                    profile: Profile | None = None) -> FlowResult:
-    """Integrate the controlled dynamics dz/dt = Laplacian z + F(z) + g(t, z+psi) f(t).
+    """Integrate the controlled dynamics dz/dt = Laplacian z + F(z) + g(z+psi) f(t).
 
     The control is an array of shape (steps, n): one grid-sampled forcing
     slice per time step of length dt.

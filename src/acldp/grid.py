@@ -198,11 +198,28 @@ def h1_distance(d: Domain, f: Field, g: Field) -> float:
     return float(np.sqrt(np.sum((1.0 + d.lambda_k) * c * c)))
 
 
+def sobolev_weights(d: Domain, k_star: float) -> np.ndarray:
+    """Mode weights lambda_k^(k*/2); one that overflows is a ConfigurationError."""
+    with np.errstate(over="ignore"):
+        w = d.lambda_k ** (k_star / 2.0)
+    if not np.all(np.isfinite(w)):
+        raise ConfigurationError(f"kstar={k_star!r} overflows lambda_k^(kstar/2) at modes={d.modes}")
+    return w
+
+
 def sobolev_norm_values(d: Domain, values: np.ndarray, k_star: float, p_star: int) -> np.ndarray:
-    """Raw-array fractional Sobolev norm; supports stacked inputs."""
-    c = transform_values(d, values)
-    rec = inverse_transform_values(d, c * d.lambda_k ** (k_star / 2.0))
-    return (d.h * np.sum(np.abs(rec) ** p_star, axis=-1)) ** (1.0 / p_star)
+    """Raw-array fractional Sobolev norm; supports stacked inputs.  A nonzero
+    row whose h sum |rec|^p is no normal finite float (|rec|^p overflows, or
+    underflows at large p) is M (h sum (|rec|/M)^p)^(1/p), M = max |rec|."""
+    rec = inverse_transform_values(d, transform_values(d, values) * sobolev_weights(d, k_star))
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.asarray(d.h * np.sum(np.abs(rec) ** p_star, axis=-1))
+    scaled = ~(np.isfinite(norm) & (norm >= np.finfo(float).tiny)) & np.any(rec, axis=-1)
+    norm **= 1.0 / p_star
+    a = np.abs(rec[scaled])
+    m = np.max(a, axis=-1, keepdims=True)
+    norm[scaled] = m[:, 0] * (d.h * np.sum((a / m) ** p_star, axis=-1)) ** (1.0 / p_star)
+    return norm
 
 
 def sobolev_norm(d: Domain, f: Field, k_star: float, p_star: int) -> float:

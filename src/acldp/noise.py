@@ -1,6 +1,6 @@
-"""Multiplicative noise intensities g(t, xi, theta), bounded below by g0 > 0.
+"""Multiplicative noise intensities g(theta) of the state theta, bounded below by g0 > 0.
 
-Two time-homogeneous families are provided:
+Two families, autonomous as the invariant measure needs, are provided:
 
     constant:             g = g0
     smooth_bounded_below: g = g0 + c * theta^2 / (1 + theta^2)
@@ -46,15 +46,15 @@ class NoiseModel:
     def is_constant(self) -> bool:
         return self.kind == "constant" or self.c == 0.0
 
-    def g(self, t: float, theta: np.ndarray) -> np.ndarray:
-        """Intensity evaluated at state theta (time-homogeneous families)."""
+    def g(self, theta: np.ndarray) -> np.ndarray:
+        """Intensity evaluated at state theta."""
         theta = np.asarray(theta, dtype=float)
         if self.is_constant:
             return np.full_like(theta, self.g0)
         th2 = theta * theta
         return self.g0 + self.c * th2 / (1.0 + th2)
 
-    def g_prime(self, t: float, theta: np.ndarray) -> np.ndarray:
+    def g_prime(self, theta: np.ndarray) -> np.ndarray:
         """State derivative of the intensity (for action-gradient adjoints)."""
         theta = np.asarray(theta, dtype=float)
         if self.is_constant:

@@ -6,7 +6,7 @@ by the exact semigroup factor e^{-lambda_k dt}, the cubic drift enters
 explicitly through the de-aliased phi_1 weight, and the noise increment per
 step is
 
-    sqrt(eps) * g(t, xi, z + psi) * sum_{k <= N_W} e_k(xi) sqrt(dt) xi_k
+    sqrt(eps) * g(z + psi) * sum_{k <= N_W} e_k(xi) sqrt(dt) xi_k
 
 with independent standard normals xi_k, assembled in physical space from
 the N_W leading coefficients and projected back to modes.  When the
@@ -39,26 +39,27 @@ share their normals (common random numbers): each step draws them once per
 chain and broadcasts them over the levels, which step together in one chunk.
 The noise scale is formed per level in the one-level float order, so every
 level is bitwise a run at that eps alone.  Ensembles run in fixed 32-chain
-chunks, serially or on the package's pool of forked processes
-(`pool.fork_map`, at most one per core), and are merged in chain order, so
-no result depends on the worker count.
+chunks, serially or on the package's one pool of forked processes
+(`_run_chunks`, `sampler_processes` of them), and are merged in chain order,
+so no result depends on the worker count.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import AUTO
 from .energy import energy_star_values, reaction_values
 from .errors import ConfigurationError, InstabilityError
 from .flow import BLOWUP_SUP, relaxation_time, step_weights, steps_of
 from .grid import (Boundary, Domain, Field, inverse_transform_values,
-                   sobolev_norm_values, transform_values)
+                   sobolev_norm_values, sobolev_weights, transform_values)
 from .noise import NoiseModel
-from .pool import fork_map
 from .profile import Profile, compute_profile
 
 _NOISE_BLOCK = 512          # steps of normals drawn per stream at a time
@@ -151,6 +152,7 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
     sq_eps = np.sqrt([q.eps for q in levels])[:, None, None]
     const_scale = sq_eps * nm.g0 * sq_dt          # per level, in the one-level float order
     lazy_state = linear_hook and nm.is_constant   # pure mode recursion
+    sobolev_weights(d, kstar)                     # an overflowing kstar fails before a step
 
     sample_mask = np.zeros(n_steps + 1, dtype=bool)
     sample_mask[np.asarray(sample_steps, dtype=int)] = True
@@ -198,7 +200,7 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
             c_new[..., :nw] += const_scale * xi
         else:
             w_phys = inverse_transform_values(d, sq_dt * xi)
-            g_vals = nm.g(s * p.dt, z + d.psi)
+            g_vals = nm.g(z + d.psi)
             np.minimum(g_min, np.min(g_vals, axis=(1, 2)), out=g_min)
             c_new += sq_eps * transform_values(d, g_vals * w_phys)
         c = c_new
@@ -251,15 +253,34 @@ def _evolve_chunk(args, kwargs, chain_ids):
     return _evolve_chains(*args, chain_ids=chain_ids, **kwargs)
 
 
+def sampler_processes(workers: int | str, n_chains: int) -> int:
+    """Processes a run of n_chains chains uses: one per CHAIN_CHUNK chunk,
+    capped by `workers` ('auto' for one per core) and by the core count; 1
+    means the chunks run serially in the calling process."""
+    cores = os.cpu_count() or 1
+    return max(1, min(cores if workers == AUTO else workers, -(-n_chains // CHAIN_CHUNK), cores))
+
+
 def _run_chunks(n_chains: int, workers: int | str, *args, **kwargs) -> list[EnsembleResult]:
     """Run `_evolve_chains(*args, chain_ids=..., **kwargs)` over the chain ids
-    0 .. n_chains - 1 in chunks of CHAIN_CHUNK through `pool.fork_map`, and
-    merge the outputs in chain order, one EnsembleResult per eps level.  The
-    chunk size does not depend on the worker count, so neither does any
-    result.  An exception in a chunk, a dead process included, is raised here."""
+    0 .. n_chains - 1 in chunks of CHAIN_CHUNK on `sampler_processes` forked
+    processes, and merge the outputs in chain order, one EnsembleResult per
+    eps level; no result depends on the worker count.  An exception in a
+    chunk is raised here, a dead process as `BrokenProcessPool`."""
     chunks = [np.arange(lo, min(lo + CHAIN_CHUNK, n_chains))
               for lo in range(0, n_chains, CHAIN_CHUNK)]
-    parts = fork_map(functools.partial(_evolve_chunk, args, kwargs), chunks, workers)
+    task = functools.partial(_evolve_chunk, args, kwargs)
+    n_proc = sampler_processes(workers, n_chains)
+    if n_proc == 1:
+        parts = [task(ids) for ids in chunks]
+    else:
+        # fork: children inherit modules and caches (spawn re-imports, ~1 s) and
+        # callers need no __main__ guard; imported here to keep `import acldp` cheap.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=n_proc,
+                                 mp_context=multiprocessing.get_context("fork")) as ex:
+            parts = list(ex.map(task, chunks))
 
     def merged(arrays):       # (levels, chains, ...) chunks, joined on the chain axis
         return np.concatenate(arrays, axis=1)

@@ -44,7 +44,7 @@ def start_path_action(d, prof, zeta, nm, T):
     frames = np.asarray([z for z, _, _ in flow_states(
         d, zeta.values, MAM_DT_FLOW, int(round((T - 1.0) / MAM_DT_FLOW)))])
     Z0 = _initial_path(d, zeta, T, steps, frames=frames, dt_flow=MAM_DT_FLOW, profile=prof)
-    return _action_core(d, Z0, T / steps, 0.0, nm, need_grad=False)[0]
+    return _action_core(d, Z0, T / steps, nm, need_grad=False)[0]
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +138,32 @@ class TestInterpolation:
         const = _initial_path(dom2_full, eq, 3.0, 24, frames=np.tile(eq.values, (5, 1)),
                               dt_flow=0.5, profile=prof2_full)
         assert np.max(np.abs(const - eq.values)) < 1e-15
+
+    @pytest.mark.parametrize("T, steps, n_frames", [(3.0, 24, 41), (6.0, 48, 101),
+                                                    (12.0, 96, 60), (1.5, 7, 11)])
+    def test_equals_the_node_by_node_construction(self, dom2_full, prof2_full, rng,
+                                                  T, steps, n_frames):
+        # the array construction against one node at a time, bit for bit; the
+        # (12, 60) case runs past the last frame, which then stands still
+        d = dom2_full
+        frames = np.array([band_limited(d, rng, k_max=6, amp=0.3).values
+                           for _ in range(n_frames)])
+        zeta = Field(frames[0], Boundary.ZERO_DIRICHLET)
+        mshift = prof2_full.shifted_values(d)
+        t_star = T - 1.0
+        kept = frames[: int(round(t_star / 0.125)) + 1]
+        ref = np.empty((steps + 1, d.n))
+        for i, t in enumerate(np.linspace(0.0, T, steps + 1)):
+            if t <= 1.0:
+                ref[i] = (1.0 - t) * mshift + t * kept[-1]
+            else:
+                pos = np.clip((t_star - (t - 1.0)) / 0.125, 0.0, len(kept) - 1.0)
+                i0 = int(np.floor(pos))
+                i1 = min(i0 + 1, len(kept) - 1)
+                ref[i] = (1.0 - (pos - i0)) * kept[i0] + (pos - i0) * kept[i1]
+        ref[0], ref[-1] = mshift, zeta.values
+        Z = _initial_path(d, zeta, T, steps, frames=frames, dt_flow=0.125, profile=prof2_full)
+        assert Z.tobytes() == ref.tobytes()
 
     def test_near_equilibrium_cost_bound(self, dom2_full, prof2_full, unit_noise):
         # relax a perturbed state, then interpolate from the equilibrium to the
@@ -312,8 +338,7 @@ class TestMinimization:
             assert np.array_equal(own, longest[: own.shape[0]])
             Z0 = _initial_path(dom2_full, zeta, T_r, 96, frames=own, dt_flow=MAM_DT_FLOW,
                                profile=prof2_full)
-            v0, _, _ = _action_core(dom2_full, Z0, T_r / 96, 0.0, unit_noise,
-                                    need_grad=False)
+            v0, _, _ = _action_core(dom2_full, Z0, T_r / 96, unit_noise, need_grad=False)
             assert rung["T"] == T_r
             assert rung["init_value"] == v0
 
@@ -401,7 +426,7 @@ class TestPreconditionedCoordinates:
         s = np.linspace(0.0, 1.0, steps + 1)[:, None]
         Z0 = (1 - s) * prof.shifted_values(d)[None] + s * zeta.values[None]
         Z0[1:-1] += 0.05 * rng.standard_normal((steps - 1, d.n))   # every mode present
-        v0, _, _ = _action_core(d, Z0, dt, 0.0, nm, need_grad=False)
+        v0, _, _ = _action_core(d, Z0, dt, nm, need_grad=False)
         fun, y0, nodes = _rung_objective(d, nm, Z0, dt, v0)
 
         assert np.max(np.abs(nodes(y0) - Z0[1:-1])) <= 1e-13 * np.max(np.abs(Z0))
@@ -416,7 +441,7 @@ class TestPreconditionedCoordinates:
             assert fd == pytest.approx(float(grad0 @ v), rel=1e-6)
 
 
-def general_core(d, Z, dt, t0, nm, g, gslope):
+def general_core(d, Z, dt, g, gslope):
     """The action's value, interior gradient and residual record by the general
     formula, with the intensity g and its slope g' given as arrays.  The
     Laplacian is the same dense operator as the action's (TestDenseOperators
@@ -453,40 +478,38 @@ class TestActionCore:
     def test_constant_intensity_equals_general_formula(self, g0, dom2_full, paths):
         nm = NoiseModel(kind="constant", g0=g0)
         for Z in paths:
-            dt, t0 = 0.05, 0.3
+            dt = 0.05
             q_like = np.empty((Z.shape[0] - 1, dom2_full.n))
-            ref = general_core(dom2_full, Z, dt, t0, nm, np.full_like(q_like, g0),
+            ref = general_core(dom2_full, Z, dt, np.full_like(q_like, g0),
                                np.zeros_like(q_like))
-            v, grad, resid = _action_core(dom2_full, Z, dt, t0, nm, need_grad=True)
+            v, grad, resid = _action_core(dom2_full, Z, dt, nm, need_grad=True)
             assert resid is None
             assert v == ref[0] and grad.tobytes() == ref[1].tobytes()
-            v, grad, resid = _action_core(dom2_full, Z, dt, t0, nm, need_grad=False)
+            v, grad, resid = _action_core(dom2_full, Z, dt, nm, need_grad=False)
             assert grad is None
             assert v == ref[0] and resid.tobytes() == ref[2].tobytes()
 
     def test_state_dependent_intensity_equals_general_formula(self, dom2_full, paths):
         nm = NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)
-        Z, dt, t0 = paths[0], 0.05, 0.3
-        t_mid = (t0 + dt * (np.arange(Z.shape[0] - 1) + 0.5))[:, None]
+        Z, dt = paths[0], 0.05
         theta = 0.5 * (Z[1:] + Z[:-1]) + dom2_full.psi
-        ref = general_core(dom2_full, Z, dt, t0, nm, nm.g(t_mid, theta),
-                           nm.g_prime(t_mid, theta))
-        v, grad, _ = _action_core(dom2_full, Z, dt, t0, nm, need_grad=True)
+        ref = general_core(dom2_full, Z, dt, nm.g(theta), nm.g_prime(theta))
+        v, grad, _ = _action_core(dom2_full, Z, dt, nm, need_grad=True)
         assert v == ref[0] and grad.tobytes() == ref[1].tobytes()
 
     @pytest.mark.parametrize("kind", ["constant", "smooth_bounded_below"])
     def test_value_does_not_depend_on_need_grad(self, kind, dom2_full, paths):
         nm = NoiseModel(kind=kind, g0=0.6, c=0.8)
         for Z in paths:
-            a = _action_core(dom2_full, Z, 0.05, 0.0, nm, need_grad=True)[0]
-            b = _action_core(dom2_full, Z, 0.05, 0.0, nm, need_grad=False)[0]
+            a = _action_core(dom2_full, Z, 0.05, nm, need_grad=True)[0]
+            b = _action_core(dom2_full, Z, 0.05, nm, need_grad=False)[0]
             assert a == b
 
     def test_action_returns_the_residual_record(self, dom2_full, paths):
         nm = NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)
         Z = paths[0]
         res = action(Path(Z, Boundary.ZERO_DIRICHLET, 0.0, 0.05), nm, dom2_full)
-        ref = general_core(dom2_full, Z, 0.05, 0.0, nm, 1.0, 0.0)   # the record ignores g
+        ref = general_core(dom2_full, Z, 0.05, 1.0, 0.0)   # the record ignores g
         assert res.residual_series.shape == (Z.shape[0] - 1,)
         assert res.residual_series.tobytes() == ref[2].tobytes()
 

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import time
 from importlib.resources import files
@@ -207,6 +209,20 @@ class TestFlowCommand:
         cols = read_csv_columns(out / "flow.csv")
         assert set(cols) == {"t", "energy_star", "grad_norm", "dist_to_profile"}
         assert cols["dist_to_profile"][-1] < 1e-3
+
+    def test_horizon_beyond_the_byte_cap_exits_2_at_once(self, tmp_path):
+        # 1e300 is a whole number of steps of dt = 1, but their series alone
+        # would take 2.4e301 bytes
+        out = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "acldp.cli", "flow", "--set", "n=31", "--set", "modes=16",
+             "--set", "T=1e300", "--set", "dt=1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 2
+        assert "T=1e+300" in proc.stderr and "FLOW_BYTES" in proc.stderr
+        assert not (out / "flow.csv").exists()
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
     def test_custom_init_csv(self, tmp_path):
         d = build_domain(2.0, 63, 32)
@@ -621,6 +637,24 @@ class TestSdeAndInvariant:
         assert not (out / data).exists()
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
+    def test_overflowing_sobolev_weight_exits_2_before_sampling(self, tmp_path, capsys):
+        # lambda_k^(kstar/2) is inf from mode 2 on: no W^{k*,p*} sample is a number
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, out, kstar="1e300")
+        assert run(["invariant", "--config", str(cfg)]) == 2
+        assert "kstar=1e+300" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
+        assert not (out / "summary.json").exists()
+
+    def test_large_sobolev_order_writes_finite_json(self, tmp_path):
+        # at kstar = 40 |rec|^8 overflows; the norm is rescaled by max |rec|
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, out, kstar="40", n_chains="4", n_samples="8",
+                        burn_in="0.5", stride="0.5")
+        assert run(["invariant", "--config", str(cfg)]) == 0
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+        assert all(np.isfinite(v) and v > 0 for v in summary["sobolev_norm"].values())
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = write_cfg(tmp_path, out1)
@@ -648,6 +682,22 @@ class TestSdeAndInvariant:
         assert run(["invariant", "--config", str(cfg)]) == 0
         assert inline_pool == [3]
         assert json.loads((out / "manifest.json").read_text())["workers"] == 3
+
+    @pytest.mark.parametrize("workers", ["1", "2", "auto"])
+    @pytest.mark.parametrize("n_chains", [1, 32, 33, 96])
+    def test_manifest_workers_are_the_pool_that_ran(self, tmp_path, monkeypatch, inline_pool,
+                                                    n_chains, workers):
+        # on a box faked to 2 cores the chunks of 32 chains take 2 processes
+        # once there are two chunks and workers allows it; a serial run builds
+        # no executor
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("ACLDP_WORKERS", raising=False)
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, out, T="0.25", n_chains=str(n_chains), workers=workers)
+        assert run(["sde", "--config", str(cfg)]) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["workers"]
+        assert recorded == (inline_pool[0] if inline_pool else 1)
+        assert inline_pool == ([] if workers == "1" or n_chains <= 32 else [2])
 
     def test_manifest_records_worker_processes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)

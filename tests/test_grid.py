@@ -6,12 +6,13 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import logsumexp
 
 from acldp.errors import ConfigurationError
 from acldp.flow import step_weights
 from acldp.grid import (Boundary, Field, basis_eval, build_domain,
                         inverse_transform_values, l2_inner, laplacian_values,
-                        lp_norm, sobolev_norm, transform_values)
+                        lp_norm, sobolev_norm, sobolev_norm_values, transform_values)
 
 from .conftest import band_limited
 
@@ -324,4 +325,31 @@ class TestSobolevNorm:
         e = basis_eval(dom2, 6)        # lambda_6 > 1, so the norm grows with k*
         norms = [sobolev_norm(dom2, e, ks, 8) for ks in (0.0, 0.1, 0.2, 0.4)]
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
+
+    @pytest.mark.parametrize("p_star", [1024, 4096])
+    def test_large_exponent_matches_log_sum_exp(self, dom2, rng, p_star):
+        # rows of sup 1e-3 .. 1e3: |rec|^p underflows or overflows for all but the middle
+        rows = np.stack([a * band_limited(dom2, rng, k_max=dom2.modes).values
+                         for a in (1e-3, 0.3, 1.0, 3.0, 1e3)])
+        rows = np.vstack([rows, np.zeros(dom2.n)])
+        got = sobolev_norm_values(dom2, rows, 0.2, p_star)
+        rec = inverse_transform_values(
+            dom2, transform_values(dom2, rows) * dom2.lambda_k ** 0.1)
+        with np.errstate(divide="ignore"):
+            log_norm = (np.log(dom2.h) + logsumexp(p_star * np.log(np.abs(rec)), axis=-1)) / p_star
+        assert got[-1] == 0.0
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got[:-1], np.exp(log_norm[:-1]), rtol=1e-12, atol=0.0)
+
+    def test_in_range_rows_keep_the_plain_formula(self, dom2, rng):
+        rows = np.stack([band_limited(dom2, rng, k_max=dom2.modes).values for _ in range(4)])
+        rec = inverse_transform_values(
+            dom2, transform_values(dom2, rows) * dom2.lambda_k ** (0.2 / 2.0))
+        plain = (dom2.h * np.sum(np.abs(rec) ** 8, axis=-1)) ** (1.0 / 8)
+        assert sobolev_norm_values(dom2, rows, 0.2, 8).tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("k_star", [1e300, 1e5])
+    def test_overflowing_mode_weight_rejected(self, dom2, rng, k_star):
+        with pytest.raises(ConfigurationError, match="kstar"):
+            sobolev_norm(dom2, band_limited(dom2, rng), k_star, 8)
 

@@ -1,8 +1,10 @@
+import ast
 import os
 import threading
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,7 +189,7 @@ class TestConvolution:
         for s in range(len(path) - 1):
             z = path[s]
             w_phys = inverse_transform_values(sdom, np.sqrt(p.dt) * rec.noise_increments[s])
-            gamma = decay * gamma + transform_values(sdom, nm.g(s * p.dt, z + sdom.psi) * w_phys)
+            gamma = decay * gamma + transform_values(sdom, nm.g(z + sdom.psi) * w_phys)
             gamma_frames[s + 1] = inverse_transform_values(sdom, gamma)
             y = decay * y + phi1 * transform_values(sdom, reaction_values(sdom, z) + lam * z)
             y_frames[s + 1] = inverse_transform_values(sdom, y)
@@ -377,6 +379,24 @@ class TestProcessPool:
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         with pytest.raises(InstabilityError, match="eps"):
             ensemble_run(sdom, x, const_noise, p, 5.0, 64, profile=sprof, workers=2)
+
+    def test_only_the_sampler_starts_processes(self):
+        """The package has one process pool, the sampler's: no other module
+        imports concurrent.futures or multiprocessing."""
+        def pool_modules(node):
+            if isinstance(node, ast.Import):
+                return [a.name for a in node.names]
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            return []
+
+        importers = set()
+        for src in sorted((Path(__file__).parents[1] / "src" / "acldp").glob("*.py")):
+            for node in ast.walk(ast.parse(src.read_text())):
+                if any(m.split(".")[0] in ("concurrent", "multiprocessing")
+                       for m in pool_modules(node)):
+                    importers.add(src.name)
+        assert importers == {"spde.py"}
 
     def test_dead_child_raises_and_does_not_hang(self, sdom, sprof, const_noise, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
