@@ -4,7 +4,8 @@ dynamics, multiplicative-noise sampling, action functional, quasi-potential
 estimation, and small-noise tail diagnostics.  Stochastic chains run through
 `ensemble_run` (chains from a given state) and `sample_invariant` (invariant
 measure); `record_replay` keeps one chain's path and noise for the replay
-diagnostics."""
+diagnostics; `tail_report` turns measures into the one tail record,
+`TailReport`."""
 
 __version__ = "0.1.0"
 
@@ -19,9 +20,8 @@ from .errors import ConfigurationError, InstabilityError, NumericalError
 from .flow import FlowResult, Path, gradient_flow, relaxation_time, skeleton_solve
 from .grid import (Boundary, Domain, Field, basis_eval, build_domain,
                    h1_distance, l2_inner, lp_norm, sobolev_norm)
-from .ldp import (DecayFit, TailEstimate, TailReport, build_tail_report,
-                  decay_rate_fit, delta_scaling, tail_probability,
-                  tightness_check, tightness_monotone, wilson_interval)
+from .ldp import (TailReport, delta_scaling, tail_report, tightness_monotone,
+                  wilson_interval)
 from .noise import NoiseModel
 from .profile import (Profile, compute_profile, energy_formula, solve_e_L,
                       solve_profile, transit_integral)

@@ -61,13 +61,6 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _tail_report_json(rep) -> dict:
-    return dict(delta=rep.delta, eps=list(rep.eps_grid), p_hat=list(rep.p_hat),
-                lo=list(rep.lo), hi=list(rep.hi),
-                counts=[int(c) for c in rep.counts], n=[int(v) for v in rep.n],
-                slope=rep.slope, r2=rep.r2, slope_valid=rep.slope_valid)
-
-
 def _samples_csv_columns(s: dict) -> dict:
     return {k: np.ravel(s[k]) for k in
             ("chain", "t", "sup_norm", "energy_star", "sobolev_norm", "dist_sup")}
@@ -205,21 +198,16 @@ def _cmd_concentration(args, cfg, outdir, warnings):
     warnings.extend(result.warnings)
     reps = (result.report_delta, result.report_2delta)
     write_csv(outdir / "tails.csv", dict(
-        eps=np.concatenate([rep.eps_grid for rep in reps]),
-        delta=np.repeat([rep.delta for rep in reps], [len(rep.eps_grid) for rep in reps]),
-        p_hat=np.concatenate([rep.p_hat for rep in reps]),
-        lo=np.concatenate([rep.lo for rep in reps]),
-        hi=np.concatenate([rep.hi for rep in reps])))
+        eps=np.concatenate([rep.eps for rep in reps]),
+        delta=np.repeat([rep.threshold for rep in reps], [len(rep.eps) for rep in reps]),
+        **{k: np.concatenate([getattr(rep, k) for rep in reps]) for k in ("p_hat", "lo", "hi")}))
     tight = result.tightness
     write_json(outdir / "tail_reports.json", dict(
-        delta=result.delta, slope_ratio=result.slope_ratio,
-        reports=[_tail_report_json(result.report_delta),
-                 _tail_report_json(result.report_2delta)],
-        tightness=dict(radius=result.radius, eps=list(tight["eps"]),
-                       exceedance=[e.p_hat for e in tight["estimates"]],
-                       lo=[e.lo for e in tight["estimates"]],
-                       hi=[e.hi for e in tight["estimates"]],
-                       nonincreasing=tight["nonincreasing"])))
+        delta=reps[0].threshold, slope_ratio=result.slope_ratio,
+        reports=[{("delta" if k == "threshold" else k): v for k, v in vars(rep).items()}
+                 for rep in reps],                # every field, the threshold as `delta`
+        tightness=dict(radius=tight.threshold, eps=tight.eps, exceedance=tight.p_hat,
+                       lo=tight.lo, hi=tight.hi, nonincreasing=result.nonincreasing)))
     for em in result.measures:
         write_csv(outdir / f"samples_eps{em.eps!r}.csv", _samples_csv_columns(em.samples))
 

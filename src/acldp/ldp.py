@@ -1,10 +1,13 @@
-"""Tail statistics over empirical invariant measures: concentration around
-the stationary profile, decay-rate fits in 1/eps, and Sobolev-ball
-exceedance fractions.
+"""Tail statistics over empirical invariant measures: the fraction of one
+recorded observable at or above a threshold across a decreasing eps grid,
+with the decay-rate fit in 1/eps.
 
-Every probability carries a Wilson 95% interval.  Zero-count tails are
-reported with the rule-of-three upper bound 3/n and excluded from log-space
-fits (never entered as zero point estimates).
+`tail_report` is the one function that counts a tail.  `delta_scaling` reads
+`dist_sup` (concentration around the profile) at delta and 2*delta, and
+`tightness_monotone` reads `sobolev_norm` (exceedance of a Sobolev ball).
+Every probability carries a Wilson 95% interval.  A zero-count cell keeps
+Wilson's upper end z^2/(n + z^2) and is left out of the log-space fit (never
+entered as a zero point estimate).
 """
 
 from __future__ import annotations
@@ -14,58 +17,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .spde import EmpiricalMeasure
+from .spde import MIN_SAMPLES, EmpiricalMeasure
 
 Z95 = 1.959963984540054
-MIN_SAMPLES = 100
-
-
-@dataclass(frozen=True)
-class TailEstimate:
-    """Binomial tail estimate with its 95% interval."""
-
-    threshold: float
-    count: int
-    n: int
-    p_hat: float
-    lo: float
-    hi: float
-    zero_count: bool      # True when only the rule-of-three bound is informative
-
-    @property
-    def rule_of_three(self) -> float:
-        return 3.0 / self.n
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Least-squares fit of -log p against 1/eps."""
-
-    slope: float
-    intercept: float
-    r2: float
-    n_points: int
-    valid: bool           # False when the fit is degenerate (r2 < 0.8)
 
 
 @dataclass(frozen=True)
 class TailReport:
-    """Tail probabilities across an eps grid at one threshold, plus the fit."""
+    """One observable at one threshold across a strictly decreasing eps grid:
+    the counts at or above the threshold, their fractions with Wilson
+    intervals, and the least-squares slope of -log p_hat against 1/eps over
+    the nonzero cells (None below three cells; valid when r2 >= 0.8)."""
 
-    delta: float
-    eps_grid: np.ndarray          # strictly decreasing
+    threshold: float
+    eps: np.ndarray
+    counts: np.ndarray
+    n: np.ndarray
     p_hat: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    counts: np.ndarray
-    n: np.ndarray
     slope: float | None
     r2: float | None
     slope_valid: bool
 
 
-def wilson_interval(count: int, n: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(count: int, n: int) -> tuple[float, float]:
+    """Wilson score interval (95%) for a binomial proportion.
 
     The interval always contains p = count / n; at count = 0 (or n) its
     lower (upper) end equals p exactly, and the clamp against p removes the
@@ -73,6 +50,7 @@ def wilson_interval(count: int, n: int, z: float = Z95) -> tuple[float, float]:
     """
     if n <= 0:
         raise ConfigurationError("interval needs at least one sample")
+    z = Z95
     p = count / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -80,105 +58,64 @@ def wilson_interval(count: int, n: int, z: float = Z95) -> tuple[float, float]:
     return max(0.0, min(p, center - half)), min(1.0, max(p, center + half))
 
 
-def _tail_estimate(values: np.ndarray, threshold: float) -> TailEstimate:
-    n = len(values)
-    count = int(np.sum(values >= threshold))
-    lo, hi = wilson_interval(count, n)
-    return TailEstimate(threshold=float(threshold), count=count, n=n,
-                        p_hat=count / n, lo=lo, hi=hi, zero_count=count == 0)
+def tail_report(ems: list[EmpiricalMeasure], column: str, threshold: float) -> TailReport:
+    """Fractions of the samples' `column` at or above `threshold`, one per
+    measure, and their decay fit.  Measures come in strictly decreasing eps
+    order, each with at least MIN_SAMPLES samples.
 
-
-def tail_probability(em: EmpiricalMeasure, delta: float) -> TailEstimate:
-    """Fraction of samples with sup |ubar - (m - psi)| >= delta.
-
-    By the shift identity u - m = ubar - (m - psi) pointwise, the same
-    estimate serves the unshifted field against the profile.
-    """
-    if em.n_samples < MIN_SAMPLES:
-        raise ConfigurationError(
-            f"tail probability needs >= {MIN_SAMPLES} samples, measure has {em.n_samples}")
-    if delta < 0:
-        raise ConfigurationError(f"threshold must be nonnegative, got {delta}")
-    return _tail_estimate(em.samples["dist_sup"], delta)
-
-
-def decay_rate_fit(eps_values: np.ndarray, estimates: list[TailEstimate]) -> DecayFit:
-    """Slope of -log p_hat against 1/eps over cells with nonzero counts."""
-    eps_values = np.asarray(eps_values, dtype=float)
-    keep = [i for i, e in enumerate(estimates) if not e.zero_count]
-    if len(keep) < 3:
-        raise ConfigurationError(
-            f"decay fit needs >= 3 eps values with nonzero tails, got {len(keep)}")
-    x = 1.0 / eps_values[keep]
-    y = -np.log(np.array([estimates[i].p_hat for i in keep]))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(slope=float(slope), intercept=float(intercept), r2=r2,
-                    n_points=len(keep), valid=bool(r2 >= 0.8))
-
-
-def build_tail_report(ems: list[EmpiricalMeasure], delta: float) -> TailReport:
-    """Tail probabilities and decay fit for one threshold across eps values.
-
-    Measures must come in strictly decreasing eps order.
+    For `dist_sup` = sup |ubar - (m - psi)| the shift identity u - m =
+    ubar - (m - psi) makes the same fraction serve the unshifted field
+    against the profile.
     """
     eps = np.array([em.eps for em in ems])
     if not np.all(np.diff(eps) < 0):
         raise ConfigurationError("empirical measures must be ordered by strictly decreasing eps")
-    ests = [tail_probability(em, delta) for em in ems]
-    nonzero = sum(not e.zero_count for e in ests)
+    if threshold < 0:
+        raise ConfigurationError(f"threshold must be nonnegative, got {threshold}")
+    n = np.array([em.n_samples for em in ems])
+    if np.any(n < MIN_SAMPLES):
+        raise ConfigurationError(
+            f"tail estimates need >= {MIN_SAMPLES} samples, a measure has {n.min()}")
+    counts = np.array([np.count_nonzero(em.samples[column] >= threshold) for em in ems])
+    p_hat = counts / n
+    lo, hi = np.array([wilson_interval(c, m) for c, m in zip(counts.tolist(), n.tolist())]).T
     slope = r2 = None
-    valid = False
-    if nonzero >= 3:
-        fit = decay_rate_fit(eps, ests)
-        slope, r2, valid = fit.slope, fit.r2, fit.valid
-    return TailReport(
-        delta=float(delta), eps_grid=eps,
-        p_hat=np.array([e.p_hat for e in ests]),
-        lo=np.array([e.lo for e in ests]),
-        hi=np.array([e.hi for e in ests]),
-        counts=np.array([e.count for e in ests]),
-        n=np.array([e.n for e in ests]),
-        slope=slope, r2=r2, slope_valid=valid)
+    keep = counts > 0
+    if np.count_nonzero(keep) >= 3:
+        x, y = 1.0 / eps[keep], -np.log(p_hat[keep])
+        fit, intercept = np.polyfit(x, y, 1)
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        resid = y - (fit * x + intercept)
+        slope = float(fit)
+        r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    return TailReport(threshold=float(threshold), eps=eps, counts=counts, n=n, p_hat=p_hat,
+                      lo=lo, hi=hi, slope=slope, r2=r2,
+                      slope_valid=r2 is not None and r2 >= 0.8)
 
 
-def delta_scaling(ems: list[EmpiricalMeasure], delta: float) -> dict:
-    """Reports at delta and 2*delta plus the slope ratio (target 4: the
-    quadratic law in the threshold)."""
-    rep1 = build_tail_report(ems, delta)
-    rep2 = build_tail_report(ems, 2.0 * delta)
+def delta_scaling(ems: list[EmpiricalMeasure],
+                  delta: float) -> tuple[TailReport, TailReport, float | None]:
+    """`dist_sup` reports at delta and 2*delta plus the slope ratio (target
+    4: the quadratic law in the threshold), None unless both fits are valid
+    and the first slope is positive."""
+    rep1 = tail_report(ems, "dist_sup", delta)
+    rep2 = tail_report(ems, "dist_sup", 2.0 * delta)
     ratio = None
     if rep1.slope_valid and rep2.slope_valid and rep1.slope > 0:
         ratio = rep2.slope / rep1.slope
-    return dict(report_delta=rep1, report_2delta=rep2, slope_ratio=ratio)
-
-
-def tightness_check(em: EmpiricalMeasure, radius: float, kstar: float,
-                    pstar: int) -> TailEstimate:
-    """Fraction of samples outside the W^{k*,p*} ball of the given radius."""
-    if (kstar, pstar) != (em.kstar, em.pstar):
-        raise ConfigurationError(
-            f"measure recorded W^({em.kstar},{em.pstar}) norms; asked for ({kstar},{pstar})")
-    if em.n_samples < MIN_SAMPLES:
-        raise ConfigurationError(
-            f"tightness check needs >= {MIN_SAMPLES} samples, measure has {em.n_samples}")
-    return _tail_estimate(em.samples["sobolev_norm"], radius)
+    return rep1, rep2, ratio
 
 
 def tightness_monotone(ems: list[EmpiricalMeasure], radius: float, kstar: float,
-                       pstar: int) -> dict:
-    """Exceedance fractions across decreasing eps, with the two-sigma
-    nonincreasing check the concentration bound implies."""
-    eps = np.array([em.eps for em in ems])
-    if not np.all(np.diff(eps) < 0):
-        raise ConfigurationError("empirical measures must be ordered by strictly decreasing eps")
-    ests = [tightness_check(em, radius, kstar, pstar) for em in ems]
-    ok = True
-    for a, b in zip(ests[:-1], ests[1:]):
-        se_a = np.sqrt(max(a.p_hat * (1 - a.p_hat), 1.0 / a.n) / a.n)
-        se_b = np.sqrt(max(b.p_hat * (1 - b.p_hat), 1.0 / b.n) / b.n)
-        if b.p_hat > a.p_hat + 2.0 * np.hypot(se_a, se_b):
-            ok = False
-    return dict(eps=eps, estimates=ests, radius=radius, nonincreasing=ok)
+                       pstar: int) -> tuple[TailReport, bool]:
+    """Fractions of samples outside the W^{k*,p*} ball of the given radius
+    across decreasing eps, and whether each is at most its predecessor plus
+    two standard errors, as the concentration bound implies."""
+    for em in ems:
+        if (kstar, pstar) != (em.kstar, em.pstar):
+            raise ConfigurationError(
+                f"measure recorded W^({em.kstar},{em.pstar}) norms; asked for ({kstar},{pstar})")
+    rep = tail_report(ems, "sobolev_norm", radius)
+    p, n = rep.p_hat, rep.n
+    se = np.sqrt(np.maximum(p * (1 - p), 1.0 / n) / n)
+    return rep, bool(np.all(p[1:] <= p[:-1] + 2.0 * np.hypot(se[:-1], se[1:])))

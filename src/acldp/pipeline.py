@@ -1,6 +1,7 @@
 """Concentration experiment: profile -> invariant sampling of every eps in
-one stacked call -> tail probabilities at delta and 2*delta -> decay-rate
-fit, plus the Sobolev-ball tightness fractions from the same samples."""
+one stacked call -> `ldp.TailReport`s of `dist_sup` at delta and 2*delta,
+each with its decay-rate fit, plus the report of the Sobolev-ball
+exceedance (`sobolev_norm` at the radius) from the same samples."""
 
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ import numpy as np
 from .config import AUTO, ExperimentConfig
 from .errors import ConfigurationError
 from .grid import Domain, build_domain
-from .ldp import MIN_SAMPLES, TailReport, delta_scaling, tightness_monotone
+from .ldp import TailReport, delta_scaling, tightness_monotone
 from .noise import NoiseModel
-from .profile import Profile, compute_profile
-from .spde import EmpiricalMeasure, SdeParams, sample_invariant
+from .profile import compute_profile
+from .spde import MIN_SAMPLES, EmpiricalMeasure, SdeParams, sample_invariant
 
 TAIL_FRACTION = 0.02     # auto delta: 2*delta sits at this tail of the rarest cell
 RADIUS_QUANTILE = 0.75   # auto radius: quantile of the largest-eps Sobolev norms
@@ -22,15 +23,12 @@ RADIUS_QUANTILE = 0.75   # auto radius: quantile of the largest-eps Sobolev norm
 
 @dataclass
 class ConcentrationResult:
-    domain: Domain
-    profile: Profile
     measures: list[EmpiricalMeasure]       # decreasing eps
-    delta: float
-    report_delta: TailReport
-    report_2delta: TailReport
+    report_delta: TailReport               # dist_sup at delta
+    report_2delta: TailReport              # dist_sup at 2*delta
     slope_ratio: float | None
-    radius: float
-    tightness: dict
+    tightness: TailReport                  # sobolev_norm at the radius
+    nonincreasing: bool                    # tightness fractions, within 2 sigma
     warnings: list[str]
 
 
@@ -46,17 +44,17 @@ def domain_from_config(cfg: ExperimentConfig) -> Domain:
     return build_domain(cfg["L"], cfg["n"], cfg["modes"])
 
 
-def choose_delta(ems: list[EmpiricalMeasure], tail_fraction: float = TAIL_FRACTION) -> float:
+def choose_delta(ems: list[EmpiricalMeasure]) -> float:
     """Half the upper quantile of the rarest (smallest-eps) distances, so the
-    2*delta cell keeps an expected count of tail_fraction * n samples."""
+    2*delta cell keeps an expected count of TAIL_FRACTION * n samples."""
     rarest = ems[-1]
-    q = float(np.quantile(rarest.samples["dist_sup"], 1.0 - tail_fraction))
+    q = float(np.quantile(rarest.samples["dist_sup"], 1.0 - TAIL_FRACTION))
     return q / 2.0
 
 
-def choose_radius(ems: list[EmpiricalMeasure], quantile: float = RADIUS_QUANTILE) -> float:
+def choose_radius(ems: list[EmpiricalMeasure]) -> float:
     """Sobolev-ball radius from the largest-eps measure, above the profile floor."""
-    return float(np.quantile(ems[0].samples["sobolev_norm"], quantile))
+    return float(np.quantile(ems[0].samples["sobolev_norm"], RADIUS_QUANTILE))
 
 
 def run_concentration(cfg: ExperimentConfig) -> ConcentrationResult:
@@ -73,24 +71,20 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationResult:
     d = domain_from_config(cfg)
     nm = noise_from_config(cfg)
     prof = compute_profile(d)
-    warnings: list[str] = []
-
     measures = sample_invariant(d, nm, [sde_params_from_config(cfg, eps) for eps in eps_list],
                                 burn_in=cfg["burn_in"], n_samples=cfg["n_samples"],
                                 stride=cfg["stride"], n_chains=cfg["n_chains"], profile=prof,
                                 kstar=cfg["kstar"], pstar=cfg["pstar"],
                                 workers=cfg["workers"])
-    for em in measures:
-        warnings.extend(f"eps={em.eps}: {w}" for w in em.warnings)
+    warnings = [f"eps={em.eps}: {w}" for em in measures for w in em.warnings]
 
     delta = cfg["delta"] if cfg["delta"] != AUTO else choose_delta(measures)
-    scaling = delta_scaling(measures, delta)
+    report_delta, report_2delta, slope_ratio = delta_scaling(measures, delta)
 
     radius = cfg["radius"] if cfg["radius"] != AUTO else choose_radius(measures)
-    tight = tightness_monotone(measures, radius, cfg["kstar"], cfg["pstar"])
+    tightness, nonincreasing = tightness_monotone(measures, radius, cfg["kstar"], cfg["pstar"])
 
     return ConcentrationResult(
-        domain=d, profile=prof, measures=measures, delta=float(delta),
-        report_delta=scaling["report_delta"], report_2delta=scaling["report_2delta"],
-        slope_ratio=scaling["slope_ratio"], radius=float(radius),
-        tightness=tight, warnings=warnings)
+        measures=measures, report_delta=report_delta, report_2delta=report_2delta,
+        slope_ratio=slope_ratio, tightness=tightness, nonincreasing=nonincreasing,
+        warnings=warnings)

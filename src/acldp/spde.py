@@ -66,6 +66,7 @@ _NOISE_BLOCK = 512          # steps of normals drawn per stream at a time
 CHAIN_CHUNK = 32            # chains per vectorized batch (fixed: worker-count independent)
 SAMPLER_BYTES = 2 ** 28     # cap on the step mask (1 B a step), the observables (32 B a
                             # sample) and the mode checkpoints (8 B a chain-mode each)
+MIN_SAMPLES = 100           # pooled samples a tail estimate needs (ldp, pipeline)
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class EmpiricalMeasure:
     kstar: float
     pstar: int
     g_min: float
-    undersampled: bool
+    undersampled: bool               # pooled count below MIN_SAMPLES
     warnings: list[str]
     samples: dict[str, np.ndarray]   # chain, t, sup_norm, dist_sup, energy_star, sobolev_norm
 
@@ -377,9 +378,9 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
     if burn_in < 5.0 * t_relax:
         warnings.append(
             f"burn_in={burn_in} is below 5x the deterministic relaxation time {t_relax:.3g}")
-    undersampled = n_samples < 100
+    undersampled = per_chain * n_chains < MIN_SAMPLES
     if undersampled:
-        warnings.append(f"n_samples={n_samples} < 100: tail estimates will be unreliable")
+        warnings.append(f"n_samples={n_samples} < {MIN_SAMPLES}: tail estimates will be unreliable")
 
     sample_steps = steps_burn + steps_stride * np.arange(1, per_chain + 1)
 

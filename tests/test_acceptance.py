@@ -22,7 +22,6 @@ from acldp.errors import ConfigurationError
 from acldp.flow import Path, gradient_flow
 from acldp.grid import (Boundary, Field, basis_eval, build_domain, h1_distance,
                         l2_inner)
-from acldp.ldp import tightness_monotone
 from acldp.noise import NoiseModel
 from acldp.pipeline import run_concentration
 from acldp.profile import compute_profile, energy_formula, solve_e_L
@@ -280,10 +279,9 @@ def test_criterion_08_concentration(concentration_result):
 
 def test_criterion_09_tightness(concentration_result):
     res = concentration_result
-    tight = tightness_monotone(res.measures, res.radius, 0.2, 8)
-    fr = [e.p_hat for e in tight["estimates"]]
+    fr = res.tightness.p_hat
     check(9, "Sobolev-ball exceedance nonincreasing across eps",
-          {"nonincreasing within 2 sigma": bool(tight["nonincreasing"]),
+          {"nonincreasing within 2 sigma": bool(res.nonincreasing),
            "strictly ordered ends": fr[0] >= fr[-1]})
 
 

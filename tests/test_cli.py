@@ -757,6 +757,21 @@ class TestConcentrationOutputs:
         with pytest.raises(jsonschema.ValidationError, match="'x' is not of type"):
             validator.validate(bad)
 
+    def test_tightness_block_matches_the_samples(self, conc_out):
+        tight = json.loads((conc_out / "tail_reports.json").read_text())["tightness"]
+        for eps, exceedance, lo, hi in zip(tight["eps"], tight["exceedance"],
+                                           tight["lo"], tight["hi"]):
+            norms = read_csv_columns(conc_out / f"samples_eps{eps!r}.csv")["sobolev_norm"]
+            assert np.count_nonzero(norms >= tight["radius"]) / len(norms) == exceedance
+            assert lo <= exceedance <= hi
+
+    def test_tails_csv_rows_are_the_reports(self, conc_out):
+        cols = read_csv_columns(conc_out / "tails.csv")
+        reports = json.loads((conc_out / "tail_reports.json").read_text())["reports"]
+        for key in ("eps", "p_hat", "lo", "hi"):
+            assert cols[key].tolist() == [v for rep in reports for v in rep[key]]
+        assert cols["delta"].tolist() == [rep["delta"] for rep in reports for _ in rep["eps"]]
+
     def test_per_eps_samples_written(self, conc_out):
         for eps in (0.2, 0.1, 0.05):
             assert (conc_out / f"samples_eps{eps!r}.csv").exists()

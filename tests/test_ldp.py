@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from acldp.diagnostics import record_replay
 from acldp.errors import ConfigurationError
 from acldp.grid import build_domain
-from acldp.ldp import (TailEstimate, build_tail_report, decay_rate_fit,
-                       delta_scaling, tail_probability, tightness_check,
-                       tightness_monotone, wilson_interval)
+from acldp.ldp import delta_scaling, tail_report, tightness_monotone, wilson_interval
 from acldp.noise import NoiseModel
 from acldp.profile import compute_profile
 from acldp.spde import EmpiricalMeasure, SdeParams, sample_invariant
@@ -27,10 +25,9 @@ def synthetic_measure(eps, dist_values, sobolev_values=None, kstar=0.2, pstar=8)
             energy_star=np.zeros(n), sobolev_norm=np.asarray(sobolev_values)))
 
 
-def exact_estimate(p, n=10 ** 9):
-    # synthetic estimate carrying an exact p_hat (count is informational only)
-    return TailEstimate(threshold=0.0, count=max(1, int(round(p * n))), n=n,
-                        p_hat=p, lo=p, hi=p, zero_count=p == 0.0)
+def counted_measure(eps, count, n):
+    # `count` of the n distances sit at 1, the rest at 0: threshold 0.5 counts exactly `count`
+    return synthetic_measure(eps, np.r_[np.ones(count), np.zeros(n - count)])
 
 
 class TestWilson:
@@ -51,57 +48,65 @@ class TestWilson:
 class TestTailProbability:
     def test_zero_threshold_is_one(self):
         em = synthetic_measure(0.1, np.abs(np.random.default_rng(0).standard_normal(200)))
-        est = tail_probability(em, 0.0)
-        assert est.p_hat == 1.0
+        rep = tail_report([em], "dist_sup", 0.0)
+        assert rep.p_hat[0] == 1.0
 
     def test_huge_threshold_rule_of_three(self):
+        # a zero count reports Wilson's upper end z^2/(n + z^2), not 3/n
         em = synthetic_measure(0.1, np.abs(np.random.default_rng(0).standard_normal(200)))
-        est = tail_probability(em, 10.0)
-        assert est.zero_count
-        assert est.p_hat == 0.0
-        assert est.rule_of_three == pytest.approx(3.0 / 200)
-        assert est.hi > 0.0
+        rep = tail_report([em], "dist_sup", 10.0)
+        assert rep.counts[0] == 0
+        assert rep.p_hat[0] == 0.0
+        assert rep.hi[0] == wilson_interval(0, 200)[1]
+        assert rep.hi[0] > 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(d1=st.floats(0.0, 2.0), d2=st.floats(0.0, 2.0))
     def test_monotone_in_threshold(self, d1, d2):
         em = synthetic_measure(0.1, np.abs(np.random.default_rng(3).standard_normal(300)))
         lo_d, hi_d = sorted((d1, d2))
-        assert tail_probability(em, lo_d).p_hat >= tail_probability(em, hi_d).p_hat
+        assert (tail_report([em], "dist_sup", lo_d).p_hat[0]
+                >= tail_report([em], "dist_sup", hi_d).p_hat[0])
 
     def test_undersampled_rejected(self):
         em = synthetic_measure(0.1, np.ones(50))
         with pytest.raises(ConfigurationError):
-            tail_probability(em, 0.5)
+            tail_report([em], "dist_sup", 0.5)
+
+    def test_negative_threshold_rejected(self):
+        em = synthetic_measure(0.1, np.ones(200))
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            tail_report([em], "dist_sup", -0.5)
 
 
 class TestDecayFit:
     def test_exact_synthetic_slope(self):
-        eps = np.array([0.5, 0.2, 0.1, 0.05])
-        ests = [exact_estimate(float(np.exp(-3.0 / e))) for e in eps]
-        fit = decay_rate_fit(eps, ests)
-        assert fit.slope == pytest.approx(3.0, abs=1e-6)
-        assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-        assert fit.valid
+        # p = 2^-k at 1/eps = 2k: -log p = (log 2 / 2) / eps exactly
+        ems = [counted_measure(1.0 / (2 * k), 1024 >> k, 1024) for k in (1, 2, 3, 4)]
+        rep = tail_report(ems, "dist_sup", 0.5)
+        assert rep.slope == pytest.approx(np.log(2.0) / 2, abs=1e-9)
+        assert rep.r2 == pytest.approx(1.0, abs=1e-12)
+        assert rep.slope_valid
 
     def test_degenerate_fit_flagged(self):
-        eps = np.array([0.5, 0.2, 0.1, 0.05])
-        ps = [0.3, 0.5, 0.2, 0.4]          # no decay structure
-        fit = decay_rate_fit(eps, [exact_estimate(p) for p in ps])
-        assert not fit.valid
+        eps = (0.5, 0.2, 0.1, 0.05)
+        counts = (300, 500, 200, 400)          # no decay structure
+        rep = tail_report([counted_measure(e, c, 1000) for e, c in zip(eps, counts)],
+                          "dist_sup", 0.5)
+        assert rep.slope is not None
+        assert not rep.slope_valid
 
     def test_needs_three_nonzero_cells(self):
-        eps = np.array([0.5, 0.2, 0.1])
-        ests = [exact_estimate(0.5), exact_estimate(0.0), exact_estimate(0.0)]
-        with pytest.raises(ConfigurationError):
-            decay_rate_fit(eps, ests)
+        ems = [counted_measure(e, c, 1000) for e, c in ((0.5, 500), (0.2, 0), (0.1, 0))]
+        rep = tail_report(ems, "dist_sup", 0.5)
+        assert rep.slope is None and rep.r2 is None and not rep.slope_valid
 
     def test_report_orders_eps(self):
         rng = np.random.default_rng(1)
         ems = [synthetic_measure(e, np.abs(rng.standard_normal(400)) * np.sqrt(e))
                for e in (0.4, 0.1)]
         with pytest.raises(ConfigurationError):
-            build_tail_report(ems[::-1], 0.3)
+            tail_report(ems[::-1], "dist_sup", 0.3)
 
     def test_gaussian_family_recovers_quadratic_threshold_law(self):
         # |N(0, eps)| tails: -log p = delta^2/(2 eps) (1 + o(1)), so the fitted
@@ -110,33 +115,32 @@ class TestDecayFit:
         eps_grid = (0.1, 0.05, 0.025)
         ems = [synthetic_measure(e, np.abs(rng.standard_normal(200_000)) * np.sqrt(e))
                for e in eps_grid]
-        out = delta_scaling(ems, 0.28)
-        assert out["report_delta"].slope > 0
-        assert out["report_delta"].r2 >= 0.8
-        assert 2.0 <= out["slope_ratio"] <= 8.0
+        rep, _, ratio = delta_scaling(ems, 0.28)
+        assert rep.slope > 0
+        assert rep.r2 >= 0.8
+        assert 2.0 <= ratio <= 8.0
 
 
 class TestTightness:
     def test_radius_extremes(self):
         em = synthetic_measure(0.1, np.abs(np.random.default_rng(5).standard_normal(300)) + 0.1)
-        assert tightness_check(em, 0.0, 0.2, 8).p_hat == 1.0
-        big = tightness_check(em, 1e6, 0.2, 8)
-        assert big.p_hat == 0.0 and big.rule_of_three == pytest.approx(0.01)
+        assert tightness_monotone([em], 0.0, 0.2, 8)[0].p_hat[0] == 1.0
+        big, _ = tightness_monotone([em], 1e6, 0.2, 8)
+        assert big.p_hat[0] == 0.0 and big.hi[0] == wilson_interval(0, 300)[1]
 
     def test_order_mismatch_rejected(self):
         em = synthetic_measure(0.1, np.ones(200))
         with pytest.raises(ConfigurationError):
-            tightness_check(em, 1.0, 0.3, 8)
+            tightness_monotone([em], 1.0, 0.3, 8)
 
     def test_monotone_check(self):
         rng = np.random.default_rng(11)
         ems = [synthetic_measure(e, np.ones(1000),
                                  sobolev_values=1.0 + np.sqrt(e) * np.abs(rng.standard_normal(1000)))
                for e in (0.2, 0.1, 0.05)]
-        out = tightness_monotone(ems, 1.3, 0.2, 8)
-        assert out["nonincreasing"]
-        fractions = [e.p_hat for e in out["estimates"]]
-        assert fractions[0] >= fractions[-1]
+        rep, nonincreasing = tightness_monotone(ems, 1.3, 0.2, 8)
+        assert nonincreasing
+        assert rep.p_hat[0] >= rep.p_hat[-1]
 
 
 class TestShiftConsistency:
@@ -162,7 +166,7 @@ class TestShiftConsistency:
         em = sample_invariant(d, nm, p, burn_in=2.0, n_samples=128, stride=0.25,
                               n_chains=16, profile=prof)
         assert np.all(em.samples["dist_sup"] >= 0)
-        est = tail_probability(em, 0.2)
+        rep = tail_report([em], "dist_sup", 0.2)
         manual = float(np.mean(em.samples["dist_sup"] >= 0.2))
-        assert est.p_hat == manual
-        assert est.lo <= est.p_hat <= est.hi
+        assert rep.p_hat[0] == manual
+        assert rep.lo[0] <= rep.p_hat[0] <= rep.hi[0]

@@ -312,6 +312,17 @@ class TestInvariantSampling:
         assert any("burn_in" in w for w in em.warnings)
         assert any("n_samples" in w for w in em.warnings)
 
+    @pytest.mark.parametrize("n_samples, pooled, undersampled", [(97, 104, False),
+                                                                 (93, 96, True)])
+    def test_undersampled_flag_reads_the_pooled_count(self, sdom, sprof, const_noise,
+                                                      n_samples, pooled, undersampled):
+        p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=3)
+        em = sample_invariant(sdom, const_noise, p, burn_in=2.0, n_samples=n_samples,
+                              stride=0.25, n_chains=8, profile=sprof)
+        assert em.n_samples == pooled
+        assert em.undersampled is undersampled
+        assert any("n_samples" in w for w in em.warnings) is undersampled
+
     def test_noise_floor_recorded(self, sdom, sprof):
         nm = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=1.0)
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=9)
