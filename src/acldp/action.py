@@ -36,7 +36,6 @@ The rungs run in order in the calling process.
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,7 +44,7 @@ import numpy as np
 from scipy.optimize import OptimizeResult, line_search
 
 from .energy import energy_star, reaction_values
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_bytes
 from .flow import Path, flow_states
 from .grid import Boundary, Domain, Field, dst, laplacian_values
 from .noise import NoiseModel
@@ -60,19 +59,11 @@ MAM_FTOL = 1e-8
 # actions of criterion 5's targets move by at most 4e-7 relative against
 # 5e-3, at a tenth of the steps.
 MAM_DT_FLOW = 5e-2
-# Bytes the reversed flow's frames may take: 2**28 (256 MiB), 532 610 frames
-# at n = 63.  A ladder whose longest horizon needs more frames is rejected
-# before the flow steps (`--T-ladder 40` would ask for 6.6e13).
-MAM_FLOW_BYTES = 2 ** 28
-# Bytes one rung's path may take: 2**24 (16 MiB), 33 288 nodes at n = 63.
-# A rung holds about 2 * LBFGS_PAIRS + 5 arrays of that size, so
-# `action.steps = 10**9` (500 GB per path) is rejected before the profile or
-# the flow is computed.
-MAM_PATH_BYTES = 2 ** 24
-# Bytes the build of the action's two dense (n, n) operators may take, counted
-# as 24 n^2: 2**28 (256 MiB), n <= 3 344; a larger grid is rejected before
-# anything is allocated.
-DENSE_BYTES = 2 ** 28
+# Path sizes ((steps + 1) x n floats) that mam_minimize counts for one rung's
+# working set.  Tracemalloc read a rung's peak at 37-45 path sizes (n = 63,
+# steps 1 000-4 000, constant and state-dependent g), 2 * LBFGS_PAIRS of them
+# the L-BFGS pairs; every earlier rung keeps one more path.
+RUNG_PATHS = 48
 # L-BFGS memory: the number of (s, y) pairs the two-loop recursion keeps.
 LBFGS_PAIRS = 10
 
@@ -110,18 +101,16 @@ def _dense_operators(d: Domain) -> tuple[np.ndarray, np.ndarray]:
     18 vs 137 us for a (95, 63) block, 276 vs 734 us at (119, 255) and
     1 104 vs 1 649 us at (119, 511).  The two take 16 n^2 bytes.  The build
     holds the identity too, transforms it in blocks of n/8 rows, and the DST
-    overwrites it, so it peaks near 19 n^2 bytes (21 n^2 at n = 31); a grid
-    whose build, counted as 24 n^2 bytes, would pass DENSE_BYTES is a
-    ConfigurationError before anything is allocated.  The blocks change no
-    bit: each row's transform does not depend on the rows beside it.
+    overwrites it, so it peaks near 19 n^2 bytes (21 n^2 at n = 31); it is
+    counted as 24 n^2 against the memory budget (`errors.check_bytes`, so
+    n <= 3 344) before anything is allocated.  The blocks change no bit: each
+    row's transform does not depend on the rows beside it.
     """
     key = (d.L, d.n, d.modes)
     ops = _DENSE.get(key)
     if ops is None:
-        if 24 * d.n ** 2 > DENSE_BYTES:
-            raise ConfigurationError(
-                f"n={d.n} makes the build of the action's two dense {d.n} x {d.n} "
-                f"operators {24 * d.n ** 2} bytes, more than DENSE_BYTES={DENSE_BYTES}")
+        check_bytes(f"n={d.n} dense operators (the build of the action's two {d.n} x {d.n} "
+                    f"matrices, counted as 24 n^2)", 24 * d.n ** 2)
         eye = np.eye(d.n)
         lap = np.empty_like(eye)
         rows = -(-d.n // 8)
@@ -372,30 +361,25 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
     rung's T, value, init_value, and the optimizer's nit, nfev and stop
     message.
 
-    The rungs run in order in the calling process.  A horizon T <= 1, a
-    ladder whose reversed flow would exceed MAM_FLOW_BYTES, a rung path of
-    `steps` that would exceed MAM_PATH_BYTES, or dense operators that would
-    exceed DENSE_BYTES is a ConfigurationError before the profile is solved.
+    The rungs run in order in the calling process.  A horizon T <= 1, or
+    reversed-flow frames, a rung's working set (RUNG_PATHS paths plus one per
+    earlier rung) or dense operators past the memory budget, is a
+    ConfigurationError before the profile is solved.
     """
     if zeta.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("target state must be zero-Dirichlet")
-    path_bytes = 8 * (steps + 1) * d.n
-    if path_bytes > MAM_PATH_BYTES:
-        raise ConfigurationError(
-            f"action.steps={steps} makes each rung path {steps + 1} x {d.n} floats "
-            f"({path_bytes} bytes), more than MAM_PATH_BYTES={MAM_PATH_BYTES}")
     if ladder < 1:
         raise ConfigurationError(f"ladder must have at least one rung, got {ladder}")
     if T <= 1.0:
         raise ConfigurationError(
             f"minimization horizon must exceed the unit interpolation time, got T={T}")
-    frames_max = MAM_FLOW_BYTES // (8 * d.n)
-    if ladder - 1 > math.log2((1.0 + MAM_DT_FLOW * (frames_max - 1)) / T):
-        raise ConfigurationError(
-            f"ladder={ladder} from T={T} needs the reversed flow to T*2^{ladder - 1}, "
-            f"more than the {frames_max} frames of n={d.n} points that fit in "
-            f"MAM_FLOW_BYTES={MAM_FLOW_BYTES}")
-    _dense_operators(d)                           # built here, or rejected past DENSE_BYTES
+    horizon = T * 2.0 ** min(ladder - 1, 1023)    # inf frames below, not an OverflowError
+    check_bytes(f"ladder={ladder} from T={T}: the reversed flow's frames of n={d.n} points "
+                f"to T*2^{ladder - 1}", 8 * d.n * ((horizon - 1.0) / MAM_DT_FLOW + 1.0))
+    paths = RUNG_PATHS + ladder - 1
+    check_bytes(f"action.steps={steps}: {paths} paths of {steps + 1} x {d.n} floats (a rung's "
+                f"working set and the earlier rungs' paths)", 8 * paths * (steps + 1) * d.n)
+    _dense_operators(d)                           # built here, or rejected past the budget
     profile = profile or compute_profile(d)
 
     horizons = [T * 2 ** r for r in range(ladder)]

@@ -154,16 +154,11 @@ def _cmd_invariant(args, cfg, outdir, warnings):
                           workers=cfg["workers"])
     warnings.extend(em.warnings)
     write_csv(outdir / "samples.csv", _samples_csv_columns(em.samples))
-    tail_counts = {}
-    for q in (0.5, 0.75, 0.9):
-        thr = float(np.quantile(em.samples["dist_sup"], q))
-        tail_counts[f"dist_ge_q{int(q * 100)}"] = int(np.sum(em.samples["dist_sup"] >= thr))
     write_json(outdir / "summary.json", dict(
         eps=eps, n_samples=em.n_samples, burn_in=em.burn_in, stride=em.sample_stride,
         g_min=em.g_min, undersampled=em.undersampled,
         **{k: _summary_stats(em.samples[k])
-           for k in ("sup_norm", "dist_sup", "energy_star", "sobolev_norm")},
-        tail_counts=tail_counts))
+           for k in ("sup_norm", "dist_sup", "energy_star", "sobolev_norm")}))
 
 
 def _cmd_action(args, cfg, outdir, warnings):

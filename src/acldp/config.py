@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
+from .noise import KINDS
 
 AUTO = "auto"
 
@@ -146,7 +147,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         (v["kstar"] >= 0, "kstar must be nonnegative"),
         (v["pstar"] > 0 and v["pstar"] % 2 == 0, "pstar must be a positive even integer"),
         (v["modes_noise"] >= 0, "modes_noise must be nonnegative"),
-        (v["noise.kind"] in ("constant", "smooth_bounded_below"), "noise.kind not recognized"),
+        (v["noise.kind"] in KINDS, f"noise.kind must be one of {KINDS}"),
         (v["noise.g0"] > 0, "noise.g0 must be positive"),
         (v["noise.c"] >= 0, "noise.c must be nonnegative"),
         (v["action.t0"] > 1.0, "action.t0 must exceed 1 (unit interpolation time)"),

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import energy_star_values, reaction_values
-from .errors import ConfigurationError, InstabilityError
+from .errors import ConfigurationError, InstabilityError, check_bytes
 from .grid import (Boundary, Domain, Field, inverse_transform_values,
                    transform_values)
 from .noise import NoiseModel
@@ -38,8 +38,6 @@ from .profile import Profile, compute_profile
 # InstabilityError; a physical state has |u| of order 1, so |z| = |u - psi|
 # of order 2.
 BLOWUP_SUP = 50.0
-# Bytes a gradient flow may keep: 3 series floats a step, n floats a frame.
-FLOW_BYTES = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -167,13 +165,14 @@ def gradient_flow(d: Domain, x: Field, dt: float, T: float,
     z = 0 (dt 1e-3, T 30) the floor is 3.05e-5 at (L, n, modes) =
     (2, 127, 64), 2.3e-5 at (2, 63, 63), 7.8e-6 at (1, 127, 127), 5.6e-6 at
     (2, 255, 128) and 7.3e-7 at (2, 255, 255).  A stop_tol below the floor,
-    like the default 1e-8, never stops the flow.  Past FLOW_BYTES: ConfigurationError."""
+    like the default 1e-8, never stops the flow.  Its series (3 floats a
+    step) and frames (n floats each) are counted against the memory budget
+    (`errors.check_bytes`) before the first step."""
     if dt <= 0 or T <= 0:
         raise ConfigurationError(f"need dt > 0 and T > 0, got dt={dt}, T={T}")
     steps = steps_of(T, dt, "T")
-    kept = 8 * (3 * (steps + 1) + d.n * (steps // record_every + 2))
-    if kept > FLOW_BYTES:
-        raise ConfigurationError(f"T={T!r} at dt={dt!r} keeps {kept} bytes > FLOW_BYTES={FLOW_BYTES}")
+    check_bytes(f"T={T!r} at dt={dt!r}: the flow's series and frames",
+                8 * (3 * (steps + 1) + d.n * (steps // record_every + 2)))
     profile = profile or compute_profile(d)
     return _integrate(d, x, dt, steps, control=None, noise=None,
                       stop_tol=stop_tol, record_every=record_every, profile=profile)

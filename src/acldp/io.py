@@ -45,12 +45,15 @@ def read_text(path: FsPath) -> str:
 
 
 def read_csv_columns(path: FsPath) -> dict[str, np.ndarray]:
-    """Numeric columns of a CSV with a header row; a cell that is not a
-    finite number raises ConfigurationError naming the file, row and column."""
+    """Numeric columns of a CSV with a header row, in header order; a
+    repeated column name, or a cell that is not a finite number, raises
+    ConfigurationError naming the file (and the row and column)."""
     lines = read_text(path).strip().splitlines()
     if not lines:
         raise ConfigurationError(f"{path}: the file is empty")
     names = lines[0].split(",")
+    if len(set(names)) < len(names):
+        raise ConfigurationError(f"{path}: the header repeats a column name")
     data = np.empty((len(lines) - 1, len(names)))
     for row, ln in enumerate(lines[1:], start=1):
         cells = ln.split(",")
@@ -114,12 +117,13 @@ def write_path_csv(path: FsPath, times: np.ndarray, values: np.ndarray) -> None:
 
 
 def read_path_csv(path: FsPath) -> tuple[np.ndarray, np.ndarray]:
-    """Times and values of a path CSV (t, z0..z{n-1}): two rows or more, uniform t."""
+    """Times and values of a path CSV whose header is exactly t, z0 .. z{k-1}
+    (k >= 1): two rows or more, uniform t."""
     cols = read_csv_columns(path)
-    zcols = [f"z{j}" for j in range(len(cols)) if f"z{j}" in cols]
-    if "t" not in cols or not zcols or len(cols["t"]) < 2:
+    zcols = [f"z{j}" for j in range(len(cols) - 1)]
+    if list(cols) != ["t"] + zcols or not zcols or len(cols["t"]) < 2:
         raise ConfigurationError(
-            f"path file {path} needs columns t, z0, z1, ... and at least two rows")
+            f"path file {path} needs the columns t, z0, z1, ... in order and at least two rows")
     steps = np.diff(cols["t"])
     off = np.flatnonzero(~(np.abs(steps - steps[0]) <= 1e-6 * abs(steps[0])))
     if off.size:

@@ -15,7 +15,7 @@ from .grid import Domain, build_domain
 from .ldp import TailReport, delta_scaling, tightness_monotone
 from .noise import NoiseModel
 from .profile import compute_profile
-from .spde import MIN_SAMPLES, EmpiricalMeasure, SdeParams, sample_invariant
+from .spde import MIN_SAMPLES, EmpiricalMeasure, SdeParams, sample_invariant, samples_per_chain
 
 TAIL_FRACTION = 0.02     # auto delta: 2*delta sits at this tail of the rarest cell
 RADIUS_QUANTILE = 0.75   # auto radius: quantile of the largest-eps Sobolev norms
@@ -64,7 +64,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationResult:
         raise ConfigurationError(f"concentration pipeline needs >= 3 eps values, got {len(eps_list)}")
     if len(set(eps_list)) < len(eps_list):
         raise ConfigurationError(f"eps values must be distinct, got {cfg['eps']}")
-    pooled = -(-cfg["n_samples"] // cfg["n_chains"]) * cfg["n_chains"]
+    pooled = samples_per_chain(cfg["n_samples"], cfg["n_chains"]) * cfg["n_chains"]
     if pooled < MIN_SAMPLES:
         raise ConfigurationError(f"n_samples={cfg['n_samples']} over n_chains={cfg['n_chains']} "
                                  f"pools {pooled} samples, below the {MIN_SAMPLES} tails need")

@@ -24,8 +24,8 @@ nothing else.  The two entry points turn the horizon, burn-in, stride and
 sample and checkpoint times into steps with `flow.steps_of`, so each must be a
 whole number of steps.  The replay diagnostics (`diagnostics.record_replay`)
 run one chain through `ensemble_run` with a checkpoint at every step to
-rebuild its path.  A step mask, observables or mode checkpoints past
-SAMPLER_BYTES (2.7e8 steps, 8.4e6 level-chain-samples or 3.4e7 checkpointed
+rebuild its path.  A step mask, observables or mode checkpoints past the
+memory budget (2.7e8 steps, 8.4e6 level-chain-samples or 3.4e7 checkpointed
 chain-mode values) are a ConfigurationError before any of them is allocated.
 
 The increment sqrt(dt) xi_k follows the exact decay, so under constant g0 mode
@@ -55,7 +55,7 @@ import numpy as np
 
 from .config import AUTO
 from .energy import energy_star_values, reaction_values
-from .errors import ConfigurationError, InstabilityError
+from .errors import ConfigurationError, InstabilityError, check_bytes
 from .flow import BLOWUP_SUP, relaxation_time, step_weights, steps_of
 from .grid import (Boundary, Domain, Field, inverse_transform_values,
                    sobolev_norm_values, sobolev_weights, transform_values)
@@ -64,8 +64,6 @@ from .profile import Profile, compute_profile
 
 _NOISE_BLOCK = 512          # steps of normals drawn per stream at a time
 CHAIN_CHUNK = 32            # chains per vectorized batch (fixed: worker-count independent)
-SAMPLER_BYTES = 2 ** 28     # cap on the step mask (1 B a step), the observables (32 B a
-                            # sample) and the mode checkpoints (8 B a chain-mode each)
 MIN_SAMPLES = 100           # pooled samples a tail estimate needs (ldp, pipeline)
 
 
@@ -227,15 +225,18 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
 
 def check_sampler_size(n_steps: int, n_levels: int, n_chains: int, n_samples: int,
                        n_checkpoint_values: int = 0) -> None:
-    """ConfigurationError when the step mask, the observables or the mode
-    checkpoints (n_checkpoint_values floats) would pass SAMPLER_BYTES."""
+    """`errors.check_bytes` on the step mask (1 B a step), the observables
+    (32 B a level-chain-sample) and the n_checkpoint_values checkpoint floats."""
     n_obs = n_levels * n_chains * n_samples
-    for what, nbytes in ((f"{n_steps} steps", n_steps + 1),
-                         (f"{n_obs} level-chain-samples", 32 * n_obs),
-                         (f"{n_checkpoint_values} mode-checkpoint values",
-                          8 * n_checkpoint_values)):
-        if nbytes > SAMPLER_BYTES:
-            raise ConfigurationError(f"{what} take {nbytes} bytes > SAMPLER_BYTES={SAMPLER_BYTES}")
+    check_bytes(f"{n_steps} steps", n_steps + 1)
+    check_bytes(f"{n_obs} level-chain-samples", 32 * n_obs)
+    check_bytes(f"{n_checkpoint_values} mode-checkpoint values", 8 * n_checkpoint_values)
+
+
+def samples_per_chain(n_samples: int, n_chains: int) -> int:
+    """Samples a chain keeps so that n_chains pool at least n_samples >= 1;
+    read by `sample_invariant` and by the pipeline's MIN_SAMPLES gate."""
+    return -(-n_samples // n_chains)
 
 
 @dataclass
@@ -309,7 +310,7 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
     """Run n_chains independent chains (streams keyed by chain id) in fixed-size
     vectorized batches; results are independent of the worker count.  Initial
     data not zero-Dirichlet, no chain or step, a time that is no whole number of
-    steps or lies outside [0, T], or SAMPLER_BYTES passed: ConfigurationError."""
+    steps or lies outside [0, T], or the memory budget passed: ConfigurationError."""
     if x.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("initial data must be zero-Dirichlet (work with z = u - psi)")
     n_steps = steps_of(T, p.dt, "T")
@@ -367,7 +368,7 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
     if n_samples < 1:
         raise ConfigurationError(f"need at least one sample, got n_samples={n_samples}")
     dt = levels[0].dt
-    per_chain = max(1, int(np.ceil(n_samples / n_chains)))
+    per_chain = samples_per_chain(n_samples, n_chains)
     steps_burn = steps_of(burn_in, dt, "burn_in")
     steps_stride = steps_of(stride, dt, "stride")
     n_steps = steps_burn + per_chain * steps_stride

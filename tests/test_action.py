@@ -4,12 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acldp.action import (DENSE_BYTES, MAM_DT_FLOW, MAM_PATH_BYTES, _action_core,
-                          _dense_operators, _dst_ortho, _initial_path,
-                          _rung_objective, action, action_gradient, mam_minimize,
-                          minimize)
+from acldp.action import (MAM_DT_FLOW, RUNG_PATHS, _action_core, _dense_operators,
+                          _dst_ortho, _initial_path, _rung_objective, action,
+                          action_gradient, mam_minimize, minimize)
 from acldp.energy import energy_star, reaction_values
-from acldp.errors import ConfigurationError
+from acldp.errors import MEMORY_BYTES, ConfigurationError
 from acldp.flow import Path, flow_states, gradient_flow, skeleton_solve
 from acldp.grid import Boundary, Field, basis_eval, build_domain, laplacian_values
 from acldp.noise import NoiseModel
@@ -377,6 +376,29 @@ class TestMinimization:
                 mam_minimize(dom2_full, zeta, unit_noise, T=6.0, steps=16,
                              ladder=ladder, profile=prof2_full)
 
+    @pytest.mark.parametrize("ladder, steps_max", [(1, 11_095), (3, 10_651)])
+    def test_rung_beyond_the_budget_rejected_before_the_profile(self, unit_noise, monkeypatch,
+                                                               ladder, steps_max):
+        # at n = 63 a run counts RUNG_PATHS path sizes for the rung and one
+        # for each earlier rung; steps_max is the largest action.steps that
+        # MEMORY_BYTES admits
+        assert 8 * (RUNG_PATHS + ladder - 1) * (steps_max + 1) * 63 <= MEMORY_BYTES
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+        monkeypatch.setattr(action_module, "compute_profile", reached)
+        monkeypatch.setattr(action_module, "flow_states", reached)
+        d = build_domain(2.0, 63, 32)
+        zeta = Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET)
+        with pytest.raises(Reached):
+            mam_minimize(d, zeta, unit_noise, T=6.0, steps=steps_max, ladder=ladder)
+        with pytest.raises(ConfigurationError,
+                           match=f"action.steps={steps_max + 1}: .*MEMORY_BYTES"):
+            mam_minimize(d, zeta, unit_noise, T=6.0, steps=steps_max + 1, ladder=ladder)
+
 
 class TestPreconditionedCoordinates:
     """L-BFGS's coordinates Y = (D_t X D_x) / s round-trip to the nodes X, its
@@ -400,7 +422,7 @@ class TestPreconditionedCoordinates:
 
     def test_memory_grows_with_the_path_not_steps_squared(self):
         # an (m, m) time transform at steps = 4000 would be 500 path sizes
-        # (128 MB); the guard admits up to 65 times as many nodes at n = 8
+        # (128 MB); the rung guard admits up to 21 times as many nodes at n = 8
         d = build_domain(2.0, 8, 8)
         Z0 = np.zeros((4001, d.n))
         _dense_operators(d)
@@ -413,7 +435,7 @@ class TestPreconditionedCoordinates:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 8 * Z0.nbytes < MAM_PATH_BYTES
+        assert RUNG_PATHS * Z0.nbytes < MEMORY_BYTES
         assert peak < 32 * Z0.nbytes
 
     @pytest.mark.parametrize("which", ["full", "truncated"])
@@ -551,13 +573,13 @@ class TestDenseOperators:
 
     def test_grid_beyond_the_byte_cap_rejected_before_allocating(self):
         # at n = 5 000 the build would count 600 MB; 3 344 is the largest n
-        # that DENSE_BYTES admits
-        assert 24 * 3344 ** 2 <= DENSE_BYTES < 24 * 3345 ** 2
+        # that MEMORY_BYTES admits
+        assert 24 * 3344 ** 2 <= MEMORY_BYTES < 24 * 3345 ** 2
         d = build_domain(2.0, 5000, 64)
         pth = Path(np.zeros((2, d.n)), Boundary.ZERO_DIRICHLET, 0.0, 0.1)
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigurationError, match="n=5000 .*DENSE_BYTES"):
+            with pytest.raises(ConfigurationError, match="n=5000 .*MEMORY_BYTES"):
                 action(pth, NoiseModel(kind="constant", g0=1.0), d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -220,7 +220,7 @@ class TestFlowCommand:
              "--set", "T=1e300", "--set", "dt=1", "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=20)
         assert proc.returncode == 2
-        assert "T=1e+300" in proc.stderr and "FLOW_BYTES" in proc.stderr
+        assert "T=1e+300" in proc.stderr and "MEMORY_BYTES" in proc.stderr
         assert not (out / "flow.csv").exists()
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
@@ -262,6 +262,21 @@ class TestActionCommand:
         assert self.run_action_on(tmp_path / "p.csv") == 2
         err = capsys.readouterr().err
         assert "p.csv" in err and "two rows" in err
+
+    @pytest.mark.parametrize("header", [
+        "t," + ",".join(f"z{j}" for j in range(62)) + ",z63",
+        "t,z1,z0," + ",".join(f"z{j}" for j in range(2, 63)),
+        "t," + ",".join(f"z{j}" for j in range(63)) + ",foo",
+    ], ids=["gap", "order", "extra"])
+    def test_header_other_than_t_z0_to_zk_exits_2(self, tmp_path, capsys, header):
+        # each header names 63 z columns, as many as the domain needs, so
+        # only the names can reject it
+        n_cells = header.count(",") + 1
+        rows = [",".join([t] + ["0.0"] * (n_cells - 1)) for t in ("0.0", "0.05")]
+        (tmp_path / "p.csv").write_text("\n".join([header, *rows]) + "\n")
+        assert self.run_action_on(tmp_path / "p.csv") == 2
+        err = capsys.readouterr().err
+        assert "p.csv" in err and "t, z0, z1, ... in order" in err
 
     def test_path_without_z_columns_exits_2(self, tmp_path, capsys):
         (tmp_path / "p.csv").write_text("t\n0.0\n0.1\n")
@@ -530,9 +545,20 @@ class TestMamCommand:
         assert run(self.mam_args(tmp_path, out, "1", "action.steps=1000000000")) == 2
         assert time.perf_counter() - started < 1.0
         err = capsys.readouterr().err
-        assert "action.steps=1000000000" in err and "MAM_PATH_BYTES" in err
+        assert "action.steps=1000000000" in err and "MEMORY_BYTES" in err
         assert not (out / "mam.json").exists()
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
+
+    def test_rung_beyond_the_budget_exits_2_at_once(self, tmp_path, capsys):
+        # n = 63, one rung: 11 095 steps is the most that the budget admits
+        # for RUNG_PATHS path sizes, and 11 096 is rejected before the profile
+        out = tmp_path / "o"
+        started = time.perf_counter()
+        assert run(self.mam_args(tmp_path, out, "1", "action.steps=11096")) == 2
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert "action.steps=11096" in err and "MEMORY_BYTES" in err
+        assert not (out / "mam.json").exists()
 
     def test_grid_beyond_the_dense_cap_exits_2_at_once(self, tmp_path, capsys):
         # n = 5 000: the action's dense operators would take 400 MB; rejected
@@ -545,7 +571,8 @@ class TestMamCommand:
         assert run(["mam", "--target", str(zeta_csv), "--T-ladder", "1",
                     "--set", "n=5000", "--set", "modes=64", "--out", str(out)]) == 2
         assert time.perf_counter() - started < 1.0
-        assert "DENSE_BYTES" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "n=5000 dense operators" in err and "MEMORY_BYTES" in err
         assert not (out / "mam.json").exists()
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
@@ -633,7 +660,7 @@ class TestSdeAndInvariant:
         assert run([command, "--set", "n=31", "--set", "modes=31", "--set", setting,
                     "--out", str(out)]) == 2
         assert time.perf_counter() - started < 5.0
-        assert "SAMPLER_BYTES" in capsys.readouterr().err
+        assert "MEMORY_BYTES" in capsys.readouterr().err
         assert not (out / data).exists()
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
@@ -654,6 +681,16 @@ class TestSdeAndInvariant:
         assert run(["invariant", "--config", str(cfg)]) == 0
         summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
         assert all(np.isfinite(v) and v > 0 for v in summary["sobolev_norm"].values())
+
+    def test_summary_keys(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, out, n_chains="4", n_samples="8", burn_in="0.5",
+                        stride="0.5")
+        assert run(["invariant", "--config", str(cfg)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"eps", "n_samples", "burn_in", "stride", "g_min",
+                                "undersampled", "sup_norm", "dist_sup", "energy_star",
+                                "sobolev_norm"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -803,6 +840,20 @@ class TestConcentrationOutputs:
         cfg = write_cfg(tmp_path, tmp_path / "o", n_samples="97", n_chains="8")
         with pytest.raises(Sampled):                      # pools 13 x 8 = 104
             run(["concentration", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("n_samples, pooled, code", [("97", 104, 0), ("90", 96, 2)])
+    def test_pooled_count_boundary(self, tmp_path, capsys, n_samples, pooled, code):
+        # over 8 chains, 97 samples pool 13 x 8 = 104 and 90 pool 12 x 8 = 96
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, out, n_samples=n_samples, n_chains="8")
+        assert run(["concentration", "--config", str(cfg)]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert not any("n_samples" in w for w in manifest["warnings"])   # not undersampled
+        if code == 0:
+            reports = json.loads((out / "tail_reports.json").read_text())["reports"]
+            assert all(rep["n"] == [pooled] * 3 for rep in reports)
+        else:
+            assert f"pools {pooled} samples" in capsys.readouterr().err
 
     def test_one_sampler_call_for_every_eps(self, tmp_path, monkeypatch):
         calls = []

@@ -15,7 +15,7 @@ from acldp.diagnostics import (check_factorization_params, damped_remainder_path
                                factorization_identity_error, record_replay,
                                stochastic_convolution)
 from acldp.energy import reaction_values
-from acldp.errors import ConfigurationError, InstabilityError
+from acldp.errors import MEMORY_BYTES, ConfigurationError, InstabilityError
 from acldp.flow import gradient_flow
 from acldp.grid import (Boundary, Field, build_domain, inverse_transform_values,
                         transform_values)
@@ -500,7 +500,7 @@ class TestGuards:
         p = SdeParams(eps=0.05, dt=1e-3, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         times = np.arange(20_001) * p.dt
-        assert len(times) * 64 * sdom.modes * 8 > spde.SAMPLER_BYTES
+        assert len(times) * 64 * sdom.modes * 8 > MEMORY_BYTES
 
         def never(*args, **kwargs):
             raise AssertionError("stepped past the checkpoint cap")
