@@ -32,10 +32,13 @@ from .grid import (Boundary, Domain, Field, closure_values, laplacian_values,
 from .profile import Profile
 
 
-def reaction_values(d: Domain, z_values: np.ndarray) -> np.ndarray:
-    """Pointwise double-well drift of the shifted field: (z+psi) - (z+psi)^3."""
-    u = z_values + d.psi
-    return u - u * u * u
+def reaction_values(d: Domain, z_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise double-well drift of the shifted field: (z+psi) - (z+psi)^3,
+    written into `out` (the shape of z_values) when given."""
+    u = np.add(z_values, d.psi, out=out)
+    cube = u * u
+    cube *= u
+    return np.subtract(u, cube, out=u)
 
 
 def potential_values(u_values: np.ndarray) -> np.ndarray:

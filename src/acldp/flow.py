@@ -1,4 +1,5 @@
-"""Noiseless gradient flow and the controlled skeleton dynamics.
+"""Noiseless gradient flow, the controlled skeleton dynamics, and the one
+exponential-Euler kernel that steps them and the stochastic integrator.
 
 Both solve dz/dt = Laplacian(z) + F(z) [+ g(z+psi) f(t)] by exponential
 Euler: the stiff linear part is advanced exactly through the semigroup
@@ -9,14 +10,16 @@ pointwise on the grid and projected to modes with the top third zeroed
 (de-aliasing); the convergence certificate ||Laplacian(z) + F(z)||_{L^2}
 uses the unfiltered projection.
 
-`flow_states` is the one loop that takes these steps, with the one blow-up
+`ExpEuler` is the one kernel that takes these steps, here and in `spde`.  It
+keeps the state in DST coordinates, so a step is one forward DST of the
+reaction, in-place weights, and one DST back to the grid (see its
+docstring).  `flow_states` is the one loop of the flow, with the one blow-up
 check.  `gradient_flow` and `skeleton_solve` only record its per-step
 diagnostics and the early stop; the reversed flow of `action.mam_minimize`
-and the early-exit loop of `relaxation_time` read its states.  Its step
-weights (`step_weights`) and blow-up cap (`BLOWUP_SUP`) are shared with the
-stochastic integrator in `spde`, so a chain run at eps = 0 takes exactly the
-steps of this flow.  `steps_of` turns every user-facing time into a step
-count, and rejects one that is not a whole number of steps of dt.
+and the early-exit loop of `relaxation_time` read its states.  The blow-up
+cap (`BLOWUP_SUP`) is shared with `spde`, so a chain run at eps = 0 takes
+exactly the steps of this flow.  `steps_of` turns every user-facing time into
+a step count, and rejects one that is not a whole number of steps of dt.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ import numpy as np
 
 from .energy import energy_star_values, reaction_values
 from .errors import ConfigurationError, InstabilityError, check_bytes
-from .grid import (Boundary, Domain, Field, inverse_transform_values,
-                   transform_values)
+from .grid import Boundary, Domain, Field, dst, transform_values
 from .noise import NoiseModel
 from .profile import Profile, compute_profile
 
@@ -98,6 +100,105 @@ def step_weights(d: Domain, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return decay, phi1
 
 
+class ExpEuler:
+    """The exponential-Euler step of dz = (Laplacian z + F(z) + forcing) dt
+    + sqrt(eps) g(z + psi) dW, for states stacked on the leading axes.
+
+    The state is the zero-padded raw-DST vector a = c / (2 sign sqrt L) of
+    the mode coefficients c, shape (..., n), whose entries above `modes` stay
+    zero: DST-I is its own inverse up to 2(n + 1), so the grid values are
+    z = DST(a) (`values`) and the projection of grid values f is
+    DST(f)[:modes] / (2(n + 1)) in these coordinates.  A step (`drift`, then
+    `advance`) is the reaction into a reused buffer, one in-place forward DST,
+    a[:modes] *= e^{-lambda dt}, a[:K] += phi_1 DST(F)[:K] / (2(n + 1)), the
+    noise with its own folded weight, and `values` back to the grid; the
+    transforms' scalings are folded into the weights once, here, and the
+    weights are full rows of length n, zero above `modes`.  Mode
+    coefficients are formed only on request (`coefficients`).
+
+    The noise of a step is the Euler-Maruyama increment sqrt(dt) xi_k added
+    after the exact decay: with normals xi_k of the leading `noise_modes`
+    modes, mode k gains sqrt(eps) g0 sqrt(dt) xi_k under a constant
+    intensity, and Proj_k[g(z + psi) sum_l e_l sqrt(dt) xi_l] under a
+    state-dependent g frozen at the step's start.  Mode k's stationary
+    variance is therefore eps g0^2 dt / (1 - e^{-2 lambda_k dt}), not the
+    SPDE's eps g0^2 / (2 lambda_k): 5.1 times it at mode 64 for dt = 1e-3,
+    L = 2.  `noise_scale` is sqrt(eps), broadcast against the stacked axes
+    (one value per eps level)."""
+
+    def __init__(self, d: Domain, dt: float, shape: tuple[int, ...] = (), *,
+                 noise: NoiseModel | None = None, noise_modes: int = 0,
+                 noise_scale: np.ndarray | float = 0.0):
+        decay, phi1 = step_weights(d, dt)
+        self.d, self.noise_modes = d, noise_modes
+        self.fold = fold = 0.5 / (d.n + 1)           # the projection, in state coordinates
+        self.to_coefficients = 2.0 * d.inv_divisor
+        # full-length rows, zero above `modes`: the step's passes run over whole rows
+        self.decay, self.drift_weight = np.zeros((2, d.n))
+        self.decay[:d.modes], self.drift_weight[:d.modes] = decay, phi1 * fold
+        self._reaction = np.empty(shape + (d.n,))
+        self.noise_weight = self.noise_in = self._noise = None
+        if noise is not None and noise.is_constant:
+            self.noise_weight = (noise_scale * noise.g0 * np.sqrt(dt)) / (
+                self.to_coefficients[:noise_modes])
+            self._noise = np.empty(shape + (noise_modes,))
+        elif noise is not None:
+            self.noise_in = np.sqrt(dt) / self.to_coefficients[:noise_modes]
+            self.noise_weight = noise_scale * np.pad(np.full(d.modes, fold), (0, d.n - d.modes))
+            self._noise = np.zeros(shape[1:] + (d.n,))
+
+    def state(self, z_values: np.ndarray) -> np.ndarray:
+        """The state of grid values: their projection onto the modes."""
+        m = self.d.modes
+        a = np.zeros(z_values.shape[:-1] + (self.d.n,))
+        np.multiply(dst(z_values, type=1, axis=-1)[..., :m], self.fold, out=a[..., :m])
+        return a
+
+    @staticmethod
+    def values(a: np.ndarray) -> np.ndarray:
+        """Grid values of a state (a new array)."""
+        return dst(a, type=1, axis=-1)
+
+    def coefficients(self, a: np.ndarray) -> np.ndarray:
+        """Mode coefficients c_k = <z, e_k> of a state (a new array)."""
+        return a[..., :self.d.modes] * self.to_coefficients
+
+    def drift(self, z: np.ndarray) -> np.ndarray:
+        """Raw DST of the reaction F(z), in the kernel's buffer: valid until
+        the next `drift` or `advance`.  The projection of F is its leading
+        `modes` entries times `d.fwd_weight`."""
+        return dst(reaction_values(self.d, z, out=self._reaction), type=1, axis=-1,
+                   overwrite_x=True)
+
+    def advance(self, a: np.ndarray, drift: np.ndarray | None = None, *,
+                forcing: np.ndarray | None = None, xi: np.ndarray | None = None,
+                g_values: np.ndarray | None = None) -> None:
+        """One step of the state a, in place: the decay, then the drift
+        (`drift` from `drift`, plus the projection of the grid values
+        `forcing`; None for the linear part alone), then the noise of the
+        normals xi (shape (..., noise_modes), broadcast over the leading axis
+        of a) under the intensity values g_values (None for a constant g).
+        `drift`, `forcing` and `g_values` are overwritten."""
+        a *= self.decay
+        if drift is not None:
+            if forcing is not None:
+                drift += dst(forcing, type=1, axis=-1, overwrite_x=True)
+            drift *= self.drift_weight
+            a += drift
+        if xi is None:
+            return
+        if g_values is None:
+            np.multiply(self.noise_weight, xi, out=self._noise)
+            a[..., :self.noise_modes] += self._noise
+            return
+        np.multiply(xi, self.noise_in, out=self._noise[..., :self.noise_modes])
+        self._noise[..., self.noise_modes:] = 0.0
+        g_values *= dst(self._noise, type=1, axis=-1, overwrite_x=True)
+        g_hat = dst(g_values, type=1, axis=-1, overwrite_x=True)
+        g_hat *= self.noise_weight
+        a += g_hat
+
+
 def flow_states(d: Domain, z0: np.ndarray, dt: float, steps: int, *,
                 control: np.ndarray | None = None,
                 noise: NoiseModel | None = None) -> Iterator[tuple[np.ndarray, ...]]:
@@ -105,19 +206,19 @@ def flow_states(d: Domain, z0: np.ndarray, dt: float, steps: int, *,
     values of a zero-Dirichlet field): the grid values, their mode
     coefficients and the projected reaction.  With a control (shape (steps,
     n)) the drift of step s adds the projection of g(z + psi) control[s].
-    A state is computed only when the next one is asked for."""
-    decay, phi1 = step_weights(d, dt)
-    c = transform_values(d, z0)
-    z = inverse_transform_values(d, c)
+    A state is computed only when the next one is asked for; z is a new
+    array each step, c and f_hat too."""
+    kernel = ExpEuler(d, dt)
+    a = kernel.state(z0)
+    z = kernel.values(a)
     for s in range(steps + 1):
-        f_hat = transform_values(d, reaction_values(d, z))
-        yield z, c, f_hat
+        r_hat = kernel.drift(z)
+        yield z, kernel.coefficients(a), d.fwd_weight * r_hat[:d.modes]
         if s == steps:
             return
-        if control is not None:
-            f_hat = f_hat + transform_values(d, noise.g(z + d.psi) * control[s])
-        c = decay * c + phi1 * f_hat
-        z = inverse_transform_values(d, c)
+        forcing = None if control is None else noise.g(z + d.psi) * control[s]
+        kernel.advance(a, r_hat, forcing=forcing)
+        z = kernel.values(a)
         if np.abs(z).max() > BLOWUP_SUP:
             raise InstabilityError(
                 f"flow left the physical range (sup |z| > {BLOWUP_SUP}) at t={(s + 1) * dt!r}; "
@@ -131,27 +232,28 @@ def _integrate(d: Domain, x: Field, dt: float, steps: int, *,
     if x.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("flow initial data must be zero-Dirichlet (work with z = u - psi)")
     mshift = profile.shifted_values(d)
-    frames, e_series, g_series, d_series = [], [], [], []
+    series = np.empty((3, steps + 1))              # E*, gradient norm, sup distance
+    frames = np.empty((steps // record_every + 2, d.n))
+    n_frames = 0
     for s, (z, c, f_hat) in enumerate(flow_states(d, x.values, dt, steps,
                                                   control=control, noise=noise)):
         resid = -d.lambda_k * c + f_hat
         gnorm = float(np.sqrt(np.sum(resid * resid)))
-        e_series.append(float(energy_star_values(d, z, profile)))
-        g_series.append(gnorm)
-        d_series.append(float(np.max(np.abs(z - mshift))))
+        series[:, s] = energy_star_values(d, z, profile), gnorm, np.max(np.abs(z - mshift))
         if s % record_every == 0:
-            frames.append(z)
+            frames[n_frames] = z
+            n_frames += 1
         if s < steps and gnorm < stop_tol:
             break
 
-    if frames[-1] is not z or len(frames) == 1:
-        frames.append(z)                 # the terminal slice, twice if no step was taken
-    path = Path(np.asarray(frames), Boundary.ZERO_DIRICHLET, 0.0, dt * record_every)
-    return FlowResult(path=path, t=dt * np.arange(len(g_series)),
-                      energy_star=np.asarray(e_series),
-                      grad_norm=np.asarray(g_series),
-                      dist_sup=np.asarray(d_series),
-                      stopped_early=len(g_series) <= steps)
+    if s % record_every or n_frames == 1:
+        frames[n_frames] = z             # the terminal slice, twice if no step was taken
+        n_frames += 1
+    e_series, g_series, d_series = series[:, :s + 1]
+    path = Path(frames[:n_frames], Boundary.ZERO_DIRICHLET, 0.0, dt * record_every)
+    return FlowResult(path=path, t=dt * np.arange(s + 1),
+                      energy_star=e_series, grad_norm=g_series, dist_sup=d_series,
+                      stopped_early=s < steps)
 
 
 def gradient_flow(d: Domain, x: Field, dt: float, T: float,
@@ -203,10 +305,10 @@ def relaxation_time(d: Domain, threshold: float = 1e-2, dt: float = 5e-3,
     equilibrium in H^1, where it stops; used to calibrate burn-in schedules."""
     if dt <= 0 or T_max <= 0:
         raise ConfigurationError(f"need dt > 0 and T_max > 0, got dt={dt}, T_max={T_max}")
-    mshift = (profile or compute_profile(d)).shifted_values(d)
+    c_eq = transform_values(d, (profile or compute_profile(d)).shifted_values(d))
     steps = steps_of(T_max, dt, "T_max")
-    for s, (z, _, _) in enumerate(flow_states(d, np.zeros(d.n), dt, steps)):
-        r = transform_values(d, z - mshift)
+    for s, (_, c, _) in enumerate(flow_states(d, np.zeros(d.n), dt, steps)):
+        r = c - c_eq
         if np.sqrt(np.sum((1.0 + d.lambda_k) * r * r)) < threshold:
             return s * dt
     raise InstabilityError(f"flow failed to relax within T={T_max} at L={d.L}")

@@ -23,8 +23,9 @@ Every transform is one call of the module attribute `dst`, bound to
 `scipy.fft.dst` and skips that function's dispatch layer, about half the
 time of a one-row call.  Scalings are precomputed with the plain formulas'
 order of operations, so the outputs are bitwise (h / (2 sqrt L)) sign
-DST(f)[:modes] and DST(pad(c / (sign sqrt L))) / 2; folding the /2 into the
-divisor would round subnormal inputs differently, so it stays.
+DST(f)[:modes] and DST(pad(c / (sign sqrt L))) / 2.  The time steppers do
+not use these two: `flow.ExpEuler` keeps its state in raw DST coordinates
+and folds the scalings into its step weights.
 """
 
 from __future__ import annotations

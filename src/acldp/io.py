@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import Boundary, Domain, Field
 
+_CSV_BLOCK = 4096           # rows of write_csv formatted at a time
+
 
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
@@ -25,13 +27,16 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: FsPath, columns: dict[str, np.ndarray]) -> None:
+    """A header row of the column names, then one row per index; the rows
+    are formatted and written _CSV_BLOCK at a time."""
     names = list(columns)
     arrays = [np.asarray(columns[k]) for k in names]
     n = len(arrays[0])
-    lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(_fmt(a[i]) for a in arrays))
-    FsPath(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write(",".join(names) + "\n")
+        for lo in range(0, n, _CSV_BLOCK):
+            f.write("".join(",".join(_fmt(a[i]) for a in arrays) + "\n"
+                            for i in range(lo, min(lo + _CSV_BLOCK, n))))
 
 
 def read_text(path: FsPath) -> str:

@@ -1,10 +1,10 @@
 """Stochastic integrator for the shifted double-well dynamics and
 invariant-measure sampling.
 
-Time stepping is exponential Euler-Maruyama: mode coefficients are advanced
-by the exact semigroup factor e^{-lambda_k dt}, the cubic drift enters
-explicitly through the de-aliased phi_1 weight, and the noise increment per
-step is
+Time stepping is the exponential-Euler kernel `flow.ExpEuler`, the gradient
+flow's own: mode coefficients are advanced by the exact semigroup factor
+e^{-lambda_k dt}, the cubic drift enters explicitly through the de-aliased
+phi_1 weight, and the noise increment per step is
 
     sqrt(eps) * g(z + psi) * sum_{k <= N_W} e_k(xi) sqrt(dt) xi_k
 
@@ -12,25 +12,29 @@ with independent standard normals xi_k, assembled in physical space from
 the N_W leading coefficients and projected back to modes.  When the
 intensity is constant the projection of g0 * sum e_k xi_k is g0 * xi_k
 exactly (orthonormality), so the increment is added directly in mode space.
-The drift weights (`flow.step_weights`) and the blow-up cap
-(`flow.BLOWUP_SUP`) are the gradient flow's, so at eps = 0 a chain is
-bitwise the flow.
+The kernel's state is the raw DST vector of the coefficients (see its
+docstring), so the chain-step is one forward DST of the reaction, in-place
+weights, the noise, and one DST back to the grid; the blow-up cap
+(`flow.BLOWUP_SUP`) is the flow's too, so at eps = 0 a chain is bitwise the
+flow.
+
+The increment sqrt(dt) xi_k follows the exact decay, so under constant g0 mode
+k's stationary variance is eps g0^2 dt / (1 - e^{-2 lambda_k dt}), not the
+SPDE's eps g0^2 / (2 lambda_k): 5.1 times it at mode 64 for dt = 1e-3, L = 2.
 
 `_evolve_chains` is the one stepping loop, and `_run_chunks` its one caller,
 behind `ensemble_run` and `sample_invariant`.  It advances a chunk of chains
 at one or more eps levels, its state shaped (levels, chains, ...).  It keeps
-observables at the sample steps and mode coefficients at the checkpoints,
-nothing else.  The two entry points turn the horizon, burn-in, stride and
-sample and checkpoint times into steps with `flow.steps_of`, so each must be a
-whole number of steps.  The replay diagnostics (`diagnostics.record_replay`)
+observables at the sample steps, kernel states at the checkpoints and, for
+`ensemble_run` only, each chain's running sup |z|, nothing else
+(`EnsembleResult.coefficients` turns a state into coefficients).
+The two entry points turn the horizon, burn-in, stride and sample and
+checkpoint times into steps with `flow.steps_of`, so each must be a whole
+number of steps.  The replay diagnostics (`diagnostics.record_replay`)
 run one chain through `ensemble_run` with a checkpoint at every step to
 rebuild its path.  A step mask, observables or mode checkpoints past the
 memory budget (2.7e8 steps, 8.4e6 level-chain-samples or 3.4e7 checkpointed
 chain-mode values) are a ConfigurationError before any of them is allocated.
-
-The increment sqrt(dt) xi_k follows the exact decay, so under constant g0 mode
-k's stationary variance is eps g0^2 dt / (1 - e^{-2 lambda_k dt}), not the SPDE's
-eps g0^2 / (2 lambda_k): 5.1 times it at mode 64 for dt = 1e-3, L = 2.
 
 Randomness comes from counter-based streams: one Philox generator per
 (master seed, chain id, mode id), so trajectories are bitwise reproducible.
@@ -54,11 +58,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import AUTO
-from .energy import energy_star_values, reaction_values
+from .energy import energy_star_values
 from .errors import ConfigurationError, InstabilityError, check_bytes
-from .flow import BLOWUP_SUP, relaxation_time, step_weights, steps_of
-from .grid import (Boundary, Domain, Field, inverse_transform_values,
-                   sobolev_norm_values, sobolev_weights, transform_values)
+from .flow import BLOWUP_SUP, ExpEuler, relaxation_time, steps_of
+from .grid import Boundary, Domain, Field, sobolev_norm_values, sobolev_weights
 from .noise import NoiseModel
 from .profile import Profile, compute_profile
 
@@ -134,23 +137,24 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
                    levels: tuple[SdeParams, ...], n_steps: int, sample_steps: np.ndarray, *,
                    profile: Profile, kstar: float, pstar: int,
                    chain_ids: np.ndarray, linear_hook: bool = False,
-                   mode_checkpoints: tuple[int, ...] = ()) -> dict:
+                   mode_checkpoints: tuple[int, ...] = (), running_sup: bool = True) -> dict:
     """Advance a batch of chains at every eps level of `levels` (SdeParams
     that differ only in eps); the workhorse behind the public entry points.
 
     State and outputs are (levels, chains, ...).  A chain's normals are
     drawn once per step and shared by its levels, and each level's rows see
-    the arithmetic of a one-level run bit for bit."""
+    the arithmetic of a one-level run bit for bit.  Without `running_sup`
+    the per-chain running sup |z| is not kept (None), and the blow-up check
+    is two flat reductions."""
     p = levels[0]
     n_chains = len(chain_ids)
     shape = (len(levels), n_chains)
     nw = p.resolve_noise_modes(d)
-    decay, phi1 = step_weights(d, p.dt)
     mshift = profile.shifted_values(d)
-    sq_dt = np.sqrt(p.dt)
     sq_eps = np.sqrt([q.eps for q in levels])[:, None, None]
-    const_scale = sq_eps * nm.g0 * sq_dt          # per level, in the one-level float order
-    lazy_state = linear_hook and nm.is_constant   # pure mode recursion
+    kernel = ExpEuler(d, p.dt, shape, noise=nm, noise_modes=nw, noise_scale=sq_eps)
+    constant_g = nm.is_constant
+    lazy_state = linear_hook and constant_g       # pure mode recursion
     sobolev_weights(d, kstar)                     # an overflowing kstar fails before a step
 
     sample_mask = np.zeros(n_steps + 1, dtype=bool)
@@ -158,16 +162,17 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
     snap_set = set(int(s) for s in mode_checkpoints)
 
     gens = _make_streams(p.seed, chain_ids, nw)
-    c = transform_values(d, np.broadcast_to(x_values, shape + (d.n,)))
-    z = inverse_transform_values(d, c)
+    a = kernel.state(np.broadcast_to(x_values, shape + (d.n,)))
+    z = kernel.values(a)
+    abs_z = np.empty_like(z) if running_sup else None
 
     n_samp = int(sample_mask.sum())
     obs = {name: np.empty(shape + (n_samp,)) for name in
            ("sup_norm", "dist_sup", "energy_star", "sobolev_norm")}
     t_samples = np.empty(n_samp)
-    mode_snaps: dict[int, np.ndarray] = {}
-    sup_running = np.max(np.abs(z), axis=-1)
-    g_min = np.full(len(levels), nm.g0 if nm.is_constant else np.inf)
+    mode_states: dict[int, np.ndarray] = {}
+    sup_running = np.max(np.abs(z), axis=-1) if running_sup else None
+    g_min = np.full(len(levels), nm.g0 if constant_g else np.inf)
     si = 0
 
     def record(step: int, z_now: np.ndarray):
@@ -182,45 +187,40 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
     if sample_mask[0]:
         record(0, z)
     if 0 in snap_set:
-        mode_snaps[0] = c.copy()
+        mode_states[0] = a[..., :d.modes].copy()
 
     for s in range(n_steps):
         if s % _NOISE_BLOCK == 0:
             block = _draw_block(gens, min(_NOISE_BLOCK, n_steps - s))
         xi = block[:, s % _NOISE_BLOCK, :]
 
-        if linear_hook:
-            c_new = decay * c
-        else:
-            f_hat = transform_values(d, reaction_values(d, z))
-            c_new = decay * c + phi1 * f_hat
-
-        if nm.is_constant:
-            c_new[..., :nw] += const_scale * xi
-        else:
-            w_phys = inverse_transform_values(d, sq_dt * xi)
+        g_vals = None
+        if not constant_g:
             g_vals = nm.g(z + d.psi)
             np.minimum(g_min, np.min(g_vals, axis=(1, 2)), out=g_min)
-            c_new += sq_eps * transform_values(d, g_vals * w_phys)
-        c = c_new
+        kernel.advance(a, None if linear_hook else kernel.drift(z), xi=xi, g_values=g_vals)
 
         step = s + 1
         if not lazy_state or sample_mask[step] or step == n_steps or step in snap_set:
-            z = inverse_transform_values(d, c)
-            sup_now = np.max(np.abs(z), axis=-1)
-            if np.max(sup_now) > BLOWUP_SUP:
-                level = int(np.argmax(np.max(sup_now, axis=1) > BLOWUP_SUP))
+            z = kernel.values(a)
+            if running_sup:
+                sup_now = np.abs(z, out=abs_z).max(axis=-1)
+                sup = sup_now.max()
+                np.maximum(sup_running, sup_now, out=sup_running)
+            else:
+                sup = max(z.max(), -z.min())
+            if sup > BLOWUP_SUP:
+                level = int(np.argmax(np.max(np.abs(z), axis=(1, 2)) > BLOWUP_SUP))
                 raise InstabilityError(
                     f"stochastic integration blew up (sup > {BLOWUP_SUP}) at t={step * p.dt!r} "
                     f"with eps={levels[level].eps!r}, dt={p.dt!r}")
-            np.maximum(sup_running, sup_now, out=sup_running)
             if sample_mask[step]:
                 record(step, z)
             if step in snap_set:
-                mode_snaps[step] = c.copy()
+                mode_states[step] = a[..., :d.modes].copy()
 
-    return dict(t_samples=t_samples, obs=obs, final_values=z.copy(),
-                sup_running=sup_running, g_min=g_min, mode_snaps=mode_snaps)
+    return dict(t_samples=t_samples, obs=obs, final_values=z, sup_running=sup_running,
+                g_min=g_min, mode_states=mode_states, to_coefficients=kernel.to_coefficients)
 
 
 def check_sampler_size(n_steps: int, n_levels: int, n_chains: int, n_samples: int,
@@ -244,11 +244,16 @@ class EnsembleResult:
     """Batched chain outputs for statistical tests over many trajectories."""
 
     final_values: np.ndarray                 # (n_chains, n)
-    sup_running: np.ndarray                  # (n_chains,) running sup of |z|
-    mode_snaps: dict[int, np.ndarray]        # step -> (n_chains, modes)
+    sup_running: np.ndarray | None           # (n_chains,) running sup of |z|, if kept
+    mode_states: dict[int, np.ndarray]       # step -> (n_chains, modes) `flow.ExpEuler` states
+    to_coefficients: np.ndarray              # (modes,) state -> mode coefficients
     t_samples: np.ndarray
     obs: dict[str, np.ndarray]               # each (n_chains, n_samples)
     g_min: float
+
+    def coefficients(self, step: int) -> np.ndarray:
+        """(n_chains, modes) mode coefficients at the checkpoint `step`."""
+        return self.mode_states[step] * self.to_coefficients
 
 
 def _evolve_chunk(args, kwargs, chain_ids):
@@ -288,14 +293,17 @@ def _run_chunks(n_chains: int, workers: int | str, *args, **kwargs) -> list[Ense
         return np.concatenate(arrays, axis=1)
 
     final_values = merged([q["final_values"] for q in parts])
-    sup_running = merged([q["sup_running"] for q in parts])
-    mode_snaps = {step: merged([q["mode_snaps"][step] for q in parts])
-                  for step in parts[0]["mode_snaps"]}
+    sup_running = (None if parts[0]["sup_running"] is None
+                   else merged([q["sup_running"] for q in parts]))
+    mode_states = {step: merged([q["mode_states"][step] for q in parts])
+                   for step in parts[0]["mode_states"]}
     obs = {k: merged([q["obs"][k] for q in parts]) for k in parts[0]["obs"]}
     g_min = np.min([q["g_min"] for q in parts], axis=0)
     return [EnsembleResult(
-        final_values=final_values[lev], sup_running=sup_running[lev],
-        mode_snaps={step: snap[lev] for step, snap in mode_snaps.items()},
+        final_values=final_values[lev],
+        sup_running=None if sup_running is None else sup_running[lev],
+        mode_states={step: snap[lev] for step, snap in mode_states.items()},
+        to_coefficients=parts[0]["to_coefficients"],
         t_samples=parts[0]["t_samples"],
         obs={k: v[lev] for k, v in obs.items()},
         g_min=float(g_min[lev])) for lev in range(len(g_min))]
@@ -386,7 +394,8 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
     sample_steps = steps_burn + steps_stride * np.arange(1, per_chain + 1)
 
     ensembles = _run_chunks(n_chains, workers, d, np.zeros(d.n), nm, levels, n_steps,
-                            sample_steps, profile=profile, kstar=kstar, pstar=pstar)
+                            sample_steps, profile=profile, kstar=kstar, pstar=pstar,
+                            running_sup=False)
     measures = [EmpiricalMeasure(
         eps=q.eps, burn_in=burn_in, sample_stride=stride, kstar=kstar, pstar=pstar,
         g_min=ens.g_min, undersampled=undersampled, warnings=list(warnings),

@@ -214,13 +214,13 @@ def test_criterion_06_ou_closed_forms():
                        mode_checkpoint_times=(0.5, 2.5), workers="auto")
     band = 3.0 * np.sqrt(2.0 / (n_chains - 1))   # 3 MC standard errors
     conditions = {}
-    snap_t = ens.mode_snaps[int(round(0.5 / dt))]
+    snap_t = ens.coefficients(int(round(0.5 / dt)))
     for k in (1, 2, 3, 4):
         lam = d.lambda_k[k - 1]
         expect = eps * g0 ** 2 * (1.0 - np.exp(-2.0 * lam * 0.5)) / (2.0 * lam)
         got = np.var(snap_t[:, k - 1], ddof=1)
         conditions[f"transient var mode {k}"] = abs(got - expect) <= band * expect
-    snap_s = ens.mode_snaps[int(round(2.5 / dt))]
+    snap_s = ens.coefficients(int(round(2.5 / dt)))
     for k in (2, 3, 4):
         lam = d.lambda_k[k - 1]
         stat = eps * g0 ** 2 / (2.0 * lam)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from acldp.cli import COMMANDS, build_parser, run
 from acldp.config import SCHEMA
 from acldp.errors import InstabilityError
 from acldp.grid import Boundary, Field, build_domain
-from acldp.io import read_csv_columns, write_field_csv, write_path_csv
+from acldp.io import (_CSV_BLOCK as CSV_BLOCK, read_csv_columns, write_csv,
+                       write_field_csv, write_path_csv)
 from acldp.profile import compute_profile, solve_e_L
 
 
@@ -700,6 +702,22 @@ class TestSdeAndInvariant:
         assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
+    def test_invariant_holds_a_small_multiple_of_the_counted_samples(self, tmp_path):
+        # 64 000 samples are 2.0 MB at the 32 B a level-chain-sample that
+        # check_sampler_size counts; the samples and their CSV columns hold 6
+        # floats a sample.  write_csv once kept every row string, 11.7 times the count.
+        n_samples = 64_000
+        tracemalloc.start()
+        try:
+            assert run(["invariant", "--out", str(tmp_path / "o"), "--set", "n=31",
+                        "--set", "modes=16", "--set", "dt=0.01", "--set", "stride=0.01",
+                        "--set", "burn_in=0", "--set", "n_chains=32",
+                        "--set", f"n_samples={n_samples}"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 32 * n_samples
+
     def test_worker_count_changes_nothing(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         cfg = write_cfg(tmp_path, out1, n_chains="48", n_samples="96")
@@ -888,3 +906,16 @@ class TestConcentrationOutputs:
         assert "eps=40000.0" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
         assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
+
+class TestWriteCsv:
+    def test_blocks_write_the_bytes_of_one_join(self, tmp_path):
+        # past two blocks of rows: the file is the header and the rows joined whole
+        n = 2 * CSV_BLOCK + 3
+        x = np.random.default_rng(3).standard_normal(n)
+        cols = {"t": 0.1 * np.arange(n), "x": x, "k": np.arange(n)}
+        write_csv(tmp_path / "c.csv", cols)
+        rows = [f"{t!r},{v!r},{k}" for t, v, k in zip((0.1 * np.arange(n)).tolist(),
+                                                       x.tolist(), range(n))]
+        want = "\n".join(["t,x,k"] + rows) + "\n"
+        assert (tmp_path / "c.csv").read_bytes() == want.encode()

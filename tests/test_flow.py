@@ -1,5 +1,6 @@
 import ast
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acldp.errors import ConfigurationError, InstabilityError
-from acldp.flow import flow_states, gradient_flow, relaxation_time, skeleton_solve, steps_of
-from acldp.grid import Boundary, Field, basis_eval, h1_distance, transform_values
+from acldp.energy import reaction_values
+from acldp.flow import (ExpEuler, flow_states, gradient_flow, relaxation_time, skeleton_solve,
+                        steps_of)
+from acldp.grid import (Boundary, Field, basis_eval, build_domain, h1_distance,
+                        inverse_transform_values, transform_values)
+from acldp.noise import NoiseModel
+from acldp.profile import compute_profile
 
 from .conftest import band_limited
 
@@ -87,6 +93,22 @@ class TestGradientFlow:
         assert res.stopped_early and len(res.grad_norm) == 1
         state0 = next(flow_states(dom2, x.values, 1e-3, 1000))[0]
         assert res.path.values.tobytes() == np.asarray([state0, state0]).tobytes()
+
+    def test_holds_the_bytes_it_counts(self):
+        # T = 20, dt = 1e-3, n = 31, every step recorded: 5.4 MB counted; the
+        # series and frames once grew as lists and a final stack, 17.3 MB
+        d = build_domain(2.0, 31, 31)
+        steps = 20_000
+        counted = 8 * (3 * (steps + 1) + d.n * (steps + 2))
+        tracemalloc.start()
+        try:
+            res = gradient_flow(d, Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET), dt=1e-3,
+                                T=20.0, stop_tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.path.values.shape == (steps + 1, d.n)
+        assert peak <= 1.5 * counted
 
     def test_blowup_guard(self, dom2, prof2):
         x = Field(50.0 * basis_eval(dom2, 1).values, Boundary.ZERO_DIRICHLET)
@@ -178,6 +200,71 @@ class TestFlowStates:
         assert np.max(np.abs(next(states)[0])) < 50.0
         with pytest.raises(InstabilityError, match=r"at t=0\.01; dt=0\.01 "):
             next(states)
+
+
+class TestKernel:
+    """The one exponential-Euler kernel against the textbook step."""
+
+    @pytest.mark.parametrize("kind", ["constant", "smooth_bounded_below"])
+    def test_matches_the_textbook_step(self, kind):
+        # 1 000 steps of 4 chains from a bumped equilibrium, the same normals:
+        # c <- e^{-lambda dt} c + phi_1 Proj[F(z)] + sqrt(eps dt) (g0 xi or Proj[g sum e_l xi_l])
+        d = build_domain(2.0, 63, 32)
+        prof = compute_profile(d)
+        nm = NoiseModel(kind=kind, g0=0.5, c=1.0)
+        dt, eps, nw, steps = 1e-3, 0.05, 16, 1000
+        z0 = np.tile(shifted_plus_modes(d, prof, [(1, 0.3), (2, -0.1)]), (1, 4, 1))
+        xis = np.random.default_rng(9).standard_normal((steps, 4, nw))
+        lam = d.lambda_k
+        decay = np.exp(-lam * dt)
+        phi1 = (1.0 - decay) / lam
+        phi1[d.dealias_keep():] = 0.0
+
+        c = transform_values(d, z0)
+        z = inverse_transform_values(d, c)
+        kernel = ExpEuler(d, dt, (1, 4), noise=nm, noise_modes=nw, noise_scale=np.sqrt(eps))
+        a = kernel.state(z0)
+        for xi in xis:
+            g = None if nm.is_constant else nm.g(kernel.values(a) + d.psi)
+            kernel.advance(a, kernel.drift(kernel.values(a)), xi=xi, g_values=g)
+            c = decay * c + phi1 * transform_values(d, reaction_values(d, z))
+            if nm.is_constant:
+                c[..., :nw] += np.sqrt(eps) * nm.g0 * np.sqrt(dt) * xi
+            else:
+                w = inverse_transform_values(d, np.sqrt(dt) * xi)
+                c += np.sqrt(eps) * transform_values(d, nm.g(z + d.psi) * w)
+            z = inverse_transform_values(d, c)
+        scale = np.max(np.abs(z))
+        assert np.max(np.abs(kernel.values(a) - z)) <= 1e-13 * scale
+        assert np.max(np.abs(kernel.coefficients(a) - c)) <= 1e-13 * np.max(np.abs(c))
+
+    def test_step_arithmetic_only_in_the_kernel(self):
+        """The step's weights are formed in flow.step_weights and used by
+        flow.ExpEuler alone: no other code of the package names step_weights
+        or takes exp / expm1 of an expression in lambda_k.  (The replay's
+        damped recurrences in diagnostics use their own rates lambda_k + lam.)"""
+        def semigroup_factor(node):
+            func = node.func if isinstance(node, ast.Call) else None
+            name = getattr(func, "attr", None) or getattr(func, "id", None)
+            return name in ("exp", "expm1") and any(
+                isinstance(n, ast.Attribute) and n.attr == "lambda_k"
+                for arg in node.args for n in ast.walk(arg))
+
+        def names_step_weights(node):
+            return ((isinstance(node, ast.Name) and node.id == "step_weights")
+                    or (isinstance(node, (ast.Attribute)) and node.attr == "step_weights")
+                    or (isinstance(node, ast.alias) and node.name == "step_weights"))
+
+        offenders = []
+        for src in sorted((Path(__file__).parents[1] / "src" / "acldp").glob("*.py")):
+            tree = ast.parse(src.read_text())
+            exempt = {id(n) for top in tree.body
+                      if src.name == "flow.py" and getattr(top, "name", None) in
+                      ("ExpEuler", "step_weights") for n in ast.walk(top)}
+            offenders += [f"{src.name}:{node.lineno}" for node in ast.walk(tree)
+                          if id(node) not in exempt
+                          and (semigroup_factor(node) or names_step_weights(node))]
+        assert offenders == []
 
 
 def two_pass_relaxation_time(d, prof, threshold, dt, T_max):

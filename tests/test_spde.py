@@ -73,6 +73,20 @@ class TestReproducibility:
                                    profile=sprof, kstar=0.2, pstar=8, chain_ids=np.array([3]))
         assert np.array_equal(ens.final_values[3], solo["final_values"][0, 0])
 
+    @pytest.mark.parametrize("kind", ["constant", "smooth_bounded_below"])
+    def test_running_sup_changes_no_sample(self, sdom, sprof, kind):
+        # sample_invariant skips the running sup; its samples are those of a run that keeps it
+        nm = NoiseModel(kind=kind, g0=0.5, c=1.0)
+        levels = tuple(SdeParams(eps=eps, dt=2e-3, modes_noise=16, seed=12) for eps in (0.1, 0.02))
+        kept, skipped = (spde._evolve_chains(sdom, np.zeros(sdom.n), nm, levels, 150,
+                                             np.array([50, 100, 150]), profile=sprof, kstar=0.2,
+                                             pstar=8, chain_ids=np.arange(4), running_sup=keep)
+                         for keep in (True, False))
+        assert kept["sup_running"].shape == (2, 4) and skipped["sup_running"] is None
+        assert np.array_equal(kept["final_values"], skipped["final_values"])
+        for key in kept["obs"]:
+            assert np.array_equal(kept["obs"][key], skipped["obs"][key])
+
 
 class TestOUClosedForms:
     def test_mode_variances(self, sdom, sprof):
@@ -85,13 +99,13 @@ class TestOUClosedForms:
         ens = ensemble_run(sdom, x, nm, p, 2.5, n_chains, profile=sprof,
                            linear_hook=True, mode_checkpoint_times=(0.5, 2.5))
         band = 3.0 * np.sqrt(2.0 / (n_chains - 1))
-        snap_t = ens.mode_snaps[500]
+        snap_t = ens.coefficients(500)
         for k in (1, 2, 3, 4):
             lam = sdom.lambda_k[k - 1]
             var_t = np.var(snap_t[:, k - 1], ddof=1)
             expect = ou_variance(eps, g0, lam, 0.5)
             assert abs(var_t - expect) <= band * expect * 1.05  # small dt bias margin
-        snap_s = ens.mode_snaps[2500]
+        snap_s = ens.coefficients(2500)
         for k in (2, 3, 4):
             lam = sdom.lambda_k[k - 1]
             var_s = np.var(snap_s[:, k - 1], ddof=1)
@@ -111,7 +125,7 @@ class TestWeakOrder:
             p = SdeParams(eps=eps, dt=dt, modes_noise=8, seed=5)
             ens = ensemble_run(sdom, x, nm, p, 2.0, 4000, profile=sprof,
                                linear_hook=True, mode_checkpoint_times=(2.0,))
-            var = np.var(ens.mode_snaps[int(round(2.0 / dt))][:, k - 1], ddof=1)
+            var = np.var(ens.coefficients(int(round(2.0 / dt)))[:, k - 1], ddof=1)
             biases.append(var - exact)
         assert biases[0] / biases[1] == pytest.approx(2.0, rel=0.5)
 
@@ -347,9 +361,9 @@ class TestProcessPool:
                 assert np.array_equal(ens.final_values, ref.final_values)
                 assert np.array_equal(ens.sup_running, ref.sup_running)
                 assert np.array_equal(ens.t_samples, ref.t_samples)
-                assert ens.mode_snaps.keys() == ref.mode_snaps.keys() == {100, 200}
-                for step in ref.mode_snaps:
-                    assert np.array_equal(ens.mode_snaps[step], ref.mode_snaps[step])
+                assert ens.mode_states.keys() == ref.mode_states.keys() == {100, 200}
+                for step in ref.mode_states:
+                    assert np.array_equal(ens.mode_states[step], ref.mode_states[step])
                 assert ens.obs.keys() == ref.obs.keys()
                 for key in ref.obs:
                     assert np.array_equal(ens.obs[key], ref.obs[key])
@@ -492,7 +506,7 @@ class TestGuards:
         ens = ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2, profile=sprof,
                            sample_times=(0.0, 0.1), mode_checkpoint_times=(0.0, 0.1))
         assert np.allclose(ens.t_samples, [0.0, 0.1])
-        assert sorted(ens.mode_snaps) == [0, 10]
+        assert sorted(ens.mode_states) == [0, 10]
 
     def test_mode_checkpoints_beyond_the_byte_cap_rejected_before_stepping(
             self, sdom, sprof, const_noise, monkeypatch):
