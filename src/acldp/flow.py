@@ -14,12 +14,14 @@ uses the unfiltered projection.
 keeps the state in DST coordinates, so a step is one forward DST of the
 reaction, in-place weights, and one DST back to the grid (see its
 docstring).  `flow_states` is the one loop of the flow, with the one blow-up
-check.  `gradient_flow` and `skeleton_solve` only record its per-step
-diagnostics and the early stop; the reversed flow of `action.mam_minimize`
-and the early-exit loop of `relaxation_time` read its states.  The blow-up
-cap (`BLOWUP_SUP`) is shared with `spde`, so a chain run at eps = 0 takes
-exactly the steps of this flow.  `steps_of` turns every user-facing time into
-a step count, and rejects one that is not a whole number of steps of dt.
+check: a state with sup |z| past `BLOWUP_SUP`, or with a value that is not a
+number, stops it.  `gradient_flow` and `skeleton_solve` only record its
+per-step diagnostics and the early stop; the reversed flow of
+`action.mam_minimize` and the early-exit loop of `relaxation_time` read its
+states.  The blow-up cap (`BLOWUP_SUP`) is shared with `spde`, so a chain run
+at eps = 0 takes exactly the steps of this flow.  `steps_of` turns every
+user-facing time into a step count, and rejects one that is not a whole
+number of steps of dt.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .noise import NoiseModel
 from .profile import Profile, compute_profile
 
 # sup |z| past which the flow and the stochastic integrator stop with an
-# InstabilityError; a physical state has |u| of order 1, so |z| = |u - psi|
-# of order 2.
+# InstabilityError, as they do at a NaN; a physical state has |u| of order 1,
+# so |z| = |u - psi| of order 2.
 BLOWUP_SUP = 50.0
 
 
@@ -219,10 +221,10 @@ def flow_states(d: Domain, z0: np.ndarray, dt: float, steps: int, *,
         forcing = None if control is None else noise.g(z + d.psi) * control[s]
         kernel.advance(a, r_hat, forcing=forcing)
         z = kernel.values(a)
-        if np.abs(z).max() > BLOWUP_SUP:
+        if not max(z.max(), -z.min()) <= BLOWUP_SUP:        # NaN is out of range too
             raise InstabilityError(
-                f"flow left the physical range (sup |z| > {BLOWUP_SUP}) at t={(s + 1) * dt!r}; "
-                f"dt={dt!r} likely too large")
+                f"flow left the physical range (sup |z| > {BLOWUP_SUP} or NaN) "
+                f"at t={(s + 1) * dt!r}; dt={dt!r} likely too large")
 
 
 def _integrate(d: Domain, x: Field, dt: float, steps: int, *,

@@ -25,9 +25,8 @@ SPDE's eps g0^2 / (2 lambda_k): 5.1 times it at mode 64 for dt = 1e-3, L = 2.
 `_evolve_chains` is the one stepping loop, and `_run_chunks` its one caller,
 behind `ensemble_run` and `sample_invariant`.  It advances a chunk of chains
 at one or more eps levels, its state shaped (levels, chains, ...).  It keeps
-observables at the sample steps, kernel states at the checkpoints and, for
-`ensemble_run` only, each chain's running sup |z|, nothing else
-(`EnsembleResult.coefficients` turns a state into coefficients).
+observables at the sample steps and kernel states at the checkpoints, nothing
+else (`EnsembleResult.coefficients` turns a state into coefficients).
 The two entry points turn the horizon, burn-in, stride and sample and
 checkpoint times into steps with `flow.steps_of`, so each must be a whole
 number of steps.  The replay diagnostics (`diagnostics.record_replay`)
@@ -137,15 +136,15 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
                    levels: tuple[SdeParams, ...], n_steps: int, sample_steps: np.ndarray, *,
                    profile: Profile, kstar: float, pstar: int,
                    chain_ids: np.ndarray, linear_hook: bool = False,
-                   mode_checkpoints: tuple[int, ...] = (), running_sup: bool = True) -> dict:
+                   mode_checkpoints: tuple[int, ...] = ()) -> dict:
     """Advance a batch of chains at every eps level of `levels` (SdeParams
     that differ only in eps); the workhorse behind the public entry points.
 
     State and outputs are (levels, chains, ...).  A chain's normals are
     drawn once per step and shared by its levels, and each level's rows see
-    the arithmetic of a one-level run bit for bit.  Without `running_sup`
-    the per-chain running sup |z| is not kept (None), and the blow-up check
-    is two flat reductions."""
+    the arithmetic of a one-level run bit for bit.  A state with sup |z| past
+    BLOWUP_SUP, or with a value that is not a number, is an InstabilityError
+    naming the first level that has one."""
     p = levels[0]
     n_chains = len(chain_ids)
     shape = (len(levels), n_chains)
@@ -164,14 +163,12 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
     gens = _make_streams(p.seed, chain_ids, nw)
     a = kernel.state(np.broadcast_to(x_values, shape + (d.n,)))
     z = kernel.values(a)
-    abs_z = np.empty_like(z) if running_sup else None
 
     n_samp = int(sample_mask.sum())
     obs = {name: np.empty(shape + (n_samp,)) for name in
            ("sup_norm", "dist_sup", "energy_star", "sobolev_norm")}
     t_samples = np.empty(n_samp)
     mode_states: dict[int, np.ndarray] = {}
-    sup_running = np.max(np.abs(z), axis=-1) if running_sup else None
     g_min = np.full(len(levels), nm.g0 if constant_g else np.inf)
     si = 0
 
@@ -203,24 +200,18 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
         step = s + 1
         if not lazy_state or sample_mask[step] or step == n_steps or step in snap_set:
             z = kernel.values(a)
-            if running_sup:
-                sup_now = np.abs(z, out=abs_z).max(axis=-1)
-                sup = sup_now.max()
-                np.maximum(sup_running, sup_now, out=sup_running)
-            else:
-                sup = max(z.max(), -z.min())
-            if sup > BLOWUP_SUP:
-                level = int(np.argmax(np.max(np.abs(z), axis=(1, 2)) > BLOWUP_SUP))
+            if not max(z.max(), -z.min()) <= BLOWUP_SUP:        # NaN is out of range too
+                level = int(np.argmax(~(np.max(np.abs(z), axis=(1, 2)) <= BLOWUP_SUP)))
                 raise InstabilityError(
-                    f"stochastic integration blew up (sup > {BLOWUP_SUP}) at t={step * p.dt!r} "
-                    f"with eps={levels[level].eps!r}, dt={p.dt!r}")
+                    f"stochastic integration blew up (sup > {BLOWUP_SUP} or NaN) "
+                    f"at t={step * p.dt!r} with eps={levels[level].eps!r}, dt={p.dt!r}")
             if sample_mask[step]:
                 record(step, z)
             if step in snap_set:
                 mode_states[step] = a[..., :d.modes].copy()
 
-    return dict(t_samples=t_samples, obs=obs, final_values=z, sup_running=sup_running,
-                g_min=g_min, mode_states=mode_states, to_coefficients=kernel.to_coefficients)
+    return dict(t_samples=t_samples, obs=obs, g_min=g_min, mode_states=mode_states,
+                to_coefficients=kernel.to_coefficients)
 
 
 def check_sampler_size(n_steps: int, n_levels: int, n_chains: int, n_samples: int,
@@ -241,10 +232,9 @@ def samples_per_chain(n_samples: int, n_chains: int) -> int:
 
 @dataclass
 class EnsembleResult:
-    """Batched chain outputs for statistical tests over many trajectories."""
+    """Batched chain outputs of `ensemble_run`: the observables at the sample
+    times, the kernel states at the mode checkpoints and the intensity floor."""
 
-    final_values: np.ndarray                 # (n_chains, n)
-    sup_running: np.ndarray | None           # (n_chains,) running sup of |z|, if kept
     mode_states: dict[int, np.ndarray]       # step -> (n_chains, modes) `flow.ExpEuler` states
     to_coefficients: np.ndarray              # (modes,) state -> mode coefficients
     t_samples: np.ndarray
@@ -292,16 +282,11 @@ def _run_chunks(n_chains: int, workers: int | str, *args, **kwargs) -> list[Ense
     def merged(arrays):       # (levels, chains, ...) chunks, joined on the chain axis
         return np.concatenate(arrays, axis=1)
 
-    final_values = merged([q["final_values"] for q in parts])
-    sup_running = (None if parts[0]["sup_running"] is None
-                   else merged([q["sup_running"] for q in parts]))
     mode_states = {step: merged([q["mode_states"][step] for q in parts])
                    for step in parts[0]["mode_states"]}
     obs = {k: merged([q["obs"][k] for q in parts]) for k in parts[0]["obs"]}
     g_min = np.min([q["g_min"] for q in parts], axis=0)
     return [EnsembleResult(
-        final_values=final_values[lev],
-        sup_running=None if sup_running is None else sup_running[lev],
         mode_states={step: snap[lev] for step, snap in mode_states.items()},
         to_coefficients=parts[0]["to_coefficients"],
         t_samples=parts[0]["t_samples"],
@@ -394,8 +379,7 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
     sample_steps = steps_burn + steps_stride * np.arange(1, per_chain + 1)
 
     ensembles = _run_chunks(n_chains, workers, d, np.zeros(d.n), nm, levels, n_steps,
-                            sample_steps, profile=profile, kstar=kstar, pstar=pstar,
-                            running_sup=False)
+                            sample_steps, profile=profile, kstar=kstar, pstar=pstar)
     measures = [EmpiricalMeasure(
         eps=q.eps, burn_in=burn_in, sample_stride=stride, kstar=kstar, pstar=pstar,
         g_min=ens.g_min, undersampled=undersampled, warnings=list(warnings),

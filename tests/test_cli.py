@@ -226,6 +226,18 @@ class TestFlowCommand:
         assert not (out / "flow.csv").exists()
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
+    def test_state_that_is_not_a_number_exits_1_without_data(self, tmp_path, capsys):
+        # z = 1e200: the first step's cubic overflows, and the state turns NaN
+        d = build_domain(2.0, 31, 16)
+        init_csv = tmp_path / "big.csv"
+        write_field_csv(init_csv, d, Field(np.full(d.n, 1e200), Boundary.ZERO_DIRICHLET))
+        out = tmp_path / "o"
+        assert run(["flow", "--set", "n=31", "--set", "modes=16", "--set", "T=0.1",
+                    "--set", f"init={init_csv}", "--out", str(out)]) == 1
+        assert "or NaN) at t=0.001" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
     def test_custom_init_csv(self, tmp_path):
         d = build_domain(2.0, 63, 32)
         x = Field(0.3 * np.sin(np.pi * d.xi / 4.0), Boundary.ZERO_DIRICHLET)
@@ -771,6 +783,17 @@ class TestSdeAndInvariant:
         assert "eps=40000.0" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["partial"] is True and manifest["workers"] == 2
+
+    @pytest.mark.parametrize("command", ["sde", "invariant", "concentration"])
+    def test_state_that_is_not_a_number_exits_1_without_data(self, tmp_path, capsys, command):
+        # eps^(1/2) g0 overflows: the first level's noise weight is inf, its state NaN
+        out = tmp_path / "o"
+        assert run([command, "--set", "n=31", "--set", "modes=16", "--set", "n_chains=2",
+                    "--set", "eps=1e300,1e299,1e298", "--set", "noise.g0=1e300",
+                    "--out", str(out)]) == 1
+        assert "eps=1e+300" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["partial"] is True
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "resolved.cfg"]
 
     def test_burn_in_zero_flags_manifest_warning(self, tmp_path):
         out = tmp_path / "o"

@@ -16,7 +16,7 @@ from acldp.diagnostics import (check_factorization_params, damped_remainder_path
                                stochastic_convolution)
 from acldp.energy import reaction_values
 from acldp.errors import MEMORY_BYTES, ConfigurationError, InstabilityError
-from acldp.flow import gradient_flow
+from acldp.flow import ExpEuler, gradient_flow
 from acldp.grid import (Boundary, Field, build_domain, inverse_transform_values,
                         transform_values)
 from acldp.noise import NoiseModel
@@ -46,46 +46,43 @@ def ou_variance(eps, g0, lam, t):
     return eps * g0 ** 2 * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)
 
 
+def checkpoint_values(d, state):
+    """Grid values of checkpointed kernel states, zero-padded to n and
+    rebuilt through the kernel's own `ExpEuler.values`."""
+    return ExpEuler.values(np.pad(state, [(0, 0)] * (state.ndim - 1) + [(0, d.n - d.modes)]))
+
+
 class TestReproducibility:
     def test_same_seed_bitwise(self, sdom, sprof, const_noise):
         p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=99)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         every_step = tuple(np.arange(251) * p.dt)
         a, b = (ensemble_run(sdom, x, const_noise, p, 0.5, n_chains=1, profile=sprof,
-                             sample_times=every_step) for _ in range(2))
-        assert np.array_equal(a.final_values, b.final_values)
+                             sample_times=every_step, mode_checkpoint_times=(0.5,))
+                for _ in range(2))
+        assert np.array_equal(a.mode_states[250], b.mode_states[250])
         assert np.array_equal(a.obs["sup_norm"], b.obs["sup_norm"])
 
     def test_zero_noise_matches_gradient_flow_bitwise(self, sdom, sprof, const_noise, rng):
         x = band_limited(sdom, rng, k_max=8, amp=0.4)
         p = SdeParams(eps=0.0, dt=1e-3, modes_noise=16, seed=7)
-        ens = ensemble_run(sdom, x, const_noise, p, 0.3, n_chains=1, profile=sprof)
+        ens = ensemble_run(sdom, x, const_noise, p, 0.3, n_chains=1, profile=sprof,
+                           mode_checkpoint_times=(0.3,))
         flow = gradient_flow(sdom, x, dt=1e-3, T=0.3, stop_tol=0.0,
                              record_every=10 ** 6, profile=sprof)
-        assert np.array_equal(ens.final_values[0], flow.terminal().values)
+        assert np.array_equal(checkpoint_values(sdom, ens.mode_states[300])[0],
+                              flow.terminal().values)
 
     def test_chain_invariant_under_batching(self, sdom, sprof, const_noise):
         p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=31)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        ens = ensemble_run(sdom, x, const_noise, p, 0.3, n_chains=5, profile=sprof)
+        ens = ensemble_run(sdom, x, const_noise, p, 0.3, n_chains=5, profile=sprof,
+                           mode_checkpoint_times=(0.3,))
         # a batch that holds chain 3 alone
         solo = spde._evolve_chains(sdom, x.values, const_noise, (p,), 150, np.array([150]),
-                                   profile=sprof, kstar=0.2, pstar=8, chain_ids=np.array([3]))
-        assert np.array_equal(ens.final_values[3], solo["final_values"][0, 0])
-
-    @pytest.mark.parametrize("kind", ["constant", "smooth_bounded_below"])
-    def test_running_sup_changes_no_sample(self, sdom, sprof, kind):
-        # sample_invariant skips the running sup; its samples are those of a run that keeps it
-        nm = NoiseModel(kind=kind, g0=0.5, c=1.0)
-        levels = tuple(SdeParams(eps=eps, dt=2e-3, modes_noise=16, seed=12) for eps in (0.1, 0.02))
-        kept, skipped = (spde._evolve_chains(sdom, np.zeros(sdom.n), nm, levels, 150,
-                                             np.array([50, 100, 150]), profile=sprof, kstar=0.2,
-                                             pstar=8, chain_ids=np.arange(4), running_sup=keep)
-                         for keep in (True, False))
-        assert kept["sup_running"].shape == (2, 4) and skipped["sup_running"] is None
-        assert np.array_equal(kept["final_values"], skipped["final_values"])
-        for key in kept["obs"]:
-            assert np.array_equal(kept["obs"][key], skipped["obs"][key])
+                                   profile=sprof, kstar=0.2, pstar=8, chain_ids=np.array([3]),
+                                   mode_checkpoints=(150,))
+        assert np.array_equal(ens.mode_states[150][3], solo["mode_states"][150][0, 0])
 
 
 class TestOUClosedForms:
@@ -181,10 +178,12 @@ class TestConvolution:
         for every in (1, 5):
             times = tuple(np.arange(0, 201, every) * rec.params.dt)
             ens = ensemble_run(sdom, x, const_noise, rec.params, 0.4, n_chains=1,
-                               profile=sprof, sample_times=times)
+                               profile=sprof, sample_times=times, mode_checkpoint_times=(0.4,))
             kept = rec.path.values[::every]
             assert np.max(np.abs(kept), axis=-1).tobytes() == ens.obs["sup_norm"][0].tobytes()
-            assert kept[-1].tobytes() == ens.final_values[0].tobytes()
+            assert (np.max(np.abs(kept - sprof.shifted_values(sdom)), axis=-1).tobytes()
+                    == ens.obs["dist_sup"][0].tobytes())
+            assert kept[-1].tobytes() == checkpoint_values(sdom, ens.mode_states[200])[0].tobytes()
         # the damping is the replay's own
         assert decomposition_residual(sdom, rec, 3.0) < 0.05
 
@@ -347,19 +346,17 @@ class TestInvariantSampling:
 
 class TestProcessPool:
     def test_uneven_chunks_bitwise_equal_across_workers(self, sdom, sprof, const_noise):
-        # 40 chains: chunks of 32 + 8
+        # 40 chains: chunks of 32 + 8, observables at every step
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=17)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         state_dependent = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=1.0)
         for nm in (const_noise, state_dependent):
             ref, *others = [
                 ensemble_run(sdom, x, nm, p, 1.0, 40, profile=sprof,
-                             sample_times=(0.25, 0.5, 0.75),
+                             sample_times=tuple(np.arange(201) * p.dt),
                              mode_checkpoint_times=(0.5, 1.0), workers=w)
                 for w in (1, 2, "auto")]
             for ens in others:
-                assert np.array_equal(ens.final_values, ref.final_values)
-                assert np.array_equal(ens.sup_running, ref.sup_running)
                 assert np.array_equal(ens.t_samples, ref.t_samples)
                 assert ens.mode_states.keys() == ref.mode_states.keys() == {100, 200}
                 for step in ref.mode_states:
@@ -368,7 +365,8 @@ class TestProcessPool:
                 for key in ref.obs:
                     assert np.array_equal(ens.obs[key], ref.obs[key])
                 assert ens.g_min == ref.g_min
-            assert ref.final_values.shape == (40, sdom.n)
+            assert ref.mode_states[200].shape == (40, sdom.modes)
+            assert ref.obs["sup_norm"].shape == (40, 201)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_stacked_levels_equal_separate_calls(self, sdom, sprof, const_noise,
@@ -445,12 +443,15 @@ class TestProcessPool:
 
 class TestMomentBound:
     def test_running_sup_percentile_stable_as_horizon_doubles(self, sdom, sprof, const_noise):
+        # each chain's running sup |z| is the max of sup_norm sampled at every step
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         qs = []
         for T in (2.0, 4.0):
             p = SdeParams(eps=0.1, dt=2e-3, modes_noise=16, seed=64)
-            ens = ensemble_run(sdom, x, const_noise, p, T, 1000, profile=sprof)
-            qs.append(float(np.quantile(ens.sup_running, 0.999)))
+            every_step = tuple(np.arange(round(T / p.dt) + 1) * p.dt)
+            ens = ensemble_run(sdom, x, const_noise, p, T, 1000, profile=sprof,
+                               sample_times=every_step, workers=2)
+            qs.append(float(np.quantile(ens.obs["sup_norm"].max(axis=1), 0.999)))
         assert qs[1] <= 1.25 * qs[0]
 
 
@@ -461,12 +462,16 @@ class TestGuards:
         with pytest.raises(InstabilityError, match="eps"):
             ensemble_run(sdom, x, const_noise, p, 5.0, n_chains=1, profile=sprof)
 
-    def test_blowup_names_the_level_that_crossed(self, sdom, sprof, const_noise):
-        # the first level (eps = 0.1) stays bounded; only eps = 4e4 blows up
-        levels = [SdeParams(eps=eps, dt=5e-2, modes_noise=16, seed=1) for eps in (0.1, 4e4)]
-        with pytest.raises(InstabilityError, match=r"eps=40000\.0, dt=0\.05"):
-            sample_invariant(sdom, const_noise, levels, burn_in=5.0, n_samples=16,
-                             stride=0.5, n_chains=16, profile=sprof)
+    def test_blowup_names_the_level_that_crossed(self, sdom, sprof):
+        # the first level stays bounded; only the second blows up.  At g0 = 1e300
+        # the second level's noise weight overflows, so its state is NaN
+        for g0, eps_levels, named in ((1.0, (0.1, 4e4), r"eps=40000\.0, dt=0\.05"),
+                                      (1e300, (0.0, 1e300), r"eps=1e\+300, dt=0\.05")):
+            nm = NoiseModel(kind="constant", g0=g0)
+            levels = [SdeParams(eps=eps, dt=5e-2, modes_noise=16, seed=1) for eps in eps_levels]
+            with pytest.raises(InstabilityError, match=named):
+                sample_invariant(sdom, nm, levels, burn_in=5.0, n_samples=16,
+                                 stride=0.5, n_chains=16, profile=sprof)
 
     def test_stride_below_half_a_step_rejected(self, sdom, sprof, const_noise):
         # 0.004 is no whole number of steps of 0.01
