@@ -3,9 +3,10 @@ the damped decomposition z = Y_lam + sqrt(eps) gamma_lam replayed along a
 recorded chain, and the factorization identity behind the W^{k*,p*} bound.
 
 `record_replay` runs chain 0 as a one-chain `spde.ensemble_run` and keeps what
-a replay needs: the state at every step, rebuilt through the kernel's own
-`flow.ExpEuler.values` from its states checkpointed at every step (so bitwise
-the chain's), and the unscaled normals that drove it, redrawn
+a replay needs.  One is the state at every step: rebuilt through the kernel's
+own `flow.ExpEuler.values` from its states checkpointed at every step, in
+their dtype (so bitwise the chain's), then cast to float64 as the chain's
+observables read it.  The other is the unscaled normals that drove it, redrawn
 from the chain's own Philox streams (one draw of n_steps equals the run's
 block-wise draws).  Along a recorded path the forcing of both damped
 processes is known in advance, so each replay is one stacked transform of
@@ -57,12 +58,12 @@ def record_replay(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float, *
     n_steps = steps_of(T, p.dt, "T")
     ens = ensemble_run(d, x, nm, p, T, 1, profile=profile, linear_hook=linear_hook,
                        mode_checkpoint_times=np.arange(n_steps + 1) * p.dt)
-    states = np.zeros((n_steps + 1, d.n))
+    states = np.zeros((n_steps + 1, d.n), ens.mode_states[0].dtype)
     states[:, :d.modes] = [ens.mode_states[s][0] for s in range(n_steps + 1)]
     normals = _draw_block(_make_streams(p.seed, np.array([0]), p.resolve_noise_modes(d)),
                           n_steps)[0]
-    return Replay(p, nm, Path(ExpEuler.values(states), Boundary.ZERO_DIRICHLET,
-                              0.0, p.dt), normals)
+    return Replay(p, nm, Path(ExpEuler.values(states).astype(np.float64),
+                              Boundary.ZERO_DIRICHLET, 0.0, p.dt), normals)
 
 
 def _replay_rates(d: Domain, rec: Replay, lam: float) -> tuple[np.ndarray, np.ndarray]:

@@ -32,10 +32,13 @@ from .grid import (Boundary, Domain, Field, closure_values, laplacian_values,
 from .profile import Profile
 
 
-def reaction_values(d: Domain, z_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def reaction_values(d: Domain, z_values: np.ndarray, out: np.ndarray | None = None,
+                    psi: np.ndarray | None = None) -> np.ndarray:
     """Pointwise double-well drift of the shifted field: (z+psi) - (z+psi)^3,
-    written into `out` (the shape of z_values) when given."""
-    u = np.add(z_values, d.psi, out=out)
+    written into `out` (the shape of z_values) when given.  `psi` is the ramp
+    `d.psi` unless given (a copy in the caller's dtype, so that no float64
+    operand promotes a float32 step)."""
+    u = np.add(z_values, d.psi if psi is None else psi, out=out)
     cube = u * u
     cube *= u
     return np.subtract(u, cube, out=u)

@@ -13,15 +13,18 @@ uses the unfiltered projection.
 `ExpEuler` is the one kernel that takes these steps, here and in `spde`.  It
 keeps the state in DST coordinates, so a step is one forward DST of the
 reaction, in-place weights, and one DST back to the grid (see its
-docstring).  `flow_states` is the one loop of the flow, with the one blow-up
-check: a state with sup |z| past `BLOWUP_SUP`, or with a value that is not a
-number, stops it.  `gradient_flow` and `skeleton_solve` only record its
-per-step diagnostics and the early stop; the reversed flow of
-`action.mam_minimize` and the early-exit loop of `relaxation_time` read its
-states.  The blow-up cap (`BLOWUP_SUP`) is shared with `spde`, so a chain run
-at eps = 0 takes exactly the steps of this flow.  `steps_of` turns every
-user-facing time into a step count, and rejects one that is not a whole
-number of steps of dt.
+docstring).  The flow, the skeleton and `relaxation_time` step in float64;
+the sampler builds the same kernel in float32 (`spde.CHAIN_DTYPE`).
+`flow_states` is the one loop of the flow, with the one blow-up check: a
+state with sup |z| past `BLOWUP_SUP`, or with a value that is not a number,
+stops it.  `gradient_flow` and `skeleton_solve` only record its per-step
+diagnostics and the early stop; the reversed flow of `action.mam_minimize`
+and the early-exit loop of `relaxation_time` read its states.  The blow-up
+cap (`BLOWUP_SUP`) is shared with `spde`, so a chain run at eps = 0 takes the
+steps of this flow in float32: bitwise the kernel's loop at that dtype, and
+within float32 rounding of this flow.  `steps_of` turns every user-facing
+time into a step count, and rejects one that is not a whole number of steps
+of dt.
 """
 
 from __future__ import annotations
@@ -116,7 +119,14 @@ class ExpEuler:
     noise with its own folded weight, and `values` back to the grid; the
     transforms' scalings are folded into the weights once, here, and the
     weights are full rows of length n, zero above `modes`.  Mode
-    coefficients are formed only on request (`coefficients`).
+    coefficients are formed only on request (`coefficients`), in float64.
+
+    `dtype` is that of the state, the weights, the buffers and the kernel's
+    copy of psi (`psi`): float64 for the flow, float32 for the sampler.  The
+    weights are formed in float64 and rounded once; the normals xi may be
+    float64 and are rounded in their product with the noise weight, and the
+    intensity values must come in `dtype` (`NoiseModel.g` of z + `psi`), so
+    that no float64 operand promotes a step.
 
     The noise of a step is the Euler-Maruyama increment sqrt(dt) xi_k added
     after the exact decay: with normals xi_k of the leading `noise_modes`
@@ -130,29 +140,32 @@ class ExpEuler:
 
     def __init__(self, d: Domain, dt: float, shape: tuple[int, ...] = (), *,
                  noise: NoiseModel | None = None, noise_modes: int = 0,
-                 noise_scale: np.ndarray | float = 0.0):
+                 noise_scale: np.ndarray | float = 0.0, dtype: type = np.float64):
         decay, phi1 = step_weights(d, dt)
         self.d, self.noise_modes = d, noise_modes
         self.fold = fold = 0.5 / (d.n + 1)           # the projection, in state coordinates
         self.to_coefficients = 2.0 * d.inv_divisor
+        self.dtype = dtype = np.dtype(dtype)
+        self.psi = d.psi.astype(dtype)
         # full-length rows, zero above `modes`: the step's passes run over whole rows
-        self.decay, self.drift_weight = np.zeros((2, d.n))
+        self.decay, self.drift_weight = np.zeros((2, d.n), dtype)
         self.decay[:d.modes], self.drift_weight[:d.modes] = decay, phi1 * fold
-        self._reaction = np.empty(shape + (d.n,))
+        self._reaction = np.empty(shape + (d.n,), dtype)
         self.noise_weight = self.noise_in = self._noise = None
         if noise is not None and noise.is_constant:
-            self.noise_weight = (noise_scale * noise.g0 * np.sqrt(dt)) / (
-                self.to_coefficients[:noise_modes])
-            self._noise = np.empty(shape + (noise_modes,))
+            self.noise_weight = ((noise_scale * noise.g0 * np.sqrt(dt)) / (
+                self.to_coefficients[:noise_modes])).astype(dtype)
+            self._noise = np.empty(shape + (noise_modes,), dtype)
         elif noise is not None:
-            self.noise_in = np.sqrt(dt) / self.to_coefficients[:noise_modes]
-            self.noise_weight = noise_scale * np.pad(np.full(d.modes, fold), (0, d.n - d.modes))
-            self._noise = np.zeros(shape[1:] + (d.n,))
+            self.noise_in = (np.sqrt(dt) / self.to_coefficients[:noise_modes]).astype(dtype)
+            self.noise_weight = (noise_scale * np.pad(np.full(d.modes, fold),
+                                                      (0, d.n - d.modes))).astype(dtype)
+            self._noise = np.zeros(shape[1:] + (d.n,), dtype)
 
     def state(self, z_values: np.ndarray) -> np.ndarray:
         """The state of grid values: their projection onto the modes."""
         m = self.d.modes
-        a = np.zeros(z_values.shape[:-1] + (self.d.n,))
+        a = np.zeros(z_values.shape[:-1] + (self.d.n,), self.dtype)
         np.multiply(dst(z_values, type=1, axis=-1)[..., :m], self.fold, out=a[..., :m])
         return a
 
@@ -169,8 +182,8 @@ class ExpEuler:
         """Raw DST of the reaction F(z), in the kernel's buffer: valid until
         the next `drift` or `advance`.  The projection of F is its leading
         `modes` entries times `d.fwd_weight`."""
-        return dst(reaction_values(self.d, z, out=self._reaction), type=1, axis=-1,
-                   overwrite_x=True)
+        return dst(reaction_values(self.d, z, out=self._reaction, psi=self.psi), type=1,
+                   axis=-1, overwrite_x=True)
 
     def advance(self, a: np.ndarray, drift: np.ndarray | None = None, *,
                 forcing: np.ndarray | None = None, xi: np.ndarray | None = None,

@@ -47,12 +47,19 @@ class NoiseModel:
         return self.kind == "constant" or self.c == 0.0
 
     def g(self, theta: np.ndarray) -> np.ndarray:
-        """Intensity evaluated at state theta."""
-        theta = np.asarray(theta, dtype=float)
+        """Intensity evaluated at state theta, in theta's floating dtype (float64
+        for other input).  The floor g0 enters rounded up to that dtype, so
+        g >= g0 holds in its arithmetic: float32(0.7) lies below 0.7."""
+        theta = np.asarray(theta)
+        if theta.dtype.kind != "f":
+            theta = theta.astype(float)
+        g0 = theta.dtype.type(self.g0)
+        if float(g0) < self.g0:
+            g0 = np.nextafter(g0, theta.dtype.type(np.inf))
         if self.is_constant:
-            return np.full_like(theta, self.g0)
+            return np.full_like(theta, g0)
         th2 = theta * theta
-        return self.g0 + self.c * th2 / (1.0 + th2)
+        return g0 + self.c * th2 / (1.0 + th2)
 
     def g_prime(self, theta: np.ndarray) -> np.ndarray:
         """State derivative of the intensity (for action-gradient adjoints)."""

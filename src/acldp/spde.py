@@ -14,9 +14,17 @@ intensity is constant the projection of g0 * sum e_k xi_k is g0 * xi_k
 exactly (orthonormality), so the increment is added directly in mode space.
 The kernel's state is the raw DST vector of the coefficients (see its
 docstring), so the chain-step is one forward DST of the reaction, in-place
-weights, the noise, and one DST back to the grid; the blow-up cap
-(`flow.BLOWUP_SUP`) is the flow's too, so at eps = 0 a chain is bitwise the
-flow.
+weights, the noise, and one DST back to the grid.
+
+The chain-step runs in single precision: `_evolve_chains` builds its kernel at
+`CHAIN_DTYPE` (float32), so the state, the folded weights, the reaction and
+noise buffers and the kernel's copy of psi are float32, and under a
+state-dependent g so is the intensity.  The normals stay float64 draws and are
+rounded in their product with the noise weight.  Observables are formed in
+float64 from the float32 state, and the flow, the skeleton, `relaxation_time`
+and MAM stay float64.  The blow-up cap (`flow.BLOWUP_SUP`) is the flow's too,
+so at eps = 0 a chain is bitwise the flow's step taken in float32, and within
+float32 rounding of the float64 flow.
 
 The increment sqrt(dt) xi_k follows the exact decay, so under constant g0 mode
 k's stationary variance is eps g0^2 dt / (1 - e^{-2 lambda_k dt}), not the
@@ -66,6 +74,7 @@ from .profile import Profile, compute_profile
 
 _NOISE_BLOCK = 512          # steps of normals drawn per stream at a time
 CHAIN_CHUNK = 32            # chains per vectorized batch (fixed: worker-count independent)
+CHAIN_DTYPE = np.float32    # the chain-step's kernel state, weights and buffers
 MIN_SAMPLES = 100           # pooled samples a tail estimate needs (ldp, pipeline)
 
 
@@ -140,7 +149,8 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
     """Advance a batch of chains at every eps level of `levels` (SdeParams
     that differ only in eps); the workhorse behind the public entry points.
 
-    State and outputs are (levels, chains, ...).  A chain's normals are
+    State and outputs are (levels, chains, ...); the kernel's state is
+    CHAIN_DTYPE and the observables float64.  A chain's normals are
     drawn once per step and shared by its levels, and each level's rows see
     the arithmetic of a one-level run bit for bit.  A state with sup |z| past
     BLOWUP_SUP, or with a value that is not a number, is an InstabilityError
@@ -151,7 +161,8 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
     nw = p.resolve_noise_modes(d)
     mshift = profile.shifted_values(d)
     sq_eps = np.sqrt([q.eps for q in levels])[:, None, None]
-    kernel = ExpEuler(d, p.dt, shape, noise=nm, noise_modes=nw, noise_scale=sq_eps)
+    kernel = ExpEuler(d, p.dt, shape, noise=nm, noise_modes=nw, noise_scale=sq_eps,
+                      dtype=CHAIN_DTYPE)
     constant_g = nm.is_constant
     lazy_state = linear_hook and constant_g       # pure mode recursion
     sobolev_weights(d, kstar)                     # an overflowing kstar fails before a step
@@ -175,6 +186,7 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
     def record(step: int, z_now: np.ndarray):
         nonlocal si
         t_samples[si] = step * p.dt
+        z_now = np.asarray(z_now, dtype=np.float64)         # observables in float64
         obs["sup_norm"][..., si] = np.max(np.abs(z_now), axis=-1)
         obs["dist_sup"][..., si] = np.max(np.abs(z_now - mshift), axis=-1)
         obs["energy_star"][..., si] = energy_star_values(d, z_now, profile)
@@ -193,7 +205,7 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
 
         g_vals = None
         if not constant_g:
-            g_vals = nm.g(z + d.psi)
+            g_vals = nm.g(z + kernel.psi)
             np.minimum(g_min, np.min(g_vals, axis=(1, 2)), out=g_min)
         kernel.advance(a, None if linear_hook else kernel.drift(z), xi=xi, g_values=g_vals)
 
@@ -217,7 +229,9 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
 def check_sampler_size(n_steps: int, n_levels: int, n_chains: int, n_samples: int,
                        n_checkpoint_values: int = 0) -> None:
     """`errors.check_bytes` on the step mask (1 B a step), the observables
-    (32 B a level-chain-sample) and the n_checkpoint_values checkpoint floats."""
+    (32 B a level-chain-sample) and the n_checkpoint_values checkpoint values,
+    counted at 8 B each: the checkpoints hold float32 kernel states (4 B), so
+    that count is conservative."""
     n_obs = n_levels * n_chains * n_samples
     check_bytes(f"{n_steps} steps", n_steps + 1)
     check_bytes(f"{n_obs} level-chain-samples", 32 * n_obs)
@@ -235,7 +249,7 @@ class EnsembleResult:
     """Batched chain outputs of `ensemble_run`: the observables at the sample
     times, the kernel states at the mode checkpoints and the intensity floor."""
 
-    mode_states: dict[int, np.ndarray]       # step -> (n_chains, modes) `flow.ExpEuler` states
+    mode_states: dict[int, np.ndarray]       # step -> (n_chains, modes) float32 kernel states
     to_coefficients: np.ndarray              # (modes,) state -> mode coefficients
     t_samples: np.ndarray
     obs: dict[str, np.ndarray]               # each (n_chains, n_samples)

@@ -205,10 +205,11 @@ class TestFlowStates:
 class TestKernel:
     """The one exponential-Euler kernel against the textbook step."""
 
-    @pytest.mark.parametrize("kind", ["constant", "smooth_bounded_below"])
-    def test_matches_the_textbook_step(self, kind):
+    @staticmethod
+    def kernel_and_textbook(kind, dtype):
         # 1 000 steps of 4 chains from a bumped equilibrium, the same normals:
-        # c <- e^{-lambda dt} c + phi_1 Proj[F(z)] + sqrt(eps dt) (g0 xi or Proj[g sum e_l xi_l])
+        # c <- e^{-lambda dt} c + phi_1 Proj[F(z)] + sqrt(eps dt) (g0 xi or Proj[g sum e_l xi_l]),
+        # the kernel in `dtype` and the textbook step in float64
         d = build_domain(2.0, 63, 32)
         prof = compute_profile(d)
         nm = NoiseModel(kind=kind, g0=0.5, c=1.0)
@@ -222,10 +223,11 @@ class TestKernel:
 
         c = transform_values(d, z0)
         z = inverse_transform_values(d, c)
-        kernel = ExpEuler(d, dt, (1, 4), noise=nm, noise_modes=nw, noise_scale=np.sqrt(eps))
+        kernel = ExpEuler(d, dt, (1, 4), noise=nm, noise_modes=nw, noise_scale=np.sqrt(eps),
+                          dtype=dtype)
         a = kernel.state(z0)
         for xi in xis:
-            g = None if nm.is_constant else nm.g(kernel.values(a) + d.psi)
+            g = None if nm.is_constant else nm.g(kernel.values(a) + kernel.psi)
             kernel.advance(a, kernel.drift(kernel.values(a)), xi=xi, g_values=g)
             c = decay * c + phi1 * transform_values(d, reaction_values(d, z))
             if nm.is_constant:
@@ -234,9 +236,29 @@ class TestKernel:
                 w = inverse_transform_values(d, np.sqrt(dt) * xi)
                 c += np.sqrt(eps) * transform_values(d, nm.g(z + d.psi) * w)
             z = inverse_transform_values(d, c)
-        scale = np.max(np.abs(z))
-        assert np.max(np.abs(kernel.values(a) - z)) <= 1e-13 * scale
-        assert np.max(np.abs(kernel.coefficients(a) - c)) <= 1e-13 * np.max(np.abs(c))
+        assert a.dtype == dtype
+        return kernel.values(a), z, kernel.coefficients(a), c
+
+    @pytest.mark.parametrize("kind", ["constant", "smooth_bounded_below"])
+    def test_matches_the_textbook_step(self, kind):
+        values, z, coefficients, c = self.kernel_and_textbook(kind, np.float64)
+        assert np.max(np.abs(values - z)) <= 1e-13 * np.max(np.abs(z))
+        assert np.max(np.abs(coefficients - c)) <= 1e-13 * np.max(np.abs(c))
+
+    @pytest.mark.parametrize("kind", ["constant", "smooth_bounded_below"])
+    def test_float32_kernel_within_rounding_of_the_textbook_step(self, kind):
+        # A first-order rounding budget.  Each float32 step rounds the state
+        # at most 4 times relative to its scale (the decay weight and product,
+        # the drift sum, the noise sum), each by u = 2^-24 at most; the DSTs and
+        # the reaction enter only through the drift, weighted by phi_1 <= dt, so
+        # their roundings are O(dt u).  A carried error grows at most by
+        # e^{dt} a step (the Laplacian dissipates, F' = 1 - 3u^2 <= 1), so
+        # after N = 1 000 steps of dt = 1e-3 the error is at most
+        # 4 N u e^{N dt} = 6.5e-4 of the scale.  (It was 7e-6 when written.)
+        values, z, coefficients, c = self.kernel_and_textbook(kind, np.float32)
+        bound = 4 * 1000 * 2.0 ** -24 * np.exp(1.0)
+        assert np.max(np.abs(values - z)) <= bound * np.max(np.abs(z))
+        assert np.max(np.abs(coefficients - c)) <= bound * np.max(np.abs(c))
 
     def test_step_arithmetic_only_in_the_kernel(self):
         """The step's weights are formed in flow.step_weights and used by

@@ -17,9 +17,11 @@ from acldp.diagnostics import (check_factorization_params, damped_remainder_path
 from acldp.energy import reaction_values
 from acldp.errors import MEMORY_BYTES, ConfigurationError, InstabilityError
 from acldp.flow import ExpEuler, gradient_flow
-from acldp.grid import (Boundary, Field, build_domain, inverse_transform_values,
+from acldp.grid import (Boundary, Field, build_domain, dst, inverse_transform_values,
                         transform_values)
+from acldp.ldp import delta_scaling
 from acldp.noise import NoiseModel
+from acldp.pipeline import choose_delta
 from acldp.profile import compute_profile
 from acldp import spde
 from acldp.spde import SdeParams, ensemble_run, sample_invariant
@@ -47,9 +49,11 @@ def ou_variance(eps, g0, lam, t):
 
 
 def checkpoint_values(d, state):
-    """Grid values of checkpointed kernel states, zero-padded to n and
-    rebuilt through the kernel's own `ExpEuler.values`."""
-    return ExpEuler.values(np.pad(state, [(0, 0)] * (state.ndim - 1) + [(0, d.n - d.modes)]))
+    """Grid values of checkpointed kernel states: zero-padded to n, rebuilt
+    through the kernel's own `ExpEuler.values` in the states' dtype, and cast
+    to float64 as the sampler's observables read them."""
+    padded = np.pad(state, [(0, 0)] * (state.ndim - 1) + [(0, d.n - d.modes)])
+    return ExpEuler.values(padded).astype(np.float64)
 
 
 class TestReproducibility:
@@ -64,14 +68,27 @@ class TestReproducibility:
         assert np.array_equal(a.obs["sup_norm"], b.obs["sup_norm"])
 
     def test_zero_noise_matches_gradient_flow_bitwise(self, sdom, sprof, const_noise, rng):
+        # at eps = 0 a chain is bitwise the noiseless kernel loop in the
+        # sampler's dtype, the flow's step in float32
         x = band_limited(sdom, rng, k_max=8, amp=0.4)
         p = SdeParams(eps=0.0, dt=1e-3, modes_noise=16, seed=7)
         ens = ensemble_run(sdom, x, const_noise, p, 0.3, n_chains=1, profile=sprof,
                            mode_checkpoint_times=(0.3,))
+        kernel = ExpEuler(sdom, p.dt, dtype=spde.CHAIN_DTYPE)
+        a = kernel.state(x.values)
+        for _ in range(300):
+            kernel.advance(a, kernel.drift(kernel.values(a)))
+        assert ens.mode_states[300].dtype == np.float32
+        assert np.array_equal(ens.mode_states[300][0], a[:sdom.modes])
+        # and within float32 rounding of the float64 gradient flow: each step
+        # rounds the state at most 4 times by u = 2^-24 of its scale (see
+        # test_flow.TestKernel), and F' <= 1 lets a carried error grow at most
+        # by e^{dt} a step, so N = 300 steps stay within 4 N u e^{N dt} max|x|
         flow = gradient_flow(sdom, x, dt=1e-3, T=0.3, stop_tol=0.0,
                              record_every=10 ** 6, profile=sprof)
-        assert np.array_equal(checkpoint_values(sdom, ens.mode_states[300])[0],
-                              flow.terminal().values)
+        bound = 4 * 300 * 2.0 ** -24 * np.exp(0.3) * np.max(np.abs(x.values))
+        assert np.max(np.abs(checkpoint_values(sdom, ens.mode_states[300])[0]
+                             - flow.terminal().values)) <= bound
 
     def test_chain_invariant_under_batching(self, sdom, sprof, const_noise):
         p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=31)
@@ -160,16 +177,24 @@ class TestConvolution:
         assert one.tobytes() == split.tobytes()
 
     def test_kept_noise_drove_the_kept_path(self, sdom, sprof, const_noise):
-        # drift off, constant intensity: c_{s+1} = e^{-lambda dt} c_s + sqrt(eps dt) xi_s,
-        # over 650 steps (past one 512-step block of draws)
+        # drift off, constant intensity: in state coordinates a = c / (2 sign sqrt L),
+        # a_{s+1} = e^{-lambda dt} a_s + sqrt(eps dt) xi_s / (2 sign sqrt L) in
+        # float32, over 650 steps (past one 512-step block of draws)
         p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=41)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         rec = record_replay(sdom, x, const_noise, p, 1.3, profile=sprof, linear_hook=True)
-        c = transform_values(sdom, rec.path.values)
-        decay = np.exp(-sdom.lambda_k * p.dt)
-        xi = (c[1:] - decay * c[:-1])[:, :16] / np.sqrt(p.eps * p.dt)
         assert rec.noise_increments.shape == (650, 16)
-        assert np.max(np.abs(xi - rec.noise_increments)) < 1e-9
+        ens = ensemble_run(sdom, x, const_noise, p, 1.3, 1, profile=sprof, linear_hook=True,
+                           mode_checkpoint_times=np.arange(651) * p.dt)
+        decay = np.exp(-sdom.lambda_k * p.dt).astype(np.float32)
+        noise_weight = ((np.sqrt(p.eps) * const_noise.g0 * np.sqrt(p.dt))
+                        / (2.0 * sdom.inv_divisor[:16])).astype(np.float32)
+        a = ens.mode_states[0][0].copy()          # zero (the DST's signed zeros kept)
+        assert a.dtype == np.float32 and not np.any(a)
+        for s, xi in enumerate(rec.noise_increments):
+            a *= decay
+            a[:16] += (noise_weight * xi).astype(np.float32)
+            assert ens.mode_states[s + 1][0].tobytes() == a.tobytes()
 
     def test_replay_is_independent_of_record_every(self, sdom, sprof, const_noise):
         # the record is chain 0 of ensemble_run, whichever steps that run samples
@@ -341,7 +366,63 @@ class TestInvariantSampling:
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=9)
         em = sample_invariant(sdom, nm, p, burn_in=1.0, n_samples=128,
                               stride=0.25, n_chains=16, profile=sprof)
-        assert em.g_min >= nm.g0 - 1e-12
+        assert em.g_min >= nm.g0
+
+    def test_noise_floor_holds_where_float32_rounds_g0_down(self, sdom, sprof):
+        # float32(0.7) < 0.7: the kernel's intensity floors at g0 rounded up
+        nm = NoiseModel(kind="smooth_bounded_below", g0=0.7, c=1.0)
+        assert float(np.float32(nm.g0)) < nm.g0
+        p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=9)
+        em = sample_invariant(sdom, nm, p, burn_in=1.0, n_samples=128,
+                              stride=0.25, n_chains=16, profile=sprof)
+        assert nm.g0 <= em.g_min < nm.g0 + 0.05
+
+    def test_float32_chains_match_float64_over_a_long_horizon(self, sdom, sprof, const_noise,
+                                                              monkeypatch):
+        # 4 000 steps of 32 chains at three eps levels: the float64 reference is
+        # the same kernel at float64 with the same normals
+        p = [SdeParams(eps=eps, dt=1e-3, modes_noise=16, seed=5) for eps in (0.2, 0.1, 0.05)]
+        kw = dict(burn_in=2.0, n_samples=1280, stride=0.05, n_chains=32, profile=sprof)
+        ems32 = sample_invariant(sdom, const_noise, p, **kw)
+        monkeypatch.setattr(spde, "CHAIN_DTYPE", np.float64)
+        ems64 = sample_invariant(sdom, const_noise, p, **kw)
+        delta = choose_delta(ems64)
+        for rep32, rep64 in zip(delta_scaling(ems32, delta)[:2], delta_scaling(ems64, delta)[:2]):
+            assert np.array_equal(rep32.counts, rep64.counts)
+            assert np.all(rep64.counts > 0)
+        for em32, em64 in zip(ems32, ems64):
+            for key in ("energy_star", "dist_sup"):
+                assert np.mean(em32.samples[key]) == pytest.approx(
+                    np.mean(em64.samples[key]), rel=1e-4)
+
+    @pytest.mark.parametrize("kind", ["constant", "smooth_bounded_below"])
+    def test_sampler_kernel_stays_float32(self, sdom, sprof, kind, monkeypatch):
+        # a float64 operand in a step would promote it (NEP 50) and give the
+        # precision's gain back without changing a result by much
+        seen = []
+
+        class Watched(ExpEuler):
+            def advance(self, a, drift=None, *, g_values=None, **kwargs):
+                operands = [drift] + ([] if g_values is None else [g_values])
+                super().advance(a, drift, g_values=g_values, **kwargs)
+                seen.append({v.dtype for v in [a, self._reaction, self._noise] + operands})
+
+        monkeypatch.setattr(spde, "ExpEuler", Watched)
+        nm = NoiseModel(kind=kind, g0=0.7, c=1.0)
+        p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=9)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        ens = ensemble_run(sdom, x, nm, p, 0.05, 3, profile=sprof, mode_checkpoint_times=(0.05,))
+        assert len(seen) == 10
+        assert all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
+        assert ens.mode_states[10].dtype == np.float32
+        assert ens.obs["energy_star"].dtype == np.float64
+        # the reaction adds the kernel's float32 psi: float32 arithmetic
+        # throughout (on a grid whose psi is not exact in float32)
+        d = build_domain(2.0, 100, 50)
+        kernel = ExpEuler(d, p.dt, dtype=spde.CHAIN_DTYPE)
+        z = np.linspace(-1.0, 1.0, d.n, dtype=np.float32)
+        u = z + kernel.psi
+        assert kernel.drift(z).tobytes() == dst(u - u * u * u, type=1).tobytes()
 
 
 class TestProcessPool:
