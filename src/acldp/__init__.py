@@ -3,9 +3,9 @@ stationary profile, energy functional, gradient flow, controlled skeleton
 dynamics, multiplicative-noise sampling, action functional, quasi-potential
 estimation, and small-noise tail diagnostics.  Stochastic chains run through
 `ensemble_run` (chains from a given state) and `sample_invariant` (invariant
-measure); `record_replay` keeps one chain's path and noise for the replay
-diagnostics; `tail_report` turns measures into the one tail record,
-`TailReport`."""
+measure), both returning the chains of an eps level as one `EnsembleResult`;
+`record_replay` keeps one chain's path and noise for the replay diagnostics;
+`tail_report` turns sampled measures into the one tail record, `TailReport`."""
 
 __version__ = "0.1.0"
 
@@ -25,5 +25,4 @@ from .ldp import (TailReport, delta_scaling, tail_report, tightness_monotone,
 from .noise import NoiseModel
 from .profile import (Profile, compute_profile, energy_formula, solve_e_L,
                       solve_profile, transit_integral)
-from .spde import (EmpiricalMeasure, EnsembleResult, SdeParams, ensemble_run,
-                   sample_invariant)
+from .spde import EnsembleResult, SdeParams, ensemble_run, sample_invariant

@@ -34,7 +34,8 @@ from .io import (read_field_csv, read_path_csv, read_text, write_csv,
 from .pipeline import (domain_from_config, noise_from_config, run_concentration,
                        sde_params_from_config)
 from .profile import compute_profile
-from .spde import check_sampler_size, ensemble_run, sample_invariant, sampler_processes
+from .spde import (MIN_SAMPLES, EnsembleResult, check_sampler_size, ensemble_run,
+                   sample_invariant, sampler_processes)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -61,9 +62,14 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _samples_csv_columns(s: dict) -> dict:
-    return {k: np.ravel(s[k]) for k in
-            ("chain", "t", "sup_norm", "energy_star", "sobolev_norm", "dist_sup")}
+def _write_samples(path: FsPath, ens: EnsembleResult) -> None:
+    """The samples CSV of one eps level: one row per chain and sample time,
+    chain-major, with integer chain ids."""
+    n_chains, n_t = ens.obs["sup_norm"].shape
+    write_csv(path, dict(chain=np.repeat(np.arange(n_chains), n_t),
+                         t=np.tile(ens.t_samples, n_chains),
+                         **{k: ens.obs[k].ravel()
+                            for k in ("sup_norm", "energy_star", "sobolev_norm", "dist_sup")}))
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +134,9 @@ def _cmd_sde(args, cfg, outdir, warnings):
     ens = ensemble_run(d, x, nm, p, cfg["T"], cfg["n_chains"], profile=prof,
                        kstar=cfg["kstar"], pstar=cfg["pstar"],
                        sample_times=times, workers=cfg["workers"])
-    n_chains, n_t = ens.obs["sup_norm"].shape
-    write_csv(outdir / "sde.csv", _samples_csv_columns(dict(
-        ens.obs, chain=np.repeat(np.arange(n_chains), n_t), t=np.tile(ens.t_samples, n_chains))))
+    _write_samples(outdir / "sde.csv", ens)
     write_json(outdir / "sde.json",
-               dict(eps=eps, T=cfg["T"], n_chains=n_chains, g_min=ens.g_min,
+               dict(eps=eps, T=cfg["T"], n_chains=cfg["n_chains"], g_min=ens.g_min,
                     mean_terminal_energy_star=float(np.mean(ens.obs["energy_star"][:, -1]))))
 
 
@@ -147,17 +151,18 @@ def _cmd_invariant(args, cfg, outdir, warnings):
     nm = noise_from_config(cfg)
     prof = compute_profile(d)
     eps = cfg["eps"][0]
-    em = sample_invariant(d, nm, sde_params_from_config(cfg, eps), burn_in=cfg["burn_in"],
-                          n_samples=cfg["n_samples"], stride=cfg["stride"],
-                          n_chains=cfg["n_chains"], profile=prof,
-                          kstar=cfg["kstar"], pstar=cfg["pstar"],
-                          workers=cfg["workers"])
-    warnings.extend(em.warnings)
-    write_csv(outdir / "samples.csv", _samples_csv_columns(em.samples))
+    ens = sample_invariant(d, nm, sde_params_from_config(cfg, eps), burn_in=cfg["burn_in"],
+                           n_samples=cfg["n_samples"], stride=cfg["stride"],
+                           n_chains=cfg["n_chains"], profile=prof,
+                           kstar=cfg["kstar"], pstar=cfg["pstar"],
+                           workers=cfg["workers"])
+    warnings.extend(ens.warnings)
+    _write_samples(outdir / "samples.csv", ens)
+    pooled = ens.obs["sup_norm"].size
     write_json(outdir / "summary.json", dict(
-        eps=eps, n_samples=em.n_samples, burn_in=em.burn_in, stride=em.sample_stride,
-        g_min=em.g_min, undersampled=em.undersampled,
-        **{k: _summary_stats(em.samples[k])
+        eps=eps, n_samples=pooled, burn_in=cfg["burn_in"], stride=cfg["stride"],
+        g_min=ens.g_min, undersampled=pooled < MIN_SAMPLES,
+        **{k: _summary_stats(ens.obs[k])
            for k in ("sup_norm", "dist_sup", "energy_star", "sobolev_norm")}))
 
 
@@ -203,8 +208,8 @@ def _cmd_concentration(args, cfg, outdir, warnings):
                  for rep in reps],                # every field, the threshold as `delta`
         tightness=dict(radius=tight.threshold, eps=tight.eps, exceedance=tight.p_hat,
                        lo=tight.lo, hi=tight.hi, nonincreasing=result.nonincreasing)))
-    for em in result.measures:
-        write_csv(outdir / f"samples_eps{em.eps!r}.csv", _samples_csv_columns(em.samples))
+    for ens in result.measures:
+        _write_samples(outdir / f"samples_eps{ens.eps!r}.csv", ens)
 
 
 # The commands that use `workers`: they spread their chain chunks over the

@@ -152,21 +152,25 @@ class ExpEuler:
         self.decay[:d.modes], self.drift_weight[:d.modes] = decay, phi1 * fold
         self._reaction = np.empty(shape + (d.n,), dtype)
         self.noise_weight = self.noise_in = self._noise = None
-        if noise is not None and noise.is_constant:
-            self.noise_weight = ((noise_scale * noise.g0 * np.sqrt(dt)) / (
-                self.to_coefficients[:noise_modes])).astype(dtype)
-            self._noise = np.empty(shape + (noise_modes,), dtype)
-        elif noise is not None:
-            self.noise_in = (np.sqrt(dt) / self.to_coefficients[:noise_modes]).astype(dtype)
-            self.noise_weight = (noise_scale * np.pad(np.full(d.modes, fold),
-                                                      (0, d.n - d.modes))).astype(dtype)
-            self._noise = np.zeros(shape[1:] + (d.n,), dtype)
+        # an overflowing weight is inf: the first step's range check stops it
+        with np.errstate(over="ignore"):
+            if noise is not None and noise.is_constant:
+                self.noise_weight = ((noise_scale * noise.g0 * np.sqrt(dt)) / (
+                    self.to_coefficients[:noise_modes])).astype(dtype)
+                self._noise = np.empty(shape + (noise_modes,), dtype)
+            elif noise is not None:
+                self.noise_in = (np.sqrt(dt) / self.to_coefficients[:noise_modes]).astype(dtype)
+                self.noise_weight = (noise_scale * np.pad(np.full(d.modes, fold),
+                                                          (0, d.n - d.modes))).astype(dtype)
+                self._noise = np.zeros(shape[1:] + (d.n,), dtype)
 
     def state(self, z_values: np.ndarray) -> np.ndarray:
-        """The state of grid values: their projection onto the modes."""
+        """The state of grid values: their projection onto the modes (inf
+        where it overflows `dtype`, for the caller's range check to stop)."""
         m = self.d.modes
         a = np.zeros(z_values.shape[:-1] + (self.d.n,), self.dtype)
-        np.multiply(dst(z_values, type=1, axis=-1)[..., :m], self.fold, out=a[..., :m])
+        with np.errstate(over="ignore"):
+            np.multiply(dst(z_values, type=1, axis=-1)[..., :m], self.fold, out=a[..., :m])
         return a
 
     @staticmethod
@@ -222,22 +226,23 @@ def flow_states(d: Domain, z0: np.ndarray, dt: float, steps: int, *,
     coefficients and the projected reaction.  With a control (shape (steps,
     n)) the drift of step s adds the projection of g(z + psi) control[s].
     A state is computed only when the next one is asked for; z is a new
-    array each step, c and f_hat too."""
+    array each step, c and f_hat too.  A state with sup |z| past BLOWUP_SUP,
+    or with a value that is not a number, the start state included, is an
+    InstabilityError before anything is formed from it."""
     kernel = ExpEuler(d, dt)
     a = kernel.state(z0)
-    z = kernel.values(a)
     for s in range(steps + 1):
+        z = kernel.values(a)
+        if not max(z.max(), -z.min()) <= BLOWUP_SUP:        # NaN is out of range too
+            raise InstabilityError(
+                f"flow left the physical range (sup |z| > {BLOWUP_SUP} or NaN) "
+                f"at t={s * dt!r}; dt={dt!r} likely too large")
         r_hat = kernel.drift(z)
         yield z, kernel.coefficients(a), d.fwd_weight * r_hat[:d.modes]
         if s == steps:
             return
         forcing = None if control is None else noise.g(z + d.psi) * control[s]
         kernel.advance(a, r_hat, forcing=forcing)
-        z = kernel.values(a)
-        if not max(z.max(), -z.min()) <= BLOWUP_SUP:        # NaN is out of range too
-            raise InstabilityError(
-                f"flow left the physical range (sup |z| > {BLOWUP_SUP} or NaN) "
-                f"at t={(s + 1) * dt!r}; dt={dt!r} likely too large")
 
 
 def _integrate(d: Domain, x: Field, dt: float, steps: int, *,

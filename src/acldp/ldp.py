@@ -1,10 +1,13 @@
-"""Tail statistics over empirical invariant measures: the fraction of one
+"""Tail statistics over sampled invariant measures: the fraction of one
 recorded observable at or above a threshold across a decreasing eps grid,
 with the decay-rate fit in 1/eps.
 
-`tail_report` is the one function that counts a tail.  `delta_scaling` reads
-`dist_sup` (concentration around the profile) at delta and 2*delta, and
-`tightness_monotone` reads `sobolev_norm` (exceedance of a Sobolev ball).
+A measure is the `spde.EnsembleResult` of one eps level from
+`sample_invariant`; its `obs[column]` holds the samples, chain by chain, and
+every sample counts.  `tail_report` is the one function that counts a tail.
+`delta_scaling` reads `dist_sup` (concentration around the profile) at delta
+and 2*delta, and `tightness_monotone` reads `sobolev_norm` (exceedance of a
+Sobolev ball).
 Every probability carries a Wilson 95% interval.  A zero-count cell keeps
 Wilson's upper end z^2/(n + z^2) and is left out of the log-space fit (never
 entered as a zero point estimate).
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .spde import MIN_SAMPLES, EmpiricalMeasure
+from .spde import MIN_SAMPLES, EnsembleResult
 
 Z95 = 1.959963984540054
 
@@ -58,10 +61,10 @@ def wilson_interval(count: int, n: int) -> tuple[float, float]:
     return max(0.0, min(p, center - half)), min(1.0, max(p, center + half))
 
 
-def tail_report(ems: list[EmpiricalMeasure], column: str, threshold: float) -> TailReport:
-    """Fractions of the samples' `column` at or above `threshold`, one per
-    measure, and their decay fit.  Measures come in strictly decreasing eps
-    order, each with at least MIN_SAMPLES samples.
+def tail_report(ems: list[EnsembleResult], column: str, threshold: float) -> TailReport:
+    """Fractions of the samples `obs[column]` at or above `threshold`, one
+    per measure, and their decay fit.  Measures come in strictly decreasing
+    eps order, each with at least MIN_SAMPLES samples.
 
     For `dist_sup` = sup |ubar - (m - psi)| the shift identity u - m =
     ubar - (m - psi) makes the same fraction serve the unshifted field
@@ -72,11 +75,11 @@ def tail_report(ems: list[EmpiricalMeasure], column: str, threshold: float) -> T
         raise ConfigurationError("empirical measures must be ordered by strictly decreasing eps")
     if threshold < 0:
         raise ConfigurationError(f"threshold must be nonnegative, got {threshold}")
-    n = np.array([em.n_samples for em in ems])
+    n = np.array([em.obs[column].size for em in ems])
     if np.any(n < MIN_SAMPLES):
         raise ConfigurationError(
             f"tail estimates need >= {MIN_SAMPLES} samples, a measure has {n.min()}")
-    counts = np.array([np.count_nonzero(em.samples[column] >= threshold) for em in ems])
+    counts = np.array([np.count_nonzero(em.obs[column] >= threshold) for em in ems])
     p_hat = counts / n
     lo, hi = np.array([wilson_interval(c, m) for c, m in zip(counts.tolist(), n.tolist())]).T
     slope = r2 = None
@@ -93,7 +96,7 @@ def tail_report(ems: list[EmpiricalMeasure], column: str, threshold: float) -> T
                       slope_valid=r2 is not None and r2 >= 0.8)
 
 
-def delta_scaling(ems: list[EmpiricalMeasure],
+def delta_scaling(ems: list[EnsembleResult],
                   delta: float) -> tuple[TailReport, TailReport, float | None]:
     """`dist_sup` reports at delta and 2*delta plus the slope ratio (target
     4: the quadratic law in the threshold), None unless both fits are valid
@@ -106,15 +109,11 @@ def delta_scaling(ems: list[EmpiricalMeasure],
     return rep1, rep2, ratio
 
 
-def tightness_monotone(ems: list[EmpiricalMeasure], radius: float, kstar: float,
-                       pstar: int) -> tuple[TailReport, bool]:
+def tightness_monotone(ems: list[EnsembleResult], radius: float) -> tuple[TailReport, bool]:
     """Fractions of samples outside the W^{k*,p*} ball of the given radius
-    across decreasing eps, and whether each is at most its predecessor plus
-    two standard errors, as the concentration bound implies."""
-    for em in ems:
-        if (kstar, pstar) != (em.kstar, em.pstar):
-            raise ConfigurationError(
-                f"measure recorded W^({em.kstar},{em.pstar}) norms; asked for ({kstar},{pstar})")
+    (the norm the sampler recorded) across decreasing eps, and whether each
+    is at most its predecessor plus two standard errors, as the
+    concentration bound implies."""
     rep = tail_report(ems, "sobolev_norm", radius)
     p, n = rep.p_hat, rep.n
     se = np.sqrt(np.maximum(p * (1 - p), 1.0 / n) / n)

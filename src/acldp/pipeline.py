@@ -15,7 +15,7 @@ from .grid import Domain, build_domain
 from .ldp import TailReport, delta_scaling, tightness_monotone
 from .noise import NoiseModel
 from .profile import compute_profile
-from .spde import MIN_SAMPLES, EmpiricalMeasure, SdeParams, sample_invariant, samples_per_chain
+from .spde import MIN_SAMPLES, EnsembleResult, SdeParams, sample_invariant, samples_per_chain
 
 TAIL_FRACTION = 0.02     # auto delta: 2*delta sits at this tail of the rarest cell
 RADIUS_QUANTILE = 0.75   # auto radius: quantile of the largest-eps Sobolev norms
@@ -23,7 +23,7 @@ RADIUS_QUANTILE = 0.75   # auto radius: quantile of the largest-eps Sobolev norm
 
 @dataclass
 class ConcentrationResult:
-    measures: list[EmpiricalMeasure]       # decreasing eps
+    measures: list[EnsembleResult]         # decreasing eps
     report_delta: TailReport               # dist_sup at delta
     report_2delta: TailReport              # dist_sup at 2*delta
     slope_ratio: float | None
@@ -44,17 +44,15 @@ def domain_from_config(cfg: ExperimentConfig) -> Domain:
     return build_domain(cfg["L"], cfg["n"], cfg["modes"])
 
 
-def choose_delta(ems: list[EmpiricalMeasure]) -> float:
+def choose_delta(ems: list[EnsembleResult]) -> float:
     """Half the upper quantile of the rarest (smallest-eps) distances, so the
     2*delta cell keeps an expected count of TAIL_FRACTION * n samples."""
-    rarest = ems[-1]
-    q = float(np.quantile(rarest.samples["dist_sup"], 1.0 - TAIL_FRACTION))
-    return q / 2.0
+    return float(np.quantile(ems[-1].obs["dist_sup"], 1.0 - TAIL_FRACTION)) / 2.0
 
 
-def choose_radius(ems: list[EmpiricalMeasure]) -> float:
+def choose_radius(ems: list[EnsembleResult]) -> float:
     """Sobolev-ball radius from the largest-eps measure, above the profile floor."""
-    return float(np.quantile(ems[0].samples["sobolev_norm"], RADIUS_QUANTILE))
+    return float(np.quantile(ems[0].obs["sobolev_norm"], RADIUS_QUANTILE))
 
 
 def run_concentration(cfg: ExperimentConfig) -> ConcentrationResult:
@@ -82,7 +80,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationResult:
     report_delta, report_2delta, slope_ratio = delta_scaling(measures, delta)
 
     radius = cfg["radius"] if cfg["radius"] != AUTO else choose_radius(measures)
-    tightness, nonincreasing = tightness_monotone(measures, radius, cfg["kstar"], cfg["pstar"])
+    tightness, nonincreasing = tightness_monotone(measures, radius)
 
     return ConcentrationResult(
         measures=measures, report_delta=report_delta, report_2delta=report_2delta,

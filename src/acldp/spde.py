@@ -35,7 +35,9 @@ behind `ensemble_run` and `sample_invariant`.  It advances a chunk of chains
 at one or more eps levels, its state shaped (levels, chains, ...).  It keeps
 observables at the sample steps and kernel states at the checkpoints, nothing
 else (`EnsembleResult.coefficients` turns a state into coefficients).
-The two entry points turn the horizon, burn-in, stride and sample and
+Both entry points return the one record, `EnsembleResult`, per eps level,
+with the observables kept chain by chain, shaped (chains, samples); the tail
+statistics and the sample files read them so.  The two entry points turn the horizon, burn-in, stride and sample and
 checkpoint times into steps with `flow.steps_of`, so each must be a whole
 number of steps.  The replay diagnostics (`diagnostics.record_replay`)
 run one chain through `ensemble_run` with a checkpoint at every step to
@@ -60,7 +62,7 @@ from __future__ import annotations
 import functools
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,25 +105,6 @@ class SdeParams:
         return nw
 
 
-@dataclass
-class EmpiricalMeasure:
-    """Post burn-in observable records pooled over an ensemble of chains."""
-
-    eps: float
-    burn_in: float
-    sample_stride: float
-    kstar: float
-    pstar: int
-    g_min: float
-    undersampled: bool               # pooled count below MIN_SAMPLES
-    warnings: list[str]
-    samples: dict[str, np.ndarray]   # chain, t, sup_norm, dist_sup, energy_star, sobolev_norm
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.samples["t"])
-
-
 def _stream_key(seed: int, chain: int, mode: int) -> np.ndarray:
     return np.array([seed % 2 ** 64, ((chain % 2 ** 32) << 32) | (mode % 2 ** 32)],
                     dtype=np.uint64)
@@ -154,7 +137,7 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
     drawn once per step and shared by its levels, and each level's rows see
     the arithmetic of a one-level run bit for bit.  A state with sup |z| past
     BLOWUP_SUP, or with a value that is not a number, is an InstabilityError
-    naming the first level that has one."""
+    naming the first level that has one; the start state is checked too."""
     p = levels[0]
     n_chains = len(chain_ids)
     shape = (len(levels), n_chains)
@@ -173,7 +156,6 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
 
     gens = _make_streams(p.seed, chain_ids, nw)
     a = kernel.state(np.broadcast_to(x_values, shape + (d.n,)))
-    z = kernel.values(a)
 
     n_samp = int(sample_mask.sum())
     obs = {name: np.empty(shape + (n_samp,)) for name in
@@ -183,21 +165,29 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
     g_min = np.full(len(levels), nm.g0 if constant_g else np.inf)
     si = 0
 
-    def record(step: int, z_now: np.ndarray):
+    def visit(step: int) -> np.ndarray:
+        """The grid values of state `step`, range-checked before anything is
+        formed from them, then recorded at a sample or checkpoint step."""
         nonlocal si
-        t_samples[si] = step * p.dt
-        z_now = np.asarray(z_now, dtype=np.float64)         # observables in float64
-        obs["sup_norm"][..., si] = np.max(np.abs(z_now), axis=-1)
-        obs["dist_sup"][..., si] = np.max(np.abs(z_now - mshift), axis=-1)
-        obs["energy_star"][..., si] = energy_star_values(d, z_now, profile)
-        obs["sobolev_norm"][..., si] = sobolev_norm_values(d, z_now, kstar, pstar)
-        si += 1
+        z_now = kernel.values(a)
+        if not max(z_now.max(), -z_now.min()) <= BLOWUP_SUP:        # NaN is out of range too
+            level = int(np.argmax(~(np.max(np.abs(z_now), axis=(1, 2)) <= BLOWUP_SUP)))
+            raise InstabilityError(
+                f"stochastic integration blew up (sup > {BLOWUP_SUP} or NaN) "
+                f"at t={step * p.dt!r} with eps={levels[level].eps!r}, dt={p.dt!r}")
+        if sample_mask[step]:
+            t_samples[si] = step * p.dt
+            z64 = np.asarray(z_now, dtype=np.float64)           # observables in float64
+            obs["sup_norm"][..., si] = np.max(np.abs(z64), axis=-1)
+            obs["dist_sup"][..., si] = np.max(np.abs(z64 - mshift), axis=-1)
+            obs["energy_star"][..., si] = energy_star_values(d, z64, profile)
+            obs["sobolev_norm"][..., si] = sobolev_norm_values(d, z64, kstar, pstar)
+            si += 1
+        if step in snap_set:
+            mode_states[step] = a[..., :d.modes].copy()
+        return z_now
 
-    if sample_mask[0]:
-        record(0, z)
-    if 0 in snap_set:
-        mode_states[0] = a[..., :d.modes].copy()
-
+    z = visit(0)
     for s in range(n_steps):
         if s % _NOISE_BLOCK == 0:
             block = _draw_block(gens, min(_NOISE_BLOCK, n_steps - s))
@@ -211,16 +201,7 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
 
         step = s + 1
         if not lazy_state or sample_mask[step] or step == n_steps or step in snap_set:
-            z = kernel.values(a)
-            if not max(z.max(), -z.min()) <= BLOWUP_SUP:        # NaN is out of range too
-                level = int(np.argmax(~(np.max(np.abs(z), axis=(1, 2)) <= BLOWUP_SUP)))
-                raise InstabilityError(
-                    f"stochastic integration blew up (sup > {BLOWUP_SUP} or NaN) "
-                    f"at t={step * p.dt!r} with eps={levels[level].eps!r}, dt={p.dt!r}")
-            if sample_mask[step]:
-                record(step, z)
-            if step in snap_set:
-                mode_states[step] = a[..., :d.modes].copy()
+            z = visit(step)
 
     return dict(t_samples=t_samples, obs=obs, g_min=g_min, mode_states=mode_states,
                 to_coefficients=kernel.to_coefficients)
@@ -246,14 +227,18 @@ def samples_per_chain(n_samples: int, n_chains: int) -> int:
 
 @dataclass
 class EnsembleResult:
-    """Batched chain outputs of `ensemble_run`: the observables at the sample
-    times, the kernel states at the mode checkpoints and the intensity floor."""
+    """The chains of one eps level, from `ensemble_run` or `sample_invariant`:
+    the observables at the sample times, chain by chain, the kernel states at
+    the mode checkpoints, the intensity floor, and the run's warnings (none
+    from `ensemble_run`)."""
 
+    eps: float
     mode_states: dict[int, np.ndarray]       # step -> (n_chains, modes) float32 kernel states
     to_coefficients: np.ndarray              # (modes,) state -> mode coefficients
     t_samples: np.ndarray
     obs: dict[str, np.ndarray]               # each (n_chains, n_samples)
     g_min: float
+    warnings: list[str] = field(default_factory=list)
 
     def coefficients(self, step: int) -> np.ndarray:
         """(n_chains, modes) mode coefficients at the checkpoint `step`."""
@@ -272,15 +257,18 @@ def sampler_processes(workers: int | str, n_chains: int) -> int:
     return max(1, min(cores if workers == AUTO else workers, -(-n_chains // CHAIN_CHUNK), cores))
 
 
-def _run_chunks(n_chains: int, workers: int | str, *args, **kwargs) -> list[EnsembleResult]:
-    """Run `_evolve_chains(*args, chain_ids=..., **kwargs)` over the chain ids
-    0 .. n_chains - 1 in chunks of CHAIN_CHUNK on `sampler_processes` forked
-    processes, and merge the outputs in chain order, one EnsembleResult per
-    eps level; no result depends on the worker count.  An exception in a
-    chunk is raised here, a dead process as `BrokenProcessPool`."""
+def _run_chunks(n_chains: int, workers: int | str, d: Domain, x_values: np.ndarray,
+                nm: NoiseModel, levels: tuple[SdeParams, ...], *args,
+                **kwargs) -> list[EnsembleResult]:
+    """Run `_evolve_chains(d, x_values, nm, levels, *args, chain_ids=...,
+    **kwargs)` over the chain ids 0 .. n_chains - 1 in chunks of CHAIN_CHUNK
+    on `sampler_processes` forked processes, and merge the outputs in chain
+    order, one EnsembleResult per eps level; no result depends on the worker
+    count.  An exception in a chunk is raised here, a dead process as
+    `BrokenProcessPool`."""
     chunks = [np.arange(lo, min(lo + CHAIN_CHUNK, n_chains))
               for lo in range(0, n_chains, CHAIN_CHUNK)]
-    task = functools.partial(_evolve_chunk, args, kwargs)
+    task = functools.partial(_evolve_chunk, (d, x_values, nm, levels) + args, kwargs)
     n_proc = sampler_processes(workers, n_chains)
     if n_proc == 1:
         parts = [task(ids) for ids in chunks]
@@ -301,11 +289,12 @@ def _run_chunks(n_chains: int, workers: int | str, *args, **kwargs) -> list[Ense
     obs = {k: merged([q["obs"][k] for q in parts]) for k in parts[0]["obs"]}
     g_min = np.min([q["g_min"] for q in parts], axis=0)
     return [EnsembleResult(
+        eps=q.eps,
         mode_states={step: snap[lev] for step, snap in mode_states.items()},
         to_coefficients=parts[0]["to_coefficients"],
         t_samples=parts[0]["t_samples"],
         obs={k: v[lev] for k, v in obs.items()},
-        g_min=float(g_min[lev])) for lev in range(len(g_min))]
+        g_min=float(g_min[lev])) for lev, q in enumerate(levels)]
 
 
 def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
@@ -348,17 +337,20 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
 def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParams],
                      burn_in: float, n_samples: int, stride: float, *, n_chains: int = 32,
                      profile: Profile | None = None, kstar: float = 0.2, pstar: int = 8,
-                     workers: int | str = 1) -> EmpiricalMeasure | list[EmpiricalMeasure]:
+                     workers: int | str = 1) -> EnsembleResult | list[EnsembleResult]:
     """Sample observables of the stationary state by time-striding an
     ensemble of chains started at z = 0 past a burn-in window.
 
     `p` is one SdeParams, or a sequence of SdeParams that differ only in eps
-    (else ConfigurationError); a sequence gives one EmpiricalMeasure per
-    level, in its order.  A chain's noise streams do not depend on eps, so
-    the levels share their normals (common random numbers) and step together
-    in one chunk: each level's samples are bitwise those of a call with that
-    level alone.  Samples are pooled chain-major; pooled output is bitwise
-    independent of the worker count because chains are batched in
+    (else ConfigurationError); a sequence gives one EnsembleResult per
+    level, in its order.  Each chain keeps `samples_per_chain` samples, one
+    `stride` apart from `burn_in + stride` on, so `obs[k]` is (n_chains,
+    per_chain) and the pooled count is its size; `warnings` name a burn-in
+    below 5 relaxation times and a pooled count below MIN_SAMPLES.  A
+    chain's noise streams do not depend on eps, so the levels share their
+    normals (common random numbers) and step together in one chunk: each
+    level's samples are bitwise those of a call with that level alone, and
+    no sample depends on the worker count, because chains are batched in
     fixed-size chunks with per-chain noise streams.
     """
     levels = (p,) if isinstance(p, SdeParams) else tuple(p)
@@ -386,19 +378,12 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
     if burn_in < 5.0 * t_relax:
         warnings.append(
             f"burn_in={burn_in} is below 5x the deterministic relaxation time {t_relax:.3g}")
-    undersampled = per_chain * n_chains < MIN_SAMPLES
-    if undersampled:
+    if per_chain * n_chains < MIN_SAMPLES:
         warnings.append(f"n_samples={n_samples} < {MIN_SAMPLES}: tail estimates will be unreliable")
 
     sample_steps = steps_burn + steps_stride * np.arange(1, per_chain + 1)
 
-    ensembles = _run_chunks(n_chains, workers, d, np.zeros(d.n), nm, levels, n_steps,
-                            sample_steps, profile=profile, kstar=kstar, pstar=pstar)
-    measures = [EmpiricalMeasure(
-        eps=q.eps, burn_in=burn_in, sample_stride=stride, kstar=kstar, pstar=pstar,
-        g_min=ens.g_min, undersampled=undersampled, warnings=list(warnings),
-        samples=dict(chain=np.repeat(np.arange(n_chains), per_chain).astype(float),
-                     t=np.tile(ens.t_samples, n_chains),
-                     **{k: v.ravel() for k, v in ens.obs.items()}))
-        for q, ens in zip(levels, ensembles)]
-    return measures[0] if isinstance(p, SdeParams) else measures
+    ensembles = [replace(ens, warnings=list(warnings)) for ens in _run_chunks(
+        n_chains, workers, d, np.zeros(d.n), nm, levels, n_steps, sample_steps,
+        profile=profile, kstar=kstar, pstar=pstar)]
+    return ensembles[0] if isinstance(p, SdeParams) else ensembles

@@ -227,14 +227,14 @@ class TestFlowCommand:
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
     def test_state_that_is_not_a_number_exits_1_without_data(self, tmp_path, capsys):
-        # z = 1e200: the first step's cubic overflows, and the state turns NaN
+        # z = 1e200 is out of range at the start, before its cubic would overflow
         d = build_domain(2.0, 31, 16)
         init_csv = tmp_path / "big.csv"
         write_field_csv(init_csv, d, Field(np.full(d.n, 1e200), Boundary.ZERO_DIRICHLET))
         out = tmp_path / "o"
         assert run(["flow", "--set", "n=31", "--set", "modes=16", "--set", "T=0.1",
                     "--set", f"init={init_csv}", "--out", str(out)]) == 1
-        assert "or NaN) at t=0.001" in capsys.readouterr().err
+        assert "or NaN) at t=0.0;" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
         assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "resolved.cfg"]
 
@@ -794,6 +794,39 @@ class TestSdeAndInvariant:
         assert "eps=1e+300" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
         assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
+    def test_one_samples_format(self, tmp_path, monkeypatch, conc_out):
+        # sde from z = 0 on one process, and invariant with no burn-in on two
+        # (40 chains: chunks of 32 + 8), keep the same chains at the same times
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("ACLDP_WORKERS", raising=False)
+        outs = {cmd: tmp_path / cmd for cmd in ("sde", "invariant")}
+        cfg = write_cfg(tmp_path, tmp_path / "o", n_chains="40", n_samples="160", T="1.0",
+                        burn_in="0", init="zero")
+        for cmd, workers in (("sde", "1"), ("invariant", "2")):
+            assert run([cmd, "--config", str(cfg), "--set", f"workers={workers}",
+                        "--out", str(outs[cmd])]) == 0
+        header, *sde_rows = (outs["sde"] / "sde.csv").read_text().splitlines()
+        samples = (outs["invariant"] / "samples.csv").read_text().splitlines()
+        assert header == samples[0] == "chain,t,sup_norm,energy_star,sobolev_norm,dist_sup"
+        past_start = [row for row in sde_rows if float(row.split(",")[1]) > 0]
+        assert len(past_start) == 160
+        assert past_start == samples[1:]
+        assert {row.split(",")[0] for row in samples[1:]} == {str(c) for c in range(40)}
+        for path in conc_out.glob("samples_eps*.csv"):
+            assert path.read_text().partition("\n")[0] == header
+
+    @pytest.mark.parametrize("n_samples, pooled, undersampled", [("97", 104, False),
+                                                                 ("93", 96, True)])
+    def test_summary_undersampled_reads_the_pooled_count(self, tmp_path, n_samples, pooled,
+                                                         undersampled):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, out, n_samples=n_samples, n_chains="8")
+        assert run(["invariant", "--config", str(cfg)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_samples"] == pooled
+        assert summary["undersampled"] is undersampled
+        assert len(read_csv_columns(out / "samples.csv")["t"]) == pooled
 
     def test_burn_in_zero_flags_manifest_warning(self, tmp_path):
         out = tmp_path / "o"

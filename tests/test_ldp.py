@@ -9,20 +9,20 @@ from acldp.grid import build_domain
 from acldp.ldp import delta_scaling, tail_report, tightness_monotone, wilson_interval
 from acldp.noise import NoiseModel
 from acldp.profile import compute_profile
-from acldp.spde import EmpiricalMeasure, SdeParams, sample_invariant
+from acldp.spde import EnsembleResult, SdeParams, sample_invariant
 
 
-def synthetic_measure(eps, dist_values, sobolev_values=None, kstar=0.2, pstar=8):
+def synthetic_measure(eps, dist_values, sobolev_values=None):
+    # one chain holding every sample
     n = len(dist_values)
     if sobolev_values is None:
         sobolev_values = np.abs(dist_values)
-    return EmpiricalMeasure(
-        eps=eps, burn_in=0.0, sample_stride=1.0, kstar=kstar, pstar=pstar,
-        g_min=1.0, undersampled=n < 100,
-        warnings=[], samples=dict(
-            chain=np.zeros(n), t=np.arange(n, dtype=float),
-            sup_norm=np.abs(dist_values), dist_sup=np.asarray(dist_values),
-            energy_star=np.zeros(n), sobolev_norm=np.asarray(sobolev_values)))
+    return EnsembleResult(
+        eps=eps, mode_states={}, to_coefficients=np.ones(1), t_samples=np.arange(n, dtype=float),
+        obs={k: np.asarray(v, dtype=float).reshape(1, n) for k, v in (
+            ("sup_norm", np.abs(dist_values)), ("dist_sup", dist_values),
+            ("energy_star", np.zeros(n)), ("sobolev_norm", sobolev_values))},
+        g_min=1.0)
 
 
 def counted_measure(eps, count, n):
@@ -124,21 +124,16 @@ class TestDecayFit:
 class TestTightness:
     def test_radius_extremes(self):
         em = synthetic_measure(0.1, np.abs(np.random.default_rng(5).standard_normal(300)) + 0.1)
-        assert tightness_monotone([em], 0.0, 0.2, 8)[0].p_hat[0] == 1.0
-        big, _ = tightness_monotone([em], 1e6, 0.2, 8)
+        assert tightness_monotone([em], 0.0)[0].p_hat[0] == 1.0
+        big, _ = tightness_monotone([em], 1e6)
         assert big.p_hat[0] == 0.0 and big.hi[0] == wilson_interval(0, 300)[1]
-
-    def test_order_mismatch_rejected(self):
-        em = synthetic_measure(0.1, np.ones(200))
-        with pytest.raises(ConfigurationError):
-            tightness_monotone([em], 1.0, 0.3, 8)
 
     def test_monotone_check(self):
         rng = np.random.default_rng(11)
         ems = [synthetic_measure(e, np.ones(1000),
                                  sobolev_values=1.0 + np.sqrt(e) * np.abs(rng.standard_normal(1000)))
                for e in (0.2, 0.1, 0.05)]
-        rep, nonincreasing = tightness_monotone(ems, 1.3, 0.2, 8)
+        rep, nonincreasing = tightness_monotone(ems, 1.3)
         assert nonincreasing
         assert rep.p_hat[0] >= rep.p_hat[-1]
 
@@ -165,8 +160,8 @@ class TestShiftConsistency:
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=23)
         em = sample_invariant(d, nm, p, burn_in=2.0, n_samples=128, stride=0.25,
                               n_chains=16, profile=prof)
-        assert np.all(em.samples["dist_sup"] >= 0)
+        assert np.all(em.obs["dist_sup"] >= 0)
         rep = tail_report([em], "dist_sup", 0.2)
-        manual = float(np.mean(em.samples["dist_sup"] >= 0.2))
+        manual = float(np.mean(em.obs["dist_sup"] >= 0.2))
         assert rep.p_hat[0] == manual
         assert rep.lo[0] <= rep.p_hat[0] <= rep.hi[0]

@@ -301,8 +301,9 @@ class TestInvariantSampling:
         for nm in (const_noise, state_dependent):
             a = sample_invariant(sdom, nm, p, workers=1, **kw)
             b = sample_invariant(sdom, nm, p, workers=2, **kw)
-            for key in a.samples:
-                assert np.array_equal(a.samples[key], b.samples[key])
+            assert np.array_equal(a.t_samples, b.t_samples)
+            for key in a.obs:
+                assert np.array_equal(a.obs[key], b.obs[key])
             assert a.g_min == b.g_min
 
     def test_concentration_with_small_noise(self, sdom, sprof, const_noise):
@@ -312,7 +313,7 @@ class TestInvariantSampling:
             em = sample_invariant(sdom, const_noise, p, burn_in=8.0,
                                   n_samples=192, stride=0.5, n_chains=32,
                                   profile=sprof)
-            means.append(np.mean(em.samples["dist_sup"]))
+            means.append(np.mean(em.obs["dist_sup"]))
         assert means[0] > means[1] > means[2]
         assert means[2] < 0.25
 
@@ -323,20 +324,23 @@ class TestInvariantSampling:
             ems.append(sample_invariant(sdom, const_noise, p, burn_in=6.0,
                                         n_samples=256, stride=0.5, n_chains=32,
                                         profile=sprof))
-        thr = float(np.median(np.concatenate([em.samples["dist_sup"] for em in ems])))
+        thr = float(np.median(np.concatenate([em.obs["dist_sup"].ravel() for em in ems])))
         ps, ses = [], []
         for em in ems:
-            vals = em.samples["dist_sup"]
+            vals = em.obs["dist_sup"]
             phat = np.mean(vals >= thr)
             ps.append(phat)
-            ses.append(np.sqrt(phat * (1 - phat) / len(vals)))
+            ses.append(np.sqrt(phat * (1 - phat) / vals.size))
         assert abs(ps[0] - ps[1]) <= 2.0 * np.hypot(*ses) + 1e-12
 
     def test_time_vs_ensemble_average(self, sdom, sprof, const_noise):
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=55)
         em = sample_invariant(sdom, const_noise, p, burn_in=8.0, n_samples=512,
                               stride=0.5, n_chains=64, profile=sprof)
-        e = em.samples["energy_star"].reshape(64, -1)
+        # the chain axis is kept: 8 samples a chain, one stride apart past the burn-in
+        assert all(v.shape == (64, 8) for v in em.obs.values())
+        assert em.t_samples == pytest.approx(8.0 + 0.5 * np.arange(1, 9), rel=0, abs=1e-12)
+        e = em.obs["energy_star"]
         time_avg = float(np.mean(e))                    # pooled over chains and time
         final_ens = e[:, -1]
         se = float(np.std(final_ens, ddof=1) / np.sqrt(len(final_ens)))
@@ -346,7 +350,7 @@ class TestInvariantSampling:
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=3)
         em = sample_invariant(sdom, const_noise, p, burn_in=0.0, n_samples=64,
                               stride=0.25, n_chains=16, profile=sprof)
-        assert em.undersampled
+        assert em.obs["sup_norm"].size < spde.MIN_SAMPLES
         assert any("burn_in" in w for w in em.warnings)
         assert any("n_samples" in w for w in em.warnings)
 
@@ -357,8 +361,7 @@ class TestInvariantSampling:
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=3)
         em = sample_invariant(sdom, const_noise, p, burn_in=2.0, n_samples=n_samples,
                               stride=0.25, n_chains=8, profile=sprof)
-        assert em.n_samples == pooled
-        assert em.undersampled is undersampled
+        assert em.obs["sup_norm"].shape == (8, pooled // 8)
         assert any("n_samples" in w for w in em.warnings) is undersampled
 
     def test_noise_floor_recorded(self, sdom, sprof):
@@ -392,8 +395,8 @@ class TestInvariantSampling:
             assert np.all(rep64.counts > 0)
         for em32, em64 in zip(ems32, ems64):
             for key in ("energy_star", "dist_sup"):
-                assert np.mean(em32.samples[key]) == pytest.approx(
-                    np.mean(em64.samples[key]), rel=1e-4)
+                assert np.mean(em32.obs[key]) == pytest.approx(
+                    np.mean(em64.obs[key]), rel=1e-4)
 
     @pytest.mark.parametrize("kind", ["constant", "smooth_bounded_below"])
     def test_sampler_kernel_stays_float32(self, sdom, sprof, kind, monkeypatch):
@@ -463,9 +466,10 @@ class TestProcessPool:
             assert [em.eps for em in stacked] == [0.2, 0.1, 0.05]
             for p, em in zip(levels, stacked):
                 solo = sample_invariant(sdom, nm, p, workers=1, **kw)
-                assert em.samples.keys() == solo.samples.keys()
-                for key in solo.samples:
-                    assert np.array_equal(em.samples[key], solo.samples[key])
+                assert np.array_equal(em.t_samples, solo.t_samples)
+                assert em.obs.keys() == solo.obs.keys()
+                for key in solo.obs:
+                    assert np.array_equal(em.obs[key], solo.obs[key])
                 assert em.g_min == solo.g_min
                 assert em.warnings == solo.warnings
 
