@@ -5,7 +5,9 @@ estimation, and small-noise tail diagnostics.  Stochastic chains run through
 `ensemble_run` (chains from a given state) and `sample_invariant` (invariant
 measure), both returning the chains of an eps level as one `EnsembleResult`;
 `record_replay` keeps one chain's path and noise for the replay diagnostics;
-`tail_report` turns sampled measures into the one tail record, `TailReport`."""
+`tail_report` turns sampled measures into the one tail record, `TailReport`.
+The profile depends on the domain alone: every reader takes it from the
+memoized `compute_profile(d)`, and no function takes it as an argument."""
 
 __version__ = "0.1.0"
 

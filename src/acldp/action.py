@@ -14,9 +14,9 @@ smooth paths and admits an exact adjoint gradient with respect to interior
 nodes, which the minimizer uses.
 
 The start path has one construction, `_initial_path`: a unit-time linear
-interpolation from the equilibrium to a relaxed state followed by the
-time-reversed noiseless flow; for gradient dynamics with unit intensity its
-action approaches twice the shifted energy of the target.  An intensity
+interpolation from the equilibrium of `compute_profile(d)` to a relaxed state
+followed by the time-reversed noiseless flow; for gradient dynamics with unit
+intensity its action approaches twice the shifted energy of the target.  An intensity
 bounded below, g >= g0, divides the residual by at least g0, so the action
 is at most 1/g0^2 times its unit-intensity value and the quasi-potential
 obeys U <= 2 E* / g0^2, with equality under constant intensity g = g0.
@@ -48,7 +48,7 @@ from .errors import ConfigurationError, check_bytes
 from .flow import Path, flow_states
 from .grid import Boundary, Domain, Field, dst, laplacian_values
 from .noise import NoiseModel
-from .profile import Profile, compute_profile
+from .profile import compute_profile
 
 # L-BFGS's ftol for mam_minimize: the objective is the action divided by
 # the rung's starting action, so a rung stops once an iteration lowers the
@@ -175,7 +175,7 @@ def action_gradient(pth: Path, nm: NoiseModel, d: Domain) -> np.ndarray:
 
 
 def _initial_path(d: Domain, zeta: Field, T: float, steps: int, *,
-                  frames: np.ndarray, dt_flow: float, profile: Profile) -> np.ndarray:
+                  frames: np.ndarray, dt_flow: float) -> np.ndarray:
     """Two-segment construction resampled onto the uniform (T, steps) grid:
     interpolation on [0, 1], reversed flow on [1, T] in its native time.
 
@@ -184,7 +184,7 @@ def _initial_path(d: Domain, zeta: Field, T: float, steps: int, *,
     """
     t_star = T - 1.0
     frames = frames[: int(round(t_star / dt_flow)) + 1]   # flow time 0 .. t_star
-    mshift = profile.shifted_values(d)
+    mshift = compute_profile(d).shifted_values(d)
     n_frames = frames.shape[0]
 
     t = np.linspace(0.0, T, steps + 1)
@@ -332,8 +332,7 @@ def _descend(d: Domain, nm: NoiseModel, maxiter: int, Z0: np.ndarray,
 
 
 def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *,
-                 ladder: int = 1, maxiter: int = 800,
-                 profile: Profile | None = None) -> ActionResult:
+                 ladder: int = 1, maxiter: int = 800) -> ActionResult:
     """Minimize the discrete action over paths from the equilibrium to zeta.
 
     Endpoints stay pinned; interior nodes descend under L-BFGS (`minimize`)
@@ -380,14 +379,12 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
     check_bytes(f"action.steps={steps}: {paths} paths of {steps + 1} x {d.n} floats (a rung's "
                 f"working set and the earlier rungs' paths)", 8 * paths * (steps + 1) * d.n)
     _dense_operators(d)                           # built here, or rejected past the budget
-    profile = profile or compute_profile(d)
 
     horizons = [T * 2 ** r for r in range(ladder)]
     frames = np.asarray([z for z, _, _ in flow_states(
         d, zeta.values, MAM_DT_FLOW, int(round((horizons[-1] - 1.0) / MAM_DT_FLOW)))])
     rungs = [_descend(d, nm, maxiter, _initial_path(d, zeta, T_r, steps, frames=frames,
-                                                   dt_flow=MAM_DT_FLOW, profile=profile), T_r)
-             for T_r in horizons]
+                                                   dt_flow=MAM_DT_FLOW), T_r) for T_r in horizons]
 
     best_rung = min(rungs, key=lambda q: q["value"])
     value, Zb = best_rung["value"], best_rung["Z"]
@@ -397,7 +394,7 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
         v_sorted = sorted(q["value"] for q in rungs)
         saturated = abs(v_sorted[0] - v_sorted[1]) <= 0.02 * max(v_sorted[0], 1e-12)
 
-    estar = energy_star(d, zeta, profile)
+    estar = energy_star(d, zeta)
     sup_path = float(np.max(np.abs(Zb)))
     growth = nm.linear_growth_constant()
     c_tilde = 6.0 * growth ** 2

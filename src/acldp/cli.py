@@ -14,7 +14,6 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path as FsPath
@@ -55,9 +54,6 @@ def _load_config(args) -> ExperimentConfig:
         apply_override(cfg, "action.ladder", args.t_ladder)
     if args.out:
         cfg.values["output.dir"] = args.out
-    env_workers = os.environ.get("ACLDP_WORKERS")
-    if env_workers:
-        apply_override(cfg, "workers", env_workers)
     validate_config(cfg)
     return cfg
 
@@ -70,6 +66,15 @@ def _write_samples(path: FsPath, ens: EnsembleResult) -> None:
                          t=np.tile(ens.t_samples, n_chains),
                          **{k: ens.obs[k].ravel()
                             for k in ("sup_norm", "energy_star", "sobolev_norm", "dist_sup")}))
+
+
+def _write_finite_json(path: FsPath, payload: dict) -> None:
+    """write_json, or a NumericalError and no file when a float of the payload
+    is not finite (an input that overflowed the computation)."""
+    bad = [k for k, v in payload.items() if isinstance(v, float) and not np.isfinite(v)]
+    if bad:
+        raise NumericalError(f"{', '.join(bad)} not finite: the input overflows the computation")
+    write_json(path, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -86,29 +91,28 @@ def _cmd_profile(args, cfg, outdir, warnings):
 
 def _cmd_energy(args, cfg, outdir, warnings):
     d = domain_from_config(cfg)
-    prof = compute_profile(d)
     boundary = Boundary.RAMP_DIRICHLET if args.bc == "ramp" else Boundary.ZERO_DIRICHLET
     f = read_field_csv(args.input, d, boundary)
-    rep = energy_report(d, f, prof)
-    write_json(outdir / "energy.json",
-               dict(value=rep.value, gradient_norm=rep.gradient_norm,
-                    proximity=rep.proximity, bc=args.bc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = energy_report(d, f)
+    _write_finite_json(outdir / "energy.json",
+                       dict(value=rep.value, gradient_norm=rep.gradient_norm,
+                            proximity=rep.proximity, bc=args.bc))
 
 
-def _initial_field(cfg, d, prof):
+def _initial_field(cfg, d):
     init = cfg["init"]
     if init == "zero":
         return Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET)
     if init == "profile":
-        return Field(prof.shifted_values(d), Boundary.ZERO_DIRICHLET)
+        return Field(compute_profile(d).shifted_values(d), Boundary.ZERO_DIRICHLET)
     return read_field_csv(init, d, Boundary.ZERO_DIRICHLET)
 
 
 def _cmd_flow(args, cfg, outdir, warnings):
     d = domain_from_config(cfg)
-    prof = compute_profile(d)
-    x = _initial_field(cfg, d, prof)
-    res = gradient_flow(d, x, dt=cfg["dt"], T=cfg["T"], stop_tol=cfg["stop_tol"], profile=prof,
+    x = _initial_field(cfg, d)
+    res = gradient_flow(d, x, dt=cfg["dt"], T=cfg["T"], stop_tol=cfg["stop_tol"],
                         record_every=max(1, round(steps_of(cfg["T"], cfg["dt"], "T") / 2000)))
     write_csv(outdir / "flow.csv",
               {"t": res.t, "energy_star": res.energy_star,
@@ -126,12 +130,11 @@ def _cmd_sde(args, cfg, outdir, warnings):
     check_sampler_size(n_steps, 1, cfg["n_chains"], n_steps // every + 1)   # before arange
     d = domain_from_config(cfg)
     nm = noise_from_config(cfg)
-    prof = compute_profile(d)
     eps = cfg["eps"][0]
     p = sde_params_from_config(cfg, eps)
-    x = _initial_field(cfg, d, prof)
+    x = _initial_field(cfg, d)
     times = tuple(cfg["dt"] * np.arange(0, n_steps + 1, every))
-    ens = ensemble_run(d, x, nm, p, cfg["T"], cfg["n_chains"], profile=prof,
+    ens = ensemble_run(d, x, nm, p, cfg["T"], cfg["n_chains"],
                        kstar=cfg["kstar"], pstar=cfg["pstar"],
                        sample_times=times, workers=cfg["workers"])
     _write_samples(outdir / "sde.csv", ens)
@@ -149,12 +152,10 @@ def _summary_stats(values: np.ndarray) -> dict:
 def _cmd_invariant(args, cfg, outdir, warnings):
     d = domain_from_config(cfg)
     nm = noise_from_config(cfg)
-    prof = compute_profile(d)
     eps = cfg["eps"][0]
     ens = sample_invariant(d, nm, sde_params_from_config(cfg, eps), burn_in=cfg["burn_in"],
                            n_samples=cfg["n_samples"], stride=cfg["stride"],
-                           n_chains=cfg["n_chains"], profile=prof,
-                           kstar=cfg["kstar"], pstar=cfg["pstar"],
+                           n_chains=cfg["n_chains"], kstar=cfg["kstar"], pstar=cfg["pstar"],
                            workers=cfg["workers"])
     warnings.extend(ens.warnings)
     _write_samples(outdir / "samples.csv", ens)
@@ -174,10 +175,11 @@ def _cmd_action(args, cfg, outdir, warnings):
         raise ConfigurationError(
             f"path file {args.path} has {values.shape[1]} grid columns, domain needs {d.n}")
     pth = Path(values, Boundary.ZERO_DIRICHLET, float(t[0]), float(t[1] - t[0]))
-    res = action(pth, nm, d)
-    write_json(outdir / "action.json",
-               dict(value=res.value, steps=pth.n_steps,
-                    residual_max=float(np.max(res.residual_series))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = action(pth, nm, d)
+    _write_finite_json(outdir / "action.json",
+                       dict(value=res.value, steps=pth.n_steps,
+                            residual_max=float(np.max(res.residual_series))))
 
 
 def _cmd_mam(args, cfg, outdir, warnings):

@@ -33,7 +33,6 @@ from .errors import ConfigurationError
 from .flow import ExpEuler, Path, steps_of
 from .grid import Boundary, Domain, Field, inverse_transform_values, transform_values
 from .noise import NoiseModel
-from .profile import Profile
 from .spde import SdeParams, _draw_block, _make_streams, ensemble_run
 
 
@@ -52,11 +51,11 @@ class Replay:
 
 
 def record_replay(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float, *,
-                  profile: Profile | None = None, linear_hook: bool = False) -> Replay:
+                  linear_hook: bool = False) -> Replay:
     """Integrate chain 0 over [0, T] from x with `ensemble_run` (`linear_hook`
     switches the drift off), and keep its replay record."""
     n_steps = steps_of(T, p.dt, "T")
-    ens = ensemble_run(d, x, nm, p, T, 1, profile=profile, linear_hook=linear_hook,
+    ens = ensemble_run(d, x, nm, p, T, 1, linear_hook=linear_hook,
                        mode_checkpoint_times=np.arange(n_steps + 1) * p.dt)
     states = np.zeros((n_steps + 1, d.n), ens.mode_states[0].dtype)
     states[:, :d.modes] = [ens.mode_states[s][0] for s in range(n_steps + 1)]

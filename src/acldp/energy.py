@@ -7,7 +7,7 @@ For ramp-Dirichlet u the energy is
 
 and the shifted energy of a zero-Dirichlet field is
 E*(ubar) = E(ubar + psi) - E(m), which vanishes exactly at the equilibrium
-ubar = m - psi.
+ubar = m - psi; E(m) and m come from the domain's `compute_profile(d)`.
 
 Discretization note: the derivative term is evaluated spectrally through
 the mode coefficients of u - psi (using |u'|^2 = |ubar'|^2 + 2/L, since the
@@ -29,7 +29,7 @@ from scipy.integrate import quad
 from .errors import ConfigurationError, NumericalError
 from .grid import (Boundary, Domain, Field, closure_values, laplacian_values,
                    transform_values)
-from .profile import Profile
+from .profile import compute_profile
 
 
 def reaction_values(d: Domain, z_values: np.ndarray, out: np.ndarray | None = None,
@@ -75,22 +75,20 @@ def energy_fd(d: Domain, u: Field) -> float:
     return float(np.sum(w * integrand))
 
 
-def energy_star(d: Domain, ubar: Field, p: Profile) -> float:
+def energy_star(d: Domain, ubar: Field) -> float:
     """Shifted energy E*(ubar) = E(ubar + psi) - E(m); zero at ubar = m - psi."""
     if ubar.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("energy_star expects a zero-Dirichlet field")
-    if p.L != d.L:
-        raise ConfigurationError(f"profile computed at L={p.L}, domain has L={d.L}")
     u = Field(ubar.values + d.psi, Boundary.RAMP_DIRICHLET)
-    return energy(d, u) - p.energy_value
+    return energy(d, u) - compute_profile(d).energy_value
 
 
-def energy_star_values(d: Domain, z_values: np.ndarray, p: Profile) -> np.ndarray:
+def energy_star_values(d: Domain, z_values: np.ndarray) -> np.ndarray:
     """Raw-array shifted energy; supports stacked inputs (chains on axis 0)."""
     c = transform_values(d, z_values)
     deriv = 0.5 * np.sum(d.lambda_k * c * c, axis=-1) + 1.0 / d.L
     pot = d.h * np.sum(potential_values(z_values + d.psi), axis=-1)
-    return deriv + pot - p.energy_value
+    return deriv + pot - compute_profile(d).energy_value
 
 
 def energy_gradient(d: Domain, ubar: Field) -> Field:
@@ -124,14 +122,15 @@ def confinement_threshold(e_L: float) -> float:
     return float(val)
 
 
-def proximity_check(d: Domain, ubar: Field, p: Profile, eta: float) -> float | None:
+def proximity_check(d: Domain, ubar: Field, eta: float) -> float | None:
     """Sup-norm bound 2 sqrt(L eta) exp(2 L C_V) valid when E*(ubar) <= eta.
 
     Returns None when eta exceeds the confinement threshold (no bound is
     claimed there).  Verifies that the actual sup distance to m - psi does
     not exceed the returned bound.
     """
-    estar = energy_star(d, ubar, p)
+    p = compute_profile(d)
+    estar = energy_star(d, ubar)
     if estar > eta + 1e-12:
         raise ConfigurationError(f"proximity_check needs E*(ubar) <= eta; got E*={estar!r} > eta={eta!r}")
     if eta > confinement_threshold(p.e_L):
@@ -154,14 +153,12 @@ class EnergyReport:
     proximity: float | None      # sup-norm bound from proximity_check, if valid
 
 
-def energy_report(d: Domain, f: Field, p: Profile) -> EnergyReport:
+def energy_report(d: Domain, f: Field) -> EnergyReport:
     """Evaluate energy, gradient norm, and (when applicable) the proximity bound."""
     ubar = f if f.bc is Boundary.ZERO_DIRICHLET else Field(f.values - d.psi, Boundary.ZERO_DIRICHLET)
-    estar = energy_star(d, ubar, p)
+    estar = energy_star(d, ubar)
     grad = energy_gradient(d, ubar)
     gnorm = float(np.sqrt(d.h * np.sum(grad.values ** 2)))
-    prox = None
-    if estar <= confinement_threshold(p.e_L):
-        prox = proximity_check(d, ubar, p, max(estar, 0.0) + 1e-12)
+    prox = proximity_check(d, ubar, max(estar, 0.0) + 1e-12)   # None past the threshold
     value = estar if f.bc is Boundary.ZERO_DIRICHLET else energy(d, f)
     return EnergyReport(value=float(value), gradient_norm=gnorm, proximity=prox)

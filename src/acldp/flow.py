@@ -19,10 +19,11 @@ the sampler builds the same kernel in float32 (`spde.CHAIN_DTYPE`).
 state with sup |z| past `BLOWUP_SUP`, or with a value that is not a number,
 stops it.  `gradient_flow` and `skeleton_solve` only record its per-step
 diagnostics and the early stop; the reversed flow of `action.mam_minimize`
-and the early-exit loop of `relaxation_time` read its states.  The blow-up
-cap (`BLOWUP_SUP`) is shared with `spde`, so a chain run at eps = 0 takes the
-steps of this flow in float32: bitwise the kernel's loop at that dtype, and
-within float32 rounding of this flow.  `steps_of` turns every user-facing
+and the early-exit loop of `relaxation_time` read its states.  The
+equilibrium they measure against is the domain's memoized profile,
+`compute_profile(d)`.  The blow-up cap (`BLOWUP_SUP`) is shared with `spde`,
+so a chain run at eps = 0 takes the steps of this flow in float32: bitwise
+the kernel's loop at that dtype, and within float32 rounding of this flow.  `steps_of` turns every user-facing
 time into a step count, and rejects one that is not a whole number of steps
 of dt.
 """
@@ -39,7 +40,7 @@ from .energy import energy_star_values, reaction_values
 from .errors import ConfigurationError, InstabilityError, check_bytes
 from .grid import Boundary, Domain, Field, dst, transform_values
 from .noise import NoiseModel
-from .profile import Profile, compute_profile
+from .profile import compute_profile
 
 # sup |z| past which the flow and the stochastic integrator stop with an
 # InstabilityError, as they do at a NaN; a physical state has |u| of order 1,
@@ -247,11 +248,10 @@ def flow_states(d: Domain, z0: np.ndarray, dt: float, steps: int, *,
 
 def _integrate(d: Domain, x: Field, dt: float, steps: int, *,
                control: np.ndarray | None, noise: NoiseModel | None,
-               stop_tol: float, record_every: int,
-               profile: Profile) -> FlowResult:
+               stop_tol: float, record_every: int) -> FlowResult:
     if x.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("flow initial data must be zero-Dirichlet (work with z = u - psi)")
-    mshift = profile.shifted_values(d)
+    mshift = compute_profile(d).shifted_values(d)
     series = np.empty((3, steps + 1))              # E*, gradient norm, sup distance
     frames = np.empty((steps // record_every + 2, d.n))
     n_frames = 0
@@ -259,7 +259,7 @@ def _integrate(d: Domain, x: Field, dt: float, steps: int, *,
                                                   control=control, noise=noise)):
         resid = -d.lambda_k * c + f_hat
         gnorm = float(np.sqrt(np.sum(resid * resid)))
-        series[:, s] = energy_star_values(d, z, profile), gnorm, np.max(np.abs(z - mshift))
+        series[:, s] = energy_star_values(d, z), gnorm, np.max(np.abs(z - mshift))
         if s % record_every == 0:
             frames[n_frames] = z
             n_frames += 1
@@ -277,8 +277,7 @@ def _integrate(d: Domain, x: Field, dt: float, steps: int, *,
 
 
 def gradient_flow(d: Domain, x: Field, dt: float, T: float,
-                  stop_tol: float = 1e-8, record_every: int = 1,
-                  profile: Profile | None = None) -> FlowResult:
+                  stop_tol: float = 1e-8, record_every: int = 1) -> FlowResult:
     """Relax x under dz/dt = Laplacian(z) + F(z) until T or the gradient
     norm drops below stop_tol.
 
@@ -295,14 +294,12 @@ def gradient_flow(d: Domain, x: Field, dt: float, T: float,
     steps = steps_of(T, dt, "T")
     check_bytes(f"T={T!r} at dt={dt!r}: the flow's series and frames",
                 8 * (3 * (steps + 1) + d.n * (steps // record_every + 2)))
-    profile = profile or compute_profile(d)
     return _integrate(d, x, dt, steps, control=None, noise=None,
-                      stop_tol=stop_tol, record_every=record_every, profile=profile)
+                      stop_tol=stop_tol, record_every=record_every)
 
 
 def skeleton_solve(d: Domain, x: Field, control: np.ndarray, noise: NoiseModel,
-                   dt: float, record_every: int = 1,
-                   profile: Profile | None = None) -> FlowResult:
+                   dt: float, record_every: int = 1) -> FlowResult:
     """Integrate the controlled dynamics dz/dt = Laplacian z + F(z) + g(z+psi) f(t).
 
     The control is an array of shape (steps, n): one grid-sampled forcing
@@ -314,18 +311,17 @@ def skeleton_solve(d: Domain, x: Field, control: np.ndarray, noise: NoiseModel,
             f"control must have shape (steps, {d.n}), got {control.shape}")
     if dt <= 0:
         raise ConfigurationError(f"need dt > 0, got {dt}")
-    profile = profile or compute_profile(d)
     return _integrate(d, x, dt, control.shape[0], control=control, noise=noise,
-                      stop_tol=0.0, record_every=record_every, profile=profile)
+                      stop_tol=0.0, record_every=record_every)
 
 
 def relaxation_time(d: Domain, threshold: float = 1e-2, dt: float = 5e-3,
-                    T_max: float = 200.0, profile: Profile | None = None) -> float:
+                    T_max: float = 200.0) -> float:
     """Time for the flow started at z = 0 to come within `threshold` of the
     equilibrium in H^1, where it stops; used to calibrate burn-in schedules."""
     if dt <= 0 or T_max <= 0:
         raise ConfigurationError(f"need dt > 0 and T_max > 0, got dt={dt}, T_max={T_max}")
-    c_eq = transform_values(d, (profile or compute_profile(d)).shifted_values(d))
+    c_eq = transform_values(d, compute_profile(d).shifted_values(d))
     steps = steps_of(T_max, dt, "T_max")
     for s, (_, c, _) in enumerate(flow_states(d, np.zeros(d.n), dt, steps)):
         r = c - c_eq

@@ -100,7 +100,8 @@ class Field:
 def build_domain(L: float, n: int, modes: int) -> Domain:
     """Construct the discretized interval with its spectral data.
 
-    Raises ConfigurationError for non-positive L, n < 8, or modes > n.
+    Raises ConfigurationError for non-positive L, n < 8, modes > n, or an L
+    so small that the eigenvalues overflow.
     """
     if not L > 0:
         raise ConfigurationError(f"half-length L must be positive, got {L}")
@@ -112,7 +113,10 @@ def build_domain(L: float, n: int, modes: int) -> Domain:
     j = np.arange(1, n + 1)
     xi = -L + j * h
     k = np.arange(1, modes + 1)
-    lam = (k * np.pi / (2.0 * L)) ** 2
+    with np.errstate(over="ignore"):
+        lam = (k * np.pi / (2.0 * L)) ** 2
+    if not np.isfinite(lam[-1]):
+        raise ConfigurationError(f"L={L!r} overflows the eigenvalues (k pi/2L)^2 at modes={modes}")
     sign = np.where(np.isin(k % 4, (0, 1)), 1.0, -1.0)   # e_k against the shifted sine basis
     return Domain(
         L=float(L), n=int(n), modes=int(modes), h=h,

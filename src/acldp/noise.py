@@ -12,6 +12,7 @@ of |d/dtheta theta^2/(1+theta^2)| at theta = 1/sqrt(3)).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,14 @@ from .errors import ConfigurationError
 KINDS = ("constant", "smooth_bounded_below")
 
 _SMOOTH_SLOPE = 9.0 / (8.0 * np.sqrt(3.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _floor_in(g0: float, dtype: np.dtype) -> np.floating:
+    """g0 rounded up to dtype (inf past its range), formed once per pair."""
+    with np.errstate(over="ignore"):
+        floor = dtype.type(g0)
+    return floor if float(floor) >= g0 else np.nextafter(floor, dtype.type(np.inf))
 
 
 @dataclass(frozen=True)
@@ -53,9 +62,7 @@ class NoiseModel:
         theta = np.asarray(theta)
         if theta.dtype.kind != "f":
             theta = theta.astype(float)
-        g0 = theta.dtype.type(self.g0)
-        if float(g0) < self.g0:
-            g0 = np.nextafter(g0, theta.dtype.type(np.inf))
+        g0 = _floor_in(self.g0, theta.dtype)
         if self.is_constant:
             return np.full_like(theta, g0)
         th2 = theta * theta

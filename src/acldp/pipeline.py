@@ -14,7 +14,6 @@ from .errors import ConfigurationError
 from .grid import Domain, build_domain
 from .ldp import TailReport, delta_scaling, tightness_monotone
 from .noise import NoiseModel
-from .profile import compute_profile
 from .spde import MIN_SAMPLES, EnsembleResult, SdeParams, sample_invariant, samples_per_chain
 
 TAIL_FRACTION = 0.02     # auto delta: 2*delta sits at this tail of the rarest cell
@@ -68,12 +67,10 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationResult:
                                  f"pools {pooled} samples, below the {MIN_SAMPLES} tails need")
     d = domain_from_config(cfg)
     nm = noise_from_config(cfg)
-    prof = compute_profile(d)
     measures = sample_invariant(d, nm, [sde_params_from_config(cfg, eps) for eps in eps_list],
                                 burn_in=cfg["burn_in"], n_samples=cfg["n_samples"],
-                                stride=cfg["stride"], n_chains=cfg["n_chains"], profile=prof,
-                                kstar=cfg["kstar"], pstar=cfg["pstar"],
-                                workers=cfg["workers"])
+                                stride=cfg["stride"], n_chains=cfg["n_chains"],
+                                kstar=cfg["kstar"], pstar=cfg["pstar"], workers=cfg["workers"])
     warnings = [f"eps={em.eps}: {w}" for em in measures for w in em.warnings]
 
     delta = cfg["delta"] if cfg["delta"] != AUTO else choose_delta(measures)

@@ -43,7 +43,6 @@ _profile_cache: dict[tuple[float, int, int, float], "Profile"] = {}
 class Profile:
     """Stationary profile m with its first-integral constant and energy."""
 
-    L: float
     e_L: float
     m: Field                # ramp-Dirichlet samples of the minimizer
     m_prime: np.ndarray     # m'(xi_j) from the first integral (exact pointwise)
@@ -144,7 +143,7 @@ def solve_profile(d: Domain, e_L: float, rtol: float = 1e-12) -> Profile:
     m_vals = np.sin(theta_grid)
     m_prime = np.sqrt(0.5 * (m_vals ** 2 - 1.0) ** 2 + e_L)
 
-    prof = Profile(L=d.L, e_L=float(e_L),
+    prof = Profile(e_L=float(e_L),
                    m=Field(m_vals, Boundary.RAMP_DIRICHLET),
                    m_prime=m_prime,
                    energy_value=energy_formula(d.L, e_L))

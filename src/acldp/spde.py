@@ -21,10 +21,11 @@ The chain-step runs in single precision: `_evolve_chains` builds its kernel at
 noise buffers and the kernel's copy of psi are float32, and under a
 state-dependent g so is the intensity.  The normals stay float64 draws and are
 rounded in their product with the noise weight.  Observables are formed in
-float64 from the float32 state, and the flow, the skeleton, `relaxation_time`
-and MAM stay float64.  The blow-up cap (`flow.BLOWUP_SUP`) is the flow's too,
-so at eps = 0 a chain is bitwise the flow's step taken in float32, and within
-float32 rounding of the float64 flow.
+float64 from the float32 state, against the profile `compute_profile(d)` that
+`_run_chunks` solves before it forks, so that the chunks inherit it cached; the
+flow, the skeleton, `relaxation_time` and MAM stay float64.  The blow-up cap
+(`flow.BLOWUP_SUP`) is the flow's too, so at eps = 0 a chain is bitwise the
+flow's step taken in float32, and within float32 rounding of the float64 flow.
 
 The increment sqrt(dt) xi_k follows the exact decay, so under constant g0 mode
 k's stationary variance is eps g0^2 dt / (1 - e^{-2 lambda_k dt}), not the
@@ -72,7 +73,7 @@ from .errors import ConfigurationError, InstabilityError, check_bytes
 from .flow import BLOWUP_SUP, ExpEuler, relaxation_time, steps_of
 from .grid import Boundary, Domain, Field, sobolev_norm_values, sobolev_weights
 from .noise import NoiseModel
-from .profile import Profile, compute_profile
+from .profile import compute_profile
 
 _NOISE_BLOCK = 512          # steps of normals drawn per stream at a time
 CHAIN_CHUNK = 32            # chains per vectorized batch (fixed: worker-count independent)
@@ -126,8 +127,7 @@ def _draw_block(gens, n_steps: int) -> np.ndarray:
 
 def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
                    levels: tuple[SdeParams, ...], n_steps: int, sample_steps: np.ndarray, *,
-                   profile: Profile, kstar: float, pstar: int,
-                   chain_ids: np.ndarray, linear_hook: bool = False,
+                   kstar: float, pstar: int, chain_ids: np.ndarray, linear_hook: bool = False,
                    mode_checkpoints: tuple[int, ...] = ()) -> dict:
     """Advance a batch of chains at every eps level of `levels` (SdeParams
     that differ only in eps); the workhorse behind the public entry points.
@@ -142,7 +142,7 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
     n_chains = len(chain_ids)
     shape = (len(levels), n_chains)
     nw = p.resolve_noise_modes(d)
-    mshift = profile.shifted_values(d)
+    mshift = compute_profile(d).shifted_values(d)
     sq_eps = np.sqrt([q.eps for q in levels])[:, None, None]
     kernel = ExpEuler(d, p.dt, shape, noise=nm, noise_modes=nw, noise_scale=sq_eps,
                       dtype=CHAIN_DTYPE)
@@ -180,7 +180,7 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
             z64 = np.asarray(z_now, dtype=np.float64)           # observables in float64
             obs["sup_norm"][..., si] = np.max(np.abs(z64), axis=-1)
             obs["dist_sup"][..., si] = np.max(np.abs(z64 - mshift), axis=-1)
-            obs["energy_star"][..., si] = energy_star_values(d, z64, profile)
+            obs["energy_star"][..., si] = energy_star_values(d, z64)
             obs["sobolev_norm"][..., si] = sobolev_norm_values(d, z64, kstar, pstar)
             si += 1
         if step in snap_set:
@@ -268,6 +268,7 @@ def _run_chunks(n_chains: int, workers: int | str, d: Domain, x_values: np.ndarr
     `BrokenProcessPool`."""
     chunks = [np.arange(lo, min(lo + CHAIN_CHUNK, n_chains))
               for lo in range(0, n_chains, CHAIN_CHUNK)]
+    compute_profile(d)                  # solved here, so forked chunks inherit it cached
     task = functools.partial(_evolve_chunk, (d, x_values, nm, levels) + args, kwargs)
     n_proc = sampler_processes(workers, n_chains)
     if n_proc == 1:
@@ -298,8 +299,7 @@ def _run_chunks(n_chains: int, workers: int | str, d: Domain, x_values: np.ndarr
 
 
 def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
-                 n_chains: int, *, profile: Profile | None = None,
-                 kstar: float = 0.2, pstar: int = 8, linear_hook: bool = False,
+                 n_chains: int, *, kstar: float = 0.2, pstar: int = 8, linear_hook: bool = False,
                  sample_times: tuple[float, ...] = (),
                  mode_checkpoint_times: tuple[float, ...] = (),
                  workers: int | str = 1) -> EnsembleResult:
@@ -323,11 +323,9 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
             steps.append(steps_of(t, p.dt, f"{what} time"))
             if not 0 <= steps[-1] <= n_steps:
                 raise ConfigurationError(f"{what} time {t} lies outside [0, T={T}]")
-    profile = profile or compute_profile(d)
     return _run_chunks(n_chains, workers, d, x.values, nm, (p,), n_steps,
-                       np.asarray(sorted(set(sample_steps) | {n_steps})), profile=profile,
-                       kstar=kstar, pstar=pstar, linear_hook=linear_hook,
-                       mode_checkpoints=tuple(snaps))[0]
+                       np.asarray(sorted(set(sample_steps) | {n_steps})), kstar=kstar,
+                       pstar=pstar, linear_hook=linear_hook, mode_checkpoints=tuple(snaps))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +334,7 @@ def ensemble_run(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float,
 
 def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParams],
                      burn_in: float, n_samples: int, stride: float, *, n_chains: int = 32,
-                     profile: Profile | None = None, kstar: float = 0.2, pstar: int = 8,
+                     kstar: float = 0.2, pstar: int = 8,
                      workers: int | str = 1) -> EnsembleResult | list[EnsembleResult]:
     """Sample observables of the stationary state by time-striding an
     ensemble of chains started at z = 0 past a burn-in window.
@@ -372,9 +370,8 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
     steps_stride = steps_of(stride, dt, "stride")
     n_steps = steps_burn + per_chain * steps_stride
     check_sampler_size(n_steps, len(levels), n_chains, per_chain)
-    profile = profile or compute_profile(d)
     warnings: list[str] = []
-    t_relax = relaxation_time(d, profile=profile)
+    t_relax = relaxation_time(d)
     if burn_in < 5.0 * t_relax:
         warnings.append(
             f"burn_in={burn_in} is below 5x the deterministic relaxation time {t_relax:.3g}")
@@ -385,5 +382,5 @@ def sample_invariant(d: Domain, nm: NoiseModel, p: SdeParams | Sequence[SdeParam
 
     ensembles = [replace(ens, warnings=list(warnings)) for ens in _run_chunks(
         n_chains, workers, d, np.zeros(d.n), nm, levels, n_steps, sample_steps,
-        profile=profile, kstar=kstar, pstar=pstar)]
+        kstar=kstar, pstar=pstar)]
     return ensembles[0] if isinstance(p, SdeParams) else ensembles

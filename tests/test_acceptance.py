@@ -86,7 +86,7 @@ def test_criterion_03_gradient_flow():
     conditions = {}
     for name, x in starts.items():
         res = gradient_flow(d, x, dt=1e-3, T=60.0, stop_tol=1e-11,
-                            record_every=10 ** 6, profile=prof)
+                            record_every=10 ** 6)
         conditions[f"H1 terminal < 1e-3 from {name}"] = (
             h1_distance(d, res.terminal(), eq) < 1e-3)
         conditions[f"energy monotone from {name}"] = bool(
@@ -112,8 +112,8 @@ def test_criterion_04_gradient_checks():
         ubar = band_limited(d, rng, k_max=16, amp=0.4)
         h = band_limited(d, rng, k_max=16, amp=1.0)
         tau = 1e-4
-        up = energy_star(d, Field(ubar.values + tau * h.values, ubar.bc), prof)
-        dn = energy_star(d, Field(ubar.values - tau * h.values, ubar.bc), prof)
+        up = energy_star(d, Field(ubar.values + tau * h.values, ubar.bc))
+        dn = energy_star(d, Field(ubar.values - tau * h.values, ubar.bc))
         an = l2_inner(d, energy_gradient(d, ubar), h)
         worst_energy = max(worst_energy, abs((up - dn) / (2 * tau) - an) / max(abs(an), 1e-12))
 
@@ -172,9 +172,9 @@ def test_criterion_05_quasipotential_sandwich_unit_intensity():
     nm = NoiseModel(kind="constant", g0=1.0)
     conditions = {}
     for i, zeta in enumerate(_test_states(d, prof)):
-        estar = energy_star(d, zeta, prof)
+        estar = energy_star(d, zeta)
         res = mam_minimize(d, zeta, nm, T=6.0, steps=96, ladder=3,
-                           maxiter=600, profile=prof)
+                           maxiter=600)
         rel = abs(res.value - 2.0 * estar) / (2.0 * estar)
         conditions[f"state {i}: within 5% of 2E*"] = rel <= 0.05
         conditions[f"state {i}: g0^2-scaled upper bound"] = (
@@ -190,9 +190,9 @@ def test_criterion_05_low_floor_scaling_as_stated():
     d, prof = _mam_domain()
     nm = NoiseModel(kind="constant", g0=0.5)
     zeta = _test_states(d, prof)[0]
-    estar = energy_star(d, zeta, prof)
+    estar = energy_star(d, zeta)
     res = mam_minimize(d, zeta, nm, T=6.0, steps=96, ladder=2,
-                       maxiter=600, profile=prof)
+                       maxiter=600)
     scaled = nm.g0 ** 2 * res.value
     check(5, "floor-scaled bound g0^2 U = 2 E* (within 5%) at constant g0 = 0.5",
           {"g0^2 * value <= 2 E* (1.05)": scaled <= 2.0 * estar * 1.05,
@@ -210,7 +210,7 @@ def test_criterion_06_ou_closed_forms():
     p = SdeParams(eps=eps, dt=dt, modes_noise=8, seed=SEED)
     x = Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET)
     n_chains = 10_000
-    ens = ensemble_run(d, x, nm, p, 2.5, n_chains, profile=prof, linear_hook=True,
+    ens = ensemble_run(d, x, nm, p, 2.5, n_chains, linear_hook=True,
                        mode_checkpoint_times=(0.5, 2.5), workers="auto")
     band = 3.0 * np.sqrt(2.0 / (n_chains - 1))   # 3 MC standard errors
     conditions = {}
@@ -287,7 +287,7 @@ def test_criterion_09_tightness(concentration_result):
 
 # -- criterion 10: determinism ----------------------------------------------------
 
-def test_criterion_10_determinism(tmp_path, monkeypatch):
+def test_criterion_10_determinism(tmp_path):
     from acldp.cli import run as cli_run
     cfg_text = "\n".join([
         "L = 2.0", "n = 63", "modes = 32", "modes_noise = 16",
@@ -298,9 +298,9 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
     cfg_file.write_text(cfg_text)
     outs = []
     for name, workers in (("a", "1"), ("b", "1"), ("c", "2")):
-        monkeypatch.setenv("ACLDP_WORKERS", workers)
         out = tmp_path / name
-        assert cli_run(["invariant", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert cli_run(["invariant", "--config", str(cfg_file), "--set", f"workers={workers}",
+                        "--out", str(out)]) == 0
         outs.append((out / "samples.csv").read_bytes())
     check(10, "same seed gives byte-identical data; workers change nothing",
           {"rerun byte-identical": outs[0] == outs[1],

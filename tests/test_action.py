@@ -30,19 +30,19 @@ def multi_mode_state(d, prof, amps):
     return Field(vals, Boundary.ZERO_DIRICHLET)
 
 
-def reversed_flow(d, prof, zeta, t_star, dt):
+def reversed_flow(d, zeta, t_star, dt):
     """The noiseless flow from zeta over [0, t_star] and its time reversal."""
-    fr = gradient_flow(d, zeta, dt=dt, T=t_star, stop_tol=0.0, record_every=1, profile=prof)
+    fr = gradient_flow(d, zeta, dt=dt, T=t_star, stop_tol=0.0, record_every=1)
     return fr, Path(fr.path.values[::-1], Boundary.ZERO_DIRICHLET, 0.0, fr.path.dt)
 
 
-def start_path_action(d, prof, zeta, nm, T):
+def start_path_action(d, zeta, nm, T):
     """Action of mam_minimize's start path on [0, T] at 8 nodes per unit time,
     built from the flow's frames at MAM_DT_FLOW as a rung builds it."""
     steps = int(round(8 * T))
     frames = np.asarray([z for z, _, _ in flow_states(
         d, zeta.values, MAM_DT_FLOW, int(round((T - 1.0) / MAM_DT_FLOW)))])
-    Z0 = _initial_path(d, zeta, T, steps, frames=frames, dt_flow=MAM_DT_FLOW, profile=prof)
+    Z0 = _initial_path(d, zeta, T, steps, frames=frames, dt_flow=MAM_DT_FLOW)
     return _action_core(d, Z0, T / steps, nm, need_grad=False)[0]
 
 
@@ -64,19 +64,19 @@ class TestActionValue:
         assert res.value < 1e-10
         assert np.max(res.residual_series) < 1e-4
 
-    def test_forward_flow_path_vanishes_with_dt(self, dom2_full, prof2_full, unit_noise, rng):
+    def test_forward_flow_path_vanishes_with_dt(self, dom2_full, unit_noise, rng):
         x = band_limited(dom2_full, rng, k_max=6, amp=0.4)
         vals = []
         for dt in (1e-2, 5e-3):
             fr = gradient_flow(dom2_full, x, dt=dt, T=0.5, stop_tol=0.0,
-                               record_every=1, profile=prof2_full)
+                               record_every=1)
             vals.append(action(fr.path, unit_noise, dom2_full).value)
         # zero control realizes the flow; the action is quadratic in the
         # O(dt) path residual, so it decays at least first order (in fact ~dt^2)
         assert vals[0] < 1e-3
         assert vals[0] / vals[1] == pytest.approx(4.0, rel=0.6)
 
-    def test_skeleton_action_matches_control_cost(self, dom2_full, prof2_full, unit_noise, rng):
+    def test_skeleton_action_matches_control_cost(self, dom2_full, unit_noise, rng):
         x = band_limited(dom2_full, rng, k_max=4, amp=0.2)
         T = 0.5
         shape = basis_eval(dom2_full, 2).values
@@ -86,7 +86,7 @@ class TestActionValue:
             tgrid = (np.arange(steps) + 0.5) * dt
             f = 0.4 * np.cos(2.0 * tgrid)[:, None] * shape[None, :]
             out = skeleton_solve(dom2_full, x, f, unit_noise, dt=dt,
-                                 record_every=1, profile=prof2_full)
+                                 record_every=1)
             got = action(out.path, unit_noise, dom2_full).value
             expect = 0.5 * np.sum(f ** 2) * dom2_full.h * dt
             errs.append(abs(got - expect) / expect)
@@ -106,14 +106,14 @@ class TestActionValue:
 
 
 class TestZeroControlCharacterization:
-    def test_flow_paths_have_small_action_and_reintegrate(self, dom2_full, prof2_full,
+    def test_flow_paths_have_small_action_and_reintegrate(self, dom2_full,
                                                           unit_noise, rng):
         x = band_limited(dom2_full, rng, k_max=5, amp=0.3)
         fr = gradient_flow(dom2_full, x, dt=5e-3, T=0.5, stop_tol=0.0,
-                           record_every=1, profile=prof2_full)
+                           record_every=1)
         assert action(fr.path, unit_noise, dom2_full).value < 1e-3
         re = gradient_flow(dom2_full, Field(fr.path.values[0], fr.path.bc), dt=5e-3, T=0.5,
-                           stop_tol=0.0, record_every=1, profile=prof2_full)
+                           stop_tol=0.0, record_every=1)
         assert np.max(np.abs(re.path.values - fr.path.values)) < 1e-10
 
         bumped = fr.path.values.copy()
@@ -130,12 +130,11 @@ class TestInterpolation:
         zeta = band_limited(dom2_full, rng, k_max=4, amp=0.3)
         frames = np.array([band_limited(dom2_full, rng, k_max=4, amp=0.3).values
                            for _ in range(5)])
-        Z = _initial_path(dom2_full, zeta, 3.0, 24, frames=frames, dt_flow=0.5,
-                          profile=prof2_full)
+        Z = _initial_path(dom2_full, zeta, 3.0, 24, frames=frames, dt_flow=0.5)
         assert np.array_equal(Z[0], eq.values)
         assert np.array_equal(Z[-1], zeta.values)
         const = _initial_path(dom2_full, eq, 3.0, 24, frames=np.tile(eq.values, (5, 1)),
-                              dt_flow=0.5, profile=prof2_full)
+                              dt_flow=0.5)
         assert np.max(np.abs(const - eq.values)) < 1e-15
 
     @pytest.mark.parametrize("T, steps, n_frames", [(3.0, 24, 41), (6.0, 48, 101),
@@ -161,7 +160,7 @@ class TestInterpolation:
                 i1 = min(i0 + 1, len(kept) - 1)
                 ref[i] = (1.0 - (pos - i0)) * kept[i0] + (pos - i0) * kept[i1]
         ref[0], ref[-1] = mshift, zeta.values
-        Z = _initial_path(d, zeta, T, steps, frames=frames, dt_flow=0.125, profile=prof2_full)
+        Z = _initial_path(d, zeta, T, steps, frames=frames, dt_flow=0.125)
         assert Z.tobytes() == ref.tobytes()
 
     def test_near_equilibrium_cost_bound(self, dom2_full, prof2_full, unit_noise):
@@ -169,7 +168,7 @@ class TestInterpolation:
         # relaxed endpoint: cost stays below the coarse (C L + 1)^2 eps bound
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.05)])
         fr = gradient_flow(dom2_full, zeta, dt=5e-3, T=14.0, stop_tol=0.0,
-                           record_every=1, profile=prof2_full)
+                           record_every=1)
         b = fr.terminal()
         eps_close = np.max(np.abs(b.values - prof2_full.shifted_values(dom2_full)))
         assert eps_close <= 1e-2
@@ -183,30 +182,30 @@ class TestInterpolation:
 
 class TestReversedFlow:
     def test_equilibrium_reversal_is_constant(self, dom2_full, prof2_full, unit_noise):
-        _, pth = reversed_flow(dom2_full, prof2_full, equilibrium(dom2_full, prof2_full),
+        _, pth = reversed_flow(dom2_full, equilibrium(dom2_full, prof2_full),
                                0.5, 5e-3)
         assert action(pth, unit_noise, dom2_full).value < 1e-8
 
     def test_action_equals_twice_energy_drop(self, dom2_full, prof2_full, unit_noise):
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.2), (3, -0.1)])
-        fr, pth = reversed_flow(dom2_full, prof2_full, zeta, 4.0, 2e-3)
+        fr, pth = reversed_flow(dom2_full, zeta, 4.0, 2e-3)
         drop = 2.0 * (fr.energy_star[0] - fr.energy_star[-1])
         assert action(pth, unit_noise, dom2_full).value == pytest.approx(drop, rel=0.02)
 
     def test_floor_scaled_bound_large_floor(self, dom2_full, prof2_full, g_two):
         # with g == g0 >= 1 the floor-scaled action sits below twice the energy
         zeta = multi_mode_state(dom2_full, prof2_full, [(2, 0.15)])
-        _, pth = reversed_flow(dom2_full, prof2_full, zeta, 4.0, 2e-3)
+        _, pth = reversed_flow(dom2_full, zeta, 4.0, 2e-3)
         val = action(pth, g_two, dom2_full).value
-        estar = energy_star(dom2_full, zeta, prof2_full)
+        estar = energy_star(dom2_full, zeta)
         assert g_two.g0 * val <= 2.0 * estar + 1e-6
 
     def test_floor_squared_bound_any_floor(self, dom2_full, prof2_full, g_half):
         # the sharp scaling: g0^2 * action <= 2 E* for every constant floor
         zeta = multi_mode_state(dom2_full, prof2_full, [(2, 0.15)])
-        _, pth = reversed_flow(dom2_full, prof2_full, zeta, 4.0, 2e-3)
+        _, pth = reversed_flow(dom2_full, zeta, 4.0, 2e-3)
         val = action(pth, g_half, dom2_full).value
-        estar = energy_star(dom2_full, zeta, prof2_full)
+        estar = energy_star(dom2_full, zeta)
         assert g_half.g0 ** 2 * val <= 2.0 * estar * 1.02 + 1e-9
 
 
@@ -216,9 +215,9 @@ class TestSandwichFloorScaling:
     def test_constant_floor_attains_squared_bound(self, dom2_full, prof2_full, g0):
         nm = NoiseModel(kind="constant", g0=g0)
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.25)])
-        estar = energy_star(dom2_full, zeta, prof2_full)
+        estar = energy_star(dom2_full, zeta)
         res = mam_minimize(dom2_full, zeta, nm, T=12.0, steps=48, ladder=1,
-                           maxiter=300, profile=prof2_full)
+                           maxiter=300)
         sw = res.info["sandwich"]
         assert sw["upper_lhs"] == g0 ** 2 * res.value
         assert sw["upper_ok"]
@@ -227,9 +226,9 @@ class TestSandwichFloorScaling:
     def test_state_dependent_intensity_stays_below_bound(self, dom2_full, prof2_full):
         nm = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=0.8)
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.25)])
-        estar = energy_star(dom2_full, zeta, prof2_full)
+        estar = energy_star(dom2_full, zeta)
         res = mam_minimize(dom2_full, zeta, nm, T=12.0, steps=48, ladder=1,
-                           maxiter=300, profile=prof2_full)
+                           maxiter=300)
         sw = res.info["sandwich"]
         assert sw["upper_ok"]
         assert sw["upper_lhs"] < 2.0 * estar
@@ -239,13 +238,13 @@ class TestQuasipotentialUpper:
     """The start path of every rung bounds the quasi-potential from above."""
 
     def test_zero_at_equilibrium(self, dom2_full, prof2_full, unit_noise):
-        assert start_path_action(dom2_full, prof2_full, equilibrium(dom2_full, prof2_full),
+        assert start_path_action(dom2_full, equilibrium(dom2_full, prof2_full),
                                  unit_noise, 2.0) < 1e-8
 
     def test_upper_bound_and_monotone_in_horizon(self, dom2_full, prof2_full, unit_noise):
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.25), (2, -0.15)])
-        estar = energy_star(dom2_full, zeta, prof2_full)
-        vals = [start_path_action(dom2_full, prof2_full, zeta, unit_noise, t_star + 1.0)
+        estar = energy_star(dom2_full, zeta)
+        vals = [start_path_action(dom2_full, zeta, unit_noise, t_star + 1.0)
                 for t_star in (8.0, 16.0, 32.0)]
         assert vals[1] <= 2.0 * estar * 1.05    # horizon past the relaxation time
         assert vals[1] <= vals[0] + 1e-9
@@ -253,7 +252,7 @@ class TestQuasipotentialUpper:
 
 
 class TestActionGradient:
-    def test_matches_central_differences_20_cases(self, dom2_full, prof2_full, rng):
+    def test_matches_central_differences_20_cases(self, dom2_full, rng):
         nm = NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)
         steps, dt = 12, 0.05
         base = np.array([band_limited(dom2_full, rng, k_max=6, amp=0.3).values
@@ -295,9 +294,9 @@ class TestMinimization:
     def test_descent_and_gradient_equality(self, dom2_full, prof2_full, unit_noise):
         zeta = multi_mode_state(dom2_full, prof2_full,
                                 [(1, 0.25), (2, -0.15), (3, 0.1)])
-        estar = energy_star(dom2_full, zeta, prof2_full)
+        estar = energy_star(dom2_full, zeta)
         res = mam_minimize(dom2_full, zeta, unit_noise, T=9.0, steps=90,
-                           ladder=2, maxiter=500, profile=prof2_full)
+                           ladder=2, maxiter=500)
         inits = [r["init_value"] for r in res.info["ladder"]]
         assert res.value <= min(inits) + 1e-9           # descent from every rung
         assert res.value == pytest.approx(2.0 * estar, rel=0.05)
@@ -307,7 +306,7 @@ class TestMinimization:
     def test_iteration_cap_is_not_convergence(self, dom2_full, prof2_full, unit_noise):
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.25)])
         res = mam_minimize(dom2_full, zeta, unit_noise, T=6.0, steps=40,
-                           ladder=1, maxiter=5, profile=prof2_full)
+                           ladder=1, maxiter=5)
         assert res.iterations == 5
         assert res.converged is False
 
@@ -315,7 +314,7 @@ class TestMinimization:
         # criterion 5's state 0 and horizons, at the default cap of 800
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.25)])
         res = mam_minimize(dom2_full, zeta, unit_noise, T=6.0, steps=96,
-                           ladder=3, profile=prof2_full)
+                           ladder=3)
         assert res.converged is True
         for rung in res.info["ladder"]:
             assert rung["nit"] < 800
@@ -328,15 +327,14 @@ class TestMinimization:
         # be bitwise the construction from its own flow to T - 1
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, -0.2), (2, 0.1)])
         res = mam_minimize(dom2_full, zeta, unit_noise, T=6.0, steps=96,
-                           ladder=3, maxiter=1, profile=prof2_full)
+                           ladder=3, maxiter=1)
         longest = gradient_flow(dom2_full, zeta, dt=MAM_DT_FLOW, T=23.0, stop_tol=0.0,
-                                record_every=1, profile=prof2_full).path.values
+                                record_every=1).path.values
         for T_r, rung in zip((6.0, 12.0, 24.0), res.info["ladder"]):
             own = gradient_flow(dom2_full, zeta, dt=MAM_DT_FLOW, T=T_r - 1.0, stop_tol=0.0,
-                                record_every=1, profile=prof2_full).path.values
+                                record_every=1).path.values
             assert np.array_equal(own, longest[: own.shape[0]])
-            Z0 = _initial_path(dom2_full, zeta, T_r, 96, frames=own, dt_flow=MAM_DT_FLOW,
-                               profile=prof2_full)
+            Z0 = _initial_path(dom2_full, zeta, T_r, 96, frames=own, dt_flow=MAM_DT_FLOW)
             v0, _, _ = _action_core(dom2_full, Z0, T_r / 96, unit_noise, need_grad=False)
             assert rung["T"] == T_r
             assert rung["init_value"] == v0
@@ -344,8 +342,7 @@ class TestMinimization:
     def test_horizon_within_unit_time_rejected(self, dom2_full, prof2_full, unit_noise):
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.1)])
         with pytest.raises(ConfigurationError):
-            mam_minimize(dom2_full, zeta, unit_noise, T=1.0, steps=10,
-                         profile=prof2_full)
+            mam_minimize(dom2_full, zeta, unit_noise, T=1.0, steps=10)
 
     @pytest.mark.parametrize("nm", [NoiseModel(kind="constant", g0=1.0),
                                     NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)],
@@ -356,8 +353,7 @@ class TestMinimization:
         for amps in ([(1, 0.25)], [(1, -0.2), (2, 0.1)], [(2, 0.2), (3, -0.1)],
                      [(1, 0.15), (3, 0.1), (4, -0.05)], [(1, -0.1), (2, -0.1), (5, 0.05)]):
             zeta = multi_mode_state(dom2_full, prof2_full, amps)
-            res = mam_minimize(dom2_full, zeta, nm, T=6.0, steps=96, ladder=3,
-                               profile=prof2_full)
+            res = mam_minimize(dom2_full, zeta, nm, T=6.0, steps=96, ladder=3)
             for rung in res.info["ladder"]:
                 assert rung["message"].startswith("CONVERGENCE"), (amps, rung)
                 assert rung["nit"] <= 40, (amps, rung)
@@ -374,7 +370,7 @@ class TestMinimization:
         for ladder in (40, 10 ** 9):
             with pytest.raises(ConfigurationError, match=f"ladder={ladder} .*frames"):
                 mam_minimize(dom2_full, zeta, unit_noise, T=6.0, steps=16,
-                             ladder=ladder, profile=prof2_full)
+                             ladder=ladder)
 
     @pytest.mark.parametrize("ladder, steps_max", [(1, 11_095), (3, 10_651)])
     def test_rung_beyond_the_budget_rejected_before_the_profile(self, unit_noise, monkeypatch,

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from importlib.resources import files
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acldp import pipeline
+from acldp import profile as profile_module
 from acldp.cli import COMMANDS, build_parser, run
 from acldp.config import SCHEMA
 from acldp.errors import InstabilityError
@@ -45,6 +47,23 @@ def write_cfg(tmp_path, outdir, **extra):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(small_cfg(outdir, **extra))
     return cfg
+
+
+def run_quietly(argv, capsys):
+    """Exit code and stderr lines of a run, which must issue no warning and
+    print nothing to stdout."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    return code, err.splitlines()
+
+
+def assert_failed_without_data(out):
+    assert json.loads((out / "manifest.json").read_text())["partial"] is True
+    assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "resolved.cfg"]
 
 
 class TestConfigHandling:
@@ -188,6 +207,14 @@ class TestProfileCommand:
         assert manifest["wall_time_s"] > 0
         assert len(manifest["config_hash"]) == 64
 
+    def test_length_whose_eigenvalues_overflow_exits_2(self, tmp_path, capsys):
+        # (k pi / 2L)^2 overflows at L = 1e-300
+        out = tmp_path / "o"
+        code, err = run_quietly(["profile", "--set", "L=1e-300", "--out", str(out)], capsys)
+        assert code == 2
+        assert len(err) == 1 and "L=1e-300" in err[0] and "modes=128" in err[0]
+        assert_failed_without_data(out)
+
 
 class TestEnergyCommand:
     def test_profile_field_energy(self, tmp_path):
@@ -201,6 +228,20 @@ class TestEnergyCommand:
         payload = json.loads((out / "energy.json").read_text())
         assert payload["value"] == pytest.approx(prof.energy_value, rel=1e-6)
         assert payload["gradient_norm"] < 0.02
+
+    @pytest.mark.parametrize("bc", ["zero", "ramp"])
+    def test_field_that_overflows_exits_1_without_data(self, tmp_path, capsys, bc):
+        # a finite field of 1e200: its energy and gradient overflow
+        d = build_domain(2.0, 31, 16)
+        field_csv = tmp_path / "big.csv"
+        write_field_csv(field_csv, d, Field(np.full(d.n, 1e200), Boundary.ZERO_DIRICHLET))
+        out = tmp_path / "o"
+        code, err = run_quietly(["energy", "--set", "n=31", "--set", "modes=16", "--input",
+                                 str(field_csv), "--bc", bc, "--out", str(out)], capsys)
+        assert code == 1
+        assert err == ["numerical failure: value, gradient_norm not finite: "
+                       "the input overflows the computation"]
+        assert_failed_without_data(out)
 
 
 class TestFlowCommand:
@@ -291,6 +332,17 @@ class TestActionCommand:
         assert self.run_action_on(tmp_path / "p.csv") == 2
         err = capsys.readouterr().err
         assert "p.csv" in err and "t, z0, z1, ... in order" in err
+
+    def test_path_that_overflows_exits_1_without_data(self, tmp_path, capsys):
+        # a finite path of 1e200: its residual overflows
+        write_path_csv(tmp_path / "p.csv", np.array([0.0, 0.05, 0.1]), np.full((3, 31), 1e200))
+        out = tmp_path / "o"
+        code, err = run_quietly(["action", "--path", str(tmp_path / "p.csv"), "--set", "n=31",
+                                 "--set", "modes=16", "--out", str(out)], capsys)
+        assert code == 1
+        assert err == ["numerical failure: value, residual_max not finite: "
+                       "the input overflows the computation"]
+        assert_failed_without_data(out)
 
     def test_path_without_z_columns_exits_2(self, tmp_path, capsys):
         (tmp_path / "p.csv").write_text("t\n0.0\n0.1\n")
@@ -510,10 +562,9 @@ class TestMamCommand:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         written = []
         for workers in ("1", "2"):
-            monkeypatch.setenv("ACLDP_WORKERS", workers)
             out = tmp_path / f"w{workers}"
             assert run(self.mam_args(tmp_path, out, "3", "action.t0=3.0",
-                                     "action.steps=24")) == 0
+                                     "action.steps=24", f"workers={workers}")) == 0
             assert json.loads((out / "manifest.json").read_text())["workers"] == 1
             written.append((out / "mam.json").read_bytes())
         assert written[0] == written[1]
@@ -730,23 +781,21 @@ class TestSdeAndInvariant:
             tracemalloc.stop()
         assert peak <= 3 * 32 * n_samples
 
-    def test_worker_count_changes_nothing(self, tmp_path, monkeypatch):
+    def test_worker_count_changes_nothing(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         cfg = write_cfg(tmp_path, out1, n_chains="48", n_samples="96")
-        monkeypatch.setenv("ACLDP_WORKERS", "1")
-        assert run(["invariant", "--config", str(cfg)]) == 0
-        monkeypatch.setenv("ACLDP_WORKERS", "2")
-        assert run(["invariant", "--config", str(cfg), "--out", str(out2)]) == 0
+        assert run(["invariant", "--config", str(cfg), "--set", "workers=1"]) == 0
+        assert run(["invariant", "--config", str(cfg), "--set", "workers=2",
+                    "--out", str(out2)]) == 0
         assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
 
     def test_pool_never_exceeds_the_cores(self, tmp_path, monkeypatch, inline_pool):
         # 5 chunks of 32 chains and workers = 10**6 on a box faked to 3 cores;
         # the executor runs the chunks inline, so no process starts
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setenv("ACLDP_WORKERS", str(10 ** 6))
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, out, n_chains="160", n_samples="160", burn_in="0.25")
-        assert run(["invariant", "--config", str(cfg)]) == 0
+        assert run(["invariant", "--config", str(cfg), "--set", f"workers={10 ** 6}"]) == 0
         assert inline_pool == [3]
         assert json.loads((out / "manifest.json").read_text())["workers"] == 3
 
@@ -758,7 +807,6 @@ class TestSdeAndInvariant:
         # once there are two chunks and workers allows it; a serial run builds
         # no executor
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.delenv("ACLDP_WORKERS", raising=False)
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, out, T="0.25", n_chains=str(n_chains), workers=workers)
         assert run(["sde", "--config", str(cfg)]) == 0
@@ -795,11 +843,21 @@ class TestSdeAndInvariant:
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
         assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "resolved.cfg"]
 
+    def test_floor_past_float32_exits_1_with_only_the_exit_line(self, tmp_path, capsys):
+        # g0 = 1e300 has no float32 value: the chain's floor is inf, its state NaN
+        out = tmp_path / "o"
+        code, err = run_quietly(["sde", "--set", "n=31", "--set", "modes=16",
+                                 "--set", "n_chains=2", "--set", "eps=1e300",
+                                 "--set", "noise.g0=1e300", "--set", "noise.kind=smooth_bounded_below",
+                                 "--set", "noise.c=1", "--set", "T=0.01", "--out", str(out)], capsys)
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("numerical failure:") and "eps=1e+300" in err[0]
+        assert_failed_without_data(out)
+
     def test_one_samples_format(self, tmp_path, monkeypatch, conc_out):
         # sde from z = 0 on one process, and invariant with no burn-in on two
         # (40 chains: chunks of 32 + 8), keep the same chains at the same times
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.delenv("ACLDP_WORKERS", raising=False)
         outs = {cmd: tmp_path / cmd for cmd in ("sde", "invariant")}
         cfg = write_cfg(tmp_path, tmp_path / "o", n_chains="40", n_samples="160", T="1.0",
                         burn_in="0", init="zero")
@@ -946,8 +1004,8 @@ class TestConcentrationOutputs:
         outs = {w: tmp_path / f"w{w}" for w in ("1", "2")}
         cfg = write_cfg(tmp_path, outs["1"], n_chains="40", n_samples="120")  # 32 + 8
         for workers, out in outs.items():
-            monkeypatch.setenv("ACLDP_WORKERS", workers)
-            assert run(["concentration", "--config", str(cfg), "--out", str(out)]) == 0
+            assert run(["concentration", "--config", str(cfg), "--set", f"workers={workers}",
+                        "--out", str(out)]) == 0
         names = sorted(f.name for f in outs["1"].iterdir()
                        if f.name not in ("manifest.json", "resolved.cfg"))
         assert names == ["samples_eps0.05.csv", "samples_eps0.1.csv", "samples_eps0.2.csv",
@@ -962,6 +1020,44 @@ class TestConcentrationOutputs:
         assert "eps=40000.0" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
         assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
+
+class TestProfileSolvedOnce:
+    """A run solves its domain's profile once, however many chunks or forked
+    processes read it.  The solves are counted in a file, so a forked chunk
+    that solved it again would add to the count."""
+
+    @pytest.fixture
+    def solves(self, tmp_path, monkeypatch):
+        log = tmp_path / "solves.log"
+        real = profile_module.solve_profile
+
+        def counted(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        def count(argv):
+            monkeypatch.setattr(profile_module, "_profile_cache", {})
+            log.write_text("")
+            assert run(argv) == 0
+            return len(log.read_text().splitlines())
+
+        monkeypatch.setattr(profile_module, "solve_profile", counted)
+        return count
+
+    @pytest.mark.parametrize("command, workers", [("concentration", "1"),
+                                                  ("concentration", "2"), ("sde", "2")])
+    def test_sampler(self, tmp_path, monkeypatch, solves, command, workers):
+        # 40 chains: chunks of 32 + 8, on two forked processes at workers = 2
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = write_cfg(tmp_path, tmp_path / "o", n_chains="40", n_samples="120",
+                        init="zero", workers=workers)
+        assert solves([command, "--config", str(cfg)]) == 1
+
+    def test_mam(self, tmp_path, solves):
+        argv = TestMamCommand.mam_args(tmp_path, tmp_path / "o", "1", "action.steps=24")
+        assert solves(argv) == 1
 
 
 class TestWriteCsv:

@@ -27,14 +27,13 @@ def equilibrium_field(d, prof):
 class TestGradientFlow:
     def test_equilibrium_is_fixed_point(self, dom2, prof2):
         res = gradient_flow(dom2, equilibrium_field(dom2, prof2), dt=1e-3, T=1.0,
-                            stop_tol=0.0, record_every=100, profile=prof2)
+                            stop_tol=0.0, record_every=100)
         drift = np.max(np.abs(res.path.values - res.path.values[0]))
         assert drift < 1e-6          # gap to the discrete equilibrium: truncation tail
 
     def test_convergence_from_zero(self, dom2, prof2):
         res = gradient_flow(dom2, Field(np.zeros(dom2.n), Boundary.ZERO_DIRICHLET),
-                            dt=1e-3, T=30.0, stop_tol=1e-10, record_every=1000,
-                            profile=prof2)
+                            dt=1e-3, T=30.0, stop_tol=1e-10, record_every=1000)
         assert h1_distance(dom2, res.terminal(),
                            equilibrium_field(dom2, prof2)) < 1e-3
         assert res.dist_sup[-1] < 1e-3
@@ -42,44 +41,41 @@ class TestGradientFlow:
     def test_flipped_start_converges_to_same_equilibrium(self, dom2, prof2):
         x = Field(-prof2.shifted_values(dom2) - 2.0 * dom2.psi, Boundary.ZERO_DIRICHLET)
         res = gradient_flow(dom2, x, dt=1e-3, T=60.0, stop_tol=1e-10,
-                            record_every=2000, profile=prof2)
+                            record_every=2000)
         assert h1_distance(dom2, res.terminal(),
                            equilibrium_field(dom2, prof2)) < 1e-3
         # halved-dt oracle: same terminal state
         res2 = gradient_flow(dom2, x, dt=5e-4, T=60.0, stop_tol=1e-10,
-                             record_every=4000, profile=prof2)
+                             record_every=4000)
         assert np.max(np.abs(res.terminal().values - res2.terminal().values)) < 1e-6
 
-    def test_energy_dissipation_monotone(self, dom2, prof2, rng):
+    def test_energy_dissipation_monotone(self, dom2, rng):
         x = band_limited(dom2, rng, k_max=8, amp=0.5)
-        res = gradient_flow(dom2, x, dt=1e-3, T=3.0, stop_tol=0.0, record_every=500,
-                            profile=prof2)
+        res = gradient_flow(dom2, x, dt=1e-3, T=3.0, stop_tol=0.0, record_every=500)
         increases = np.diff(res.energy_star)
         assert np.all(increases <= 1e-8)
 
-    def test_discrete_dissipation_identity(self, dom2, prof2):
+    def test_discrete_dissipation_identity(self, dom2):
         res = gradient_flow(dom2, Field(np.zeros(dom2.n), Boundary.ZERO_DIRICHLET),
-                            dt=1e-3, T=1.0, stop_tol=0.0, record_every=1000,
-                            profile=prof2)
+                            dt=1e-3, T=1.0, stop_tol=0.0, record_every=1000)
         de = np.diff(res.energy_star) / 1e-3
         gsq = 0.5 * (res.grad_norm[:-1] ** 2 + res.grad_norm[1:] ** 2)
         active = gsq > 1e-3 * gsq[0]
         rel = np.abs(de[active] + gsq[active]) / gsq[active]
         assert np.max(rel) <= 0.05
 
-    def test_first_order_in_dt(self, dom2, prof2, rng):
+    def test_first_order_in_dt(self, dom2, rng):
         x = band_limited(dom2, rng, k_max=6, amp=0.5)
         outs = [gradient_flow(dom2, x, dt=dt, T=0.5, stop_tol=0.0,
-                              record_every=10 ** 6, profile=prof2).terminal().values
+                              record_every=10 ** 6).terminal().values
                 for dt in (4e-3, 2e-3, 1e-3)]
         e1 = np.max(np.abs(outs[0] - outs[2]))
         e2 = np.max(np.abs(outs[1] - outs[2]))
         assert e1 / e2 == pytest.approx(3.0, rel=0.4)   # Richardson: (4h-h)/(2h-h) ~ 3
 
-    def test_early_stop_at_the_first_state_below_tol(self, dom2, prof2):
+    def test_early_stop_at_the_first_state_below_tol(self, dom2):
         x = Field(np.zeros(dom2.n), Boundary.ZERO_DIRICHLET)
-        res = gradient_flow(dom2, x, dt=1e-3, T=30.0, stop_tol=1e-4, record_every=7,
-                            profile=prof2)
+        res = gradient_flow(dom2, x, dt=1e-3, T=30.0, stop_tol=1e-4, record_every=7)
         assert res.stopped_early
         assert res.grad_norm[-1] < 1e-4 <= res.grad_norm[-2]
         s = len(res.grad_norm) - 1
@@ -87,9 +83,9 @@ class TestGradientFlow:
         want = states[::7] + ([states[s]] if s % 7 else [])
         assert res.path.values.tobytes() == np.asarray(want).tobytes()
 
-    def test_tolerance_above_the_start_stops_at_state_0(self, dom2, prof2, rng):
+    def test_tolerance_above_the_start_stops_at_state_0(self, dom2, rng):
         x = band_limited(dom2, rng, k_max=8, amp=0.5)
-        res = gradient_flow(dom2, x, dt=1e-3, T=1.0, stop_tol=1e3, profile=prof2)
+        res = gradient_flow(dom2, x, dt=1e-3, T=1.0, stop_tol=1e3)
         assert res.stopped_early and len(res.grad_norm) == 1
         state0 = next(flow_states(dom2, x.values, 1e-3, 1000))[0]
         assert res.path.values.tobytes() == np.asarray([state0, state0]).tobytes()
@@ -110,10 +106,10 @@ class TestGradientFlow:
         assert res.path.values.shape == (steps + 1, d.n)
         assert peak <= 1.5 * counted
 
-    def test_blowup_guard(self, dom2, prof2):
+    def test_blowup_guard(self, dom2):
         x = Field(50.0 * basis_eval(dom2, 1).values, Boundary.ZERO_DIRICHLET)
         with pytest.raises(InstabilityError):
-            gradient_flow(dom2, x, dt=1e-2, T=1.0, profile=prof2)
+            gradient_flow(dom2, x, dt=1e-2, T=1.0)
 
     def test_bad_inputs(self, dom2, rng):
         with pytest.raises(ConfigurationError):
@@ -123,38 +119,37 @@ class TestGradientFlow:
 
 
 class TestSkeleton:
-    def test_zero_control_matches_flow_bitwise(self, dom2, prof2, rng, unit_noise):
+    def test_zero_control_matches_flow_bitwise(self, dom2, rng, unit_noise):
         x = band_limited(dom2, rng, k_max=8, amp=0.3)
         steps = 200
         f0 = np.zeros((steps, dom2.n))
         flow = gradient_flow(dom2, x, dt=1e-3, T=steps * 1e-3, stop_tol=0.0,
-                             record_every=50, profile=prof2)
-        skel = skeleton_solve(dom2, x, f0, unit_noise, dt=1e-3, record_every=50,
-                              profile=prof2)
+                             record_every=50)
+        skel = skeleton_solve(dom2, x, f0, unit_noise, dt=1e-3, record_every=50)
         assert np.array_equal(flow.path.values, skel.path.values)
 
-    def test_control_continuity(self, dom2, prof2, rng, unit_noise):
+    def test_control_continuity(self, dom2, rng, unit_noise):
         x = band_limited(dom2, rng, k_max=6, amp=0.3)
         steps = 400
         shape = basis_eval(dom2, 2).values
         base = gradient_flow(dom2, x, dt=1e-3, T=0.4, stop_tol=0.0,
-                             record_every=10 ** 6, profile=prof2).terminal().values
+                             record_every=10 ** 6).terminal().values
         diffs = []
         for amp in (0.2, 0.1):
             f = amp * np.tile(shape, (steps, 1))
             out = skeleton_solve(dom2, x, f, unit_noise, dt=1e-3,
-                                 record_every=10 ** 6, profile=prof2)
+                                 record_every=10 ** 6)
             diffs.append(np.max(np.abs(out.terminal().values - base)))
         # terminal deviation scales linearly with the control size
         assert diffs[0] / diffs[1] == pytest.approx(2.0, rel=0.25)
 
-    def test_a_priori_sup_bound(self, dom2, prof2, rng, unit_noise):
+    def test_a_priori_sup_bound(self, dom2, rng, unit_noise):
         x = Field(np.zeros(dom2.n), Boundary.ZERO_DIRICHLET)
         steps = 1000
         for amp in (0.5, 2.0):
             f = amp * np.tile(basis_eval(dom2, 1).values, (steps, 1))
             out = skeleton_solve(dom2, x, f, unit_noise, dt=1e-3,
-                                 record_every=100, profile=prof2)
+                                 record_every=100)
             f_l2 = np.sqrt(np.sum(f ** 2) * dom2.h * 1e-3)
             assert np.max(np.abs(out.path.values)) <= 5.0 * (f_l2 + 1.0)
 
@@ -175,24 +170,24 @@ class TestFlowStates:
     """The frames-only loop against the diagnosed flow it stands in for."""
 
     @staticmethod
-    def assert_bitwise_gradient_flow(d, prof, z0, dt, steps):
+    def assert_bitwise_gradient_flow(d, z0, dt, steps):
         states = np.asarray([z for z, _, _ in flow_states(d, z0, dt, steps)])
         want = gradient_flow(d, Field(z0, Boundary.ZERO_DIRICHLET), dt=dt, T=steps * dt,
-                             stop_tol=0.0, record_every=1, profile=prof).path.values
+                             stop_tol=0.0, record_every=1).path.values
         assert states.shape == want.shape == (steps + 1, d.n)
         assert states.tobytes() == want.tobytes()
 
     def test_states_are_gradient_flow_frames(self, dom2_full, prof2_full):
         for amps in ([(1, -0.2), (2, 0.1)], [(1, 0.4), (3, -0.25), (6, 0.05)]):
             self.assert_bitwise_gradient_flow(
-                dom2_full, prof2_full, shifted_plus_modes(dom2_full, prof2_full, amps),
+                dom2_full, shifted_plus_modes(dom2_full, prof2_full, amps),
                 5e-3, 600)
 
     def test_truncated_modes(self, dom2, prof2):
         # modes < n: the start is projected onto the kept modes, as in the flow
         z0 = shifted_plus_modes(dom2, prof2, [(1, 0.3), (2, -0.15)])
         z0 += 0.01 * np.sin(np.arange(dom2.n))          # content above `modes`
-        self.assert_bitwise_gradient_flow(dom2, prof2, z0, 1e-3, 300)
+        self.assert_bitwise_gradient_flow(dom2, z0, 1e-3, 300)
 
     def test_states_come_one_at_a_time(self, dom2):
         z0 = 50.0 * basis_eval(dom2, 1).values           # sup 35: state 0 is in range
@@ -293,7 +288,7 @@ def two_pass_relaxation_time(d, prof, threshold, dt, T_max):
     """The first recorded frame of the flow from z = 0 within `threshold` of
     the equilibrium in H^1, found after the whole flow is stored."""
     res = gradient_flow(d, Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET), dt=dt,
-                        T=T_max, stop_tol=0.0, record_every=1, profile=prof)
+                        T=T_max, stop_tol=0.0, record_every=1)
     mshift = prof.shifted_values(d)
     for i, z in enumerate(res.path.values):
         c = transform_values(d, z - mshift)
@@ -303,27 +298,26 @@ def two_pass_relaxation_time(d, prof, threshold, dt, T_max):
 
 
 class TestRelaxation:
-    def test_relaxation_time_scale(self, dom2, prof2):
-        t = relaxation_time(dom2, profile=prof2)
+    def test_relaxation_time_scale(self, dom2):
+        t = relaxation_time(dom2)
         assert 0.5 < t < 20.0
-        assert relaxation_time(dom2, profile=prof2) == t   # deterministic
+        assert relaxation_time(dom2) == t   # deterministic
 
     def test_matches_two_pass_definition(self, dom2, prof2):
         for threshold in (1e-1, 1e-2):
             want = two_pass_relaxation_time(dom2, prof2, threshold, 5e-3, 3.0)
             assert want is not None
-            assert relaxation_time(dom2, threshold=threshold, dt=5e-3, T_max=3.0,
-                                   profile=prof2) == want
+            assert relaxation_time(dom2, threshold=threshold, dt=5e-3, T_max=3.0) == want
 
     def test_threshold_not_reached_raises(self, dom2, prof2):
         assert two_pass_relaxation_time(dom2, prof2, 1e-2, 5e-3, 1.0) is None
         with pytest.raises(InstabilityError, match="failed to relax"):
-            relaxation_time(dom2, dt=5e-3, T_max=1.0, profile=prof2)
+            relaxation_time(dom2, dt=5e-3, T_max=1.0)
 
-    def test_step_and_horizon_validated(self, dom2, prof2):
+    def test_step_and_horizon_validated(self, dom2):
         for dt, T_max in ((0.0, 3.0), (5e-3, 0.0)):
             with pytest.raises(ConfigurationError):
-                relaxation_time(dom2, dt=dt, T_max=T_max, profile=prof2)
+                relaxation_time(dom2, dt=dt, T_max=T_max)
 
 
 class TestStepsOf:
@@ -340,11 +334,11 @@ class TestStepsOf:
         with pytest.raises(ConfigurationError, match=rf"stride=.* of dt={re.escape(repr(dt))}$"):
             steps_of(t, dt, "stride")
 
-    def test_flow_horizon_off_the_step_grid_raises(self, dom2, prof2):
+    def test_flow_horizon_off_the_step_grid_raises(self, dom2):
         x = Field(np.zeros(dom2.n), Boundary.ZERO_DIRICHLET)
         with pytest.raises(ConfigurationError,
                            match=r"T=0\.0105 is not a whole number of steps of dt=0\.001"):
-            gradient_flow(dom2, x, dt=1e-3, T=0.0105, profile=prof2)
+            gradient_flow(dom2, x, dt=1e-3, T=0.0105)
 
     def test_no_other_rounding_of_a_time_by_dt(self):
         """Every time-to-step conversion in the package goes through steps_of:

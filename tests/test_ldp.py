@@ -146,7 +146,7 @@ class TestShiftConsistency:
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=17)
         from acldp.grid import Boundary, Field
         rec = record_replay(d, Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET), nm, p,
-                            0.5, profile=prof)
+                            0.5)
         # stats on ubar against m - psi == stats on u = ubar + psi against m
         z = rec.path.values
         lhs = np.max(np.abs(z - (prof.m.values - d.psi)), axis=-1)
@@ -159,7 +159,7 @@ class TestShiftConsistency:
         nm = NoiseModel(kind="constant", g0=1.0)
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=23)
         em = sample_invariant(d, nm, p, burn_in=2.0, n_samples=128, stride=0.25,
-                              n_chains=16, profile=prof)
+                              n_chains=16)
         assert np.all(em.obs["dist_sup"] >= 0)
         rep = tail_report([em], "dist_sup", 0.2)
         manual = float(np.mean(em.obs["dist_sup"] >= 0.2))

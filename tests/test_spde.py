@@ -57,22 +57,22 @@ def checkpoint_values(d, state):
 
 
 class TestReproducibility:
-    def test_same_seed_bitwise(self, sdom, sprof, const_noise):
+    def test_same_seed_bitwise(self, sdom, const_noise):
         p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=99)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         every_step = tuple(np.arange(251) * p.dt)
-        a, b = (ensemble_run(sdom, x, const_noise, p, 0.5, n_chains=1, profile=sprof,
+        a, b = (ensemble_run(sdom, x, const_noise, p, 0.5, n_chains=1,
                              sample_times=every_step, mode_checkpoint_times=(0.5,))
                 for _ in range(2))
         assert np.array_equal(a.mode_states[250], b.mode_states[250])
         assert np.array_equal(a.obs["sup_norm"], b.obs["sup_norm"])
 
-    def test_zero_noise_matches_gradient_flow_bitwise(self, sdom, sprof, const_noise, rng):
+    def test_zero_noise_matches_gradient_flow_bitwise(self, sdom, const_noise, rng):
         # at eps = 0 a chain is bitwise the noiseless kernel loop in the
         # sampler's dtype, the flow's step in float32
         x = band_limited(sdom, rng, k_max=8, amp=0.4)
         p = SdeParams(eps=0.0, dt=1e-3, modes_noise=16, seed=7)
-        ens = ensemble_run(sdom, x, const_noise, p, 0.3, n_chains=1, profile=sprof,
+        ens = ensemble_run(sdom, x, const_noise, p, 0.3, n_chains=1,
                            mode_checkpoint_times=(0.3,))
         kernel = ExpEuler(sdom, p.dt, dtype=spde.CHAIN_DTYPE)
         a = kernel.state(x.values)
@@ -85,32 +85,32 @@ class TestReproducibility:
         # test_flow.TestKernel), and F' <= 1 lets a carried error grow at most
         # by e^{dt} a step, so N = 300 steps stay within 4 N u e^{N dt} max|x|
         flow = gradient_flow(sdom, x, dt=1e-3, T=0.3, stop_tol=0.0,
-                             record_every=10 ** 6, profile=sprof)
+                             record_every=10 ** 6)
         bound = 4 * 300 * 2.0 ** -24 * np.exp(0.3) * np.max(np.abs(x.values))
         assert np.max(np.abs(checkpoint_values(sdom, ens.mode_states[300])[0]
                              - flow.terminal().values)) <= bound
 
-    def test_chain_invariant_under_batching(self, sdom, sprof, const_noise):
+    def test_chain_invariant_under_batching(self, sdom, const_noise):
         p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=31)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        ens = ensemble_run(sdom, x, const_noise, p, 0.3, n_chains=5, profile=sprof,
+        ens = ensemble_run(sdom, x, const_noise, p, 0.3, n_chains=5,
                            mode_checkpoint_times=(0.3,))
         # a batch that holds chain 3 alone
         solo = spde._evolve_chains(sdom, x.values, const_noise, (p,), 150, np.array([150]),
-                                   profile=sprof, kstar=0.2, pstar=8, chain_ids=np.array([3]),
+                                   kstar=0.2, pstar=8, chain_ids=np.array([3]),
                                    mode_checkpoints=(150,))
         assert np.array_equal(ens.mode_states[150][3], solo["mode_states"][150][0, 0])
 
 
 class TestOUClosedForms:
-    def test_mode_variances(self, sdom, sprof):
+    def test_mode_variances(self, sdom):
         # drift off, constant intensity: every mode is an exact OU process
         eps, g0 = 0.08, 0.8
         nm = NoiseModel(kind="constant", g0=g0)
         p = SdeParams(eps=eps, dt=1e-3, modes_noise=8, seed=2024)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         n_chains = 2000
-        ens = ensemble_run(sdom, x, nm, p, 2.5, n_chains, profile=sprof,
+        ens = ensemble_run(sdom, x, nm, p, 2.5, n_chains,
                            linear_hook=True, mode_checkpoint_times=(0.5, 2.5))
         band = 3.0 * np.sqrt(2.0 / (n_chains - 1))
         snap_t = ens.coefficients(500)
@@ -128,7 +128,7 @@ class TestOUClosedForms:
 
 
 class TestWeakOrder:
-    def test_variance_bias_halves_with_dt(self, sdom, sprof):
+    def test_variance_bias_halves_with_dt(self, sdom):
         eps, k = 0.1, 7                  # lambda_7 dt = 0.3 at dt = 1e-2
         nm = NoiseModel(kind="constant", g0=1.0)
         lam = sdom.lambda_k[k - 1]
@@ -137,7 +137,7 @@ class TestWeakOrder:
         biases = []
         for dt in (1e-2, 5e-3):
             p = SdeParams(eps=eps, dt=dt, modes_noise=8, seed=5)
-            ens = ensemble_run(sdom, x, nm, p, 2.0, 4000, profile=sprof,
+            ens = ensemble_run(sdom, x, nm, p, 2.0, 4000,
                                linear_hook=True, mode_checkpoint_times=(2.0,))
             var = np.var(ens.coefficients(int(round(2.0 / dt)))[:, k - 1], ddof=1)
             biases.append(var - exact)
@@ -145,26 +145,26 @@ class TestWeakOrder:
 
 
 class TestConvolution:
-    def _record(self, sdom, sprof, nm, seed, T=0.4, dt=2e-3, eps=0.05):
+    def _record(self, sdom, nm, seed, T=0.4, dt=2e-3, eps=0.05):
         p = SdeParams(eps=eps, dt=dt, modes_noise=16, seed=seed)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        return record_replay(sdom, x, nm, p, T, profile=sprof)
+        return record_replay(sdom, x, nm, p, T)
 
-    def test_zero_increments_give_zero(self, sdom, sprof, const_noise):
-        rec = self._record(sdom, sprof, const_noise, seed=1)
+    def test_zero_increments_give_zero(self, sdom, const_noise):
+        rec = self._record(sdom, const_noise, seed=1)
         rec = replace(rec, noise_increments=np.zeros_like(rec.noise_increments))
         gamma = stochastic_convolution(sdom, rec, 1.0)
         assert np.max(np.abs(gamma.values)) == 0.0
 
-    def test_replay_needs_recording(self, sdom, sprof, const_noise):
+    def test_replay_needs_recording(self, sdom, const_noise):
         p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        bare = ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=1, profile=sprof)
+        bare = ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=1)
         with pytest.raises(ConfigurationError, match="record_replay"):
             stochastic_convolution(sdom, bare, 1.0)
 
-    def test_negative_damping_rejected(self, sdom, sprof, const_noise):
-        rec = self._record(sdom, sprof, const_noise, seed=3, T=0.1)
+    def test_negative_damping_rejected(self, sdom, const_noise):
+        rec = self._record(sdom, const_noise, seed=3, T=0.1)
         for replay in (stochastic_convolution, damped_remainder_path, decomposition_residual):
             with pytest.raises(ConfigurationError, match="damping lam"):
                 replay(sdom, rec, -0.5)
@@ -176,15 +176,15 @@ class TestConvolution:
                                 spde._draw_block(streams, 138)], axis=1)
         assert one.tobytes() == split.tobytes()
 
-    def test_kept_noise_drove_the_kept_path(self, sdom, sprof, const_noise):
+    def test_kept_noise_drove_the_kept_path(self, sdom, const_noise):
         # drift off, constant intensity: in state coordinates a = c / (2 sign sqrt L),
         # a_{s+1} = e^{-lambda dt} a_s + sqrt(eps dt) xi_s / (2 sign sqrt L) in
         # float32, over 650 steps (past one 512-step block of draws)
         p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=41)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        rec = record_replay(sdom, x, const_noise, p, 1.3, profile=sprof, linear_hook=True)
+        rec = record_replay(sdom, x, const_noise, p, 1.3, linear_hook=True)
         assert rec.noise_increments.shape == (650, 16)
-        ens = ensemble_run(sdom, x, const_noise, p, 1.3, 1, profile=sprof, linear_hook=True,
+        ens = ensemble_run(sdom, x, const_noise, p, 1.3, 1, linear_hook=True,
                            mode_checkpoint_times=np.arange(651) * p.dt)
         decay = np.exp(-sdom.lambda_k * p.dt).astype(np.float32)
         noise_weight = ((np.sqrt(p.eps) * const_noise.g0 * np.sqrt(p.dt))
@@ -198,12 +198,12 @@ class TestConvolution:
 
     def test_replay_is_independent_of_record_every(self, sdom, sprof, const_noise):
         # the record is chain 0 of ensemble_run, whichever steps that run samples
-        rec = self._record(sdom, sprof, const_noise, seed=77)
+        rec = self._record(sdom, const_noise, seed=77)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         for every in (1, 5):
             times = tuple(np.arange(0, 201, every) * rec.params.dt)
             ens = ensemble_run(sdom, x, const_noise, rec.params, 0.4, n_chains=1,
-                               profile=sprof, sample_times=times, mode_checkpoint_times=(0.4,))
+                               sample_times=times, mode_checkpoint_times=(0.4,))
             kept = rec.path.values[::every]
             assert np.max(np.abs(kept), axis=-1).tobytes() == ens.obs["sup_norm"][0].tobytes()
             assert (np.max(np.abs(kept - sprof.shifted_values(sdom)), axis=-1).tobytes()
@@ -213,11 +213,11 @@ class TestConvolution:
         assert decomposition_residual(sdom, rec, 3.0) < 0.05
 
     @pytest.mark.parametrize("kind", ["constant", "smooth_bounded_below"])
-    def test_folded_recurrence_matches_per_step_loops(self, sdom, sprof, kind):
+    def test_folded_recurrence_matches_per_step_loops(self, sdom, kind):
         # the per-step exponential-Euler loops the replay folds into one
         # stacked forcing transform and a mode-vector recurrence
         nm = NoiseModel(kind=kind, g0=0.5, c=1.0)
-        rec = self._record(sdom, sprof, nm, seed=6, T=0.3)
+        rec = self._record(sdom, nm, seed=6, T=0.3)
         lam, p, path = 1.5, rec.params, rec.path.values
         mu = sdom.lambda_k + lam
         decay = np.exp(-mu * p.dt)
@@ -234,13 +234,13 @@ class TestConvolution:
         assert np.array_equal(stochastic_convolution(sdom, rec, lam).values, gamma_frames)
         assert np.array_equal(damped_remainder_path(sdom, rec, lam).values, y_frames)
 
-    def test_frozen_intensity_mode_variance(self, sdom, sprof, const_noise):
+    def test_frozen_intensity_mode_variance(self, sdom, const_noise):
         # G == 1: Var gamma_k(t) = (1 - e^{-2(lambda_k+lam)t}) / (2(lambda_k+lam))
         lam, T, dt = 1.0, 0.5, 2e-3
         n_rep = 300
         finals = np.empty((n_rep, sdom.modes))
         for r in range(n_rep):
-            rec = self._record(sdom, sprof, const_noise, seed=1000 + r, T=T, dt=dt)
+            rec = self._record(sdom, const_noise, seed=1000 + r, T=T, dt=dt)
             gamma = stochastic_convolution(sdom, rec, lam)
             finals[r] = transform_values(sdom, gamma.values[-1])
         band = 3.0 * np.sqrt(2.0 / (n_rep - 1))
@@ -250,17 +250,17 @@ class TestConvolution:
             got = np.var(finals[:, k - 1], ddof=1)
             assert abs(got - expect) <= band * expect * 1.1
 
-    def test_decomposition_identity_first_order(self, sdom, sprof, const_noise):
+    def test_decomposition_identity_first_order(self, sdom, const_noise):
         errs = []
         for dt in (4e-3, 2e-3):
-            rec = self._record(sdom, sprof, const_noise, seed=77, T=0.4, dt=dt)
+            rec = self._record(sdom, const_noise, seed=77, T=0.4, dt=dt)
             errs.append(decomposition_residual(sdom, rec, 1.0))
         assert errs[1] < errs[0]
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.6)
 
-    def test_decomposition_with_state_dependent_intensity(self, sdom, sprof):
+    def test_decomposition_with_state_dependent_intensity(self, sdom):
         nm = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=1.0)
-        rec = self._record(sdom, sprof, nm, seed=4, T=0.3, dt=2e-3)
+        rec = self._record(sdom, nm, seed=4, T=0.3, dt=2e-3)
         assert decomposition_residual(sdom, rec, 1.0) < 0.05
 
 
@@ -293,10 +293,9 @@ class TestFactorization:
 
 
 class TestInvariantSampling:
-    def test_determinism_and_worker_independence(self, sdom, sprof, const_noise):
+    def test_determinism_and_worker_independence(self, sdom, const_noise):
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=12)
-        kw = dict(burn_in=2.0, n_samples=128, stride=0.25, n_chains=64,
-                  profile=sprof)
+        kw = dict(burn_in=2.0, n_samples=128, stride=0.25, n_chains=64)
         state_dependent = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=1.0)
         for nm in (const_noise, state_dependent):
             a = sample_invariant(sdom, nm, p, workers=1, **kw)
@@ -306,24 +305,22 @@ class TestInvariantSampling:
                 assert np.array_equal(a.obs[key], b.obs[key])
             assert a.g_min == b.g_min
 
-    def test_concentration_with_small_noise(self, sdom, sprof, const_noise):
+    def test_concentration_with_small_noise(self, sdom, const_noise):
         means = []
         for eps in (0.2, 0.05, 0.0125):
             p = SdeParams(eps=eps, dt=5e-3, modes_noise=16, seed=8)
             em = sample_invariant(sdom, const_noise, p, burn_in=8.0,
-                                  n_samples=192, stride=0.5, n_chains=32,
-                                  profile=sprof)
+                                  n_samples=192, stride=0.5, n_chains=32)
             means.append(np.mean(em.obs["dist_sup"]))
         assert means[0] > means[1] > means[2]
         assert means[2] < 0.25
 
-    def test_disjoint_seed_ensembles_agree(self, sdom, sprof, const_noise):
+    def test_disjoint_seed_ensembles_agree(self, sdom, const_noise):
         ems = []
         for seed in (101, 202):
             p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=seed)
             ems.append(sample_invariant(sdom, const_noise, p, burn_in=6.0,
-                                        n_samples=256, stride=0.5, n_chains=32,
-                                        profile=sprof))
+                                        n_samples=256, stride=0.5, n_chains=32))
         thr = float(np.median(np.concatenate([em.obs["dist_sup"].ravel() for em in ems])))
         ps, ses = [], []
         for em in ems:
@@ -333,10 +330,10 @@ class TestInvariantSampling:
             ses.append(np.sqrt(phat * (1 - phat) / vals.size))
         assert abs(ps[0] - ps[1]) <= 2.0 * np.hypot(*ses) + 1e-12
 
-    def test_time_vs_ensemble_average(self, sdom, sprof, const_noise):
+    def test_time_vs_ensemble_average(self, sdom, const_noise):
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=55)
         em = sample_invariant(sdom, const_noise, p, burn_in=8.0, n_samples=512,
-                              stride=0.5, n_chains=64, profile=sprof)
+                              stride=0.5, n_chains=64)
         # the chain axis is kept: 8 samples a chain, one stride apart past the burn-in
         assert all(v.shape == (64, 8) for v in em.obs.values())
         assert em.t_samples == pytest.approx(8.0 + 0.5 * np.arange(1, 9), rel=0, abs=1e-12)
@@ -346,46 +343,46 @@ class TestInvariantSampling:
         se = float(np.std(final_ens, ddof=1) / np.sqrt(len(final_ens)))
         assert abs(time_avg - float(np.mean(final_ens))) <= 3.0 * se * np.sqrt(2.0)
 
-    def test_burn_in_warning_and_undersampled_flag(self, sdom, sprof, const_noise):
+    def test_burn_in_warning_and_undersampled_flag(self, sdom, const_noise):
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=3)
         em = sample_invariant(sdom, const_noise, p, burn_in=0.0, n_samples=64,
-                              stride=0.25, n_chains=16, profile=sprof)
+                              stride=0.25, n_chains=16)
         assert em.obs["sup_norm"].size < spde.MIN_SAMPLES
         assert any("burn_in" in w for w in em.warnings)
         assert any("n_samples" in w for w in em.warnings)
 
     @pytest.mark.parametrize("n_samples, pooled, undersampled", [(97, 104, False),
                                                                  (93, 96, True)])
-    def test_undersampled_flag_reads_the_pooled_count(self, sdom, sprof, const_noise,
+    def test_undersampled_flag_reads_the_pooled_count(self, sdom, const_noise,
                                                       n_samples, pooled, undersampled):
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=3)
         em = sample_invariant(sdom, const_noise, p, burn_in=2.0, n_samples=n_samples,
-                              stride=0.25, n_chains=8, profile=sprof)
+                              stride=0.25, n_chains=8)
         assert em.obs["sup_norm"].shape == (8, pooled // 8)
         assert any("n_samples" in w for w in em.warnings) is undersampled
 
-    def test_noise_floor_recorded(self, sdom, sprof):
+    def test_noise_floor_recorded(self, sdom):
         nm = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=1.0)
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=9)
         em = sample_invariant(sdom, nm, p, burn_in=1.0, n_samples=128,
-                              stride=0.25, n_chains=16, profile=sprof)
+                              stride=0.25, n_chains=16)
         assert em.g_min >= nm.g0
 
-    def test_noise_floor_holds_where_float32_rounds_g0_down(self, sdom, sprof):
+    def test_noise_floor_holds_where_float32_rounds_g0_down(self, sdom):
         # float32(0.7) < 0.7: the kernel's intensity floors at g0 rounded up
         nm = NoiseModel(kind="smooth_bounded_below", g0=0.7, c=1.0)
         assert float(np.float32(nm.g0)) < nm.g0
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=9)
         em = sample_invariant(sdom, nm, p, burn_in=1.0, n_samples=128,
-                              stride=0.25, n_chains=16, profile=sprof)
+                              stride=0.25, n_chains=16)
         assert nm.g0 <= em.g_min < nm.g0 + 0.05
 
-    def test_float32_chains_match_float64_over_a_long_horizon(self, sdom, sprof, const_noise,
+    def test_float32_chains_match_float64_over_a_long_horizon(self, sdom, const_noise,
                                                               monkeypatch):
         # 4 000 steps of 32 chains at three eps levels: the float64 reference is
         # the same kernel at float64 with the same normals
         p = [SdeParams(eps=eps, dt=1e-3, modes_noise=16, seed=5) for eps in (0.2, 0.1, 0.05)]
-        kw = dict(burn_in=2.0, n_samples=1280, stride=0.05, n_chains=32, profile=sprof)
+        kw = dict(burn_in=2.0, n_samples=1280, stride=0.05, n_chains=32)
         ems32 = sample_invariant(sdom, const_noise, p, **kw)
         monkeypatch.setattr(spde, "CHAIN_DTYPE", np.float64)
         ems64 = sample_invariant(sdom, const_noise, p, **kw)
@@ -399,7 +396,7 @@ class TestInvariantSampling:
                     np.mean(em64.obs[key]), rel=1e-4)
 
     @pytest.mark.parametrize("kind", ["constant", "smooth_bounded_below"])
-    def test_sampler_kernel_stays_float32(self, sdom, sprof, kind, monkeypatch):
+    def test_sampler_kernel_stays_float32(self, sdom, kind, monkeypatch):
         # a float64 operand in a step would promote it (NEP 50) and give the
         # precision's gain back without changing a result by much
         seen = []
@@ -414,7 +411,7 @@ class TestInvariantSampling:
         nm = NoiseModel(kind=kind, g0=0.7, c=1.0)
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=9)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        ens = ensemble_run(sdom, x, nm, p, 0.05, 3, profile=sprof, mode_checkpoint_times=(0.05,))
+        ens = ensemble_run(sdom, x, nm, p, 0.05, 3, mode_checkpoint_times=(0.05,))
         assert len(seen) == 10
         assert all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
         assert ens.mode_states[10].dtype == np.float32
@@ -429,14 +426,14 @@ class TestInvariantSampling:
 
 
 class TestProcessPool:
-    def test_uneven_chunks_bitwise_equal_across_workers(self, sdom, sprof, const_noise):
+    def test_uneven_chunks_bitwise_equal_across_workers(self, sdom, const_noise):
         # 40 chains: chunks of 32 + 8, observables at every step
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=17)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         state_dependent = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=1.0)
         for nm in (const_noise, state_dependent):
             ref, *others = [
-                ensemble_run(sdom, x, nm, p, 1.0, 40, profile=sprof,
+                ensemble_run(sdom, x, nm, p, 1.0, 40,
                              sample_times=tuple(np.arange(201) * p.dt),
                              mode_checkpoint_times=(0.5, 1.0), workers=w)
                 for w in (1, 2, "auto")]
@@ -453,11 +450,11 @@ class TestProcessPool:
             assert ref.obs["sup_norm"].shape == (40, 201)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_stacked_levels_equal_separate_calls(self, sdom, sprof, const_noise,
+    def test_stacked_levels_equal_separate_calls(self, sdom, const_noise,
                                                   monkeypatch, workers):
         # 40 chains: chunks of 32 + 8, each stepping three eps levels together
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        kw = dict(burn_in=0.5, n_samples=80, stride=0.25, n_chains=40, profile=sprof)
+        kw = dict(burn_in=0.5, n_samples=80, stride=0.25, n_chains=40)
         levels = [SdeParams(eps=eps, dt=5e-3, modes_noise=16, seed=23)
                   for eps in (0.2, 0.1, 0.05)]
         state_dependent = NoiseModel(kind="smooth_bounded_below", g0=0.5, c=1.0)
@@ -474,19 +471,18 @@ class TestProcessPool:
                 assert em.warnings == solo.warnings
 
     @pytest.mark.parametrize("change", [dict(dt=1e-2), dict(seed=24), dict(modes_noise=8)])
-    def test_stacked_levels_differ_only_in_eps(self, sdom, sprof, const_noise, change):
+    def test_stacked_levels_differ_only_in_eps(self, sdom, const_noise, change):
         p = SdeParams(eps=0.2, dt=5e-3, modes_noise=16, seed=23)
         with pytest.raises(ConfigurationError, match="differ only in eps"):
             sample_invariant(sdom, const_noise, [p, replace(p, eps=0.1, **change)],
-                             burn_in=0.5, n_samples=8, stride=0.25, n_chains=8,
-                             profile=sprof)
+                             burn_in=0.5, n_samples=8, stride=0.25, n_chains=8)
 
-    def test_blowup_in_a_child_chunk_names_eps(self, sdom, sprof, const_noise, monkeypatch):
+    def test_blowup_in_a_child_chunk_names_eps(self, sdom, const_noise, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)    # the pool runs on any box
         p = SdeParams(eps=4e4, dt=5e-2, modes_noise=16, seed=1)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         with pytest.raises(InstabilityError, match="eps"):
-            ensemble_run(sdom, x, const_noise, p, 5.0, 64, profile=sprof, workers=2)
+            ensemble_run(sdom, x, const_noise, p, 5.0, 64, workers=2)
 
     def test_only_the_sampler_starts_processes(self):
         """The package has one process pool, the sampler's: no other module
@@ -506,7 +502,7 @@ class TestProcessPool:
                     importers.add(src.name)
         assert importers == {"spde.py"}
 
-    def test_dead_child_raises_and_does_not_hang(self, sdom, sprof, const_noise, monkeypatch):
+    def test_dead_child_raises_and_does_not_hang(self, sdom, const_noise, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(spde, "_evolve_chains", lambda *a, **k: os._exit(3))
         p = SdeParams(eps=0.1, dt=5e-3, modes_noise=16, seed=1)
@@ -515,7 +511,7 @@ class TestProcessPool:
 
         def call():
             try:
-                ensemble_run(sdom, x, const_noise, p, 0.1, 64, profile=sprof, workers=2)
+                ensemble_run(sdom, x, const_noise, p, 0.1, 64, workers=2)
             except BrokenProcessPool as exc:
                 raised.append(exc)
 
@@ -527,27 +523,27 @@ class TestProcessPool:
 
 
 class TestMomentBound:
-    def test_running_sup_percentile_stable_as_horizon_doubles(self, sdom, sprof, const_noise):
+    def test_running_sup_percentile_stable_as_horizon_doubles(self, sdom, const_noise):
         # each chain's running sup |z| is the max of sup_norm sampled at every step
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         qs = []
         for T in (2.0, 4.0):
             p = SdeParams(eps=0.1, dt=2e-3, modes_noise=16, seed=64)
             every_step = tuple(np.arange(round(T / p.dt) + 1) * p.dt)
-            ens = ensemble_run(sdom, x, const_noise, p, T, 1000, profile=sprof,
+            ens = ensemble_run(sdom, x, const_noise, p, T, 1000,
                                sample_times=every_step, workers=2)
             qs.append(float(np.quantile(ens.obs["sup_norm"].max(axis=1), 0.999)))
         assert qs[1] <= 1.25 * qs[0]
 
 
 class TestGuards:
-    def test_blowup_reports_parameters(self, sdom, sprof, const_noise):
+    def test_blowup_reports_parameters(self, sdom, const_noise):
         p = SdeParams(eps=4e4, dt=5e-2, modes_noise=16, seed=1)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         with pytest.raises(InstabilityError, match="eps"):
-            ensemble_run(sdom, x, const_noise, p, 5.0, n_chains=1, profile=sprof)
+            ensemble_run(sdom, x, const_noise, p, 5.0, n_chains=1)
 
-    def test_blowup_names_the_level_that_crossed(self, sdom, sprof):
+    def test_blowup_names_the_level_that_crossed(self, sdom):
         # the first level stays bounded; only the second blows up.  At g0 = 1e300
         # the second level's noise weight overflows, so its state is NaN
         for g0, eps_levels, named in ((1.0, (0.1, 4e4), r"eps=40000\.0, dt=0\.05"),
@@ -556,50 +552,50 @@ class TestGuards:
             levels = [SdeParams(eps=eps, dt=5e-2, modes_noise=16, seed=1) for eps in eps_levels]
             with pytest.raises(InstabilityError, match=named):
                 sample_invariant(sdom, nm, levels, burn_in=5.0, n_samples=16,
-                                 stride=0.5, n_chains=16, profile=sprof)
+                                 stride=0.5, n_chains=16)
 
-    def test_stride_below_half_a_step_rejected(self, sdom, sprof, const_noise):
+    def test_stride_below_half_a_step_rejected(self, sdom, const_noise):
         # 0.004 is no whole number of steps of 0.01
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
         with pytest.raises(ConfigurationError, match=r"stride=0\.004 .*dt=0\.01"):
             sample_invariant(sdom, const_noise, p, burn_in=0.1, n_samples=4, stride=0.004,
-                             n_chains=2, profile=sprof)
+                             n_chains=2)
 
     @pytest.mark.parametrize("times", [(0.5,), (0.05, 0.5), (-0.02,)])
-    def test_sample_time_outside_horizon_rejected(self, sdom, sprof, const_noise, times):
+    def test_sample_time_outside_horizon_rejected(self, sdom, const_noise, times):
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         bad = [t for t in times if not 0 <= t <= 0.1][0]
         with pytest.raises(ConfigurationError, match=rf"sample time {bad} .*T=0\.1"):
-            ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2, profile=sprof,
+            ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2,
                          sample_times=times)
 
-    def test_mode_checkpoint_outside_horizon_rejected(self, sdom, sprof, const_noise):
+    def test_mode_checkpoint_outside_horizon_rejected(self, sdom, const_noise):
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         with pytest.raises(ConfigurationError, match=r"mode checkpoint time 0\.5 .*T=0\.1"):
-            ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2, profile=sprof,
+            ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2,
                          mode_checkpoint_times=(0.05, 0.5))
 
-    def test_sample_times_on_one_step_rejected(self, sdom, sprof, const_noise):
+    def test_sample_times_on_one_step_rejected(self, sdom, const_noise):
         # 0.001 and 0.002 are no whole number of steps of 0.01
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         with pytest.raises(ConfigurationError,
                            match=r"sample time=0\.001 is not a whole number of steps of dt=0\.01"):
-            ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2, profile=sprof,
+            ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2,
                          sample_times=(0.001, 0.002, 0.05))
 
-    def test_times_at_the_horizon_are_kept(self, sdom, sprof, const_noise):
+    def test_times_at_the_horizon_are_kept(self, sdom, const_noise):
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
-        ens = ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2, profile=sprof,
+        ens = ensemble_run(sdom, x, const_noise, p, 0.1, n_chains=2,
                            sample_times=(0.0, 0.1), mode_checkpoint_times=(0.0, 0.1))
         assert np.allclose(ens.t_samples, [0.0, 0.1])
         assert sorted(ens.mode_states) == [0, 10]
 
     def test_mode_checkpoints_beyond_the_byte_cap_rejected_before_stepping(
-            self, sdom, sprof, const_noise, monkeypatch):
+            self, sdom, const_noise, monkeypatch):
         # 64 chains x 32 modes x 8 B = 16 KiB a checkpoint; 20 001 of them pass the cap
         p = SdeParams(eps=0.05, dt=1e-3, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
@@ -613,7 +609,7 @@ class TestGuards:
         tracemalloc.start()
         try:
             with pytest.raises(ConfigurationError, match="mode-checkpoint values take"):
-                ensemble_run(sdom, x, const_noise, p, 20.0, n_chains=64, profile=sprof,
+                ensemble_run(sdom, x, const_noise, p, 20.0, n_chains=64,
                              mode_checkpoint_times=times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -621,33 +617,33 @@ class TestGuards:
         assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("T", [0.0, -0.1, 0.004])
-    def test_ensemble_horizon_must_cover_a_step(self, sdom, sprof, const_noise, T):
+    def test_ensemble_horizon_must_cover_a_step(self, sdom, const_noise, T):
         # T = 0.004 is less than one step of 0.01, and no whole number of them
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         match = (rf"T={T} is not a whole number of steps of dt=0\.01" if T == 0.004
                  else rf"at least one step, got T={T} at dt=0\.01")
         with pytest.raises(ConfigurationError, match=match):
-            ensemble_run(sdom, x, const_noise, p, T, n_chains=2, profile=sprof)
+            ensemble_run(sdom, x, const_noise, p, T, n_chains=2)
 
     @pytest.mark.parametrize("front_end", ["sample_invariant", "ensemble_run"])
-    def test_needs_a_chain(self, sdom, sprof, const_noise, front_end):
+    def test_needs_a_chain(self, sdom, const_noise, front_end):
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
         x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
         for n_chains in (0, -2):
             with pytest.raises(ConfigurationError, match=f"n_chains={n_chains}"):
                 if front_end == "sample_invariant":
                     sample_invariant(sdom, const_noise, p, burn_in=0.1, n_samples=8,
-                                     stride=0.05, n_chains=n_chains, profile=sprof)
+                                     stride=0.05, n_chains=n_chains)
                 else:
-                    ensemble_run(sdom, x, const_noise, p, 0.1, n_chains, profile=sprof)
+                    ensemble_run(sdom, x, const_noise, p, 0.1, n_chains)
 
     @pytest.mark.parametrize("n_samples", [0, -3])
-    def test_sample_invariant_needs_a_sample(self, sdom, sprof, const_noise, n_samples):
+    def test_sample_invariant_needs_a_sample(self, sdom, const_noise, n_samples):
         p = SdeParams(eps=0.05, dt=0.01, modes_noise=16, seed=3)
         with pytest.raises(ConfigurationError, match=f"n_samples={n_samples}"):
             sample_invariant(sdom, const_noise, p, burn_in=0.1, n_samples=n_samples,
-                             stride=0.05, n_chains=4, profile=sprof)
+                             stride=0.05, n_chains=4)
 
     def test_param_validation(self):
         with pytest.raises(ConfigurationError):
