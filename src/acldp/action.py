@@ -408,7 +408,7 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
         sup_path=sup_path,
     )
     return ActionResult(value=value, residual_series=best_rung["resid"],
-                        path=Path(Zb, Boundary.ZERO_DIRICHLET, 0.0, best_rung["dt"]),
+                        path=Path(Zb, Boundary.ZERO_DIRICHLET, best_rung["dt"]),
                         iterations=sum(q["nit"] for q in rungs),
                         converged=best_rung["success"] and saturated,
                         info=dict(ladder=[{k: q[k] for k in ("T", "value", "init_value",

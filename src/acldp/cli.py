@@ -112,8 +112,7 @@ def _initial_field(cfg, d):
 def _cmd_flow(args, cfg, outdir, warnings):
     d = domain_from_config(cfg)
     x = _initial_field(cfg, d)
-    res = gradient_flow(d, x, dt=cfg["dt"], T=cfg["T"], stop_tol=cfg["stop_tol"],
-                        record_every=max(1, round(steps_of(cfg["T"], cfg["dt"], "T") / 2000)))
+    res = gradient_flow(d, x, dt=cfg["dt"], T=cfg["T"], stop_tol=cfg["stop_tol"])
     write_csv(outdir / "flow.csv",
               {"t": res.t, "energy_star": res.energy_star,
                "grad_norm": res.grad_norm, "dist_to_profile": res.dist_sup})
@@ -174,7 +173,7 @@ def _cmd_action(args, cfg, outdir, warnings):
     if values.shape[1] != d.n:
         raise ConfigurationError(
             f"path file {args.path} has {values.shape[1]} grid columns, domain needs {d.n}")
-    pth = Path(values, Boundary.ZERO_DIRICHLET, float(t[0]), float(t[1] - t[0]))
+    pth = Path(values, Boundary.ZERO_DIRICHLET, float(t[1] - t[0]))
     with np.errstate(over="ignore", invalid="ignore"):
         res = action(pth, nm, d)
     _write_finite_json(outdir / "action.json",

@@ -62,7 +62,7 @@ def record_replay(d: Domain, x: Field, nm: NoiseModel, p: SdeParams, T: float, *
     normals = _draw_block(_make_streams(p.seed, np.array([0]), p.resolve_noise_modes(d)),
                           n_steps)[0]
     return Replay(p, nm, Path(ExpEuler.values(states).astype(np.float64),
-                              Boundary.ZERO_DIRICHLET, 0.0, p.dt), normals)
+                              Boundary.ZERO_DIRICHLET, p.dt), normals)
 
 
 def _replay_rates(d: Domain, rec: Replay, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +85,7 @@ def _damped_recurrence(d: Domain, decay: np.ndarray, forcing: np.ndarray, dt: fl
         coeffs[s] = y
     frames = np.zeros((len(forcing) + 1, d.n))
     frames[1:] = inverse_transform_values(d, coeffs)
-    return Path(frames, Boundary.ZERO_DIRICHLET, 0.0, dt)
+    return Path(frames, Boundary.ZERO_DIRICHLET, dt)
 
 
 def stochastic_convolution(d: Domain, rec: Replay, lam: float) -> Path:

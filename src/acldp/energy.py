@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, NumericalError
 from .grid import (Boundary, Domain, Field, closure_values, laplacian_values,
                    transform_values)
-from .profile import compute_profile
+from .profile import checked_quad, compute_profile
 
 
 def reaction_values(d: Domain, z_values: np.ndarray, out: np.ndarray | None = None,
@@ -118,8 +117,8 @@ def confinement_threshold(e_L: float) -> float:
     u = 2 confines the field to [-2, 2].
     """
     f = lambda u: np.sqrt(0.5 * (u ** 2 - 1.0) ** 2 + e_L)
-    val, _ = quad(f, 1.0, 2.0, epsabs=1e-12, epsrel=1e-12)
-    return float(val)
+    return checked_quad(f, 1.0, 2.0, f"confinement quadrature at e_L={e_L!r}",
+                        epsabs=1e-12, epsrel=1e-12)
 
 
 def proximity_check(d: Domain, ubar: Field, eta: float) -> float | None:

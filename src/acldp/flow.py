@@ -17,15 +17,16 @@ docstring).  The flow, the skeleton and `relaxation_time` step in float64;
 the sampler builds the same kernel in float32 (`spde.CHAIN_DTYPE`).
 `flow_states` is the one loop of the flow, with the one blow-up check: a
 state with sup |z| past `BLOWUP_SUP`, or with a value that is not a number,
-stops it.  `gradient_flow` and `skeleton_solve` only record its per-step
-diagnostics and the early stop; the reversed flow of `action.mam_minimize`
-and the early-exit loop of `relaxation_time` read its states.  The
-equilibrium they measure against is the domain's memoized profile,
-`compute_profile(d)`.  The blow-up cap (`BLOWUP_SUP`) is shared with `spde`,
-so a chain run at eps = 0 takes the steps of this flow in float32: bitwise
-the kernel's loop at that dtype, and within float32 rounding of this flow.  `steps_of` turns every user-facing
-time into a step count, and rejects one that is not a whole number of steps
-of dt.
+stops it.  Every caller reads its states: `gradient_flow` keeps their
+per-step diagnostics and the last one, `skeleton_solve` keeps them all as
+the controlled `Path`, and the reversed flow of `action.mam_minimize` and
+the early-exit loop of `relaxation_time` read them too.  The equilibrium
+they measure against is the domain's memoized profile, `compute_profile(d)`.
+The blow-up cap (`BLOWUP_SUP`) is shared with `spde`, so a chain run at
+eps = 0 takes the steps of this flow in float32: bitwise the kernel's loop
+at that dtype, and within float32 rounding of this flow.  `steps_of` turns
+every user-facing time into a step count, and rejects one that is not a
+whole number of steps of dt.
 """
 
 from __future__ import annotations
@@ -46,15 +47,17 @@ from .profile import compute_profile
 # InstabilityError, as they do at a NaN; a physical state has |u| of order 1,
 # so |z| = |u - psi| of order 2.
 BLOWUP_SUP = 50.0
+# the failure of a start state out of that range: no step, so no dt, is to blame
+START_OUT_OF_RANGE = f"start state out of range (sup |z| > {BLOWUP_SUP} or NaN); no step was taken"
 
 
 @dataclass(frozen=True)
 class Path:
-    """Time-discretized sequence of same-boundary fields with uniform step."""
+    """Time-discretized sequence of same-boundary fields with uniform step:
+    slice s is the field at time s * dt."""
 
     values: np.ndarray            # (steps+1, n)
     bc: Boundary
-    t0: float
     dt: float
 
     def __post_init__(self):
@@ -67,15 +70,12 @@ class Path:
     def n_steps(self) -> int:
         return self.values.shape[0] - 1
 
-    def terminal(self) -> Field:
-        return Field(self.values[-1], self.bc)
-
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Integrated trajectory plus per-step diagnostics."""
+    """Per-step diagnostics of a flow and its last state."""
 
-    path: Path
+    last: np.ndarray          # grid values of the last state
     t: np.ndarray             # per-step times (length steps+1)
     energy_star: np.ndarray   # E*(z(t)) per step
     grad_norm: np.ndarray     # ||Laplacian z + F(z)||_{L^2} per step
@@ -83,7 +83,7 @@ class FlowResult:
     stopped_early: bool
 
     def terminal(self) -> Field:
-        return self.path.terminal()
+        return Field(self.last, Boundary.ZERO_DIRICHLET)
 
 
 def steps_of(t: float, dt: float, what: str) -> int:
@@ -228,16 +228,17 @@ def flow_states(d: Domain, z0: np.ndarray, dt: float, steps: int, *,
     n)) the drift of step s adds the projection of g(z + psi) control[s].
     A state is computed only when the next one is asked for; z is a new
     array each step, c and f_hat too.  A state with sup |z| past BLOWUP_SUP,
-    or with a value that is not a number, the start state included, is an
-    InstabilityError before anything is formed from it."""
+    or with a value that is not a number, is an InstabilityError before
+    anything is formed from it; for the start state it says so
+    (START_OUT_OF_RANGE) and blames no dt."""
     kernel = ExpEuler(d, dt)
     a = kernel.state(z0)
     for s in range(steps + 1):
         z = kernel.values(a)
         if not max(z.max(), -z.min()) <= BLOWUP_SUP:        # NaN is out of range too
-            raise InstabilityError(
-                f"flow left the physical range (sup |z| > {BLOWUP_SUP} or NaN) "
-                f"at t={s * dt!r}; dt={dt!r} likely too large")
+            raise InstabilityError(START_OUT_OF_RANGE if s == 0 else
+                                   f"flow left the physical range (sup |z| > {BLOWUP_SUP} or NaN) "
+                                   f"at t={s * dt!r}; dt={dt!r} likely too large")
         r_hat = kernel.drift(z)
         yield z, kernel.coefficients(a), d.fwd_weight * r_hat[:d.modes]
         if s == steps:
@@ -246,61 +247,43 @@ def flow_states(d: Domain, z0: np.ndarray, dt: float, steps: int, *,
         kernel.advance(a, r_hat, forcing=forcing)
 
 
-def _integrate(d: Domain, x: Field, dt: float, steps: int, *,
-               control: np.ndarray | None, noise: NoiseModel | None,
-               stop_tol: float, record_every: int) -> FlowResult:
-    if x.bc is not Boundary.ZERO_DIRICHLET:
-        raise ConfigurationError("flow initial data must be zero-Dirichlet (work with z = u - psi)")
-    mshift = compute_profile(d).shifted_values(d)
-    series = np.empty((3, steps + 1))              # E*, gradient norm, sup distance
-    frames = np.empty((steps // record_every + 2, d.n))
-    n_frames = 0
-    for s, (z, c, f_hat) in enumerate(flow_states(d, x.values, dt, steps,
-                                                  control=control, noise=noise)):
-        resid = -d.lambda_k * c + f_hat
-        gnorm = float(np.sqrt(np.sum(resid * resid)))
-        series[:, s] = energy_star_values(d, z), gnorm, np.max(np.abs(z - mshift))
-        if s % record_every == 0:
-            frames[n_frames] = z
-            n_frames += 1
-        if s < steps and gnorm < stop_tol:
-            break
-
-    if s % record_every or n_frames == 1:
-        frames[n_frames] = z             # the terminal slice, twice if no step was taken
-        n_frames += 1
-    e_series, g_series, d_series = series[:, :s + 1]
-    path = Path(frames[:n_frames], Boundary.ZERO_DIRICHLET, 0.0, dt * record_every)
-    return FlowResult(path=path, t=dt * np.arange(s + 1),
-                      energy_star=e_series, grad_norm=g_series, dist_sup=d_series,
-                      stopped_early=s < steps)
-
-
 def gradient_flow(d: Domain, x: Field, dt: float, T: float,
-                  stop_tol: float = 1e-8, record_every: int = 1) -> FlowResult:
+                  stop_tol: float = 1e-8) -> FlowResult:
     """Relax x under dz/dt = Laplacian(z) + F(z) until T or the gradient
-    norm drops below stop_tol.
+    norm drops below stop_tol, keeping the per-step series and the last state.
 
     The gradient norm uses the unfiltered projection of F, while the step
     drops the top third of its modes, so the norm floors above zero.  From
     z = 0 (dt 1e-3, T 30) the floor is 3.05e-5 at (L, n, modes) =
     (2, 127, 64), 2.3e-5 at (2, 63, 63), 7.8e-6 at (1, 127, 127), 5.6e-6 at
     (2, 255, 128) and 7.3e-7 at (2, 255, 255).  A stop_tol below the floor,
-    like the default 1e-8, never stops the flow.  Its series (3 floats a
-    step) and frames (n floats each) are counted against the memory budget
-    (`errors.check_bytes`) before the first step."""
+    like the default 1e-8, never stops the flow.  Its four series (t and
+    three diagnostics, a float each a step) are counted against the memory
+    budget (`errors.check_bytes`) before the first step."""
     if dt <= 0 or T <= 0:
         raise ConfigurationError(f"need dt > 0 and T > 0, got dt={dt}, T={T}")
     steps = steps_of(T, dt, "T")
-    check_bytes(f"T={T!r} at dt={dt!r}: the flow's series and frames",
-                8 * (3 * (steps + 1) + d.n * (steps // record_every + 2)))
-    return _integrate(d, x, dt, steps, control=None, noise=None,
-                      stop_tol=stop_tol, record_every=record_every)
+    check_bytes(f"T={T!r} at dt={dt!r}: the flow's series", 8 * 4 * (steps + 1))
+    if x.bc is not Boundary.ZERO_DIRICHLET:
+        raise ConfigurationError("flow initial data must be zero-Dirichlet (work with z = u - psi)")
+    mshift = compute_profile(d).shifted_values(d)
+    series = np.empty((3, steps + 1))              # E*, gradient norm, sup distance
+    for s, (z, c, f_hat) in enumerate(flow_states(d, x.values, dt, steps)):
+        resid = -d.lambda_k * c + f_hat
+        gnorm = float(np.sqrt(np.sum(resid * resid)))
+        series[:, s] = energy_star_values(d, z), gnorm, np.max(np.abs(z - mshift))
+        if s < steps and gnorm < stop_tol:
+            break
+    e_series, g_series, d_series = series[:, :s + 1]
+    return FlowResult(last=z, t=dt * np.arange(s + 1), energy_star=e_series,
+                      grad_norm=g_series, dist_sup=d_series, stopped_early=s < steps)
 
 
 def skeleton_solve(d: Domain, x: Field, control: np.ndarray, noise: NoiseModel,
-                   dt: float, record_every: int = 1) -> FlowResult:
-    """Integrate the controlled dynamics dz/dt = Laplacian z + F(z) + g(z+psi) f(t).
+                   dt: float) -> Path:
+    """The path of the controlled dynamics dz/dt = Laplacian z + F(z) +
+    g(z+psi) f(t) from x: every state of `flow_states` under the control,
+    steps + 1 slices at dt.
 
     The control is an array of shape (steps, n): one grid-sampled forcing
     slice per time step of length dt.
@@ -311,8 +294,11 @@ def skeleton_solve(d: Domain, x: Field, control: np.ndarray, noise: NoiseModel,
             f"control must have shape (steps, {d.n}), got {control.shape}")
     if dt <= 0:
         raise ConfigurationError(f"need dt > 0, got {dt}")
-    return _integrate(d, x, dt, control.shape[0], control=control, noise=noise,
-                      stop_tol=0.0, record_every=record_every)
+    if x.bc is not Boundary.ZERO_DIRICHLET:
+        raise ConfigurationError("flow initial data must be zero-Dirichlet (work with z = u - psi)")
+    return Path(np.asarray([z for z, _, _ in flow_states(d, x.values, dt, control.shape[0],
+                                                         control=control, noise=noise)]),
+                Boundary.ZERO_DIRICHLET, dt)
 
 
 def relaxation_time(d: Domain, threshold: float = 1e-2, dt: float = 5e-3,

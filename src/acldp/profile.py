@@ -62,11 +62,12 @@ def transit_integral(e: float) -> float:
     """T(e): length of interval crossed by the profile at first-integral constant e."""
     if e <= 0:
         raise ConfigurationError(f"transit integral needs e > 0, got {e}")
-    # split off the boundary layer of width ~ (2e)^{1/4} near theta = pi/2
+    # split off the boundary layer of width ~ (2e)^{1/4} near theta = pi/2;
+    # full_output keeps quad's IntegrationWarning back: the error check below decides
     w = min(max(10.0 * (2.0 * e) ** 0.25, 1e-12), 0.5)
-    kw = dict(epsabs=1e-14, epsrel=1e-13, limit=400)
-    v1, err1 = quad(_transit_integrand, 0.0, np.pi / 2 - w, args=(e,), **kw)
-    v2, err2 = quad(_transit_integrand, np.pi / 2 - w, np.pi / 2, args=(e,), **kw)
+    kw = dict(epsabs=1e-14, epsrel=1e-13, limit=400, full_output=1)
+    v1, err1, *_ = quad(_transit_integrand, 0.0, np.pi / 2 - w, args=(e,), **kw)
+    v2, err2, *_ = quad(_transit_integrand, np.pi / 2 - w, np.pi / 2, args=(e,), **kw)
     total = 2.0 * (v1 + v2)
     if not np.isfinite(total) or (err1 + err2) > 1e-8 * max(total, 1.0):
         raise NumericalError(
@@ -74,11 +75,24 @@ def transit_integral(e: float) -> float:
     return total
 
 
+def checked_quad(f, a: float, b: float, what: str, **kw) -> float:
+    """quad's value of f on [a, b]; a NumericalError naming `what` when the
+    value is not finite or its error estimate exceeds 1e-8 max(|value|, 1).
+    The estimate stands in for quad's IntegrationWarning, which full_output
+    keeps back."""
+    val, err, *_ = quad(f, a, b, full_output=1, **kw)
+    if not (np.isfinite(val) and err <= 1e-8 * max(abs(val), 1.0)):
+        raise NumericalError(f"{what} did not converge: value={val!r}, err={err!r}")
+    return float(val)
+
+
 def solve_e_L(L: float, tol: float = DEFAULT_TOL) -> float:
     """First-integral constant for half-length L: the root of T(e) = 2L.
 
     Bisection runs on log(e) since e_L decays like exp(-2 sqrt(2) L); the
-    initial bracket [1e-16, 1/2] is widened on both sides as needed.
+    initial bracket [1e-16, 1/2] is widened on both sides as needed.  The
+    lower end steps by 1e-4 and the transit quadrature fails at e = 1e-48, so
+    an L past T(1e-44) / 2 = 37.05 has no lower bracket: a ConfigurationError.
     """
     if not L > 0:
         raise ConfigurationError(f"half-length must be positive, got {L}")
@@ -88,10 +102,13 @@ def solve_e_L(L: float, tol: float = DEFAULT_TOL) -> float:
         hi *= 4.0
         if hi > 1e12:
             raise NumericalError(f"no upper bracket for e_L at L={L}")
-    while transit_integral(lo) < target:
-        lo *= 1e-4
-        if lo < 1e-300:
-            raise NumericalError(f"no lower bracket for e_L at L={L}")
+    try:
+        while transit_integral(lo) < target:
+            lo *= 1e-4
+    except NumericalError:
+        raise ConfigurationError(
+            f"half-length L={L} is past the profile solver's reach: e_L lies below "
+            f"{lo * 1e4:.0e}, and the transit quadrature fails at {lo:.0e}") from None
     for _ in range(300):
         mid = np.sqrt(lo * hi)
         if transit_integral(mid) > target:
@@ -100,17 +117,18 @@ def solve_e_L(L: float, tol: float = DEFAULT_TOL) -> float:
             hi = mid
         if hi / lo < 1.0 + 1e-15:
             break
-    e = np.sqrt(lo * hi)
+    e = float(np.sqrt(lo * hi))
     if abs(transit_integral(e) - target) > max(tol, 1e-11 * target):
         raise NumericalError(f"bisection for e_L stalled at L={L}: e={e!r}")
-    return float(e)
+    return e
 
 
 def energy_formula(L: float, e: float) -> float:
     """Closed-form energy of the minimizer:
     integral_{-1}^{1} sqrt((1/2)(u^2-1)^2 + e) du - L e, via u = sin(theta)."""
     f = lambda t: np.sqrt(0.5 * np.cos(t) ** 4 + e) * np.cos(t)
-    val, _ = quad(f, 0.0, np.pi / 2, epsabs=1e-14, epsrel=1e-13, limit=200)
+    val = checked_quad(f, 0.0, np.pi / 2, f"energy quadrature at e={e!r}",
+                       epsabs=1e-14, epsrel=1e-13, limit=200)
     return float(2.0 * val - L * e)
 
 

@@ -70,7 +70,7 @@ import numpy as np
 from .config import AUTO
 from .energy import energy_star_values
 from .errors import ConfigurationError, InstabilityError, check_bytes
-from .flow import BLOWUP_SUP, ExpEuler, relaxation_time, steps_of
+from .flow import BLOWUP_SUP, START_OUT_OF_RANGE, ExpEuler, relaxation_time, steps_of
 from .grid import Boundary, Domain, Field, sobolev_norm_values, sobolev_weights
 from .noise import NoiseModel
 from .profile import compute_profile
@@ -137,7 +137,8 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
     drawn once per step and shared by its levels, and each level's rows see
     the arithmetic of a one-level run bit for bit.  A state with sup |z| past
     BLOWUP_SUP, or with a value that is not a number, is an InstabilityError
-    naming the first level that has one; the start state is checked too."""
+    naming the first level that has one; a start state out of range is one
+    naming no level (`flow.START_OUT_OF_RANGE`)."""
     p = levels[0]
     n_chains = len(chain_ids)
     shape = (len(levels), n_chains)
@@ -171,6 +172,8 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
         nonlocal si
         z_now = kernel.values(a)
         if not max(z_now.max(), -z_now.min()) <= BLOWUP_SUP:        # NaN is out of range too
+            if step == 0:
+                raise InstabilityError(START_OUT_OF_RANGE)
             level = int(np.argmax(~(np.max(np.abs(z_now), axis=(1, 2)) <= BLOWUP_SUP)))
             raise InstabilityError(
                 f"stochastic integration blew up (sup > {BLOWUP_SUP} or NaN) "

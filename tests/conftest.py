@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from acldp.flow import Path, flow_states, steps_of
 from acldp.grid import Boundary, Field, build_domain
 from acldp.noise import NoiseModel
 from acldp.profile import compute_profile
@@ -55,3 +56,11 @@ def band_limited(d, rng, k_max=8, amp=0.3):
     coeff[:k_max] = amp * rng.standard_normal(k_max)
     from acldp.grid import inverse_transform_values
     return Field(inverse_transform_values(d, coeff), Boundary.ZERO_DIRICHLET)
+
+
+def flow_path(d, x, dt, T):
+    """The states of the noiseless flow from x over [0, T] as a Path, read
+    from `flow_states` as `mam_minimize` reads them."""
+    steps = steps_of(T, dt, "T")
+    return Path(np.asarray([z for z, _, _ in flow_states(d, x.values, dt, steps)]),
+                Boundary.ZERO_DIRICHLET, dt)

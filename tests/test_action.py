@@ -7,13 +7,13 @@ import pytest
 from acldp.action import (MAM_DT_FLOW, RUNG_PATHS, _action_core, _dense_operators,
                           _dst_ortho, _initial_path, _rung_objective, action,
                           action_gradient, mam_minimize, minimize)
-from acldp.energy import energy_star, reaction_values
+from acldp.energy import energy_star, energy_star_values, reaction_values
 from acldp.errors import MEMORY_BYTES, ConfigurationError
 from acldp.flow import Path, flow_states, gradient_flow, skeleton_solve
 from acldp.grid import Boundary, Field, basis_eval, build_domain, laplacian_values
 from acldp.noise import NoiseModel
 
-from .conftest import band_limited
+from .conftest import band_limited, flow_path
 
 # the module, not the `action` function that the package re-exports under its name
 action_module = importlib.import_module("acldp.action")
@@ -31,9 +31,8 @@ def multi_mode_state(d, prof, amps):
 
 
 def reversed_flow(d, zeta, t_star, dt):
-    """The noiseless flow from zeta over [0, t_star] and its time reversal."""
-    fr = gradient_flow(d, zeta, dt=dt, T=t_star, stop_tol=0.0, record_every=1)
-    return fr, Path(fr.path.values[::-1], Boundary.ZERO_DIRICHLET, 0.0, fr.path.dt)
+    """The time reversal of the noiseless flow from zeta over [0, t_star]."""
+    return Path(flow_path(d, zeta, dt, t_star).values[::-1], Boundary.ZERO_DIRICHLET, dt)
 
 
 def start_path_action(d, zeta, nm, T):
@@ -59,7 +58,7 @@ def g_two():
 class TestActionValue:
     def test_constant_equilibrium_path_is_zero(self, dom2_full, prof2_full, unit_noise):
         eq = prof2_full.shifted_values(dom2_full)
-        pth = Path(np.tile(eq, (21, 1)), Boundary.ZERO_DIRICHLET, 0.0, 0.05)
+        pth = Path(np.tile(eq, (21, 1)), Boundary.ZERO_DIRICHLET, 0.05)
         res = action(pth, unit_noise, dom2_full)
         assert res.value < 1e-10
         assert np.max(res.residual_series) < 1e-4
@@ -68,9 +67,7 @@ class TestActionValue:
         x = band_limited(dom2_full, rng, k_max=6, amp=0.4)
         vals = []
         for dt in (1e-2, 5e-3):
-            fr = gradient_flow(dom2_full, x, dt=dt, T=0.5, stop_tol=0.0,
-                               record_every=1)
-            vals.append(action(fr.path, unit_noise, dom2_full).value)
+            vals.append(action(flow_path(dom2_full, x, dt, 0.5), unit_noise, dom2_full).value)
         # zero control realizes the flow; the action is quadratic in the
         # O(dt) path residual, so it decays at least first order (in fact ~dt^2)
         assert vals[0] < 1e-3
@@ -85,40 +82,37 @@ class TestActionValue:
             steps = int(round(T / dt))
             tgrid = (np.arange(steps) + 0.5) * dt
             f = 0.4 * np.cos(2.0 * tgrid)[:, None] * shape[None, :]
-            out = skeleton_solve(dom2_full, x, f, unit_noise, dt=dt,
-                                 record_every=1)
-            got = action(out.path, unit_noise, dom2_full).value
+            got = action(skeleton_solve(dom2_full, x, f, unit_noise, dt=dt), unit_noise,
+                         dom2_full).value
             expect = 0.5 * np.sum(f ** 2) * dom2_full.h * dt
             errs.append(abs(got - expect) / expect)
         assert errs[0] < 0.05
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.75)
 
     def test_boundary_class_rejected(self, dom2_full, unit_noise):
-        pth = Path(np.tile(dom2_full.psi, (3, 1)), Boundary.RAMP_DIRICHLET, 0.0, 0.1)
+        pth = Path(np.tile(dom2_full.psi, (3, 1)), Boundary.RAMP_DIRICHLET, 0.1)
         with pytest.raises(ConfigurationError):
             action(pth, unit_noise, dom2_full)
 
     def test_degenerate_path_rejected(self, dom2_full):
         with pytest.raises(ConfigurationError):
-            Path(np.zeros((1, dom2_full.n)), Boundary.ZERO_DIRICHLET, 0.0, 0.1)
+            Path(np.zeros((1, dom2_full.n)), Boundary.ZERO_DIRICHLET, 0.1)
         with pytest.raises(ConfigurationError):
-            Path(np.zeros((3, dom2_full.n)), Boundary.ZERO_DIRICHLET, 0.0, -0.1)
+            Path(np.zeros((3, dom2_full.n)), Boundary.ZERO_DIRICHLET, -0.1)
 
 
 class TestZeroControlCharacterization:
     def test_flow_paths_have_small_action_and_reintegrate(self, dom2_full,
                                                           unit_noise, rng):
         x = band_limited(dom2_full, rng, k_max=5, amp=0.3)
-        fr = gradient_flow(dom2_full, x, dt=5e-3, T=0.5, stop_tol=0.0,
-                           record_every=1)
-        assert action(fr.path, unit_noise, dom2_full).value < 1e-3
-        re = gradient_flow(dom2_full, Field(fr.path.values[0], fr.path.bc), dt=5e-3, T=0.5,
-                           stop_tol=0.0, record_every=1)
-        assert np.max(np.abs(re.path.values - fr.path.values)) < 1e-10
+        pth = flow_path(dom2_full, x, 5e-3, 0.5)
+        assert action(pth, unit_noise, dom2_full).value < 1e-3
+        re = flow_path(dom2_full, Field(pth.values[0], pth.bc), 5e-3, 0.5)
+        assert np.max(np.abs(re.values - pth.values)) < 1e-10
 
-        bumped = fr.path.values.copy()
+        bumped = pth.values.copy()
         bumped[len(bumped) // 2] += 0.05 * basis_eval(dom2_full, 3).values
-        pb = Path(bumped, Boundary.ZERO_DIRICHLET, 0.0, fr.path.dt)
+        pb = Path(bumped, Boundary.ZERO_DIRICHLET, pth.dt)
         assert action(pb, unit_noise, dom2_full).value > 1e-2
 
 
@@ -167,14 +161,12 @@ class TestInterpolation:
         # relax a perturbed state, then interpolate from the equilibrium to the
         # relaxed endpoint: cost stays below the coarse (C L + 1)^2 eps bound
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.05)])
-        fr = gradient_flow(dom2_full, zeta, dt=5e-3, T=14.0, stop_tol=0.0,
-                           record_every=1)
-        b = fr.terminal()
+        b = gradient_flow(dom2_full, zeta, dt=5e-3, T=14.0, stop_tol=0.0).terminal()
         eps_close = np.max(np.abs(b.values - prof2_full.shifted_values(dom2_full)))
         assert eps_close <= 1e-2
         s = np.linspace(0.0, 1.0, 65)[:, None]
         vals = (1.0 - s) * prof2_full.shifted_values(dom2_full)[None, :] + s * b.values[None, :]
-        pth = Path(vals, Boundary.ZERO_DIRICHLET, 0.0, 1.0 / 64)
+        pth = Path(vals, Boundary.ZERO_DIRICHLET, 1.0 / 64)
         lip_f = 11.0                                   # |1 - 3 theta^2| on [-2, 2]
         bound = (lip_f * dom2_full.L + 1.0) ** 2 * 1e-2
         assert action(pth, unit_noise, dom2_full).value <= bound
@@ -182,20 +174,21 @@ class TestInterpolation:
 
 class TestReversedFlow:
     def test_equilibrium_reversal_is_constant(self, dom2_full, prof2_full, unit_noise):
-        _, pth = reversed_flow(dom2_full, equilibrium(dom2_full, prof2_full),
+        pth = reversed_flow(dom2_full, equilibrium(dom2_full, prof2_full),
                                0.5, 5e-3)
         assert action(pth, unit_noise, dom2_full).value < 1e-8
 
     def test_action_equals_twice_energy_drop(self, dom2_full, prof2_full, unit_noise):
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.2), (3, -0.1)])
-        fr, pth = reversed_flow(dom2_full, zeta, 4.0, 2e-3)
-        drop = 2.0 * (fr.energy_star[0] - fr.energy_star[-1])
+        pth = reversed_flow(dom2_full, zeta, 4.0, 2e-3)
+        estar = energy_star_values(dom2_full, pth.values)
+        drop = 2.0 * (estar[-1] - estar[0])
         assert action(pth, unit_noise, dom2_full).value == pytest.approx(drop, rel=0.02)
 
     def test_floor_scaled_bound_large_floor(self, dom2_full, prof2_full, g_two):
         # with g == g0 >= 1 the floor-scaled action sits below twice the energy
         zeta = multi_mode_state(dom2_full, prof2_full, [(2, 0.15)])
-        _, pth = reversed_flow(dom2_full, zeta, 4.0, 2e-3)
+        pth = reversed_flow(dom2_full, zeta, 4.0, 2e-3)
         val = action(pth, g_two, dom2_full).value
         estar = energy_star(dom2_full, zeta)
         assert g_two.g0 * val <= 2.0 * estar + 1e-6
@@ -203,7 +196,7 @@ class TestReversedFlow:
     def test_floor_squared_bound_any_floor(self, dom2_full, prof2_full, g_half):
         # the sharp scaling: g0^2 * action <= 2 E* for every constant floor
         zeta = multi_mode_state(dom2_full, prof2_full, [(2, 0.15)])
-        _, pth = reversed_flow(dom2_full, zeta, 4.0, 2e-3)
+        pth = reversed_flow(dom2_full, zeta, 4.0, 2e-3)
         val = action(pth, g_half, dom2_full).value
         estar = energy_star(dom2_full, zeta)
         assert g_half.g0 ** 2 * val <= 2.0 * estar * 1.02 + 1e-9
@@ -257,7 +250,7 @@ class TestActionGradient:
         steps, dt = 12, 0.05
         base = np.array([band_limited(dom2_full, rng, k_max=6, amp=0.3).values
                          for _ in range(steps + 1)])
-        pth = Path(base, Boundary.ZERO_DIRICHLET, 0.0, dt)
+        pth = Path(base, Boundary.ZERO_DIRICHLET, dt)
         grad = action_gradient(pth, nm, dom2_full)
         worst = 0.0
         for _ in range(20):
@@ -265,9 +258,9 @@ class TestActionGradient:
             v /= np.sqrt(np.sum(v * v))
             tau = 1e-6
             up = Path(np.vstack([base[:1], base[1:-1] + tau * v, base[-1:]]),
-                      Boundary.ZERO_DIRICHLET, 0.0, dt)
+                      Boundary.ZERO_DIRICHLET, dt)
             dn = Path(np.vstack([base[:1], base[1:-1] - tau * v, base[-1:]]),
-                      Boundary.ZERO_DIRICHLET, 0.0, dt)
+                      Boundary.ZERO_DIRICHLET, dt)
             fd = (action(up, nm, dom2_full).value - action(dn, nm, dom2_full).value) / (2 * tau)
             an = dom2_full.h * np.sum(grad * v)
             worst = max(worst, abs(fd - an) / max(abs(an), 1e-12))
@@ -283,7 +276,7 @@ class TestActionGradient:
         for steps in (25, 50, 100):
             s = (np.linspace(0.0, 1.0, steps + 1) ** 2)[:, None]
             Z = (1 - s) * eq[None, :] + s * zeta.values[None, :]
-            pth = Path(Z, Boundary.ZERO_DIRICHLET, 0.0, T / steps)
+            pth = Path(Z, Boundary.ZERO_DIRICHLET, T / steps)
             vals[steps] = action(pth, unit_noise, dom2_full).value
         d1 = abs(vals[25] - vals[100])
         d2 = abs(vals[50] - vals[100])
@@ -328,11 +321,9 @@ class TestMinimization:
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, -0.2), (2, 0.1)])
         res = mam_minimize(dom2_full, zeta, unit_noise, T=6.0, steps=96,
                            ladder=3, maxiter=1)
-        longest = gradient_flow(dom2_full, zeta, dt=MAM_DT_FLOW, T=23.0, stop_tol=0.0,
-                                record_every=1).path.values
+        longest = flow_path(dom2_full, zeta, MAM_DT_FLOW, 23.0).values
         for T_r, rung in zip((6.0, 12.0, 24.0), res.info["ladder"]):
-            own = gradient_flow(dom2_full, zeta, dt=MAM_DT_FLOW, T=T_r - 1.0, stop_tol=0.0,
-                                record_every=1).path.values
+            own = flow_path(dom2_full, zeta, MAM_DT_FLOW, T_r - 1.0).values
             assert np.array_equal(own, longest[: own.shape[0]])
             Z0 = _initial_path(dom2_full, zeta, T_r, 96, frames=own, dt_flow=MAM_DT_FLOW)
             v0, _, _ = _action_core(dom2_full, Z0, T_r / 96, unit_noise, need_grad=False)
@@ -526,7 +517,7 @@ class TestActionCore:
     def test_action_returns_the_residual_record(self, dom2_full, paths):
         nm = NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)
         Z = paths[0]
-        res = action(Path(Z, Boundary.ZERO_DIRICHLET, 0.0, 0.05), nm, dom2_full)
+        res = action(Path(Z, Boundary.ZERO_DIRICHLET, 0.05), nm, dom2_full)
         ref = general_core(dom2_full, Z, 0.05, 1.0, 0.0)   # the record ignores g
         assert res.residual_series.shape == (Z.shape[0] - 1,)
         assert res.residual_series.tobytes() == ref[2].tobytes()
@@ -572,7 +563,7 @@ class TestDenseOperators:
         # that MEMORY_BYTES admits
         assert 24 * 3344 ** 2 <= MEMORY_BYTES < 24 * 3345 ** 2
         d = build_domain(2.0, 5000, 64)
-        pth = Path(np.zeros((2, d.n)), Boundary.ZERO_DIRICHLET, 0.0, 0.1)
+        pth = Path(np.zeros((2, d.n)), Boundary.ZERO_DIRICHLET, 0.1)
         tracemalloc.start()
         try:
             with pytest.raises(ConfigurationError, match="n=5000 .*MEMORY_BYTES"):

@@ -66,6 +66,20 @@ def assert_failed_without_data(out):
     assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "resolved.cfg"]
 
 
+# the exit line of a start state out of range: it blames no step and no dt
+START_OUT_OF_RANGE = ("numerical failure: start state out of range (sup |z| > 50.0 or NaN); "
+                      "no step was taken")
+
+
+def out_of_range_csv(tmp_path):
+    """A state of n = 31 points, all 1e200: out of range before its cubic
+    would overflow."""
+    d = build_domain(2.0, 31, 16)
+    path = tmp_path / "big.csv"
+    write_field_csv(path, d, Field(np.full(d.n, 1e200), Boundary.ZERO_DIRICHLET))
+    return path
+
+
 class TestConfigHandling:
     def test_unknown_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -207,6 +221,15 @@ class TestProfileCommand:
         assert manifest["wall_time_s"] > 0
         assert len(manifest["config_hash"]) == 64
 
+    def test_length_past_the_profile_solvers_reach_exits_2(self, tmp_path, capsys):
+        # e_L is below 1e-44 at L = 40, and the transit quadrature fails at 1e-48
+        out = tmp_path / "o"
+        code, err = run_quietly(["profile", "--set", "L=40", "--set", "n=31", "--set", "modes=16",
+                                 "--out", str(out)], capsys)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("configuration error: half-length L=40.0 ")
+        assert_failed_without_data(out)
+
     def test_length_whose_eigenvalues_overflow_exits_2(self, tmp_path, capsys):
         # (k pi / 2L)^2 overflows at L = 1e-300
         out = tmp_path / "o"
@@ -268,16 +291,12 @@ class TestFlowCommand:
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
     def test_state_that_is_not_a_number_exits_1_without_data(self, tmp_path, capsys):
-        # z = 1e200 is out of range at the start, before its cubic would overflow
-        d = build_domain(2.0, 31, 16)
-        init_csv = tmp_path / "big.csv"
-        write_field_csv(init_csv, d, Field(np.full(d.n, 1e200), Boundary.ZERO_DIRICHLET))
         out = tmp_path / "o"
-        assert run(["flow", "--set", "n=31", "--set", "modes=16", "--set", "T=0.1",
-                    "--set", f"init={init_csv}", "--out", str(out)]) == 1
-        assert "or NaN) at t=0.0;" in capsys.readouterr().err
-        assert json.loads((out / "manifest.json").read_text())["partial"] is True
-        assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+        code, err = run_quietly(["flow", "--set", "n=31", "--set", "modes=16", "--set", "T=0.1",
+                                 "--set", f"init={out_of_range_csv(tmp_path)}",
+                                 "--out", str(out)], capsys)
+        assert code == 1 and err == [START_OUT_OF_RANGE]
+        assert_failed_without_data(out)
 
     def test_custom_init_csv(self, tmp_path):
         d = build_domain(2.0, 63, 32)
@@ -641,6 +660,14 @@ class TestMamCommand:
         assert not (out / "mam.json").exists()
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
 
+    def test_target_out_of_range_exits_1_naming_the_start_state(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code, err = run_quietly(["mam", "--target", str(out_of_range_csv(tmp_path)),
+                                 "--T-ladder", "1", "--set", "n=31", "--set", "modes=16",
+                                 "--set", "action.steps=16", "--out", str(out)], capsys)
+        assert code == 1 and err == [START_OUT_OF_RANGE]
+        assert_failed_without_data(out)
+
     def test_reversed_flow_blowup_exits_1(self, tmp_path, capsys):
         # sup |zeta| = 40 leaves the physical range on the flow's first step
         from acldp.grid import basis_eval
@@ -842,6 +869,15 @@ class TestSdeAndInvariant:
         assert "eps=1e+300" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["partial"] is True
         assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
+    def test_init_out_of_range_exits_1_naming_the_start_state(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code, err = run_quietly(["sde", "--set", "n=31", "--set", "modes=16", "--set", "T=0.1",
+                                 "--set", "n_chains=2",
+                                 "--set", f"init={out_of_range_csv(tmp_path)}",
+                                 "--out", str(out)], capsys)
+        assert code == 1 and err == [START_OUT_OF_RANGE]
+        assert_failed_without_data(out)
 
     def test_floor_past_float32_exits_1_with_only_the_exit_line(self, tmp_path, capsys):
         # g0 = 1e300 has no float32 value: the chain's floor is inf, its state NaN

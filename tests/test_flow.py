@@ -17,7 +17,7 @@ from acldp.grid import (Boundary, Field, basis_eval, build_domain, h1_distance,
 from acldp.noise import NoiseModel
 from acldp.profile import compute_profile
 
-from .conftest import band_limited
+from .conftest import band_limited, flow_path
 
 
 def equilibrium_field(d, prof):
@@ -26,38 +26,35 @@ def equilibrium_field(d, prof):
 
 class TestGradientFlow:
     def test_equilibrium_is_fixed_point(self, dom2, prof2):
-        res = gradient_flow(dom2, equilibrium_field(dom2, prof2), dt=1e-3, T=1.0,
-                            stop_tol=0.0, record_every=100)
-        drift = np.max(np.abs(res.path.values - res.path.values[0]))
+        states = flow_path(dom2, equilibrium_field(dom2, prof2), 1e-3, 1.0).values
+        drift = np.max(np.abs(states - states[0]))
         assert drift < 1e-6          # gap to the discrete equilibrium: truncation tail
 
     def test_convergence_from_zero(self, dom2, prof2):
         res = gradient_flow(dom2, Field(np.zeros(dom2.n), Boundary.ZERO_DIRICHLET),
-                            dt=1e-3, T=30.0, stop_tol=1e-10, record_every=1000)
+                            dt=1e-3, T=30.0, stop_tol=1e-10)
         assert h1_distance(dom2, res.terminal(),
                            equilibrium_field(dom2, prof2)) < 1e-3
         assert res.dist_sup[-1] < 1e-3
 
     def test_flipped_start_converges_to_same_equilibrium(self, dom2, prof2):
         x = Field(-prof2.shifted_values(dom2) - 2.0 * dom2.psi, Boundary.ZERO_DIRICHLET)
-        res = gradient_flow(dom2, x, dt=1e-3, T=60.0, stop_tol=1e-10,
-                            record_every=2000)
+        res = gradient_flow(dom2, x, dt=1e-3, T=60.0, stop_tol=1e-10)
         assert h1_distance(dom2, res.terminal(),
                            equilibrium_field(dom2, prof2)) < 1e-3
         # halved-dt oracle: same terminal state
-        res2 = gradient_flow(dom2, x, dt=5e-4, T=60.0, stop_tol=1e-10,
-                             record_every=4000)
+        res2 = gradient_flow(dom2, x, dt=5e-4, T=60.0, stop_tol=1e-10)
         assert np.max(np.abs(res.terminal().values - res2.terminal().values)) < 1e-6
 
     def test_energy_dissipation_monotone(self, dom2, rng):
         x = band_limited(dom2, rng, k_max=8, amp=0.5)
-        res = gradient_flow(dom2, x, dt=1e-3, T=3.0, stop_tol=0.0, record_every=500)
+        res = gradient_flow(dom2, x, dt=1e-3, T=3.0, stop_tol=0.0)
         increases = np.diff(res.energy_star)
         assert np.all(increases <= 1e-8)
 
     def test_discrete_dissipation_identity(self, dom2):
         res = gradient_flow(dom2, Field(np.zeros(dom2.n), Boundary.ZERO_DIRICHLET),
-                            dt=1e-3, T=1.0, stop_tol=0.0, record_every=1000)
+                            dt=1e-3, T=1.0, stop_tol=0.0)
         de = np.diff(res.energy_star) / 1e-3
         gsq = 0.5 * (res.grad_norm[:-1] ** 2 + res.grad_norm[1:] ** 2)
         active = gsq > 1e-3 * gsq[0]
@@ -66,8 +63,7 @@ class TestGradientFlow:
 
     def test_first_order_in_dt(self, dom2, rng):
         x = band_limited(dom2, rng, k_max=6, amp=0.5)
-        outs = [gradient_flow(dom2, x, dt=dt, T=0.5, stop_tol=0.0,
-                              record_every=10 ** 6).terminal().values
+        outs = [gradient_flow(dom2, x, dt=dt, T=0.5, stop_tol=0.0).terminal().values
                 for dt in (4e-3, 2e-3, 1e-3)]
         e1 = np.max(np.abs(outs[0] - outs[2]))
         e2 = np.max(np.abs(outs[1] - outs[2]))
@@ -75,27 +71,32 @@ class TestGradientFlow:
 
     def test_early_stop_at_the_first_state_below_tol(self, dom2):
         x = Field(np.zeros(dom2.n), Boundary.ZERO_DIRICHLET)
-        res = gradient_flow(dom2, x, dt=1e-3, T=30.0, stop_tol=1e-4, record_every=7)
+        res = gradient_flow(dom2, x, dt=1e-3, T=30.0, stop_tol=1e-4)
         assert res.stopped_early
         assert res.grad_norm[-1] < 1e-4 <= res.grad_norm[-2]
-        s = len(res.grad_norm) - 1
-        states = [z for z, _, _ in flow_states(dom2, x.values, 1e-3, s)]
-        want = states[::7] + ([states[s]] if s % 7 else [])
-        assert res.path.values.tobytes() == np.asarray(want).tobytes()
+        # the stop step s, found from the states' own residuals
+        for s, (z, c, f_hat) in enumerate(flow_states(dom2, x.values, 1e-3, 30_000)):
+            resid = -dom2.lambda_k * c + f_hat
+            if np.sqrt(np.sum(resid * resid)) < 1e-4:
+                break
+        assert 0 < s < 30_000
+        assert len(res.t) == len(res.energy_star) == len(res.dist_sup) == s + 1
+        assert res.terminal().values.tobytes() == z.tobytes()
 
     def test_tolerance_above_the_start_stops_at_state_0(self, dom2, rng):
         x = band_limited(dom2, rng, k_max=8, amp=0.5)
         res = gradient_flow(dom2, x, dt=1e-3, T=1.0, stop_tol=1e3)
-        assert res.stopped_early and len(res.grad_norm) == 1
+        assert res.stopped_early and len(res.grad_norm) == len(res.t) == 1
         state0 = next(flow_states(dom2, x.values, 1e-3, 1000))[0]
-        assert res.path.values.tobytes() == np.asarray([state0, state0]).tobytes()
+        assert res.terminal().values.tobytes() == state0.tobytes()
 
     def test_holds_the_bytes_it_counts(self):
-        # T = 20, dt = 1e-3, n = 31, every step recorded: 5.4 MB counted; the
-        # series and frames once grew as lists and a final stack, 17.3 MB
+        # T = 20, dt = 1e-3, n = 31: the four series of 20 001 floats, 640 kB
+        # counted (the profile, solved once per domain, is warmed first)
         d = build_domain(2.0, 31, 31)
         steps = 20_000
-        counted = 8 * (3 * (steps + 1) + d.n * (steps + 2))
+        counted = 8 * 4 * (steps + 1)
+        compute_profile(d)
         tracemalloc.start()
         try:
             res = gradient_flow(d, Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET), dt=1e-3,
@@ -103,7 +104,7 @@ class TestGradientFlow:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.path.values.shape == (steps + 1, d.n)
+        assert len(res.t) == steps + 1
         assert peak <= 1.5 * counted
 
     def test_blowup_guard(self, dom2):
@@ -123,23 +124,32 @@ class TestSkeleton:
         x = band_limited(dom2, rng, k_max=8, amp=0.3)
         steps = 200
         f0 = np.zeros((steps, dom2.n))
-        flow = gradient_flow(dom2, x, dt=1e-3, T=steps * 1e-3, stop_tol=0.0,
-                             record_every=50)
-        skel = skeleton_solve(dom2, x, f0, unit_noise, dt=1e-3, record_every=50)
-        assert np.array_equal(flow.path.values, skel.path.values)
+        skel = skeleton_solve(dom2, x, f0, unit_noise, dt=1e-3)
+        assert skel.values.tobytes() == flow_path(dom2, x, 1e-3, steps * 1e-3).values.tobytes()
+        flow = gradient_flow(dom2, x, dt=1e-3, T=steps * 1e-3, stop_tol=0.0)
+        assert skel.values[-1].tobytes() == flow.terminal().values.tobytes()
+
+    def test_path_is_every_controlled_state(self, dom2, rng):
+        x = band_limited(dom2, rng, k_max=6, amp=0.3)
+        steps = 150
+        nm = NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)
+        f = 0.3 * np.cos(np.arange(steps) * 1e-2)[:, None] * basis_eval(dom2, 2).values
+        pth = skeleton_solve(dom2, x, f, nm, dt=1e-3)
+        want = [z for z, _, _ in flow_states(dom2, x.values, 1e-3, steps, control=f, noise=nm)]
+        assert pth.values.shape == (steps + 1, dom2.n)
+        assert pth.dt == 1e-3 and pth.bc is Boundary.ZERO_DIRICHLET
+        assert pth.values.tobytes() == np.asarray(want).tobytes()
 
     def test_control_continuity(self, dom2, rng, unit_noise):
         x = band_limited(dom2, rng, k_max=6, amp=0.3)
         steps = 400
         shape = basis_eval(dom2, 2).values
-        base = gradient_flow(dom2, x, dt=1e-3, T=0.4, stop_tol=0.0,
-                             record_every=10 ** 6).terminal().values
+        base = gradient_flow(dom2, x, dt=1e-3, T=0.4, stop_tol=0.0).terminal().values
         diffs = []
         for amp in (0.2, 0.1):
             f = amp * np.tile(shape, (steps, 1))
-            out = skeleton_solve(dom2, x, f, unit_noise, dt=1e-3,
-                                 record_every=10 ** 6)
-            diffs.append(np.max(np.abs(out.terminal().values - base)))
+            out = skeleton_solve(dom2, x, f, unit_noise, dt=1e-3)
+            diffs.append(np.max(np.abs(out.values[-1] - base)))
         # terminal deviation scales linearly with the control size
         assert diffs[0] / diffs[1] == pytest.approx(2.0, rel=0.25)
 
@@ -148,10 +158,9 @@ class TestSkeleton:
         steps = 1000
         for amp in (0.5, 2.0):
             f = amp * np.tile(basis_eval(dom2, 1).values, (steps, 1))
-            out = skeleton_solve(dom2, x, f, unit_noise, dt=1e-3,
-                                 record_every=100)
+            out = skeleton_solve(dom2, x, f, unit_noise, dt=1e-3)
             f_l2 = np.sqrt(np.sum(f ** 2) * dom2.h * 1e-3)
-            assert np.max(np.abs(out.path.values)) <= 5.0 * (f_l2 + 1.0)
+            assert np.max(np.abs(out.values)) <= 5.0 * (f_l2 + 1.0)
 
     def test_control_shape_validated(self, dom2, rng, unit_noise):
         with pytest.raises(ConfigurationError):
@@ -167,15 +176,15 @@ def shifted_plus_modes(d, prof, amps):
 
 
 class TestFlowStates:
-    """The frames-only loop against the diagnosed flow it stands in for."""
+    """The flow's one loop against the diagnosed flow that reads it."""
 
     @staticmethod
     def assert_bitwise_gradient_flow(d, z0, dt, steps):
-        states = np.asarray([z for z, _, _ in flow_states(d, z0, dt, steps)])
+        states = [z for z, _, _ in flow_states(d, z0, dt, steps)]
         want = gradient_flow(d, Field(z0, Boundary.ZERO_DIRICHLET), dt=dt, T=steps * dt,
-                             stop_tol=0.0, record_every=1).path.values
-        assert states.shape == want.shape == (steps + 1, d.n)
-        assert states.tobytes() == want.tobytes()
+                             stop_tol=0.0)
+        assert len(states) == len(want.t) == steps + 1
+        assert states[-1].tobytes() == want.terminal().values.tobytes()
 
     def test_states_are_gradient_flow_frames(self, dom2_full, prof2_full):
         for amps in ([(1, -0.2), (2, 0.1)], [(1, 0.4), (3, -0.25), (6, 0.05)]):
@@ -285,12 +294,11 @@ class TestKernel:
 
 
 def two_pass_relaxation_time(d, prof, threshold, dt, T_max):
-    """The first recorded frame of the flow from z = 0 within `threshold` of
-    the equilibrium in H^1, found after the whole flow is stored."""
-    res = gradient_flow(d, Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET), dt=dt,
-                        T=T_max, stop_tol=0.0, record_every=1)
+    """The first state of the flow from z = 0 within `threshold` of the
+    equilibrium in H^1, found after the whole flow is stored."""
+    states = flow_path(d, Field(np.zeros(d.n), Boundary.ZERO_DIRICHLET), dt, T_max).values
     mshift = prof.shifted_values(d)
-    for i, z in enumerate(res.path.values):
+    for i, z in enumerate(states):
         c = transform_values(d, z - mshift)
         if np.sqrt(np.sum((1.0 + d.lambda_k) * c * c)) < threshold:
             return i * dt

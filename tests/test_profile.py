@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from acldp import profile as profile_module
-from acldp.energy import energy
+from acldp.energy import confinement_threshold, energy
 from acldp.errors import ConfigurationError, NumericalError
 from acldp.grid import Boundary, Field, build_domain
 from acldp.profile import (compute_profile, energy_formula, solve_e_L,
@@ -37,6 +39,28 @@ class TestTransitSolve:
             solve_e_L(-1.0)
         with pytest.raises(ConfigurationError):
             transit_integral(0.0)
+
+    def test_transit_quadrature_doubt_is_its_error_check(self):
+        # scipy doubts the transit quadrature below e = 1e-30 (roundoff) and
+        # fails it at 1e-48; the error estimate decides, with no warning issued
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert transit_integral(1e-44) == pytest.approx(74.09028, rel=1e-6)
+            with pytest.raises(NumericalError, match="e=1e-48"):
+                transit_integral(1e-48)
+        assert caught == []
+
+    @pytest.mark.parametrize("L", [37.1, 40.0, 1e10])
+    def test_length_without_a_lower_bracket_rejected(self, L):
+        # T(1e-44) / 2 = 37.05 is the longest half-length the bracket reaches
+        with pytest.raises(ConfigurationError, match=rf"^half-length L={L!r} is past"):
+            solve_e_L(L)
+
+    def test_quadrature_that_fails_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="energy quadrature at e=nan"):
+            energy_formula(2.0, float("nan"))
+        with pytest.raises(NumericalError, match="confinement quadrature at e_L=nan"):
+            confinement_threshold(float("nan"))
 
 
 class TestProfile:

@@ -84,8 +84,7 @@ class TestReproducibility:
         # rounds the state at most 4 times by u = 2^-24 of its scale (see
         # test_flow.TestKernel), and F' <= 1 lets a carried error grow at most
         # by e^{dt} a step, so N = 300 steps stay within 4 N u e^{N dt} max|x|
-        flow = gradient_flow(sdom, x, dt=1e-3, T=0.3, stop_tol=0.0,
-                             record_every=10 ** 6)
+        flow = gradient_flow(sdom, x, dt=1e-3, T=0.3, stop_tol=0.0)
         bound = 4 * 300 * 2.0 ** -24 * np.exp(0.3) * np.max(np.abs(x.values))
         assert np.max(np.abs(checkpoint_values(sdom, ens.mode_states[300])[0]
                              - flow.terminal().values)) <= bound
