@@ -4,7 +4,6 @@ dynamics, multiplicative-noise sampling, action functional, quasi-potential
 estimation, and small-noise tail diagnostics.  Stochastic chains run through
 `ensemble_run` (chains from a given state) and `sample_invariant` (invariant
 measure), both returning the chains of an eps level as one `EnsembleResult`;
-`record_replay` keeps one chain's path and noise for the replay diagnostics;
 `tail_report` turns sampled measures into the one tail record, `TailReport`.
 The profile depends on the domain alone: every reader takes it from the
 memoized `compute_profile(d)`, and no function takes it as an argument."""
@@ -12,16 +11,11 @@ memoized `compute_profile(d)`, and no function takes it as an argument."""
 __version__ = "0.1.0"
 
 from .action import ActionResult, action, action_gradient, mam_minimize
-from .diagnostics import (Replay, check_factorization_params, damped_remainder_path,
-                          decomposition_residual, factorization_constant,
-                          factorization_identity_error, record_replay,
-                          stochastic_convolution)
 from .energy import (EnergyReport, energy, energy_fd, energy_gradient,
                      energy_report, energy_star, proximity_check)
 from .errors import ConfigurationError, InstabilityError, NumericalError
 from .flow import FlowResult, Path, gradient_flow, relaxation_time, skeleton_solve
-from .grid import (Boundary, Domain, Field, basis_eval, build_domain,
-                   h1_distance, l2_inner, lp_norm, sobolev_norm)
+from .grid import Boundary, Domain, Field, build_domain, sobolev_norm
 from .ldp import (TailReport, delta_scaling, tail_report, tightness_monotone,
                   wilson_interval)
 from .noise import NoiseModel

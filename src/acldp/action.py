@@ -36,12 +36,10 @@ The rungs run in order in the calling process.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeResult, line_search
 
 from .energy import energy_star, reaction_values
 from .errors import ConfigurationError, check_bytes
@@ -66,6 +64,10 @@ MAM_DT_FLOW = 5e-2
 RUNG_PATHS = 48
 # L-BFGS memory: the number of (s, y) pairs the two-loop recursion keeps.
 LBFGS_PAIRS = 10
+# The strong Wolfe line search's sufficient-decrease and curvature constants,
+# and its caps: doublings of the trial step, then trials of the zoom stage.
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
+SEARCH_DOUBLINGS = ZOOM_TRIALS = 10
 
 
 @dataclass
@@ -236,30 +238,141 @@ def _rung_objective(d: Domain, nm: NoiseModel, Z0: np.ndarray, dt: float,
     return fun, ((_dst_ortho(Z0[1:-1], axis=0) @ ortho) / s).ravel(), nodes
 
 
-def minimize(fun, x0: np.ndarray, maxiter: int, ftol: float) -> OptimizeResult:
+@dataclass(frozen=True)
+class MinimizeResult:
+    """Where `minimize` stopped: the point, its value and gradient, the
+    iteration and evaluation counts, and L-BFGS-B's stop message."""
+
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nit: int
+    nfev: int
+    success: bool
+    message: str
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """Minimizer of the cubic through (a, fa), (b, fb), (c, fc) with slope
+    fpa at a; None when it has none or arithmetic fails."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            db, dc = b - a, c - a
+            denom = (db * dc) ** 2 * (db - dc)
+            d1 = np.empty((2, 2))
+            d1[0, 0], d1[0, 1] = dc ** 2, -db ** 2
+            d1[1, 0], d1[1, 1] = -dc ** 3, db ** 3
+            A, B = np.dot(d1, np.asarray([fb - fa - fpa * db, fc - fa - fpa * dc]))
+            A /= denom
+            B /= denom
+            xmin = a + (-B + np.sqrt(B * B - 3 * A * fpa)) / (3 * A)
+        except ArithmeticError:
+            return None
+    return xmin if np.isfinite(xmin) else None
+
+
+def _quadmin(a, fa, fpa, b, fb):
+    """Minimizer of the quadratic through (a, fa), (b, fb) with slope fpa at
+    a; None when arithmetic fails."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            db = b - a
+            B = (fb - fa - fpa * db) / (db * db)
+            xmin = a - fpa / (2.0 * B)
+        except ArithmeticError:
+            return None
+    return xmin if np.isfinite(xmin) else None
+
+
+def _line_search(fun, x: np.ndarray, p: np.ndarray, f0: float, g0: np.ndarray):
+    """A step alpha along the descent direction p from x that satisfies the
+    strong Wolfe conditions, f(x + alpha p) <= f0 + WOLFE_C1 alpha g0'p and
+    |g(x + alpha p)'p| <= WOLFE_C2 |g0'p|, as (alpha, f, g) at that point;
+    None when the search fails.
+
+    Nocedal & Wright 2006, Algorithms 3.5 and 3.6, as scipy's
+    `line_search_wolfe2` runs them from alpha = 1 with no step cap: trial
+    steps double until one brackets a conforming step, then the zoom stage
+    tries the cubic interpolant's minimizer, the quadratic's, or the
+    midpoint.  It makes the same calls of fun(x + alpha p) -> (f, g), one
+    per trial step, so alpha, f and g are bitwise scipy's.  Unlike scipy it
+    reports running out of doublings as a failure, since it has no gradient
+    to return there.
+    """
+    derphi0 = np.dot(g0, p)
+    last = {}
+
+    def phi(alpha):
+        f, last["g"] = fun(x + alpha * p)
+        return f
+
+    def zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo):
+        phi_rec, a_rec = f0, 0.0
+        for i in range(ZOOM_TRIALS + 1):
+            dalpha = a_hi - a_lo
+            a, b = (a_hi, a_lo) if dalpha < 0 else (a_lo, a_hi)
+            if i > 0:
+                cchk = 0.2 * dalpha
+                a_j = _cubicmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi, a_rec, phi_rec)
+            if i == 0 or a_j is None or a_j > b - cchk or a_j < a + cchk:
+                qchk = 0.1 * dalpha
+                a_j = _quadmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
+                if a_j is None or a_j > b - qchk or a_j < a + qchk:
+                    a_j = a_lo + 0.5 * dalpha
+            phi_aj = phi(a_j)
+            if phi_aj > f0 + WOLFE_C1 * a_j * derphi0 or phi_aj >= phi_lo:
+                phi_rec, a_rec = phi_hi, a_hi
+                a_hi, phi_hi = a_j, phi_aj
+                continue
+            derphi_aj = np.dot(last["g"], p)
+            if abs(derphi_aj) <= -WOLFE_C2 * derphi0:
+                return a_j, phi_aj, last["g"]
+            if derphi_aj * (a_hi - a_lo) >= 0:
+                phi_rec, a_rec = phi_hi, a_hi
+                a_hi, phi_hi = a_lo, phi_lo
+            else:
+                phi_rec, a_rec = phi_lo, a_lo
+            a_lo, phi_lo, derphi_lo = a_j, phi_aj, derphi_aj
+        return None
+
+    alpha0, alpha1 = 0.0, 1.0
+    phi_a0, derphi_a0 = f0, derphi0
+    phi_a1 = phi(alpha1)
+    for i in range(SEARCH_DOUBLINGS):
+        if phi_a1 > f0 + WOLFE_C1 * alpha1 * derphi0 or (phi_a1 >= phi_a0 and i > 0):
+            return zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0)
+        derphi_a1 = np.dot(last["g"], p)
+        if abs(derphi_a1) <= -WOLFE_C2 * derphi0:
+            return alpha1, phi_a1, last["g"]
+        if derphi_a1 >= 0:
+            return zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1)
+        alpha0, alpha1 = alpha1, 2 * alpha1
+        phi_a0, phi_a1, derphi_a0 = phi_a1, phi(alpha1), derphi_a1
+    return None
+
+
+def minimize(fun, x0: np.ndarray, maxiter: int, ftol: float) -> MinimizeResult:
     """Unconstrained L-BFGS (Liu & Nocedal 1989) for fun(x) -> (f, gradient).
 
     The direction comes from the two-loop recursion over the last
     LBFGS_PAIRS pairs (s, y), with H0 = (s'y / y'y) I from the newest pair; a
     pair with s'y <= 0 is not kept.  The first step, and the step after a
     failed line search, goes along -g / |g|.  Steps satisfy the strong Wolfe
-    conditions (`scipy.optimize.line_search`), and a one-entry memo makes
-    each point it visits one call of fun.  The stops and messages are
+    conditions (`_line_search`, scipy's `line_search` ported), and each
+    point the search visits is one call of fun.  The stops and messages are
     L-BFGS-B's: the iteration cap, then (f_k - f_{k+1}) <= ftol max(|f_k|,
     |f_{k+1}|, 1); a zero gradient is convergence too, and a line search that
     fails from the steepest-descent direction ends the run.
     """
-    memo = dict(x=None, nfev=0)
+    nfev = 0
 
-    def evaluate(x):
-        if memo["x"] is None or not np.array_equal(x, memo["x"]):
-            memo["f"], memo["g"] = fun(x)
-            memo["x"] = x.copy()
-            memo["nfev"] += 1
-        return memo["f"], memo["g"]
+    def evaluate(z):
+        nonlocal nfev
+        nfev += 1
+        return fun(z)
 
     def result(message, success):
-        return OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=memo["nfev"],
+        return MinimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev,
                               success=success, message=message)
 
     x = np.asarray(x0, dtype=float).copy()
@@ -281,17 +394,13 @@ def minimize(fun, x0: np.ndarray, maxiter: int, ftol: float) -> OptimizeResult:
             p = -p
         else:
             p = -g / np.sqrt(g @ g)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "The line search algorithm",
-                                    RuntimeWarning)
-            alpha, _, _, f_new, _, g_new = line_search(
-                lambda z: evaluate(z)[0], lambda z: evaluate(z)[1], x, p,
-                gfk=g, old_fval=f)
-        if alpha is None:
+        found = _line_search(evaluate, x, p, f, g)
+        if found is None:
             if not pairs:
                 return result("ABNORMAL_TERMINATION_IN_LNSRCH", False)
             pairs.clear()
             continue
+        alpha, f_new, g_new = found
         step = alpha * p
         x_new = x + step
         dg = g_new - g

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 from .grid import (Boundary, Domain, Field, closure_values, laplacian_values,
                    transform_values)
-from .profile import checked_quad, compute_profile
+from .profile import compute_profile, dyadic_quadrature
 
 
 def reaction_values(d: Domain, z_values: np.ndarray, out: np.ndarray | None = None,
@@ -114,11 +114,15 @@ def confinement_threshold(e_L: float) -> float:
 
     The energy excess of an excursion past u = 1 is at least the transit
     cost integral_1^{sup u} V(u) du, so eta below the cost of reaching
-    u = 2 confines the field to [-2, 2].
+    u = 2 confines the field to [-2, 2].  With u = cosh(t), u^2 - 1 =
+    sinh(t)^2 and the integrand's layer at t ~ (2 e_L)^{1/4} is the transit
+    integral's, so the profile's rule serves it on [0, arccosh 2].
     """
-    f = lambda u: np.sqrt(0.5 * (u ** 2 - 1.0) ** 2 + e_L)
-    return checked_quad(f, 1.0, 2.0, f"confinement quadrature at e_L={e_L!r}",
-                        epsabs=1e-12, epsrel=1e-12)
+    def f(t):
+        sh = np.sinh(t)
+        return np.sqrt(0.5 * sh ** 4 + e_L) * sh
+    return dyadic_quadrature(f, e_L, float(np.arccosh(2.0)),
+                             f"confinement quadrature at e_L={e_L!r}")
 
 
 def proximity_check(d: Domain, ubar: Field, eta: float) -> float | None:

@@ -126,15 +126,6 @@ def build_domain(L: float, n: int, modes: int) -> Domain:
     )
 
 
-def basis_eval(d: Domain, k: int) -> Field:
-    """Sample the k-th eigenfunction e_k on the grid (1 <= k <= modes)."""
-    if not 1 <= k <= d.modes:
-        raise ConfigurationError(f"basis index k={k} out of range 1..{d.modes}")
-    arg = k * np.pi * d.xi / (2.0 * d.L)
-    vals = (np.sin(arg) if k % 2 == 0 else np.cos(arg)) / np.sqrt(d.L)
-    return Field(vals, Boundary.ZERO_DIRICHLET)
-
-
 # ---------------------------------------------------------------------------
 # transforms
 #
@@ -179,29 +170,8 @@ def closure_values(d: Domain, f: Field) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# norms and inner products (composite trapezoid, boundary-aware)
+# fractional Sobolev norms
 # ---------------------------------------------------------------------------
-
-def lp_norm(d: Domain, f: Field, p: float = 2) -> float:
-    """Trapezoid L^p norm on the closure (boundary terms weighted h/2)."""
-    lo, hi = boundary_values(f)
-    s = np.sum(np.abs(f.values) ** p) + 0.5 * (abs(lo) ** p + abs(hi) ** p)
-    return float((d.h * s) ** (1.0 / p))
-
-
-def l2_inner(d: Domain, f: Field, g: Field) -> float:
-    """Trapezoid L^2 inner product (boundary products vanish for zero bc)."""
-    (flo, fhi), (glo, ghi) = boundary_values(f), boundary_values(g)
-    return float(d.h * (np.sum(f.values * g.values) + 0.5 * (flo * glo + fhi * ghi)))
-
-
-def h1_distance(d: Domain, f: Field, g: Field) -> float:
-    """Full H^1 norm of f - g for two fields of the same boundary class."""
-    if f.bc is not g.bc:
-        raise ConfigurationError("H^1 distance needs matching boundary classes")
-    c = transform_values(d, f.values - g.values)
-    return float(np.sqrt(np.sum((1.0 + d.lambda_k) * c * c)))
-
 
 def sobolev_weights(d: Domain, k_star: float) -> np.ndarray:
     """Mode weights lambda_k^(k*/2); one that overflows is a ConfigurationError."""

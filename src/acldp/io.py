@@ -114,13 +114,6 @@ def read_field_csv(path: FsPath, d: Domain, bc: Boundary) -> Field:
     return Field(cols["value"], bc)
 
 
-def write_path_csv(path: FsPath, times: np.ndarray, values: np.ndarray) -> None:
-    cols = {"t": times}
-    for j in range(values.shape[1]):
-        cols[f"z{j}"] = values[:, j]
-    write_csv(path, cols)
-
-
 def read_path_csv(path: FsPath) -> tuple[np.ndarray, np.ndarray]:
     """Times and values of a path CSV whose header is exactly t, z0 .. z{k-1}
     (k >= 1): two rows or more, uniform t."""

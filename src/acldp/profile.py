@@ -10,17 +10,32 @@ variables turns the boundary condition into a transit-length equation
 
     T(e) := integral_{-1}^{1} du / sqrt((1/2)(u^2-1)^2 + e) = 2L,
 
-and T is strictly decreasing in e, so e_L is the unique root.  We solve it
-by geometric bisection with adaptive quadrature.  The substitution
-u = sin(theta) tames the near-singular integrand at small e (the raw peak
-1/sqrt(e) becomes (2e)^{-1/4} and the integrand stays continuous), which
-keeps the solver accurate out to L = 20 where e_L ~ 1e-23.
+and T is strictly decreasing in e, so e_L is the unique root, found by
+geometric bisection.  The substitution u = -cos(s), s in [0, pi/2] on each
+half (s = pi/2 - |theta| for u = sin(theta)), gives
 
-The profile itself is recovered from the same substitution: xi as a
-function of theta obeys d(xi)/d(theta) = cos(theta)/sqrt((1/2)cos^4(theta)+e),
-a plain quadrature, integrated once with a high-order adaptive stepper and
-then inverted per grid point by bracketed root finding.  The grid values of
-m' come from the first integral, which is exact pointwise.
+    T(e) = 2 integral_0^{pi/2} sin(s) / sqrt((1/2) sin(s)^4 + e) ds,
+
+with 1 - u^2 = sin(s)^2 formed without cancellation near the wells.  The
+integrand rises linearly from s = 0 and turns over in a boundary layer of
+width (2e)^{1/4}, so every integral here uses one fixed rule
+(`dyadic_quadrature`): 24-point Gauss-Legendre on the panels of a dyadic
+mesh whose first panel is [0, (2e)^{1/4}] and each next panel twice as wide,
+up to the top of the range.  It matches adaptive quadrature to about 1e-14
+relative from e = 0.4 down to its reach.
+
+The reach is one limit in float64: the smallest node of the first panel
+carries (1/2) sin(s)^4 = t0^4 e (t0 the rule's smallest node on [0, 1]),
+and that term stays a normal float for e >= E_MIN = tiny / t0^4 (6.6e-298,
+half-length L about 243).  An e below E_MIN is a NumericalError of the rule,
+and an L whose e_L lies below it a ConfigurationError of `solve_e_L`.
+
+The profile itself comes from the same rule: the distance from the wall
+xi + L = A(s) = integral_0^s sin / sqrt((1/2) sin^4 + e) is solved for s at
+every grid point by a safeguarded Newton iteration, vectorized over the
+grid, with A' the integrand itself.  m = -+cos(s) on the two halves (odd by
+construction), and the first integral gives m' = sqrt((1/2) sin(s)^4 + e)
+exactly at each point.
 """
 
 from __future__ import annotations
@@ -28,13 +43,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NumericalError
 from .grid import Boundary, Domain, Field
 
 DEFAULT_TOL = 1e-12
+
+# 24-point Gauss-Legendre rule on [0, 1]
+_X, _W = np.polynomial.legendre.leggauss(24)
+_NODES, _WEIGHTS = 0.5 * (_X + 1.0), 0.5 * _W
+# the rule's reach: (1/2) sin(s)^4 at the first panel's smallest node is
+# _NODES[0]^4 e, a normal float64 for every e >= E_MIN
+E_MIN = float(np.finfo(float).tiny / _NODES[0] ** 4)
 
 _profile_cache: dict[tuple[float, int, int, float], "Profile"] = {}
 
@@ -53,46 +73,56 @@ class Profile:
         return self.m.values - d.psi
 
 
-def _transit_integrand(theta: np.ndarray, e: float) -> np.ndarray:
-    c = np.cos(theta)
-    return c / np.sqrt(0.5 * c ** 4 + e)
+def _mesh(e: float, top: float) -> np.ndarray:
+    """Edges of the dyadic mesh on [0, top]: (2^k - 1) (2e)^{1/4}, the last
+    one top."""
+    w = (2.0 * e) ** 0.25
+    k = max(int(np.ceil(np.log2(top / w + 1.0))), 1)
+    edges = np.minimum(w * (2.0 ** np.arange(k + 1) - 1.0), top)
+    edges[-1] = top
+    return edges
+
+
+def _panel_sums(f, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The rule of f on each panel [lo, lo + width]."""
+    return np.sum(width[:, None] * _WEIGHTS * f(lo[:, None] + width[:, None] * _NODES), axis=1)
+
+
+def dyadic_quadrature(f, e: float, top: float, what: str) -> float:
+    """integral_0^top f(s) ds by the rule on the dyadic mesh of e; a
+    NumericalError naming `what` for an e below E_MIN (nan too) or a value
+    that is not finite."""
+    if not e >= E_MIN:
+        raise NumericalError(f"{what} is past the rule's reach: it holds in float64 for "
+                             f"e >= E_MIN = {E_MIN:.4g}")
+    edges = _mesh(e, top)
+    val = float(np.sum(_panel_sums(f, edges[:-1], np.diff(edges))))
+    if not np.isfinite(val):
+        raise NumericalError(f"{what} is not finite: {val!r}")
+    return val
+
+
+def _transit_integrand(s: np.ndarray, e: float) -> np.ndarray:
+    """dA/ds = sin(s) / sqrt((1/2) sin(s)^4 + e)."""
+    sn = np.sin(s)
+    return sn / np.sqrt(0.5 * sn ** 4 + e)
 
 
 def transit_integral(e: float) -> float:
     """T(e): length of interval crossed by the profile at first-integral constant e."""
     if e <= 0:
         raise ConfigurationError(f"transit integral needs e > 0, got {e}")
-    # split off the boundary layer of width ~ (2e)^{1/4} near theta = pi/2;
-    # full_output keeps quad's IntegrationWarning back: the error check below decides
-    w = min(max(10.0 * (2.0 * e) ** 0.25, 1e-12), 0.5)
-    kw = dict(epsabs=1e-14, epsrel=1e-13, limit=400, full_output=1)
-    v1, err1, *_ = quad(_transit_integrand, 0.0, np.pi / 2 - w, args=(e,), **kw)
-    v2, err2, *_ = quad(_transit_integrand, np.pi / 2 - w, np.pi / 2, args=(e,), **kw)
-    total = 2.0 * (v1 + v2)
-    if not np.isfinite(total) or (err1 + err2) > 1e-8 * max(total, 1.0):
-        raise NumericalError(
-            f"transit quadrature did not converge at e={e!r}: value={total!r}, err={err1 + err2!r}")
-    return total
-
-
-def checked_quad(f, a: float, b: float, what: str, **kw) -> float:
-    """quad's value of f on [a, b]; a NumericalError naming `what` when the
-    value is not finite or its error estimate exceeds 1e-8 max(|value|, 1).
-    The estimate stands in for quad's IntegrationWarning, which full_output
-    keeps back."""
-    val, err, *_ = quad(f, a, b, full_output=1, **kw)
-    if not (np.isfinite(val) and err <= 1e-8 * max(abs(val), 1.0)):
-        raise NumericalError(f"{what} did not converge: value={val!r}, err={err!r}")
-    return float(val)
+    return 2.0 * dyadic_quadrature(lambda s: _transit_integrand(s, e), e, np.pi / 2,
+                                   f"transit quadrature at e={e!r}")
 
 
 def solve_e_L(L: float, tol: float = DEFAULT_TOL) -> float:
     """First-integral constant for half-length L: the root of T(e) = 2L.
 
     Bisection runs on log(e) since e_L decays like exp(-2 sqrt(2) L); the
-    initial bracket [1e-16, 1/2] is widened on both sides as needed.  The
-    lower end steps by 1e-4 and the transit quadrature fails at e = 1e-48, so
-    an L past T(1e-44) / 2 = 37.05 has no lower bracket: a ConfigurationError.
+    initial bracket [1e-16, 1/2] is widened on both sides as needed, the
+    lower end by 1e-4 down to the rule's reach E_MIN.  An L past
+    T(E_MIN) / 2 (about 243) has no lower bracket: a ConfigurationError.
     """
     if not L > 0:
         raise ConfigurationError(f"half-length must be positive, got {L}")
@@ -102,22 +132,22 @@ def solve_e_L(L: float, tol: float = DEFAULT_TOL) -> float:
         hi *= 4.0
         if hi > 1e12:
             raise NumericalError(f"no upper bracket for e_L at L={L}")
-    try:
-        while transit_integral(lo) < target:
-            lo *= 1e-4
-    except NumericalError:
-        raise ConfigurationError(
-            f"half-length L={L} is past the profile solver's reach: e_L lies below "
-            f"{lo * 1e4:.0e}, and the transit quadrature fails at {lo:.0e}") from None
+    while transit_integral(lo) < target:
+        if lo == E_MIN:
+            raise ConfigurationError(
+                f"half-length L={L} is past the profile solver's reach "
+                f"L = T(E_MIN)/2 = {transit_integral(E_MIN) / 2:.6g}: e_L lies below "
+                f"E_MIN = {E_MIN:.4g}, the smallest e at which the transit rule holds in float64")
+        lo = max(lo * 1e-4, E_MIN)
     for _ in range(300):
-        mid = np.sqrt(lo * hi)
+        mid = np.sqrt(lo) * np.sqrt(hi)     # lo * hi may underflow
         if transit_integral(mid) > target:
             lo = mid
         else:
             hi = mid
         if hi / lo < 1.0 + 1e-15:
             break
-    e = float(np.sqrt(lo * hi))
+    e = float(np.sqrt(lo) * np.sqrt(hi))
     if abs(transit_integral(e) - target) > max(tol, 1e-11 * target):
         raise NumericalError(f"bisection for e_L stalled at L={L}: e={e!r}")
     return e
@@ -125,41 +155,53 @@ def solve_e_L(L: float, tol: float = DEFAULT_TOL) -> float:
 
 def energy_formula(L: float, e: float) -> float:
     """Closed-form energy of the minimizer:
-    integral_{-1}^{1} sqrt((1/2)(u^2-1)^2 + e) du - L e, via u = sin(theta)."""
-    f = lambda t: np.sqrt(0.5 * np.cos(t) ** 4 + e) * np.cos(t)
-    val = checked_quad(f, 0.0, np.pi / 2, f"energy quadrature at e={e!r}",
-                       epsabs=1e-14, epsrel=1e-13, limit=200)
+    integral_{-1}^{1} sqrt((1/2)(u^2-1)^2 + e) du - L e, via u = -cos(s)."""
+    def f(s):
+        sn = np.sin(s)
+        return np.sqrt(0.5 * sn ** 4 + e) * sn
+    val = dyadic_quadrature(f, e, np.pi / 2, f"energy quadrature at e={e!r}")
     return float(2.0 * val - L * e)
 
 
 def solve_profile(d: Domain, e_L: float, rtol: float = 1e-12) -> Profile:
-    """Integrate the first-order reduction of the profile equation onto the grid.
+    """The profile on the grid: s at each grid point from the wall distance
+    A(s) = a by Newton's method, safeguarded by the bracket of its mesh panel,
+    until every |A(s) - a| <= rtol max(L, 1) (the last step taken).
 
     Raises NumericalError when e_L is inconsistent with the domain length
-    (the integrated half-length misses L).
+    (the half transit misses L).
     """
     if e_L <= 0:
         raise ConfigurationError(f"first-integral constant must be positive, got {e_L}")
-
-    rhs = lambda theta, _xi: _transit_integrand(np.asarray(theta), e_L)
-    sol = solve_ivp(rhs, (-np.pi / 2, np.pi / 2), [-d.L], method="DOP853",
-                    dense_output=True, rtol=rtol, atol=1e-14 * max(d.L, 1.0),
-                    max_step=np.pi / 50)
-    if not sol.success:
-        raise NumericalError(f"profile integration failed: {sol.message}")
-    xi_end = float(sol.y[0, -1])
-    if abs(xi_end - d.L) > 1e-6 * max(d.L, 1.0):
+    half = 0.5 * transit_integral(e_L)
+    if abs(half - d.L) > 1e-6 * max(d.L, 1.0):
         raise NumericalError(
-            f"inconsistent e_L={e_L!r} for L={d.L}: profile lands at xi={xi_end!r}")
+            f"inconsistent e_L={e_L!r} for L={d.L}: profile lands at xi={2.0 * half - d.L!r}")
 
-    def xi_of(theta: float) -> float:
-        return float(sol.sol(theta)[0])
-
-    theta_grid = np.empty(d.n)
-    for j, x in enumerate(d.xi):
-        theta_grid[j] = brentq(lambda t: xi_of(t) - x, -np.pi / 2, np.pi / 2, xtol=1e-14)
-    m_vals = np.sin(theta_grid)
-    m_prime = np.sqrt(0.5 * (m_vals ** 2 - 1.0) ** 2 + e_L)
+    f = lambda s: _transit_integrand(s, e_L)
+    edges = _mesh(e_L, np.pi / 2)
+    cum = np.concatenate(([0.0], np.cumsum(_panel_sums(f, edges[:-1], np.diff(edges)))))
+    j = np.arange(1, d.n + 1)
+    a = np.minimum(d.h * np.minimum(j, d.n + 1 - j), cum[-1])   # distance to the nearer wall
+    k = np.clip(np.searchsorted(cum, a, side="right") - 1, 0, len(edges) - 2)
+    lo, hi = edges[k], edges[k + 1]
+    s = lo + (a - cum[k]) / (cum[k + 1] - cum[k]) * (hi - lo)
+    tol = rtol * max(d.L, 1.0)
+    for _ in range(60):
+        r = cum[k] + _panel_sums(f, edges[k], s - edges[k]) - a
+        met = np.abs(r) <= tol
+        lo, hi = np.where(r < 0, s, lo), np.where(r > 0, s, hi)
+        s_new = s - r / f(s)
+        # a step out of the bracket bisects it, or stays put once the tolerance
+        # is met.  s stays above 0, where f vanishes: f rises on the first
+        # panel, so there A(s) < s f(s) and the step s - r / f(s) > 0
+        s = np.where((s_new >= lo) & (s_new <= hi), s_new, np.where(met, s, 0.5 * (lo + hi)))
+        if np.all(met):
+            break
+    else:
+        raise NumericalError(f"profile Newton solve did not converge at L={d.L}, e_L={e_L!r}")
+    m_vals = np.sign(j - 0.5 * (d.n + 1)) * np.cos(s)
+    m_prime = np.sqrt(0.5 * np.sin(s) ** 4 + e_L)
 
     prof = Profile(e_L=float(e_L),
                    m=Field(m_vals, Boundary.RAMP_DIRICHLET),

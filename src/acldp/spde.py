@@ -40,9 +40,9 @@ Both entry points return the one record, `EnsembleResult`, per eps level,
 with the observables kept chain by chain, shaped (chains, samples); the tail
 statistics and the sample files read them so.  The two entry points turn the horizon, burn-in, stride and sample and
 checkpoint times into steps with `flow.steps_of`, so each must be a whole
-number of steps.  The replay diagnostics (`diagnostics.record_replay`)
-run one chain through `ensemble_run` with a checkpoint at every step to
-rebuild its path.  A step mask, observables or mode checkpoints past the
+number of steps.  The tests' replay oracle (`record_replay` in
+tests/diagnostics.py) runs one chain through `ensemble_run` with a
+checkpoint at every step to rebuild its path.  A step mask, observables or mode checkpoints past the
 memory budget (2.7e8 steps, 8.4e6 level-chain-samples or 3.4e7 checkpointed
 chain-mode values) are a ConfigurationError before any of them is allocated.
 

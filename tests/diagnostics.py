@@ -1,4 +1,4 @@
-"""Diagnostics of the paper's stochastic estimates, read by the tests only:
+"""Diagnostics of the paper's stochastic estimates, the tests' own oracles:
 the damped decomposition z = Y_lam + sqrt(eps) gamma_lam replayed along a
 recorded chain, and the factorization identity behind the W^{k*,p*} bound.
 
@@ -28,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .energy import reaction_values
-from .errors import ConfigurationError
-from .flow import ExpEuler, Path, steps_of
-from .grid import Boundary, Domain, Field, inverse_transform_values, transform_values
-from .noise import NoiseModel
-from .spde import SdeParams, _draw_block, _make_streams, ensemble_run
+from acldp.energy import reaction_values
+from acldp.errors import ConfigurationError
+from acldp.flow import ExpEuler, Path, steps_of
+from acldp.grid import Boundary, Domain, Field, inverse_transform_values, transform_values
+from acldp.noise import NoiseModel
+from acldp.spde import SdeParams, _draw_block, _make_streams, ensemble_run
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,17 @@ import pytest
 from acldp.action import action_gradient, mam_minimize
 from acldp.config import default_config
 from acldp.energy import energy_gradient, energy_star
-from acldp.diagnostics import check_factorization_params, factorization_identity_error
 from acldp.errors import ConfigurationError
 from acldp.flow import Path, gradient_flow
-from acldp.grid import (Boundary, Field, basis_eval, build_domain, h1_distance,
-                        l2_inner)
+from acldp.grid import Boundary, Field, build_domain
 from acldp.noise import NoiseModel
 from acldp.pipeline import run_concentration
 from acldp.profile import compute_profile, energy_formula, solve_e_L
 from acldp.spde import SdeParams, ensemble_run
 
 from .conftest import band_limited
+from .diagnostics import check_factorization_params, factorization_identity_error
+from .fields import basis_eval, h1_distance, l2_inner
 
 SEED = 20260808
 

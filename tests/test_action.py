@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from acldp.action import (MAM_DT_FLOW, RUNG_PATHS, _action_core, _dense_operators,
-                          _dst_ortho, _initial_path, _rung_objective, action,
-                          action_gradient, mam_minimize, minimize)
+                          _dst_ortho, _initial_path, _line_search, _rung_objective,
+                          action, action_gradient, mam_minimize, minimize)
 from acldp.energy import energy_star, energy_star_values, reaction_values
 from acldp.errors import MEMORY_BYTES, ConfigurationError
 from acldp.flow import Path, flow_states, gradient_flow, skeleton_solve
-from acldp.grid import Boundary, Field, basis_eval, build_domain, laplacian_values
+from acldp.grid import Boundary, Field, build_domain, laplacian_values
 from acldp.noise import NoiseModel
 
 from .conftest import band_limited, flow_path
+from .fields import basis_eval
 
 # the module, not the `action` function that the package re-exports under its name
 action_module = importlib.import_module("acldp.action")
@@ -614,6 +615,73 @@ class TestLbfgs:
         assert res.success is False and res.nit == 0
         assert res.message == "ABNORMAL_TERMINATION_IN_LNSRCH"
 
+    def test_search_out_of_doublings_is_abnormal(self):
+        # f falls without bound along -g: the trial step doubles 10 times, and
+        # the search reports a failure rather than a step without a gradient
+        res = minimize(lambda x: (float(-x.sum()), -np.ones_like(x)), np.zeros(4), 50, 1e-12)
+        assert res.success is False and res.nit == 0 and res.nfev == 12
+        assert res.message == "ABNORMAL_TERMINATION_IN_LNSRCH"
+
     def test_zero_gradient_start(self):
         res = minimize(lambda x: (float(x @ x), 2.0 * x), np.zeros(40), 10, 1e-8)
         assert res.success is True and res.nit == 0 and res.nfev == 1
+
+
+def _rosenbrock(x):
+    a, b = x[:-1], x[1:]
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * a * (b - a * a) - 2.0 * (1.0 - a)
+    g[1:] += 200.0 * (b - a * a)
+    return float(np.sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2)), g
+
+
+class TestLineSearchPort:
+    """`_line_search` against `scipy.optimize.line_search`, the search it
+    ports: the same step, value, gradient and number of evaluations, bitwise."""
+
+    def assert_same_as_scipy(self, fun, x, p):
+        from scipy.optimize import line_search
+        f0, g0 = fun(x)
+        calls = []
+        ours = _line_search(lambda z: calls.append(1) or fun(z), x, p, f0, g0)
+        alpha, fc, _, f_new, _, g_new = line_search(
+            lambda z: fun(z)[0], lambda z: fun(z)[1], x, p, gfk=g0, old_fval=f0)
+        assert ours is not None and g_new is not None
+        assert ours[0] == alpha and ours[1] == f_new
+        assert np.array_equal(ours[2], g_new)
+        assert len(calls) == fc
+        return fc
+
+    def test_quadratic(self, rng):
+        A = np.diag(np.logspace(0.0, 3.0, 12))
+        fun = lambda x: (float(0.5 * x @ A @ x - x.sum()), A @ x - 1.0)
+        counts = set()
+        for scale in (1.0, 1e-3, 10.0):
+            x = rng.standard_normal(12)
+            p = -fun(x)[1] * scale
+            counts.add(self.assert_same_as_scipy(fun, x, p))
+        assert max(counts) > 1            # a zoom or a doubling ran
+
+    def test_rosenbrock(self, rng):
+        counts = []
+        for _ in range(6):
+            x = 2.0 * rng.standard_normal(6)
+            g = _rosenbrock(x)[1]
+            for scale in (1e-1, 1e-2, 1e-3):
+                counts.append(self.assert_same_as_scipy(_rosenbrock, x, -scale * g))
+        assert max(counts) >= 4           # the cubic interpolant's trials too
+
+    def test_rung_objective(self, dom2_full, prof2_full):
+        d, prof = dom2_full, prof2_full
+        nm = NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)
+        zeta = multi_mode_state(d, prof, [(1, 0.2), (3, -0.1)])
+        steps, dt = 24, 0.25
+        s = np.linspace(0.0, 1.0, steps + 1)[:, None]
+        Z0 = (1 - s) * prof.shifted_values(d)[None] + s * zeta.values[None]
+        v0, _, _ = _action_core(d, Z0, dt, nm, need_grad=False)
+        fun, y, _ = _rung_objective(d, nm, Z0, dt, v0)
+        for _ in range(3):                # three steepest-descent steps
+            f, g = fun(y)
+            p = -g / np.sqrt(g @ g)
+            self.assert_same_as_scipy(fun, y, p)
+            y = y + _line_search(fun, y, p, f, g)[0] * p

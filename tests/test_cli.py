@@ -27,9 +27,10 @@ from acldp.cli import COMMANDS, build_parser, run
 from acldp.config import SCHEMA
 from acldp.errors import InstabilityError
 from acldp.grid import Boundary, Field, build_domain
-from acldp.io import (_CSV_BLOCK as CSV_BLOCK, read_csv_columns, write_csv,
-                       write_field_csv, write_path_csv)
+from acldp.io import _CSV_BLOCK as CSV_BLOCK, read_csv_columns, write_csv, write_field_csv
 from acldp.profile import compute_profile, solve_e_L
+
+from .fields import basis_eval, write_path_csv
 
 
 def small_cfg(outdir, **extra):
@@ -78,6 +79,42 @@ def out_of_range_csv(tmp_path):
     path = tmp_path / "big.csv"
     write_field_csv(path, d, Field(np.full(d.n, 1e200), Boundary.ZERO_DIRICHLET))
     return path
+
+
+class TestImports:
+    def test_commands_load_neither_scipy_integrate_nor_optimize(self, tmp_path):
+        # a fresh process, since pytest's warning filters import scipy.integrate here
+        cfg = write_cfg(tmp_path, tmp_path / "o", n="31", modes="16", modes_noise="8",
+                        n_chains="4", n_samples="104", burn_in="0.5",
+                        stride="0.5", workers="1")
+        script = f"""
+import json, sys
+import numpy as np
+import acldp.cli
+from acldp.grid import Boundary, Field, build_domain
+from acldp.io import write_field_csv
+from acldp.profile import compute_profile
+tmp, cfg = {str(tmp_path)!r}, {str(cfg)!r}
+d = build_domain(2.0, 31, 16)
+prof = compute_profile(d)
+write_field_csv(tmp + "/m.csv", d, prof.m)
+write_field_csv(tmp + "/zeta.csv", d, Field(prof.shifted_values(d) + 0.1 * np.cos(
+    np.pi * d.xi / 4.0), Boundary.ZERO_DIRICHLET))
+argvs = [["profile"], ["energy", "--input", tmp + "/m.csv"],
+         ["flow", "--set", "T=0.5", "--set", "init=profile"], ["invariant"],
+         ["concentration"],
+         ["mam", "--target", tmp + "/zeta.csv", "--set", "action.t0=4.0",
+          "--set", "action.steps=16"]]
+codes = [acldp.cli.run([a[0], "--config", cfg, "--out", tmp + "/" + a[0], *a[1:]])
+         for a in argvs]
+print(json.dumps(dict(codes=codes, loaded=[m for m in ("scipy.integrate", "scipy.optimize")
+                                           if m in sys.modules])))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == dict(codes=[0] * 6, loaded=[])
 
 
 class TestConfigHandling:
@@ -222,12 +259,12 @@ class TestProfileCommand:
         assert len(manifest["config_hash"]) == 64
 
     def test_length_past_the_profile_solvers_reach_exits_2(self, tmp_path, capsys):
-        # e_L is below 1e-44 at L = 40, and the transit quadrature fails at 1e-48
+        # e_L is below E_MIN = 6.6e-298 at L = 300, where the transit rule stops holding
         out = tmp_path / "o"
-        code, err = run_quietly(["profile", "--set", "L=40", "--set", "n=31", "--set", "modes=16",
+        code, err = run_quietly(["profile", "--set", "L=300", "--set", "n=31", "--set", "modes=16",
                                  "--out", str(out)], capsys)
         assert code == 2
-        assert len(err) == 1 and err[0].startswith("configuration error: half-length L=40.0 ")
+        assert len(err) == 1 and err[0].startswith("configuration error: half-length L=300.0 ")
         assert_failed_without_data(out)
 
     def test_length_whose_eigenvalues_overflow_exits_2(self, tmp_path, capsys):
@@ -525,7 +562,6 @@ class TestMamCommand:
     def mam_args(tmp_path, out, ladder="1", *sets):
         d = build_domain(2.0, 63, 32)
         prof = compute_profile(d)
-        from acldp.grid import basis_eval
         zeta = Field(prof.shifted_values(d) + 0.15 * basis_eval(d, 1).values,
                      Boundary.ZERO_DIRICHLET)
         zeta_csv = tmp_path / "zeta.csv"
@@ -670,7 +706,6 @@ class TestMamCommand:
 
     def test_reversed_flow_blowup_exits_1(self, tmp_path, capsys):
         # sup |zeta| = 40 leaves the physical range on the flow's first step
-        from acldp.grid import basis_eval
         d = build_domain(2.0, 63, 63)
         e1 = basis_eval(d, 1).values
         zeta_csv = tmp_path / "zeta.csv"

@@ -7,11 +7,11 @@ from acldp.energy import (confinement_threshold, energy, energy_fd,
                           energy_gradient, energy_report, energy_star,
                           lipschitz_of_well_speed, proximity_check)
 from acldp.errors import ConfigurationError
-from acldp.grid import (Boundary, Field, build_domain, l2_inner,
-                        transform_values)
+from acldp.grid import Boundary, Field, build_domain, transform_values
 from acldp.profile import compute_profile
 
 from .conftest import band_limited
+from .fields import basis_eval, l2_inner
 
 
 class TestEnergy:
@@ -123,7 +123,6 @@ class TestProximity:
         assert b2 < b1
 
     def test_perturbation_within_bound(self, dom2, prof2):
-        from acldp.grid import basis_eval
         pert = prof2.shifted_values(dom2) + 0.01 * basis_eval(dom2, 1).values
         ubar = Field(pert, Boundary.ZERO_DIRICHLET)
         eta = energy_star(dom2, ubar) * 1.001 + 1e-12

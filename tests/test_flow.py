@@ -12,12 +12,12 @@ from acldp.errors import ConfigurationError, InstabilityError
 from acldp.energy import reaction_values
 from acldp.flow import (ExpEuler, flow_states, gradient_flow, relaxation_time, skeleton_solve,
                         steps_of)
-from acldp.grid import (Boundary, Field, basis_eval, build_domain, h1_distance,
-                        inverse_transform_values, transform_values)
+from acldp.grid import Boundary, Field, build_domain, inverse_transform_values, transform_values
 from acldp.noise import NoiseModel
 from acldp.profile import compute_profile
 
 from .conftest import band_limited, flow_path
+from .fields import basis_eval, h1_distance
 
 
 def equilibrium_field(d, prof):

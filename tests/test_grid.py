@@ -10,11 +10,12 @@ from scipy.special import logsumexp
 
 from acldp.errors import ConfigurationError
 from acldp.flow import step_weights
-from acldp.grid import (Boundary, Field, basis_eval, build_domain,
-                        inverse_transform_values, l2_inner, laplacian_values,
-                        lp_norm, sobolev_norm, sobolev_norm_values, transform_values)
+from acldp.grid import (Boundary, Field, build_domain, inverse_transform_values,
+                        laplacian_values, sobolev_norm, sobolev_norm_values,
+                        transform_values)
 
 from .conftest import band_limited
+from .fields import basis_eval, l2_inner, lp_norm
 
 action_module = importlib.import_module("acldp.action")   # the package attribute is the function
 grid_module = importlib.import_module("acldp.grid")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acldp.diagnostics import record_replay
+from .diagnostics import record_replay
 from acldp.errors import ConfigurationError
 from acldp.grid import build_domain
 from acldp.ldp import delta_scaling, tail_report, tightness_monotone, wilson_interval

@@ -2,12 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from acldp import profile as profile_module
 from acldp.energy import confinement_threshold, energy
 from acldp.errors import ConfigurationError, NumericalError
 from acldp.grid import Boundary, Field, build_domain
-from acldp.profile import (compute_profile, energy_formula, solve_e_L,
+from acldp.profile import (E_MIN, compute_profile, energy_formula, solve_e_L,
                            solve_profile, transit_integral)
 
 # High-precision oracle for the first-integral constant at L = 10, computed
@@ -41,26 +42,76 @@ class TestTransitSolve:
             transit_integral(0.0)
 
     def test_transit_quadrature_doubt_is_its_error_check(self):
-        # scipy doubts the transit quadrature below e = 1e-30 (roundoff) and
-        # fails it at 1e-48; the error estimate decides, with no warning issued
+        # the transit rule holds in float64 down to E_MIN = 6.6e-298 and is a
+        # NumericalError below it, with no warning issued
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert transit_integral(1e-44) == pytest.approx(74.09028, rel=1e-6)
-            with pytest.raises(NumericalError, match="e=1e-48"):
-                transit_integral(1e-48)
+            assert transit_integral(1e-297) == pytest.approx(486.01818, rel=1e-6)
+            with pytest.raises(NumericalError, match="e=1e-298"):
+                transit_integral(1e-298)
         assert caught == []
 
-    @pytest.mark.parametrize("L", [37.1, 40.0, 1e10])
+    @pytest.mark.parametrize("L", [243.2, 300.0, 1e10])
     def test_length_without_a_lower_bracket_rejected(self, L):
-        # T(1e-44) / 2 = 37.05 is the longest half-length the bracket reaches
+        # T(E_MIN) / 2 = 243.15 is the longest half-length the bracket reaches
         with pytest.raises(ConfigurationError, match=rf"^half-length L={L!r} is past"):
             solve_e_L(L)
+
+    @pytest.mark.parametrize("L", [23.9665, 25.0195, 36.0])
+    def test_lengths_where_the_theta_integral_stalled_solve(self, L):
+        # cos(theta) cancelled near pi/2 and T(e) jumped at the root; in s it does not
+        e = solve_e_L(L)
+        assert abs(transit_integral(e) - 2.0 * L) <= 1e-11 * 2.0 * L
+
+    def test_profile_solves_at_the_edge_of_the_reach(self):
+        assert transit_integral(E_MIN) / 2.0 == pytest.approx(243.154, abs=1e-3)
+        d = build_domain(243.0, 8191, 64)
+        p = compute_profile(d)
+        assert p.e_L >= E_MIN
+        inner = np.abs(d.xi) <= 100.0
+        assert np.max(np.abs(p.m.values - np.tanh(d.xi / np.sqrt(2.0)))[inner]) < 1e-12
 
     def test_quadrature_that_fails_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="energy quadrature at e=nan"):
             energy_formula(2.0, float("nan"))
         with pytest.raises(NumericalError, match="confinement quadrature at e_L=nan"):
             confinement_threshold(float("nan"))
+
+
+def _adaptive(f, a, b, layer):
+    """scipy's quad of f on [a, b], split at a + layer 2^k, the oracle for the
+    fixed rule."""
+    cuts = [x for x in a + layer * 2.0 ** np.arange(400) if a < x < b]
+    edges = [a, *cuts, b]
+    return sum(quad(f, lo, hi, epsabs=1e-16, epsrel=2e-14, limit=200)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+class TestRuleAgainstAdaptiveQuadrature:
+    """The 24-point rule on the dyadic mesh against scipy's quad, from e = 0.4
+    down to the rule's reach E_MIN."""
+
+    ES = np.geomspace(0.4, E_MIN, 25)
+
+    @pytest.mark.parametrize("e", ES)
+    def test_transit_integral(self, e):
+        f = lambda s: np.sin(s) / np.sqrt(0.5 * np.sin(s) ** 4 + e)
+        ref = 2.0 * _adaptive(f, 0.0, np.pi / 2, (2.0 * e) ** 0.25)
+        assert transit_integral(e) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("e", ES)
+    def test_energy_formula(self, e):
+        f = lambda s: np.sqrt(0.5 * np.sin(s) ** 4 + e) * np.sin(s)
+        ref = 2.0 * _adaptive(f, 0.0, np.pi / 2, (2.0 * e) ** 0.25) - 3.0 * e
+        assert energy_formula(3.0, e) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("e", ES)
+    def test_confinement_threshold(self, e):
+        # in u itself, split from u - 1 = sqrt(e) or 1e-6: below that the
+        # layer carries O(e log e) of the value, and float64 cannot resolve it
+        f = lambda u: np.sqrt(0.5 * (u * u - 1.0) ** 2 + e)
+        ref = _adaptive(f, 1.0, 2.0, max(np.sqrt(e), 1e-6))
+        assert confinement_threshold(e) == pytest.approx(ref, rel=1e-13)
 
 
 class TestProfile:

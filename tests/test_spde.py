@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from acldp.diagnostics import (check_factorization_params, damped_remainder_path,
-                               decomposition_residual, factorization_constant,
-                               factorization_identity_error, record_replay,
-                               stochastic_convolution)
+from .diagnostics import (check_factorization_params, damped_remainder_path,
+                          decomposition_residual, factorization_constant,
+                          factorization_identity_error, record_replay,
+                          stochastic_convolution)
 from acldp.energy import reaction_values
 from acldp.errors import MEMORY_BYTES, ConfigurationError, InstabilityError
 from acldp.flow import ExpEuler, gradient_flow
