@@ -48,14 +48,18 @@ def potential_values(u_values: np.ndarray) -> np.ndarray:
     return 0.25 * (u_values ** 2 - 1.0) ** 2
 
 
+def _energy_values(d: Domain, u_values: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """E of ramp-Dirichlet grid values u (stacked or not), c the mode coefficients of u - psi."""
+    deriv = 0.5 * np.sum(d.lambda_k * c * c, axis=-1) + 1.0 / d.L
+    pot = d.h * np.sum(potential_values(u_values), axis=-1)  # V(+-1) = 0 at the boundary
+    return deriv + pot
+
+
 def energy(d: Domain, u: Field) -> float:
     """Energy of a ramp-Dirichlet field (spectrally consistent quadrature)."""
     if u.bc is not Boundary.RAMP_DIRICHLET:
         raise ConfigurationError("energy expects ramp-Dirichlet input u(+-L) = +-1")
-    c = transform_values(d, u.values - d.psi)
-    deriv = 0.5 * np.sum(d.lambda_k * c * c) + 1.0 / d.L
-    pot = d.h * np.sum(potential_values(u.values))  # V(+-1) = 0 at the boundary
-    return float(deriv + pot)
+    return float(_energy_values(d, u.values, transform_values(d, u.values - d.psi)))
 
 
 def energy_fd(d: Domain, u: Field) -> float:
@@ -82,12 +86,9 @@ def energy_star(d: Domain, ubar: Field) -> float:
     return energy(d, u) - compute_profile(d).energy_value
 
 
-def energy_star_values(d: Domain, z_values: np.ndarray) -> np.ndarray:
-    """Raw-array shifted energy; supports stacked inputs (chains on axis 0)."""
-    c = transform_values(d, z_values)
-    deriv = 0.5 * np.sum(d.lambda_k * c * c, axis=-1) + 1.0 / d.L
-    pot = d.h * np.sum(potential_values(z_values + d.psi), axis=-1)
-    return deriv + pot - compute_profile(d).energy_value
+def energy_star_values(d: Domain, z_values: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Raw-array shifted energy of grid values z (stacked or not) with mode coefficients c."""
+    return _energy_values(d, z_values + d.psi, c) - compute_profile(d).energy_value
 
 
 def energy_gradient(d: Domain, ubar: Field) -> Field:
@@ -128,9 +129,10 @@ def confinement_threshold(e_L: float) -> float:
 def proximity_check(d: Domain, ubar: Field, eta: float) -> float | None:
     """Sup-norm bound 2 sqrt(L eta) exp(2 L C_V) valid when E*(ubar) <= eta.
 
-    Returns None when eta exceeds the confinement threshold (no bound is
-    claimed there).  Verifies that the actual sup distance to m - psi does
-    not exceed the returned bound.
+    Returns None when eta exceeds the confinement threshold, or when the
+    bound is not a finite float (past L of about 125): no bound is claimed
+    there.  Verifies that the actual sup distance to m - psi does not exceed
+    the returned bound.
     """
     p = compute_profile(d)
     estar = energy_star(d, ubar)
@@ -139,7 +141,10 @@ def proximity_check(d: Domain, ubar: Field, eta: float) -> float | None:
     if eta > confinement_threshold(p.e_L):
         return None
     c_v = lipschitz_of_well_speed(p.e_L)
-    bound = 2.0 * np.sqrt(d.L * eta) * np.exp(2.0 * d.L * c_v)
+    with np.errstate(over="ignore"):
+        bound = 2.0 * np.sqrt(d.L * eta) * np.exp(2.0 * d.L * c_v)
+    if not np.isfinite(bound):
+        return None
     actual = float(np.max(np.abs(ubar.values - p.shifted_values(d))))
     if actual > bound:
         raise NumericalError(

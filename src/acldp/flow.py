@@ -271,7 +271,7 @@ def gradient_flow(d: Domain, x: Field, dt: float, T: float,
     for s, (z, c, f_hat) in enumerate(flow_states(d, x.values, dt, steps)):
         resid = -d.lambda_k * c + f_hat
         gnorm = float(np.sqrt(np.sum(resid * resid)))
-        series[:, s] = energy_star_values(d, z), gnorm, np.max(np.abs(z - mshift))
+        series[:, s] = energy_star_values(d, z, c), gnorm, np.max(np.abs(z - mshift))
         if s < steps and gnorm < stop_tol:
             break
     e_series, g_series, d_series = series[:, :s + 1]

@@ -182,11 +182,11 @@ def sobolev_weights(d: Domain, k_star: float) -> np.ndarray:
     return w
 
 
-def sobolev_norm_values(d: Domain, values: np.ndarray, k_star: float, p_star: int) -> np.ndarray:
-    """Raw-array fractional Sobolev norm; supports stacked inputs.  A nonzero
-    row whose h sum |rec|^p is no normal finite float (|rec|^p overflows, or
-    underflows at large p) is M (h sum (|rec|/M)^p)^(1/p), M = max |rec|."""
-    rec = inverse_transform_values(d, transform_values(d, values) * sobolev_weights(d, k_star))
+def sobolev_norm_values(d: Domain, c: np.ndarray, k_star: float, p_star: int) -> np.ndarray:
+    """Raw-array fractional Sobolev norm of mode coefficients c, stacked or not.
+    A nonzero row whose h sum |rec|^p is no normal finite float (|rec|^p
+    overflows, or underflows at large p) is M (h sum (|rec|/M)^p)^(1/p), M = max |rec|."""
+    rec = inverse_transform_values(d, c * sobolev_weights(d, k_star))
     with np.errstate(over="ignore", under="ignore"):
         norm = np.asarray(d.h * np.sum(np.abs(rec) ** p_star, axis=-1))
     scaled = ~(np.isfinite(norm) & (norm >= np.finfo(float).tiny)) & np.any(rec, axis=-1)
@@ -208,4 +208,4 @@ def sobolev_norm(d: Domain, f: Field, k_star: float, p_star: int) -> float:
         raise ConfigurationError(f"k_star must be nonnegative, got {k_star}")
     if f.bc is not Boundary.ZERO_DIRICHLET:
         raise ConfigurationError("sobolev_norm expects a zero-Dirichlet field")
-    return float(sobolev_norm_values(d, f.values, k_star, p_star))
+    return float(sobolev_norm_values(d, transform_values(d, f.values), k_star, p_star))

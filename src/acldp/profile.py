@@ -55,6 +55,8 @@ _NODES, _WEIGHTS = 0.5 * (_X + 1.0), 0.5 * _W
 # the rule's reach: (1/2) sin(s)^4 at the first panel's smallest node is
 # _NODES[0]^4 e, a normal float64 for every e >= E_MIN
 E_MIN = float(np.finfo(float).tiny / _NODES[0] ** 4)
+# the top of solve_e_L's bracket: 1/2 widened twenty times by 4
+E_MAX = 0.5 * 4.0 ** 20
 
 _profile_cache: dict[tuple[float, int, int, float], "Profile"] = {}
 
@@ -121,17 +123,22 @@ def solve_e_L(L: float, tol: float = DEFAULT_TOL) -> float:
 
     Bisection runs on log(e) since e_L decays like exp(-2 sqrt(2) L); the
     initial bracket [1e-16, 1/2] is widened on both sides as needed, the
-    lower end by 1e-4 down to the rule's reach E_MIN.  An L past
-    T(E_MIN) / 2 (about 243) has no lower bracket: a ConfigurationError.
+    lower end by 1e-4 down to the rule's reach E_MIN and the upper end by 4
+    up to E_MAX.  An L past T(E_MIN) / 2 (about 243) has no lower bracket,
+    and one below T(E_MAX) / 2 (about 1.35e-6) no upper one: a
+    ConfigurationError.
     """
     if not L > 0:
         raise ConfigurationError(f"half-length must be positive, got {L}")
     target = 2.0 * L
     lo, hi = 1e-16, 0.5
     while transit_integral(hi) > target:
+        if hi == E_MAX:
+            raise ConfigurationError(
+                f"half-length L={L} is below the profile solver's reach "
+                f"L = T(E_MAX)/2 = {transit_integral(E_MAX) / 2:.6g}: e_L lies above "
+                f"E_MAX = {E_MAX:.4g}, the top of the bracket for e_L")
         hi *= 4.0
-        if hi > 1e12:
-            raise NumericalError(f"no upper bracket for e_L at L={L}")
     while transit_integral(lo) < target:
         if lo == E_MIN:
             raise ConfigurationError(

@@ -71,7 +71,7 @@ from .config import AUTO
 from .energy import energy_star_values
 from .errors import ConfigurationError, InstabilityError, check_bytes
 from .flow import BLOWUP_SUP, START_OUT_OF_RANGE, ExpEuler, relaxation_time, steps_of
-from .grid import Boundary, Domain, Field, sobolev_norm_values, sobolev_weights
+from .grid import Boundary, Domain, Field, sobolev_norm_values, sobolev_weights, transform_values
 from .noise import NoiseModel
 from .profile import compute_profile
 
@@ -183,8 +183,9 @@ def _evolve_chains(d: Domain, x_values: np.ndarray, nm: NoiseModel,
             z64 = np.asarray(z_now, dtype=np.float64)           # observables in float64
             obs["sup_norm"][..., si] = np.max(np.abs(z64), axis=-1)
             obs["dist_sup"][..., si] = np.max(np.abs(z64 - mshift), axis=-1)
-            obs["energy_star"][..., si] = energy_star_values(d, z64)
-            obs["sobolev_norm"][..., si] = sobolev_norm_values(d, z64, kstar, pstar)
+            c64 = transform_values(d, z64)
+            obs["energy_star"][..., si] = energy_star_values(d, z64, c64)
+            obs["sobolev_norm"][..., si] = sobolev_norm_values(d, c64, kstar, pstar)
             si += 1
         if step in snap_set:
             mode_states[step] = a[..., :d.modes].copy()

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from acldp import grid
 from acldp.flow import Path, flow_states, steps_of
 from acldp.grid import Boundary, Field, build_domain
 from acldp.noise import NoiseModel
@@ -64,3 +67,18 @@ def flow_path(d, x, dt, T):
     steps = steps_of(T, dt, "T")
     return Path(np.asarray([z for z, _, _ in flow_states(d, x.values, dt, steps)]),
                 Boundary.ZERO_DIRICHLET, dt)
+
+
+@pytest.fixture
+def dst_dtypes(monkeypatch):
+    """The input dtype of every DST the package makes from here on: `dst` is
+    counted in every acldp module that holds it by name."""
+    real, seen = grid.dst, []
+
+    def counted(x, *args, **kwargs):
+        seen.append(np.asarray(x).dtype)
+        return real(x, *args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("acldp") and getattr(module, "dst", None) is real:
+            monkeypatch.setattr(module, "dst", counted)
+    return seen

@@ -10,7 +10,7 @@ from acldp.action import (MAM_DT_FLOW, RUNG_PATHS, _action_core, _dense_operator
 from acldp.energy import energy_star, energy_star_values, reaction_values
 from acldp.errors import MEMORY_BYTES, ConfigurationError
 from acldp.flow import Path, flow_states, gradient_flow, skeleton_solve
-from acldp.grid import Boundary, Field, build_domain, laplacian_values
+from acldp.grid import Boundary, Field, build_domain, laplacian_values, transform_values
 from acldp.noise import NoiseModel
 
 from .conftest import band_limited, flow_path
@@ -182,7 +182,7 @@ class TestReversedFlow:
     def test_action_equals_twice_energy_drop(self, dom2_full, prof2_full, unit_noise):
         zeta = multi_mode_state(dom2_full, prof2_full, [(1, 0.2), (3, -0.1)])
         pth = reversed_flow(dom2_full, zeta, 4.0, 2e-3)
-        estar = energy_star_values(dom2_full, pth.values)
+        estar = energy_star_values(dom2_full, pth.values, transform_values(dom2_full, pth.values))
         drop = 2.0 * (estar[-1] - estar[0])
         assert action(pth, unit_noise, dom2_full).value == pytest.approx(drop, rel=0.02)
 

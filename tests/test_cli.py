@@ -267,6 +267,16 @@ class TestProfileCommand:
         assert len(err) == 1 and err[0].startswith("configuration error: half-length L=300.0 ")
         assert_failed_without_data(out)
 
+    def test_length_below_the_profile_solvers_reach_exits_2(self, tmp_path, capsys):
+        # e_L lies above the top of the bracket, E_MAX, for L < T(E_MAX)/2 = 1.3487e-6
+        out = tmp_path / "o"
+        code, err = run_quietly(["profile", "--set", "L=1e-7", "--set", "n=31", "--set", "modes=16",
+                                 "--out", str(out)], capsys)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("configuration error: half-length L=1e-07 ")
+        assert "reach L = T(E_MAX)/2 = 1.3487e-06" in err[0]
+        assert_failed_without_data(out)
+
     def test_length_whose_eigenvalues_overflow_exits_2(self, tmp_path, capsys):
         # (k pi / 2L)^2 overflows at L = 1e-300
         out = tmp_path / "o"
@@ -288,6 +298,17 @@ class TestEnergyCommand:
         payload = json.loads((out / "energy.json").read_text())
         assert payload["value"] == pytest.approx(prof.energy_value, rel=1e-6)
         assert payload["gradient_norm"] < 0.02
+
+    def test_proximity_bound_past_float_range_is_not_claimed(self, tmp_path, capsys):
+        # 2 sqrt(L eta) exp(2 L C_V) overflows at L = 200: no bound, and no failure
+        cfg = ["--set", "L=200", "--set", "n=4095", "--set", "modes=64"]
+        prof = tmp_path / "p"
+        assert run(["profile", *cfg, "--out", str(prof)]) == 0
+        out = tmp_path / "o"
+        code, err = run_quietly(["energy", *cfg, "--input", str(prof / "profile.csv"),
+                                 "--out", str(out)], capsys)
+        assert code == 0 and err == []
+        assert json.loads((out / "energy.json").read_text())["proximity"] is None
 
     @pytest.mark.parametrize("bc", ["zero", "ramp"])
     def test_field_that_overflows_exits_1_without_data(self, tmp_path, capsys, bc):

@@ -37,6 +37,17 @@ class TestGradientFlow:
                            equilibrium_field(dom2, prof2)) < 1e-3
         assert res.dist_sup[-1] < 1e-3
 
+    def test_a_step_transforms_twice(self, dom2, prof2, dst_dtypes):
+        # a state's way back to the grid and its reaction's forward DST; E*
+        # reads the mode coefficients the flow already holds
+        x = Field(np.zeros(dom2.n), Boundary.ZERO_DIRICHLET)
+        counts = []
+        for T in (4e-3, 1.2e-2):
+            dst_dtypes.clear()
+            gradient_flow(dom2, x, dt=1e-3, T=T)
+            counts.append(len(dst_dtypes))
+        assert counts[1] - counts[0] == 2 * 8
+
     def test_flipped_start_converges_to_same_equilibrium(self, dom2, prof2):
         x = Field(-prof2.shifted_values(dom2) - 2.0 * dom2.psi, Boundary.ZERO_DIRICHLET)
         res = gradient_flow(dom2, x, dt=1e-3, T=60.0, stop_tol=1e-10)

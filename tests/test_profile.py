@@ -8,7 +8,7 @@ from acldp import profile as profile_module
 from acldp.energy import confinement_threshold, energy
 from acldp.errors import ConfigurationError, NumericalError
 from acldp.grid import Boundary, Field, build_domain
-from acldp.profile import (E_MIN, compute_profile, energy_formula, solve_e_L,
+from acldp.profile import (E_MAX, E_MIN, compute_profile, energy_formula, solve_e_L,
                            solve_profile, transit_integral)
 
 # High-precision oracle for the first-integral constant at L = 10, computed
@@ -56,6 +56,18 @@ class TestTransitSolve:
         # T(E_MIN) / 2 = 243.15 is the longest half-length the bracket reaches
         with pytest.raises(ConfigurationError, match=rf"^half-length L={L!r} is past"):
             solve_e_L(L)
+
+    @pytest.mark.parametrize("L", [1.34e-6, 1e-7, 1e-12])
+    def test_length_without_an_upper_bracket_rejected(self, L):
+        # T(E_MAX) / 2 = 1.3487e-6 is the shortest half-length the bracket reaches
+        with pytest.raises(ConfigurationError, match=rf"^half-length L={L!r} is below"):
+            solve_e_L(L)
+
+    def test_length_at_the_edge_of_the_lower_reach_solves(self):
+        assert transit_integral(E_MAX) / 2.0 == pytest.approx(1.3487e-6, rel=1e-4)
+        e = solve_e_L(1.35e-6)
+        assert e <= E_MAX
+        assert abs(transit_integral(e) - 2.7e-6) <= 1e-11
 
     @pytest.mark.parametrize("L", [23.9665, 25.0195, 36.0])
     def test_lengths_where_the_theta_integral_stalled_solve(self, L):

@@ -14,11 +14,11 @@ from .diagnostics import (check_factorization_params, damped_remainder_path,
                           decomposition_residual, factorization_constant,
                           factorization_identity_error, record_replay,
                           stochastic_convolution)
-from acldp.energy import reaction_values
+from acldp.energy import energy_star_values, reaction_values
 from acldp.errors import MEMORY_BYTES, ConfigurationError, InstabilityError
 from acldp.flow import ExpEuler, gradient_flow
 from acldp.grid import (Boundary, Field, build_domain, dst, inverse_transform_values,
-                        transform_values)
+                        sobolev_norm_values, transform_values)
 from acldp.ldp import delta_scaling
 from acldp.noise import NoiseModel
 from acldp.pipeline import choose_delta
@@ -289,6 +289,33 @@ class TestFactorization:
     def test_deterministic_reconstruction(self, sdom):
         err = factorization_identity_error(sdom, alpha=0.24, lam=1.0, t_eval=0.7)
         assert err < 1e-3
+
+
+class TestRecordedObservables:
+    """A sampled state is transformed once, in float64, for E* and the
+    W^{k*,p*} norm both."""
+
+    def test_a_sampled_state_makes_two_float64_dsts(self, sdom, const_noise, dst_dtypes):
+        p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=23)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        counts = []
+        for times in ((), (0.0,)):                     # the last state is always sampled
+            dst_dtypes.clear()
+            ensemble_run(sdom, x, const_noise, p, 0.02, 3, sample_times=times)
+            counts.append(sum(t == np.float64 for t in dst_dtypes))
+        assert counts[1] - counts[0] == 2
+
+    def test_observables_are_the_raw_functions_of_the_replayed_path(self, sdom, const_noise):
+        p = SdeParams(eps=0.05, dt=2e-3, modes_noise=16, seed=17)
+        x = Field(np.zeros(sdom.n), Boundary.ZERO_DIRICHLET)
+        rec = record_replay(sdom, x, const_noise, p, 0.1)
+        steps = np.arange(0, 51, 10)
+        ens = ensemble_run(sdom, x, const_noise, p, 0.1, 1, sample_times=tuple(steps * p.dt))
+        z = rec.path.values[steps]
+        c = transform_values(sdom, z)
+        assert energy_star_values(sdom, z, c).tobytes() == ens.obs["energy_star"][0].tobytes()
+        assert (sobolev_norm_values(sdom, c, 0.2, 8).tobytes()
+                == ens.obs["sobolev_norm"][0].tobytes())
 
 
 class TestInvariantSampling:
