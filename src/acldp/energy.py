@@ -103,9 +103,9 @@ def energy_gradient(d: Domain, ubar: Field) -> Field:
 # proximity bound: small shifted energy pins the field near the equilibrium
 # ---------------------------------------------------------------------------
 
-def lipschitz_of_well_speed(e_L: float, box: float = 2.0, n_grid: int = 20001) -> float:
-    """Lipschitz constant of V(t) = sqrt((1/2)(t^2-1)^2 + e_L) on [-box, box]."""
-    t = np.linspace(-box, box, n_grid)
+def lipschitz_of_well_speed(e_L: float) -> float:
+    """Lipschitz constant of V(t) = sqrt((1/2)(t^2-1)^2 + e_L) on [-2, 2]."""
+    t = np.linspace(-2.0, 2.0, 20001)
     dV = t * (t ** 2 - 1.0) / np.sqrt(0.5 * (t ** 2 - 1.0) ** 2 + e_L)
     return float(np.max(np.abs(dV)))
 

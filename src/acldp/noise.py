@@ -1,13 +1,14 @@
 """Multiplicative noise intensities g(theta) of the state theta, bounded below by g0 > 0.
 
-Two families, autonomous as the invariant measure needs, are provided:
+One family, autonomous as the invariant measure needs:
 
-    constant:             g = g0
-    smooth_bounded_below: g = g0 + c * theta^2 / (1 + theta^2)
+    g = g0 + c * theta^2 / (1 + theta^2),    c >= 0,
 
-Both satisfy inf g = g0 and are globally Lipschitz in the state theta; the
-Lipschitz constant of the smooth family is c * 9 / (8 sqrt(3)) (the maximum
-of |d/dtheta theta^2/(1+theta^2)| at theta = 1/sqrt(3)).
+with inf g = g0, globally Lipschitz in the state theta with constant
+c * 9 / (8 sqrt(3)) (the maximum of |d/dtheta theta^2/(1+theta^2)| at
+theta = 1/sqrt(3)).  Its two kinds name its members: `smooth_bounded_below`
+any c, and `constant` the c = 0 member, g = g0 (a `constant` model sets
+its c to 0).
 """
 
 from __future__ import annotations
@@ -48,12 +49,13 @@ class NoiseModel:
             raise ConfigurationError(f"noise floor g0 must be positive, got {self.g0}")
         if self.c < 0:
             raise ConfigurationError(f"noise parameter c must be nonnegative, got {self.c}")
-        lip = 0.0 if self.kind == "constant" else self.c * _SMOOTH_SLOPE
-        object.__setattr__(self, "lip", lip)
+        if self.kind == "constant":
+            object.__setattr__(self, "c", 0.0)
+        object.__setattr__(self, "lip", self.c * _SMOOTH_SLOPE)
 
     @property
     def is_constant(self) -> bool:
-        return self.kind == "constant" or self.c == 0.0
+        return self.c == 0.0
 
     def g(self, theta: np.ndarray) -> np.ndarray:
         """Intensity evaluated at state theta, in theta's floating dtype (float64
@@ -63,20 +65,14 @@ class NoiseModel:
         if theta.dtype.kind != "f":
             theta = theta.astype(float)
         g0 = _floor_in(self.g0, theta.dtype)
-        if self.is_constant:
-            return np.full_like(theta, g0)
         th2 = theta * theta
         return g0 + self.c * th2 / (1.0 + th2)
 
     def g_prime(self, theta: np.ndarray) -> np.ndarray:
         """State derivative of the intensity (for action-gradient adjoints)."""
         theta = np.asarray(theta, dtype=float)
-        if self.is_constant:
-            return np.zeros_like(theta)
         return self.c * 2.0 * theta / (1.0 + theta * theta) ** 2
 
     def linear_growth_constant(self) -> float:
-        """Smallest C with |g(theta)| <= C (1 + |theta|) over the families."""
-        if self.is_constant:
-            return self.g0
+        """Smallest C with |g(theta)| <= C (1 + |theta|) over the family."""
         return self.g0 + self.c

@@ -71,7 +71,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationResult:
                                 burn_in=cfg["burn_in"], n_samples=cfg["n_samples"],
                                 stride=cfg["stride"], n_chains=cfg["n_chains"],
                                 kstar=cfg["kstar"], pstar=cfg["pstar"], workers=cfg["workers"])
-    warnings = [f"eps={em.eps}: {w}" for em in measures for w in em.warnings]
+    warnings = measures[0].warnings              # the run's, the same at every level
 
     delta = cfg["delta"] if cfg["delta"] != AUTO else choose_delta(measures)
     report_delta, report_2delta, slope_ratio = delta_scaling(measures, delta)

@@ -36,6 +36,9 @@ every grid point by a safeguarded Newton iteration, vectorized over the
 grid, with A' the integrand itself.  m = -+cos(s) on the two halves (odd by
 construction), and the first integral gives m' = sqrt((1/2) sin(s)^4 + e)
 exactly at each point.
+
+m is fixed by L and the boundary data, and its samples by the grid, so
+`compute_profile` memoizes it on (L, n), solved to fixed tolerances.
 """
 
 from __future__ import annotations
@@ -47,8 +50,6 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 from .grid import Boundary, Domain, Field
 
-DEFAULT_TOL = 1e-12
-
 # 24-point Gauss-Legendre rule on [0, 1]
 _X, _W = np.polynomial.legendre.leggauss(24)
 _NODES, _WEIGHTS = 0.5 * (_X + 1.0), 0.5 * _W
@@ -57,8 +58,10 @@ _NODES, _WEIGHTS = 0.5 * (_X + 1.0), 0.5 * _W
 E_MIN = float(np.finfo(float).tiny / _NODES[0] ** 4)
 # the top of solve_e_L's bracket: 1/2 widened twenty times by 4
 E_MAX = 0.5 * 4.0 ** 20
+TRANSIT_TOL = 1e-12     # solve_e_L's bound on |T(e_L) - 2L| (or 1e-11 of 2L)
+NEWTON_RTOL = 1e-12     # solve_profile's bound on |A(s) - a|, over max(L, 1)
 
-_profile_cache: dict[tuple[float, int, int, float], "Profile"] = {}
+_profile_cache: dict[tuple[float, int], "Profile"] = {}
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ def transit_integral(e: float) -> float:
                                    f"transit quadrature at e={e!r}")
 
 
-def solve_e_L(L: float, tol: float = DEFAULT_TOL) -> float:
+def solve_e_L(L: float) -> float:
     """First-integral constant for half-length L: the root of T(e) = 2L.
 
     Bisection runs on log(e) since e_L decays like exp(-2 sqrt(2) L); the
@@ -155,7 +158,7 @@ def solve_e_L(L: float, tol: float = DEFAULT_TOL) -> float:
         if hi / lo < 1.0 + 1e-15:
             break
     e = float(np.sqrt(lo) * np.sqrt(hi))
-    if abs(transit_integral(e) - target) > max(tol, 1e-11 * target):
+    if abs(transit_integral(e) - target) > max(TRANSIT_TOL, 1e-11 * target):
         raise NumericalError(f"bisection for e_L stalled at L={L}: e={e!r}")
     return e
 
@@ -170,10 +173,10 @@ def energy_formula(L: float, e: float) -> float:
     return float(2.0 * val - L * e)
 
 
-def solve_profile(d: Domain, e_L: float, rtol: float = 1e-12) -> Profile:
+def solve_profile(d: Domain, e_L: float) -> Profile:
     """The profile on the grid: s at each grid point from the wall distance
     A(s) = a by Newton's method, safeguarded by the bracket of its mesh panel,
-    until every |A(s) - a| <= rtol max(L, 1) (the last step taken).
+    until every |A(s) - a| <= NEWTON_RTOL max(L, 1) (the last step taken).
 
     Raises NumericalError when e_L is inconsistent with the domain length
     (the half transit misses L).
@@ -193,7 +196,7 @@ def solve_profile(d: Domain, e_L: float, rtol: float = 1e-12) -> Profile:
     k = np.clip(np.searchsorted(cum, a, side="right") - 1, 0, len(edges) - 2)
     lo, hi = edges[k], edges[k + 1]
     s = lo + (a - cum[k]) / (cum[k + 1] - cum[k]) * (hi - lo)
-    tol = rtol * max(d.L, 1.0)
+    tol = NEWTON_RTOL * max(d.L, 1.0)
     for _ in range(60):
         r = cum[k] + _panel_sums(f, edges[k], s - edges[k]) - a
         met = np.abs(r) <= tol
@@ -225,17 +228,17 @@ def _direct_energy(d: Domain, p: Profile) -> float:
     return float(d.h * (np.sum(integrand) + boundary))
 
 
-def _check_energy_consistency(d: Domain, p: Profile, rtol: float = 1e-4) -> None:
+def _check_energy_consistency(d: Domain, p: Profile) -> None:
     direct = _direct_energy(d, p)
-    if abs(direct - p.energy_value) > rtol * abs(p.energy_value):
+    if abs(direct - p.energy_value) > 1e-4 * abs(p.energy_value):
         raise NumericalError(
             f"profile energy mismatch at L={d.L}: formula={p.energy_value!r}, "
             f"grid quadrature={direct!r} (n={d.n} too coarse?)")
 
 
-def compute_profile(d: Domain, tol: float = DEFAULT_TOL) -> Profile:
-    """solve_e_L + solve_profile for a domain, memoized on (L, n, modes, tol)."""
-    key = (d.L, d.n, d.modes, tol)
+def compute_profile(d: Domain) -> Profile:
+    """solve_e_L + solve_profile for a domain, memoized on (L, n)."""
+    key = (d.L, d.n)
     if key not in _profile_cache:
-        _profile_cache[key] = solve_profile(d, solve_e_L(d.L, tol))
+        _profile_cache[key] = solve_profile(d, solve_e_L(d.L))
     return _profile_cache[key]

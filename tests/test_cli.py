@@ -1033,6 +1033,12 @@ class TestConcentrationOutputs:
             assert cols[key].tolist() == [v for rep in reports for v in rep[key]]
         assert cols["delta"].tolist() == [rep["delta"] for rep in reports for _ in rep["eps"]]
 
+    def test_manifest_states_each_run_warning_once(self, conc_out):
+        # the burn-in rule and the pooled count do not depend on eps
+        warnings = json.loads((conc_out / "manifest.json").read_text())["warnings"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("burn_in=1.0 is below 5x the deterministic relaxation time")
+
     def test_per_eps_samples_written(self, conc_out):
         for eps in (0.2, 0.1, 0.05):
             assert (conc_out / f"samples_eps{eps!r}.csv").exists()

@@ -16,6 +16,18 @@ class TestNoiseModel:
         assert nm.lip == 0.0
         assert np.all(nm.g(np.linspace(-3, 3, 11)) == 0.5)
 
+    def test_constant_is_the_c_zero_member(self):
+        # a constant model sets c = 0, so a given c changes nothing
+        given = NoiseModel(kind="constant", g0=0.7, c=0.8)
+        zero = NoiseModel(kind="smooth_bounded_below", g0=0.7, c=0.0)
+        assert given.c == 0.0 and given.is_constant
+        for theta in (np.linspace(-50, 50, 201), np.linspace(-50, 50, 201, dtype=np.float32)):
+            assert np.array_equal(given.g(theta), zero.g(theta))
+            assert np.unique(given.g(theta)).size == 1
+            assert np.array_equal(given.g_prime(theta), zero.g_prime(theta))
+        assert given.lip == zero.lip == 0.0
+        assert given.linear_growth_constant() == zero.linear_growth_constant() == 0.7
+
     @settings(max_examples=200, deadline=None)
     @given(theta=finite_theta)
     def test_floor(self, theta):

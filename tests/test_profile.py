@@ -171,22 +171,17 @@ class TestProfile:
         diff20 = np.abs(p20.m.values - np.tanh(d20.xi / np.sqrt(2.0)))[mask20]
         assert diff20.max() < diff.max()       # improves as L grows
 
-    def test_cache_is_keyed_on_tol(self, monkeypatch):
+    def test_cache_is_keyed_on_L_and_n(self, monkeypatch):
+        # the solve reads no spectral truncation: domains that differ only in
+        # modes share one profile, and another grid gets its own
         monkeypatch.setattr(profile_module, "_profile_cache", {})
-        d = build_domain(2.0, 31, 16)
-        default = compute_profile(d)
-        assert compute_profile(d) is default
-        loose = compute_profile(d, tol=1e-6)
-        assert loose is not default
-        assert compute_profile(d, tol=1e-6) is loose
+        shared = compute_profile(build_domain(2.0, 31, 16))
+        assert compute_profile(build_domain(2.0, 31, 31)) is shared
+        assert compute_profile(build_domain(2.0, 33, 16)) is not shared
 
     def test_inconsistent_constant_rejected(self, dom2, prof2):
         with pytest.raises(NumericalError):
             solve_profile(dom2, prof2.e_L * 2.0)
-
-    def test_uniqueness_proxy_quadrature_perturbation(self, dom2, prof2):
-        p_loose = solve_profile(dom2, prof2.e_L, rtol=1e-9)
-        assert np.max(np.abs(p_loose.m.values - prof2.m.values)) < 1e-8
 
 
 class TestProfileEnergy:

@@ -291,6 +291,38 @@ class TestFactorization:
         assert err < 1e-3
 
 
+class TestChainStepWork:
+    """The work of one chain-step, counted over the steps between two
+    horizons of one chunk: 2 float32 DSTs under constant g and 4 under
+    state-dependent g, and chains x N_W normals, whatever the number of eps
+    levels that step together."""
+
+    @pytest.mark.parametrize("kind, n_levels, dsts", [("constant", 1, 2), ("constant", 3, 2),
+                                                      ("smooth_bounded_below", 1, 4)])
+    def test_per_step_counts(self, sdom, monkeypatch, dst_dtypes, kind, n_levels, dsts):
+        real, normals = spde._draw_block, []
+
+        def counted(gens, n_steps):
+            block = real(gens, n_steps)
+            normals.append(block.size)
+            return block
+        monkeypatch.setattr(spde, "_draw_block", counted)
+        nm = NoiseModel(kind=kind, g0=1.0, c=0.8)
+        levels = tuple(SdeParams(eps=eps, dt=1e-3, modes_noise=16, seed=5)
+                       for eps in (0.1, 0.05, 0.025)[:n_levels])
+        counts = []
+        for n_steps in (40, 100):
+            dst_dtypes.clear()
+            normals.clear()
+            spde._evolve_chains(sdom, np.zeros(sdom.n), nm, levels, n_steps,
+                                np.array([n_steps]), kstar=0.2, pstar=8,
+                                chain_ids=np.arange(spde.CHAIN_CHUNK))
+            counts.append((sum(t == np.float32 for t in dst_dtypes), sum(normals)))
+        (dst0, drawn0), (dst1, drawn1) = counts
+        assert dst1 - dst0 == dsts * 60
+        assert drawn1 - drawn0 == spde.CHAIN_CHUNK * 16 * 60
+
+
 class TestRecordedObservables:
     """A sampled state is transformed once, in float64, for E* and the
     W^{k*,p*} norm both."""
