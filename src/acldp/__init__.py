@@ -10,7 +10,7 @@ memoized `compute_profile(d)`, and no function takes it as an argument."""
 
 __version__ = "0.1.0"
 
-from .action import ActionResult, action, action_gradient, mam_minimize
+from .action import ActionResult, action, mam_minimize
 from .energy import (EnergyReport, energy, energy_fd, energy_gradient,
                      energy_report, energy_star, proximity_check)
 from .errors import ConfigurationError, InstabilityError, NumericalError

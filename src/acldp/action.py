@@ -24,14 +24,16 @@ obeys U <= 2 E* / g0^2, with equality under constant intensity g = g0.
 The quasi-potential minimizer `mam_minimize` starts each rung from that
 construction, with the reversed flow stepped at MAM_DT_FLOW = 5e-2, and
 descends with the module's own L-BFGS (`minimize`: two-loop recursion,
-strong Wolfe line search, L-BFGS-B's ftol stop) in whitened space-time
-coordinates, in which the action's quadratic part is a multiple of the
-identity; a rung then stops after 7-19 iterations on criterion 5's targets.
-Per evaluation the action's Laplacian and the coordinate maps' grid half
-are dense (n, n) products, which are faster than the DST pair from n = 63
-(18 vs 137 us) to n = 511 (1.1 vs 1.6 ms); their time half is a DST along
-the time axis, so a rung's memory grows with its path, not with steps^2.
-The rungs run in order in the calling process.
+strong Wolfe line search, L-BFGS-B's ftol stop) in space-time coordinates
+whitened by the drift's linearization at the equilibrium: its eigenbasis
+over the grid (`_eigenbasis`) and the DST over time, in which the quadratic
+part of the linearized action is a multiple of the identity.  A rung then
+stops after 3-8 iterations on criterion 5's targets at n = 63 with
+modes = 63 and modes = 32 alike.  Per evaluation the action's Laplacian and the coordinate
+maps' grid half are dense (n, n) products, which are faster than the DST
+pair from n = 63 (18 vs 137 us) to n = 511 (1.1 vs 1.6 ms); their time half
+is a DST along the time axis, so a rung's memory grows with its path, not
+with steps^2.  The rungs run in order in the calling process.
 """
 
 from __future__ import annotations
@@ -88,40 +90,69 @@ def _dst_ortho(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return dst(a, type=1, norm="ortho", axis=axis)
 
 
-_DENSE: dict[tuple[float, int, int], tuple[np.ndarray, np.ndarray]] = {}
+_LAPLACIAN: dict[tuple[float, int, int], np.ndarray] = {}
+_EIGENBASIS: dict[tuple[float, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _dense_operators(d: Domain) -> tuple[np.ndarray, np.ndarray]:
-    """The spectral Laplacian and the orthonormal DST-I as (n, n) matrices
-    acting on rows: `vals @ lap` is `grid.laplacian_values(d, vals)` and
-    `vals @ ortho` is `_dst_ortho(vals)` up to rounding.  Built on first use
+def _dense_laplacian(d: Domain) -> np.ndarray:
+    """The spectral Laplacian as an (n, n) matrix acting on rows: `vals @ lap`
+    is `grid.laplacian_values(d, vals)` up to rounding.  Built on first use
     from the transforms applied to the identity and kept, read-only, per
     (L, n, modes).
 
-    The action applies two Laplacians and the MAM objective two maps per
-    evaluation.  One dense product beats the DST pair at every size measured:
-    18 vs 137 us for a (95, 63) block, 276 vs 734 us at (119, 255) and
-    1 104 vs 1 649 us at (119, 511).  The two take 16 n^2 bytes.  The build
-    holds the identity too, transforms it in blocks of n/8 rows, and the DST
-    overwrites it, so it peaks near 19 n^2 bytes (21 n^2 at n = 31); it is
-    counted as 24 n^2 against the memory budget (`errors.check_bytes`, so
-    n <= 3 344) before anything is allocated.  The blocks change no bit: each
-    row's transform does not depend on the rows beside it.
+    The action applies two Laplacians per evaluation, and one dense product
+    beats the DST pair at every size measured: 18 vs 137 us for a (95, 63)
+    block, 276 vs 734 us at (119, 255) and 1 104 vs 1 649 us at (119, 511).
+    The build holds the identity and the matrix and transforms the identity
+    in blocks of n/8 rows, so it peaks near 19 n^2 bytes; it is counted as
+    24 n^2 against the memory budget (`errors.check_bytes`, so n <= 3 344)
+    before anything is allocated.  The blocks change no bit: each row's
+    transform does not depend on the rows beside it.
     """
     key = (d.L, d.n, d.modes)
-    ops = _DENSE.get(key)
-    if ops is None:
-        check_bytes(f"n={d.n} dense operators (the build of the action's two {d.n} x {d.n} "
-                    f"matrices, counted as 24 n^2)", 24 * d.n ** 2)
+    lap = _LAPLACIAN.get(key)
+    if lap is None:
+        check_bytes(f"n={d.n} dense operators (the build of the action's {d.n} x {d.n} "
+                    f"Laplacian, counted as 24 n^2)", 24 * d.n ** 2)
         eye = np.eye(d.n)
         lap = np.empty_like(eye)
         rows = -(-d.n // 8)
         for lo in range(0, d.n, rows):
             lap[lo:lo + rows] = laplacian_values(d, eye[lo:lo + rows])
-        ops = _DENSE[key] = (lap, dst(eye, type=1, norm="ortho", overwrite_x=True))
-        for a in ops:
+        lap.setflags(write=False)
+        _LAPLACIAN[key] = lap
+    return lap
+
+
+def _eigenbasis(d: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues mu (ascending) and orthonormal eigenvectors V (columns) of
+    the drift's linearization at the equilibrium, the symmetric (n, n)
+    operator A = -Laplacian + diag(3 m^2 - 1), m the profile: `A @ V` is
+    `V * mu` up to rounding.  Built on first use and kept, read-only, per
+    (L, n, modes); only the MAM objective reads it.
+
+    The build holds the Laplacian, A, LAPACK's copy of A, V and syevd's
+    workspace of 1 + 6n + 2n^2 doubles, about 6 n^2 doubles; LAPACK's arrays
+    are allocated where tracemalloc does not see them.  It is counted as
+    48 n^2 + 128 n bytes against the memory budget before anything is
+    allocated, so n <= 2 363.  On a 2-core box a warm `eigh` takes 0.3 ms at
+    n = 63, 7 ms at n = 255 and 31 ms at n = 511.
+    """
+    key = (d.L, d.n, d.modes)
+    pair = _EIGENBASIS.get(key)
+    if pair is None:
+        check_bytes(f"n={d.n} dense operators (the build of the {d.n} x {d.n} eigenbasis of "
+                    f"the linearized drift, counted as 48 n^2 + 128 n)", 48 * d.n ** 2 + 128 * d.n)
+        lap = _dense_laplacian(d)
+        u = compute_profile(d).m.values
+        A = lap + lap.T
+        A *= -0.5
+        A[np.diag_indices(d.n)] += 3.0 * u * u - 1.0
+        mu, V = np.linalg.eigh(A)
+        pair = _EIGENBASIS[key] = (mu, V)
+        for a in pair:
             a.setflags(write=False)
-    return ops
+    return pair
 
 
 def _action_core(d: Domain, Z: np.ndarray, dt: float, nm: NoiseModel, need_grad: bool):
@@ -129,8 +160,8 @@ def _action_core(d: Domain, Z: np.ndarray, dt: float, nm: NoiseModel, need_grad:
     the residual record.  Under constant intensity g is the scalar g0 and the
     g' term is skipped; for finite values both are bitwise what the general
     formula gives with g = g0 everywhere and g' = 0.  The Laplacian is one
-    product with the dense operator of `_dense_operators`."""
-    lap = _dense_operators(d)[0]
+    product with the dense matrix of `_dense_laplacian`."""
+    lap = _dense_laplacian(d)
     mid = 0.5 * (Z[1:] + Z[:-1])
     diff = (Z[1:] - Z[:-1]) / dt
     drift = mid @ lap + reaction_values(d, mid)
@@ -165,17 +196,6 @@ def action(pth: Path, nm: NoiseModel, d: Domain) -> ActionResult:
     return ActionResult(value=value, residual_series=resid, path=pth)
 
 
-def action_gradient(pth: Path, nm: NoiseModel, d: Domain) -> np.ndarray:
-    """L^2 gradient of the action at interior path nodes, shape (steps-1, n).
-
-    Directional derivatives satisfy dI[v] = h * sum_j G v for interior-node
-    perturbations v; this is the object finite differences are checked
-    against.
-    """
-    _, grad_eucl, _ = _action_core(d, pth.values, pth.dt, nm, need_grad=True)
-    return grad_eucl / d.h
-
-
 def _initial_path(d: Domain, zeta: Field, T: float, steps: int, *,
                   frames: np.ndarray, dt_flow: float) -> np.ndarray:
     """Two-segment construction resampled onto the uniform (T, steps) grid:
@@ -206,36 +226,39 @@ def _rung_objective(d: Domain, nm: NoiseModel, Z0: np.ndarray, dt: float,
                     scale: float):
     """The action over the m interior nodes X of Z0 (endpoints pinned) as
     L-BFGS sees it: divided by `scale` (see `mam_minimize`), in the whitened
-    space-time coordinates Y = (D_t X D_x) / s.  D_x is the dense orthonormal
-    DST-I over the grid (`_dense_operators`), D_t the same DST over the m
-    nodes, applied along the time axis, so no (m, m) matrix is formed; both
-    are symmetric involutions, so the gradient is s * (D_t grad_X D_x).  With
-    F = 0 and g = 1 the midpoint action is sum |dZ|^2 / (2 dt) + (dt/8) sum
-    |Lambda (Z_i + Z_{i+1})|^2 plus a cross term that telescopes to the
-    pinned ends.  D_t diagonalizes tridiag(-1, 2, -1) and tridiag(1, 2, 1)
-    (eigenvalues 2 -/+ 2 cos th_j, th_j = j pi/(m+1)), so with
-    s_jk = dt / sqrt(2 - 2 cos th_j + dt^2 lambda_k^2 (2 + 2 cos th_j) / 4),
-    lambda_k = 0 above `modes`, the quadratic part is exactly
-    (dt h / 2) |Y|^2 and L-BFGS sees only the reaction and the intensity.
+    space-time coordinates Y = (D_t X V) / s.  V holds the eigenvectors of
+    the drift's linearization at the equilibrium, A = -Laplacian +
+    diag(3 m^2 - 1), with eigenvalues mu_k (`_eigenbasis`); D_t is the
+    orthonormal DST-I over the m nodes, applied along the time axis, so no
+    (m, m) matrix is formed.  D_t is a symmetric involution and V is
+    orthogonal, so X = D_t (s Y) V' and the gradient is s * (D_t grad_X V).
+    With the reaction replaced by its linear part and g = 1 the residual is
+    dZ/dt + A Z, and in the midpoint action each mode k contributes
+    sum |dc|^2 / (2 dt) + (dt/8) sum |mu_k (c_i + c_{i+1})|^2 plus a cross
+    term that telescopes to the pinned ends.  D_t diagonalizes
+    tridiag(-1, 2, -1) and tridiag(1, 2, 1) (eigenvalues 2 -/+ 2 cos th_j,
+    th_j = j pi/(m+1)), so with
+    s_jk = dt / sqrt(2 - 2 cos th_j + dt^2 mu_k^2 (2 + 2 cos th_j) / 4)
+    the quadratic part is exactly (dt h / 2) |Y|^2, and L-BFGS sees only the
+    reaction's and the intensity's departures from the linearization.  The
+    sign of mu_k does not enter s.
     Returns fun(y) -> (value, gradient), the start y0 and nodes(y) -> X."""
-    ortho = _dense_operators(d)[1]
+    mu, V = _eigenbasis(d)
     m = Z0.shape[0] - 2
     theta = np.pi * np.arange(1, m + 1) / (m + 1)
-    lam = np.zeros(d.n)
-    lam[: d.modes] = d.lambda_k               # no Laplacian above `modes`
     cos = np.cos(theta)[:, None]
-    s = dt / np.sqrt(2.0 - 2.0 * cos + (dt * lam) ** 2 * (2.0 + 2.0 * cos) / 4.0)
+    s = dt / np.sqrt(2.0 - 2.0 * cos + (dt * mu) ** 2 * (2.0 + 2.0 * cos) / 4.0)
     Z = Z0.copy()
 
     def nodes(y):
-        return _dst_ortho(s * y.reshape(m, d.n), axis=0) @ ortho
+        return _dst_ortho(s * y.reshape(m, d.n), axis=0) @ V.T
 
     def fun(y):
         Z[1:-1] = nodes(y)
         val, grad, _ = _action_core(d, Z, dt, nm, need_grad=True)
-        return val / scale, (s * (_dst_ortho(grad, axis=0) @ ortho)).ravel() / scale
+        return val / scale, (s * (_dst_ortho(grad, axis=0) @ V)).ravel() / scale
 
-    return fun, ((_dst_ortho(Z0[1:-1], axis=0) @ ortho) / s).ravel(), nodes
+    return fun, ((_dst_ortho(Z0[1:-1], axis=0) @ V) / s).ravel(), nodes
 
 
 @dataclass(frozen=True)
@@ -457,8 +480,10 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
     In node coordinates the action's Hessian spans the spectrum of the time
     second difference (about steps^2) times the spatial one, so L-BFGS runs
     in whitened space-time coordinates (`_rung_objective`), in which the
-    action's quadratic part is (dt h / 2) |Y|^2.  The transforms and the
-    action's Laplacian are dense matrix products (`_dense_operators`).
+    quadratic part of the action linearized at the equilibrium is
+    (dt h / 2) |Y|^2.  The grid half of that map is the eigenbasis of
+    A = -Laplacian + diag(3 m^2 - 1) (`_eigenbasis`), the action's Laplacian
+    a dense matrix (`_dense_laplacian`).
     The objective is the action divided by the rung's starting action, so
     the `ftol` stop (MAM_FTOL) ends a rung once an iteration lowers the
     action by less than that fraction of its starting value, whatever the
@@ -471,7 +496,7 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
 
     The rungs run in order in the calling process.  A horizon T <= 1, or
     reversed-flow frames, a rung's working set (RUNG_PATHS paths plus one per
-    earlier rung) or dense operators past the memory budget, is a
+    earlier rung) or the eigenbasis build past the memory budget, is a
     ConfigurationError before the profile is solved.
     """
     if zeta.bc is not Boundary.ZERO_DIRICHLET:
@@ -487,7 +512,7 @@ def mam_minimize(d: Domain, zeta: Field, nm: NoiseModel, T: float, steps: int, *
     paths = RUNG_PATHS + ladder - 1
     check_bytes(f"action.steps={steps}: {paths} paths of {steps + 1} x {d.n} floats (a rung's "
                 f"working set and the earlier rungs' paths)", 8 * paths * (steps + 1) * d.n)
-    _dense_operators(d)                           # built here, or rejected past the budget
+    _eigenbasis(d)                   # counted before the profile is solved, then built
 
     horizons = [T * 2 ** r for r in range(ladder)]
     frames = np.asarray([z for z, _, _ in flow_states(

@@ -69,6 +69,9 @@ SCHEMA: dict[str, tuple] = {
     "action.steps": (int, 120),
     "output.dir": (str, "out"),
 }
+# Keys that choose where a run writes and how many processes it uses, not
+# what it writes; `config_hash` leaves them out.
+UNHASHED = ("output.dir", "workers")
 
 
 @dataclass
@@ -93,7 +96,11 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+        """SHA-256 of the canonical text of the keys that change data, so the
+        same experiment has one hash whatever its output directory or worker
+        count (results are bitwise independent of `workers`)."""
+        kept = {k: v for k, v in self.values.items() if k not in UNHASHED}
+        return hashlib.sha256(ExperimentConfig(kept).canonical_text().encode()).hexdigest()
 
 
 def default_config() -> ExperimentConfig:

@@ -1,13 +1,18 @@
-"""Grid fields, norms and a path-file writer that only the tests read: the
-eigenfunctions e_k sampled on the grid, the trapezoid L^p norm and L^2 inner
-product on the closure (boundary terms weighted h/2), the spectral H^1
-distance, and the writer of the CSV that `acldp action --path` reads."""
+"""Grid fields, norms, a path-file writer and the action's L^2 gradient,
+which only the tests read: the eigenfunctions e_k sampled on the grid, the
+trapezoid L^p norm and L^2 inner product on the closure (boundary terms
+weighted h/2), the spectral H^1 distance, the writer of the CSV that
+`acldp action --path` reads, and the gradient that finite differences of
+the action are checked against."""
 
 import numpy as np
 
+from acldp.action import _action_core
 from acldp.errors import ConfigurationError
+from acldp.flow import Path
 from acldp.grid import Boundary, Domain, Field, boundary_values, transform_values
 from acldp.io import write_csv
+from acldp.noise import NoiseModel
 
 
 def basis_eval(d: Domain, k: int) -> Field:
@@ -45,3 +50,12 @@ def write_path_csv(path, times: np.ndarray, values: np.ndarray) -> None:
     for j in range(values.shape[1]):
         cols[f"z{j}"] = values[:, j]
     write_csv(path, cols)
+
+
+def action_gradient(pth: Path, nm: NoiseModel, d: Domain) -> np.ndarray:
+    """L^2 gradient of the action at interior path nodes, shape (steps-1, n).
+
+    Directional derivatives satisfy dI[v] = h * sum_j G v for interior-node
+    perturbations v."""
+    _, grad_eucl, _ = _action_core(d, pth.values, pth.dt, nm, need_grad=True)
+    return grad_eucl / d.h

@@ -14,7 +14,7 @@ convention the source inequality uses is not recorded in this repository.
 import numpy as np
 import pytest
 
-from acldp.action import action_gradient, mam_minimize
+from acldp.action import mam_minimize
 from acldp.config import default_config
 from acldp.energy import energy_gradient, energy_star
 from acldp.errors import ConfigurationError
@@ -27,7 +27,7 @@ from acldp.spde import SdeParams, ensemble_run
 
 from .conftest import band_limited
 from .diagnostics import check_factorization_params, factorization_identity_error
-from .fields import basis_eval, h1_distance, l2_inner
+from .fields import action_gradient, basis_eval, h1_distance, l2_inner
 
 SEED = 20260808
 

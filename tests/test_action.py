@@ -4,17 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acldp.action import (MAM_DT_FLOW, RUNG_PATHS, _action_core, _dense_operators,
-                          _dst_ortho, _initial_path, _line_search, _rung_objective,
-                          action, action_gradient, mam_minimize, minimize)
+from acldp.action import (MAM_DT_FLOW, RUNG_PATHS, _action_core, _dense_laplacian,
+                          _eigenbasis, _initial_path, _line_search, _rung_objective,
+                          action, mam_minimize, minimize)
 from acldp.energy import energy_star, energy_star_values, reaction_values
 from acldp.errors import MEMORY_BYTES, ConfigurationError
 from acldp.flow import Path, flow_states, gradient_flow, skeleton_solve
 from acldp.grid import Boundary, Field, build_domain, laplacian_values, transform_values
 from acldp.noise import NoiseModel
+from acldp.profile import compute_profile
 
 from .conftest import band_limited, flow_path
-from .fields import basis_eval
+from .fields import action_gradient, basis_eval
 
 # the module, not the `action` function that the package re-exports under its name
 action_module = importlib.import_module("acldp.action")
@@ -44,6 +45,11 @@ def start_path_action(d, zeta, nm, T):
         d, zeta.values, MAM_DT_FLOW, int(round((T - 1.0) / MAM_DT_FLOW)))])
     Z0 = _initial_path(d, zeta, T, steps, frames=frames, dt_flow=MAM_DT_FLOW)
     return _action_core(d, Z0, T / steps, nm, need_grad=False)[0]
+
+
+UNIT_AND_CRITERION_4 = pytest.mark.parametrize(
+    "nm", [NoiseModel(kind="constant", g0=1.0),
+           NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)], ids=["unit", "criterion4"])
 
 
 @pytest.fixture(scope="module")
@@ -336,12 +342,10 @@ class TestMinimization:
         with pytest.raises(ConfigurationError):
             mam_minimize(dom2_full, zeta, unit_noise, T=1.0, steps=10)
 
-    @pytest.mark.parametrize("nm", [NoiseModel(kind="constant", g0=1.0),
-                                    NoiseModel(kind="smooth_bounded_below", g0=0.6, c=0.8)],
-                             ids=["unit", "criterion4"])
+    @UNIT_AND_CRITERION_4
     def test_rungs_converge_within_40_iterations(self, nm, dom2_full, prof2_full):
         # criterion 5's five targets at the bench's settings; in whitened
-        # space-time coordinates each rung takes 7-19 iterations
+        # space-time coordinates each rung takes 3-8 iterations
         for amps in ([(1, 0.25)], [(1, -0.2), (2, 0.1)], [(2, 0.2), (3, -0.1)],
                      [(1, 0.15), (3, 0.1), (4, -0.05)], [(1, -0.1), (2, -0.1), (5, 0.05)]):
             zeta = multi_mode_state(dom2_full, prof2_full, amps)
@@ -349,6 +353,20 @@ class TestMinimization:
             for rung in res.info["ladder"]:
                 assert rung["message"].startswith("CONVERGENCE"), (amps, rung)
                 assert rung["nit"] <= 40, (amps, rung)
+
+    @UNIT_AND_CRITERION_4
+    def test_truncated_grid_rungs_converge_within_15_iterations(self, nm):
+        # above `modes` the drift's linear part is the reaction's 1 - 3 m^2
+        # alone, which a basis of the Laplacian leaves unwhitened (17-114
+        # iterations a rung); the linearization's eigenbasis takes 4-8
+        d = build_domain(2.0, 63, 32)
+        prof = compute_profile(d)
+        for amps in ([(1, 0.25)], [(1, -0.2), (2, 0.1)]):
+            res = mam_minimize(d, multi_mode_state(d, prof, amps), nm, T=6.0, steps=96,
+                               ladder=3)
+            for rung in res.info["ladder"]:
+                assert rung["message"].startswith("CONVERGENCE"), (amps, rung)
+                assert rung["nit"] <= 15, (amps, rung)
 
     def test_ladder_beyond_the_flow_budget_rejected(self, dom2_full, prof2_full,
                                                     unit_noise, monkeypatch):
@@ -389,17 +407,20 @@ class TestMinimization:
 
 
 class TestPreconditionedCoordinates:
-    """L-BFGS's coordinates Y = (D_t X D_x) / s round-trip to the nodes X, its
-    gradient is the derivative of its objective, and they whiten the action's
-    quadratic part, at modes = n and modes < n."""
+    """L-BFGS's coordinates Y = (D_t X V) / s round-trip to the nodes X, its
+    gradient is the derivative of its objective, and they whiten the
+    quadratic part of the action linearized at the equilibrium, at
+    modes = n and modes < n."""
 
     @pytest.mark.parametrize("which", ["full", "truncated"])
-    def test_quadratic_part_is_whitened(self, which, dom2_full, dom2, rng, monkeypatch):
-        # no reaction, unit intensity, pinned ends at zero: the objective is
-        # exactly (dt h / 2) |y|^2, which by polarization pins the whole form
-        d = dom2_full if which == "full" else dom2
-        monkeypatch.setattr(action_module, "reaction_values",
-                            lambda d, vals: np.zeros_like(vals))
+    def test_quadratic_part_is_whitened(self, which, dom2_full, prof2_full, dom2, prof2, rng,
+                                        monkeypatch):
+        # the reaction replaced by its linear part (1 - 3 m^2) z, unit
+        # intensity, pinned ends at zero: the objective is exactly
+        # (dt h / 2) |y|^2, which by polarization pins the whole form
+        d, prof = (dom2_full, prof2_full) if which == "full" else (dom2, prof2)
+        slope = 1.0 - 3.0 * prof.m.values ** 2
+        monkeypatch.setattr(action_module, "reaction_values", lambda d, vals: slope * vals)
         steps, dt = 40, 0.15
         fun, y0, _ = _rung_objective(d, NoiseModel(kind="constant", g0=1.0),
                                      np.zeros((steps + 1, d.n)), dt, 1.0)
@@ -413,7 +434,7 @@ class TestPreconditionedCoordinates:
         # (128 MB); the rung guard admits up to 21 times as many nodes at n = 8
         d = build_domain(2.0, 8, 8)
         Z0 = np.zeros((4001, d.n))
-        _dense_operators(d)
+        _eigenbasis(d)
         tracemalloc.start()
         try:
             fun, y0, nodes = _rung_objective(d, NoiseModel(kind="constant", g0=1.0),
@@ -454,11 +475,11 @@ class TestPreconditionedCoordinates:
 def general_core(d, Z, dt, g, gslope):
     """The action's value, interior gradient and residual record by the general
     formula, with the intensity g and its slope g' given as arrays.  The
-    Laplacian is the same dense operator as the action's (TestDenseOperators
+    Laplacian is the same dense matrix as the action's (TestDenseOperators
     ties it to the DST pair)."""
     mid = 0.5 * (Z[1:] + Z[:-1])
     diff = (Z[1:] - Z[:-1]) / dt
-    lap = lambda v: v @ _dense_operators(d)[0]
+    lap = lambda v: v @ _dense_laplacian(d)
     q = diff - (lap(mid) + reaction_values(d, mid))
     theta = mid + d.psi
     r = q / g
@@ -525,50 +546,80 @@ class TestActionCore:
 
 
 class TestDenseOperators:
-    """The dense matrices of `_dense_operators` against the transforms they
-    are built from, at modes = n and modes < n."""
+    """The dense Laplacian of `_dense_laplacian` against the transforms it is
+    built from, and the eigenbasis of `_eigenbasis` against the operator
+    A = -Laplacian + diag(3 m^2 - 1) it diagonalizes, at modes = n and
+    modes < n."""
 
     @pytest.mark.parametrize("n, modes", [(63, 63), (63, 32), (127, 64)])
     def test_match_the_transforms(self, n, modes, rng):
         d = build_domain(2.0, n, modes)
-        lap, ortho = _dense_operators(d)
-        assert lap.shape == ortho.shape == (n, n)
-        V = rng.standard_normal((7, n))
-        assert np.max(np.abs(V @ lap - laplacian_values(d, V))) <= 1e-12 * d.lambda_k[-1]
-        assert np.array_equal(ortho, _dst_ortho(np.eye(n)))
-        assert np.max(np.abs(V @ ortho - _dst_ortho(V))) <= 1e-13 * np.sqrt(n)
+        lap = _dense_laplacian(d)
+        mu, V = _eigenbasis(d)
+        assert lap.shape == V.shape == (n, n) and mu.shape == (n,)
+        X = rng.standard_normal((7, n))
+        assert np.max(np.abs(X @ lap - laplacian_values(d, X))) <= 1e-12 * d.lambda_k[-1]
+        A = -laplacian_values(d, np.eye(n)) + np.diag(3.0 * compute_profile(d).m.values ** 2 - 1.0)
+        assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-13
+        assert np.max(np.abs(V.T @ A @ V - np.diag(mu))) <= 1e-12 * np.max(np.abs(mu))
+        assert np.all(np.diff(mu) >= 0)
 
     def test_memoized_on_the_grid(self):
-        a = _dense_operators(build_domain(2.0, 63, 32))
-        assert _dense_operators(build_domain(2.0, 63, 32)) is a
-        assert _dense_operators(build_domain(2.0, 63, 63)) is not a
+        lap = _dense_laplacian(build_domain(2.0, 63, 32))
+        pair = _eigenbasis(build_domain(2.0, 63, 32))
+        assert _dense_laplacian(build_domain(2.0, 63, 32)) is lap
+        assert _eigenbasis(build_domain(2.0, 63, 32)) is pair
+        assert _dense_laplacian(build_domain(2.0, 63, 63)) is not lap
+        assert _eigenbasis(build_domain(2.0, 63, 63)) is not pair
+        assert not any(a.flags.writeable for a in (lap, *pair))
 
     def test_build_peak_is_within_what_the_cap_counts(self):
-        # the cap counts the build as 24 n^2 bytes; the whole-identity build
-        # peaked at 32 n^2
+        # the cap counts the Laplacian's build as 24 n^2 bytes (the
+        # whole-identity build peaked at 32 n^2) and the eigenbasis's as
+        # 48 n^2 + 128 n: the Laplacian, what tracemalloc sees of A, V and mu,
+        # and LAPACK's copy of A and syevd's workspace, which it does not see
         d = build_domain(1.5, 512, 512)                 # a grid no other test builds
+        compute_profile(d)
+        key = (d.L, d.n, d.modes)
         tracemalloc.start()
         try:
-            lap, ortho = _dense_operators(d)
-            peak = tracemalloc.get_traced_memory()[1]
+            lap = _dense_laplacian(d)
+            lap_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            mu, V = _eigenbasis(d)
+            eig_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-            action_module._DENSE.pop((d.L, d.n, d.modes), None)
-        assert peak <= 24 * d.n ** 2
-        eye = np.eye(d.n)
-        assert lap.tobytes() == laplacian_values(d, eye).tobytes()
-        assert ortho.tobytes() == _dst_ortho(eye).tobytes()
+            action_module._LAPLACIAN.pop(key, None)
+            action_module._EIGENBASIS.pop(key, None)
+        n = d.n
+        assert lap_peak <= 24 * n ** 2
+        lapack = 8 * (n * n + 1 + 6 * n + 2 * n * n)    # the copy of A, syevd's workspace
+        assert lap.nbytes + eig_peak + lapack <= 48 * n ** 2 + 128 * n
+        assert lap.tobytes() == laplacian_values(d, np.eye(n)).tobytes()
 
-    def test_grid_beyond_the_byte_cap_rejected_before_allocating(self):
-        # at n = 5 000 the build would count 600 MB; 3 344 is the largest n
-        # that MEMORY_BYTES admits
+    def test_grid_beyond_the_byte_cap_rejected_before_allocating(self, monkeypatch):
+        # at n = 5 000 the Laplacian's build would count 600 MB, and 3 344 is
+        # the largest n that MEMORY_BYTES admits; the eigenbasis's count
+        # admits n <= 2 363, and mam_minimize rejects n = 3 000 before it
+        # solves the profile
         assert 24 * 3344 ** 2 <= MEMORY_BYTES < 24 * 3345 ** 2
+        assert 48 * 2363 ** 2 + 128 * 2363 <= MEMORY_BYTES < 48 * 2364 ** 2 + 128 * 2364
         d = build_domain(2.0, 5000, 64)
         pth = Path(np.zeros((2, d.n)), Boundary.ZERO_DIRICHLET, 0.1)
+
+        def no_profile(*args, **kwargs):
+            raise AssertionError("the profile was solved")
+        monkeypatch.setattr(action_module, "compute_profile", no_profile)
+        d_mam = build_domain(2.0, 3000, 64)
+        zeta = Field(np.zeros(d_mam.n), Boundary.ZERO_DIRICHLET)
         tracemalloc.start()
         try:
             with pytest.raises(ConfigurationError, match="n=5000 .*MEMORY_BYTES"):
                 action(pth, NoiseModel(kind="constant", g0=1.0), d)
+            with pytest.raises(ConfigurationError, match="n=3000 .* eigenbasis .*MEMORY_BYTES"):
+                mam_minimize(d_mam, zeta, NoiseModel(kind="constant", g0=1.0), T=6.0, steps=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -137,6 +137,22 @@ class TestConfigHandling:
         text = (out / "resolved.cfg").read_text()
         assert "L = 1.0" in text and "n = 63" in text
 
+    def test_config_hash_names_the_experiment_not_the_run(self, tmp_path):
+        # the output directory and the worker count change no data file, so
+        # they leave the hash alone; a key that changes data does not
+        def config_hash(name, *sets):
+            out = tmp_path / name
+            argv = ["profile", "--set", "n=31", "--set", "modes=16", "--out", str(out)]
+            for s in sets:
+                argv += ["--set", s]
+            assert run(argv) == 0
+            return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+        one = config_hash("a", "workers=1")
+        assert config_hash("b", "workers=1") == one
+        assert config_hash("c", "workers=2") == one
+        assert config_hash("d", "workers=1", "seed=7") != one
+
     def test_file_value_checked_against_later_overrides(self, tmp_path):
         # modes = 300 is out of range at the file's n = 255, in range at n = 511
         cfg = tmp_path / "exp.cfg"
@@ -702,7 +718,7 @@ class TestMamCommand:
         assert not (out / "mam.json").exists()
 
     def test_grid_beyond_the_dense_cap_exits_2_at_once(self, tmp_path, capsys):
-        # n = 5 000: the action's dense operators would take 400 MB; rejected
+        # n = 5 000: the build of MAM's eigenbasis would take 1.2 GB; rejected
         # before the profile is solved
         d = build_domain(2.0, 5000, 64)
         zeta_csv = tmp_path / "zeta.csv"
